@@ -9,18 +9,25 @@ from __future__ import annotations
 
 import numpy as np
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+def _primes(count: int) -> list:
+    """The first count primes, by trial division."""
+    out: list = []
+    cand = 2
+    while len(out) < count:
+        if all(cand % p for p in out if p * p <= cand):
+            out.append(cand)
+        cand += 1
+    return out
 
 
 def halton(dim: int, count: int, seed: int = 0) -> np.ndarray:
-    """Halton points in [0,1)^dim, shape (dim, count)."""
-    if dim > len(_PRIMES):
-        raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
+    """Halton points in [0,1)^dim, shape (dim, count); coordinate d uses the
+    (d+1)-th prime as its base."""
     start = 20 + (seed % 1_000_003) * 17
     idx = np.arange(start, start + count, dtype=np.int64)
     out = np.empty((dim, count))
-    for d in range(dim):
-        base = _PRIMES[d]
+    for d, base in enumerate(_primes(dim)):
         x = np.zeros(count)
         denom = 1.0
         i = idx.copy()

@@ -25,8 +25,6 @@ def _common(sub, samples=20000):
     sub.add_argument("--tol", type=float, default=1e-7)
     sub.add_argument("--report", default=None, metavar="PATH",
                      help="write the JSON report here (default: stdout)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="reserved; results are independent of thread count")
     sub.add_argument("--tilt", action="store_true", help="run the tilt probe")
 
 

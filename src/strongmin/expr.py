@@ -44,8 +44,6 @@ __all__ = [
     "eval_values",
     "eval_grads",
     "to_text",
-    "add",
-    "scale",
     "quadratic_shift",
 ]
 
@@ -481,14 +479,6 @@ def to_text(e: Expression, variables) -> str:
         sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
         return f"({to_text(e.left, variables)} {sym} {to_text(e.right, variables)})"
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def add(a: Expression, b: Expression) -> Expression:
-    return Binary("add", a, b)
-
-
-def scale(c: float, e: Expression) -> Expression:
-    return Binary("mul", Const(float(c)), e)
 
 
 def quadratic_shift(e: Expression, center, rho: float) -> Expression:

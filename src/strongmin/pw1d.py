@@ -34,7 +34,6 @@ __all__ = [
     "binary_staircase",
     "loads",
     "load",
-    "proximal_subdifferential",
     "tangent_direction_test",
     "check_conditions",
     "estimate_qgc_1d",
@@ -184,10 +183,6 @@ class Piecewise1D:
             if lo <= x0 <= hi:
                 segs.append(((x0, iv[0]), (x0, iv[1])))
         return segs
-
-    def graph_distance(self, X: float, V: float, window: float) -> float:
-        """Distance from (X, V) to the graph, searching |x - X| <= window."""
-        return float(self.graph_distances(X, np.array([V]), window)[0])
 
     def graph_distances(self, X: float, Vs: np.ndarray, window: float) -> np.ndarray:
         """Distances from (X, v) to the graph for every v in Vs at once."""
@@ -380,11 +375,6 @@ def load(path_or_text: str) -> Piecewise1D:
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
-
-def proximal_subdifferential(f: Piecewise1D, x: float):
-    """Interval of proximal subgradients at x (None when empty)."""
-    return f.prox_subdiff(x)
-
 
 def tangent_direction_test(f: Piecewise1D, xbar: float, vbar: float,
                            w: float, z: float,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -108,12 +109,24 @@ def _load_problem(path: str) -> problem.Problem:
     return p
 
 
+@contextmanager
+def _stage(clocks: dict, name: str):
+    """Record the wall-clock milliseconds of the enclosed block as clocks[name]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        clocks[name] = 1000.0 * (time.perf_counter() - t0)
+
+
 def analyze_report(path: str, seed: int = 0, samples: int = 20000,
                    radii=None, tol: float = 1e-7, tilt: bool = False,
                    timings: bool = False, probe_samples: int = 128,
                    probe_radius: float = 0.1) -> dict:
     """Full pipeline: evaluate, stationarity, multipliers, CQ, curvature, oracle."""
-    p = _load_problem(path)
+    clocks: dict = {}
+    with _stage(clocks, "load"):
+        p = _load_problem(path)
     if p.point is None:
         raise InputError(f"{path}: analysis needs a 'point:' line")
     radii = tuple(radii) if radii else oracle.DEFAULT_RADII
@@ -130,18 +143,8 @@ def analyze_report(path: str, seed: int = 0, samples: int = 20000,
                   "radii": [float(r) for r in radii], "tol": tol, "tilt": tilt},
         "failed_stage": None,
     }
-    clocks: dict = {}
-
-    def stage(name):
-        class _T:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                clocks[name] = 1000.0 * (time.perf_counter() - self.t0)
-        return _T()
-
-    pd = problem.evaluate(p, p.point)
+    with _stage(clocks, "evaluate"):
+        pd = problem.evaluate(p, p.point)
     rep["feasibility"] = {
         "max_residual": pd.max_residual,
         "feasible": pd.feasible,
@@ -153,7 +156,7 @@ def analyze_report(path: str, seed: int = 0, samples: int = 20000,
             f"(residual {pd.max_residual:.3e} > {problem.FEASIBILITY_TOL:g})")
 
     try:
-        with stage("stationarity"):
+        with _stage(clocks, "stationarity"):
             st = kkt.stationarity_check(pd, tol=max(tol, 1e-12))
         rep["stationarity"] = _verdict(
             st.is_stationary,
@@ -165,7 +168,7 @@ def analyze_report(path: str, seed: int = 0, samples: int = 20000,
         return rep
 
     try:
-        with stage("cq"):
+        with _stage(clocks, "cq"):
             cqr = cq.run_cq(pd, probe_radius=probe_radius,
                             probe_samples=probe_samples, seed=seed)
         rep["cq"] = {
@@ -199,7 +202,7 @@ def analyze_report(path: str, seed: int = 0, samples: int = 20000,
 
     if st.is_stationary:
         try:
-            with stage("sosc"):
+            with _stage(clocks, "sosc"):
                 ms = kkt.build_multiplier_set(pd, st.witness)
                 sr = sosc.analyze(pd, ms, samples=samples, seed=seed)
             rep["sosc"] = {
@@ -233,7 +236,7 @@ def analyze_report(path: str, seed: int = 0, samples: int = 20000,
         }
 
     try:
-        with stage("oracle"):
+        with _stage(clocks, "oracle"):
             est = oracle.estimate_qg_modulus(p, radii=radii, count=samples,
                                              seed=seed)
         rep["oracle"] = _qgc_dict(est)
@@ -243,7 +246,7 @@ def analyze_report(path: str, seed: int = 0, samples: int = 20000,
 
     if tilt:
         try:
-            with stage("tilt"):
+            with _stage(clocks, "tilt"):
                 tr = oracle.tilt_probe(p, seed=seed)
             rep["tilt"] = {
                 "single_valued": tr.single_valued,

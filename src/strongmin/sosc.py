@@ -12,7 +12,8 @@ The infimum of sigma over unit directions of the cone is certified two
 ways: an eigenvalue reduction when the cone is a subspace, the multiplier
 set is a singleton and no curvature correction is present (Exact), and a
 deterministic low-discrepancy sphere search with coordinate-descent
-polishing otherwise (Sampled).
+polishing otherwise (Sampled).  A cone that small LPs prove to be {0}
+makes both verdicts hold vacuously (Exact).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import cones
 from ._sampling import sphere
+from ._simplex import solve_lp
 from .kkt import MultiplierSet, enumerate_polyhedron, maximize_linear
 from .problem import PointData
 
@@ -40,6 +42,7 @@ __all__ = [
 
 VERDICT_TOL = 1e-7
 _MEMBERSHIP_TOL = 1e-9
+_INTERIOR, _VERTEX, _BOUNDARY = 0, 1, 2  # position of B w in a soc block
 
 
 class NotInCriticalCone(Exception):
@@ -80,7 +83,11 @@ class CriticalCone:
         for _, m in self.soc:
             self._soc_sl.append((slice(start, start + m), m))
             start += m
-        self._chol = np.linalg.cholesky(np.eye(self.n) + self._M.T @ self._M)
+        # ADMM x-update operator, formed once per cone (Boyd et al. 2011,
+        # section 4.2): I + M^T M has eigenvalues >= 1, so its inverse is
+        # well conditioned and one matrix product replaces two solves.
+        self._K = np.linalg.inv(np.eye(self.n) + self._M.T @ self._M)
+        self._KMt = self._K @ self._M.T
 
     @property
     def is_subspace(self) -> bool:
@@ -90,6 +97,30 @@ class CriticalCone:
         if not self.is_subspace:
             raise ValueError("cone is not a subspace")
         return self._null
+
+    def is_trivial(self) -> bool:
+        """True when the cone is proven to be {0}.
+
+        Maximizes each of +-w_i over the box |w_i| <= 1 intersected with a
+        polyhedral outer relaxation of the cone, each soc constraint B w in
+        soc(m) relaxed to (Bw)_0 >= |(Bw)_i|.  The relaxation is a cone, so
+        the 2n optima are all 0 when it is {0} and their maximum is 1
+        otherwise.  Exact for polyhedral cones; with soc blocks a True
+        answer is a certificate and False decides nothing.
+        """
+        relax = [self.ineq]
+        for B, _ in self.soc:
+            relax += [-(B[0] - B[1:]), -(B[0] + B[1:]), -B[:1]]
+        box = np.eye(self.n)
+        A_ub = np.vstack(relax + [box, -box])
+        b_ub = np.concatenate([np.zeros(A_ub.shape[0] - 2 * self.n),
+                               np.ones(2 * self.n)])
+        for c in np.vstack([box, -box]):
+            res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=self.eq,
+                           b_eq=np.zeros(self.eq.shape[0]))
+            if res.status != "optimal" or res.value > 0.5:
+                return False
+        return True
 
     def violation(self, W: np.ndarray) -> np.ndarray:
         """Columnwise distance of M w to the target set D."""
@@ -135,24 +166,75 @@ class CriticalCone:
             return out[:, 0] if single else out
         out = self._admm(W2, iters)
         if polish:
-            for j in range(out.shape[1]):
-                out[:, j] = self._polish_projection(W2[:, j], out[:, j])
+            out = self._polish_batch(W2, out)
         return out[:, 0] if single else out
 
     def _admm(self, W2: np.ndarray, iters: int) -> np.ndarray:
         if self._M.shape[0] == 0:
             return W2.copy()
         M = self._M
+        KW = self._K @ W2
         Z = self._proj_D(M @ W2)
         U = np.zeros_like(Z)
         X = W2.copy()
         for _ in range(iters):
-            rhs = W2 + M.T @ (Z - U)
-            X = np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, rhs))
+            X = KW + self._KMt @ (Z - U)
             MX = M @ X
             Z = self._proj_D(MX + U)
-            U = U + MX - Z
+            U += MX
+            U -= Z
         return X
+
+    def _soc_states(self, Wa: np.ndarray) -> np.ndarray:
+        """Per soc block and column: interior, vertex or boundary of B w."""
+        state = np.full((len(self.soc), Wa.shape[1]), _INTERIOR, dtype=np.int8)
+        for b, (B, _) in enumerate(self.soc):
+            Z = B @ Wa
+            nz = np.linalg.norm(Z, axis=0)
+            on_facet = np.abs(Z[0] - np.linalg.norm(Z[1:], axis=0)) \
+                <= 1e-6 * np.maximum(1.0, nz)
+            state[b, on_facet] = _BOUNDARY
+            state[b, nz <= 1e-7] = _VERTEX
+        return state
+
+    def _polish_batch(self, W0: np.ndarray, Wa: np.ndarray) -> np.ndarray:
+        """Columnwise _polish_projection with one least-squares solve per
+        guessed active set.
+
+        Columns with a soc block on its boundary take the per-column path,
+        because their facet row depends on the column.
+        """
+        tight = self.ineq @ Wa >= -1e-7
+        state = self._soc_states(Wa)
+        on_boundary = np.any(state == _BOUNDARY, axis=0)
+        out = Wa.copy()
+        for j in np.flatnonzero(on_boundary):
+            out[:, j] = self._polish_projection(W0[:, j], Wa[:, j])
+        rest = np.flatnonzero(~on_boundary)
+        if rest.size == 0:
+            return out
+        keys, group = np.unique(np.vstack([tight, state])[:, rest].T, axis=0,
+                                return_inverse=True)
+        group = group.ravel()
+        n_ineq = self.ineq.shape[0]
+        W0r, War = W0[:, rest], Wa[:, rest]
+        cand = W0r.copy()
+        for g, key in enumerate(keys):
+            # held at zero: equalities, tight inequality rows, soc vertices
+            rows = [self.eq, self.ineq[key[:n_ineq].astype(bool)]]
+            rows += [B for (B, _), s in zip(self.soc, key[n_ineq:]) if s == _VERTEX]
+            A = np.vstack(rows)
+            if A.shape[0] == 0:
+                continue  # nothing active: the projection is w0 if feasible
+            cols = np.flatnonzero(group == g)
+            W0g = W0r[:, cols]
+            lam, *_ = np.linalg.lstsq(A @ A.T, A @ W0g, rcond=None)
+            cand[:, cols] = W0g - A.T @ lam
+        accept = (self.violation(cand) <= 1e-11) & (
+            np.linalg.norm(cand - W0r, axis=0)
+            <= np.linalg.norm(War - W0r, axis=0) + 1e-9)
+        out[:, rest] = np.where(accept, cand, War)
+        return out
 
     def _polish_projection(self, w0: np.ndarray, w_admm: np.ndarray) -> np.ndarray:
         """Exact projection on the guessed active set; keep ADMM on failure."""
@@ -376,7 +458,8 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
 
     The Exact path applies when the critical cone is (structurally) a
     linear subspace, the multiplier set is a singleton and no boundary
-    curvature enters; everything else is Sampled with the seed recorded.
+    curvature enters, and when is_trivial proves the cone to be {0};
+    everything else is Sampled with the seed recorded.
     """
     cone = build_critical_cone(pd)
     has_boundary = any(b.activity.case == "soc_boundary" for b in pd.blocks)
@@ -394,11 +477,16 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
         return _verdicts(modulus, worst, "Exact", 0, seed)
 
     # ---- sampled path ----
+    if cone.is_trivial():
+        return SoscReport(True, True, math.inf, None, "Exact", 0, seed,
+                          empty_cone=True)
     n = pd.n
     dirs = sphere(n, samples, seed=seed)
     proj = cone.project(dirs, iters=250, polish=False)
     norms = np.linalg.norm(proj, axis=0)
-    if float(np.max(norms, initial=0.0)) < 1e-6:
+    # is_trivial decides polyhedral cones exactly; only soc blocks leave
+    # emptiness to the samples
+    if cone.soc and float(np.max(norms, initial=0.0)) < 1e-6:
         return SoscReport(True, True, math.inf, None, "Sampled", samples, seed,
                           empty_cone=True)
     keep = np.flatnonzero(norms >= 0.999)

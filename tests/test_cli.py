@@ -92,10 +92,16 @@ class TestReports:
         assert rep["oracle"]["certification"] == "Sampled"
 
     def test_timings_flag_adds_field(self, capsys):
-        run_cli(["analyze", corpus_path("quad3", "problem.prob"),
-                 "--samples", "500", "--timings"])
+        args = ["analyze", corpus_path("quad3", "problem.prob"), "--samples", "500"]
+        run_cli(args + ["--timings"])
         rep = json.loads(capsys.readouterr().out)
-        assert "timings_ms" in rep and rep["timings_ms"]
+        timings = rep.pop("timings_ms")
+        assert list(timings) == ["load", "evaluate", "stationarity", "cq",
+                                 "sosc", "oracle"]
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        # apart from the timings the report is the one written without them
+        run_cli(args)
+        assert capsys.readouterr().out == report.dumps_report(rep)
 
     def test_pw1d_d2_flag(self, capsys):
         run_cli(["pw1d", corpus_path("sq", "function.pw"), "--d2"])

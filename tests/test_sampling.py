@@ -1,0 +1,54 @@
+import numpy as np
+import pytest
+
+from strongmin._sampling import halton, sphere
+
+FIRST_15_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def halton_fixed_primes(dim, count, seed=0):
+    """Reference: the Halton generator with its bases from a fixed table."""
+    start = 20 + (seed % 1_000_003) * 17
+    idx = np.arange(start, start + count, dtype=np.int64)
+    out = np.empty((dim, count))
+    for d in range(dim):
+        base = FIRST_15_PRIMES[d]
+        x = np.zeros(count)
+        denom = 1.0
+        i = idx.copy()
+        while np.any(i > 0):
+            denom *= base
+            x += (i % base) / denom
+            i //= base
+        out[d] = x
+    return out
+
+
+def radical_inverse(i, base):
+    x, scale = 0.0, 1.0 / base
+    while i:
+        x += (i % base) * scale
+        i //= base
+        scale /= base
+    return x
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7, 123456))
+def test_halton_bytes_unchanged_up_to_15_dims(seed):
+    for dim in range(1, 16):
+        assert (halton(dim, 257, seed=seed).tobytes()
+                == halton_fixed_primes(dim, 257, seed=seed).tobytes())
+
+
+def test_twenty_dimensions():
+    H = halton(20, 500, seed=3)
+    assert H.shape == (20, 500)
+    assert np.all(np.isfinite(H)) and np.all((H >= 0.0) & (H < 1.0))
+    # coordinates 16-20 use the bases 53, 59, 61, 67, 71; seed 3 starts at
+    # index 20 + 3 * 17 = 71
+    assert np.allclose(H[15:, 0], [radical_inverse(71, b)
+                                   for b in (53, 59, 61, 67, 71)], rtol=0, atol=1e-15)
+    S = sphere(20, 500, seed=3)
+    assert S.shape == (20, 500)
+    assert np.all(np.isfinite(S))
+    assert np.allclose(np.linalg.norm(S, axis=0), 1.0)

@@ -4,8 +4,40 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pipeline, random_quadratic_problem
+from conftest import corpus_path, pipeline, random_quadratic_problem
 from strongmin import expr, kkt, problem, sosc
+from strongmin._sampling import sphere
+
+CONIC_CORPUS = ("ex44", "ex46", "ex47", "licq", "quad3", "socb")
+
+
+def corpus_cone(name):
+    p = problem.load(corpus_path(name, "problem.prob"))
+    return sosc.build_critical_cone(problem.evaluate(p, p.point))
+
+
+def soc_and_orthant_cone():
+    # (w1, w2, w3) in soc(3) and w4 <= 0: ADMM iterates land in the
+    # interior, on the boundary and at the vertex of the soc block
+    return sosc.CriticalCone(4, np.zeros((0, 4)), np.array([[0.0, 0.0, 0.0, 1.0]]),
+                             [(np.eye(4)[:3], 3)])
+
+
+def admm_two_solves(cone, W2, iters):
+    """Reference ADMM: the x-update solves with the Cholesky factor of
+    I + M^T M twice per iteration."""
+    M = cone._M
+    chol = np.linalg.cholesky(np.eye(cone.n) + M.T @ M)
+    Z = cone._proj_D(M @ W2)
+    U = np.zeros_like(Z)
+    X = W2.copy()
+    for _ in range(iters):
+        rhs = W2 + M.T @ (Z - U)
+        X = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        MX = M @ X
+        Z = cone._proj_D(MX + U)
+        U = U + MX - Z
+    return X
 
 
 class TestCriticalCone:
@@ -45,6 +77,44 @@ class TestCriticalCone:
                 w = cone.project(rng.standard_normal(pd.n))
                 assert cone.contains(w, tol=1e-9)
                 assert cone.contains(3.0 * w, tol=1e-8)
+
+    @pytest.mark.parametrize("name", CONIC_CORPUS)
+    def test_admm_matches_two_solve_reference(self, name):
+        cone = corpus_cone(name)
+        W = sphere(cone.n, 500, seed=1)
+        for iters in (250, 1200):
+            assert np.max(np.abs(cone._admm(W, iters) -
+                                 admm_two_solves(cone, W, iters))) <= 1e-12
+
+    @pytest.mark.parametrize("name", CONIC_CORPUS + ("soc_and_orthant",))
+    def test_batched_polish_matches_per_column(self, name):
+        cone = (soc_and_orthant_cone() if name == "soc_and_orthant"
+                else corpus_cone(name))
+        W = 2.0 * sphere(cone.n, 600, seed=2)
+        Wa = cone._admm(W, 250)
+        batch = cone._polish_batch(W, Wa)
+        for j in range(W.shape[1]):
+            ref = cone._polish_projection(W[:, j], Wa[:, j])
+            assert np.max(np.abs(batch[:, j] - ref)) <= 1e-12
+        if name == "soc_and_orthant":
+            states = set(cone._soc_states(Wa).ravel().tolist())
+            assert states == {sosc._INTERIOR, sosc._VERTEX, sosc._BOUNDARY}
+
+    @pytest.mark.parametrize("name", CONIC_CORPUS + ("soc_and_orthant",))
+    def test_moreau_decomposition(self, name):
+        # P(w) and w - P(w) are orthogonal and w - P(w) lies in the polar
+        # cone: it projects to zero and has no positive inner product with
+        # any cone member
+        cone = (soc_and_orthant_cone() if name == "soc_and_orthant"
+                else corpus_cone(name))
+        W = 3.0 * sphere(cone.n, 200, seed=4)
+        P = cone.project(W)
+        R = W - P
+        assert np.max(np.abs(np.sum(P * R, axis=0))) <= 1e-9
+        assert np.max(np.linalg.norm(cone.project(R), axis=0)) <= 1e-6
+        members = cone.project(sphere(cone.n, 300, seed=5))
+        assert np.max(cone.violation(members)) <= 1e-9
+        assert np.max(R.T @ members) <= 1e-6
 
     def test_projection_is_euclidean(self, ex47):
         pd = problem.evaluate(ex47, ex47.point)
@@ -307,3 +377,37 @@ class TestAnalyze:
                        default=-np.inf)
             if res.status == "bounded":
                 assert best <= res.value + 1e-7
+
+    def test_trivial_polyhedral_cone_is_empty(self):
+        # two active rows with positive multipliers in two variables: the
+        # critical cone is {0}; ADMM residue once tipped the sampled
+        # emptiness test and reported sonc false
+        p = problem.loads(
+            "vars: x1 x2\n"
+            "objective: -0.5930086202633476*x1 - 0.6292862564204187*x2"
+            " + 0.19258297790376427*x1*x1 + 0.8773470030050242*x1*x2"
+            " + 1.0357784030222434*x2*x2\n"
+            "block orthant 2:\n"
+            "  row: 0.8811621128331931*x1 + 0.5822091166931507*x2"
+            " - 0.6835927606110359*x1*x1 + 0.06562335314015377*x1*x2"
+            " - 0.8429324179462949*x2*x2\n"
+            "  row: 0.5514244021092147*x1 + 0.8632445387294106*x2"
+            " - 0.5767362197426577*x1*x1 + 0.2101342636713242*x1*x2"
+            " - 0.1857389233028962*x2*x2\n"
+            "point: 0 0\n")
+        pd, st, ms = pipeline(p)
+        assert np.all(ms.lam0 > 0)
+        assert sosc.build_critical_cone(pd).is_trivial()
+        rep = sosc.analyze(pd, ms, samples=2000, seed=0)
+        assert rep.empty_cone and rep.sonc_holds and rep.sosc_holds
+        assert rep.predicted_modulus == math.inf
+
+    def test_is_trivial_decisions(self):
+        for name in CONIC_CORPUS:
+            assert not corpus_cone(name).is_trivial()
+        assert not soc_and_orthant_cone().is_trivial()
+        # w in soc(3) with w1 <= 0 leaves only w = 0, which the relaxation
+        # w1 >= |w2|, w1 >= |w3| already proves
+        cone = sosc.CriticalCone(3, np.zeros((0, 3)), np.array([[1.0, 0.0, 0.0]]),
+                                 [(np.eye(3), 3)])
+        assert cone.is_trivial()
