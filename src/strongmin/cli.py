@@ -15,17 +15,22 @@ from . import report as _report
 __all__ = ["main"]
 
 
-def _common(sub, samples=20000):
+def _common(sub, samples=20000, radii=True,
+            radius_help="single radius (overrides --radii)"):
+    """Add the input file and the flags shared by the subcommands.
+
+    ``samples=None`` and ``radii=False`` leave out --samples and --radii
+    for the subcommands that do not read them.
+    """
     sub.add_argument("file", help="input file")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--samples", type=int, default=samples)
-    sub.add_argument("--radius", type=float, default=None,
-                     help="single radius (overrides --radii)")
-    sub.add_argument("--radii", default=None, help="comma list, e.g. 0.2,0.05")
-    sub.add_argument("--tol", type=float, default=1e-7)
+    if samples is not None:
+        sub.add_argument("--samples", type=int, default=samples)
+    sub.add_argument("--radius", type=float, default=None, help=radius_help)
+    if radii:
+        sub.add_argument("--radii", default=None, help="comma list, e.g. 0.2,0.05")
     sub.add_argument("--report", default=None, metavar="PATH",
                      help="write the JSON report here (default: stdout)")
-    sub.add_argument("--tilt", action="store_true", help="run the tilt probe")
 
 
 def _radii(text):
@@ -43,17 +48,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sp.add_parser("analyze", help="full second-order analysis")
     _common(a)
+    a.add_argument("--tol", type=float, default=1e-7)
+    a.add_argument("--tilt", action="store_true", help="run the tilt probe")
     a.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-identical reports)")
 
     c = sp.add_parser("cq", help="constraint-qualification diagnostics only")
-    _common(c, samples=128)
+    _common(c, samples=128, radii=False,
+            radius_help="subregularity probe radius (default 0.1)")
 
     q = sp.add_parser("qgc", help="empirical quadratic-growth estimate only")
     _common(q)
 
     w = sp.add_parser("pw1d", help="univariate piecewise analysis")
-    _common(w)
+    _common(w, samples=None)
     w.add_argument("--point", type=float, default=0.0)
     w.add_argument("--d2", action="store_true",
                    help="include second-order difference quotients")

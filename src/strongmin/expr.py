@@ -1,9 +1,18 @@
 """Scalar expression trees with exact first and second derivatives.
 
-Expressions are parsed over a fixed, ordered variable list and evaluated
-by recursive differentiation of the tree.  Values, gradients and Hessians
-are exact up to floating point; finite differences never appear here (the
-test suite uses them as an independent cross-check only).
+Expressions are parsed over a fixed, ordered variable list.  One recursive
+walker evaluates a tree in forward mode over the columns of an (n, N)
+array, up to a requested derivative order: 0 gives values, 1 adds
+gradients, 2 adds Hessians; higher derivatives than requested are never
+formed.  Values, gradients and Hessians are exact up to floating point;
+finite differences never appear here (the test suite uses them as an
+independent cross-check only).
+
+The batched calls (``eval_values``, ``eval_grads``) turn a column that
+leaves the domain of sqrt/log (argument <= 0) or divides by zero into
+NaN, so that samplers can drop it.  At a single point (``eval_bundle``,
+``eval_value``) the same columns raise EvalDomainError, and any other
+inf/nan raises NonFiniteError.
 
 Grammar::
 
@@ -265,198 +274,130 @@ def parse(text: str, variables) -> Expression:
 # evaluation
 # ----------------------------------------------------------------------
 
-def _chain(phi, dphi, ddphi, val, grad, hess):
-    # scalar chain rule: H[phi(u)] = phi''(u) grad grad^T + phi'(u) H[u]
-    g = dphi * grad
-    h = ddphi * np.outer(grad, grad) + dphi * hess
-    return phi, g, h
+# phi, phi' and phi'' of the smooth unary ops; the derivatives take
+# (u, phi(u)) so that phi(u) is formed once.
+_UNARY = {
+    "sqrt": (np.sqrt, lambda u, s: 0.5 / s, lambda u, s: -0.25 / (u * s)),
+    "exp": (np.exp, lambda u, ev: ev, lambda u, ev: ev),
+    "log": (np.log, lambda u, _: 1.0 / u, lambda u, _: -1.0 / (u * u)),
+    "sin": (np.sin, lambda u, _: np.cos(u), lambda u, s: -s),
+    "cos": (np.cos, lambda u, _: -np.sin(u), lambda u, c: -c),
+}
 
 
-def _bundle(e: Expression, x: np.ndarray):
-    n = x.shape[0]
-    if isinstance(e, Const):
-        return e.value, np.zeros(n), np.zeros((n, n))
-    if isinstance(e, Var):
-        g = np.zeros(n)
-        g[e.index] = 1.0
-        return float(x[e.index]), g, np.zeros((n, n))
+def _outer(a, b):
+    """Columnwise outer products of (n, N) arrays: (n, n, N)."""
+    return a[:, None] * b[None, :]
+
+
+def _domain(u, dom, bad):
+    """NaN out the columns in ``dom`` and record them in ``bad``."""
+    bad |= dom
+    return np.where(dom, np.nan, u)
+
+
+def _walk(e: Expression, X: np.ndarray, order: int, bad: np.ndarray):
+    """Values (N,), gradients (n, N) and Hessians (n, n, N) of ``e`` over the
+    columns of ``X`` (n, N).  Derivatives above ``order`` are None and never
+    formed.  Columns that leave a domain (sqrt/log of u <= 0, division by
+    0) become NaN and are set in the bool mask ``bad``."""
+    n, N = X.shape
+    if isinstance(e, (Const, Var)):
+        g = np.zeros((n, N)) if order >= 1 else None
+        h = np.zeros((n, n, N)) if order >= 2 else None
+        if isinstance(e, Const):
+            return np.full(N, e.value), g, h
+        if g is not None:
+            g[e.index] = 1.0
+        return X[e.index].copy(), g, h
+    if isinstance(e, Binary):
+        lv, lg, lh = _walk(e.left, X, order, bad)
+        rv, rg, rh = _walk(e.right, X, order, bad)
+        if e.op in ("add", "sub"):
+            op = np.add if e.op == "add" else np.subtract
+            return (op(lv, rv), None if lg is None else op(lg, rg),
+                    None if lh is None else op(lh, rh))
+        g = h = None
+        if e.op == "mul":
+            if order >= 1:
+                g = lg * rv + lv * rg
+            if order >= 2:
+                cross = _outer(lg, rg)
+                h = lh * rv + lv * rh + (cross + cross.transpose(1, 0, 2))
+            return lv * rv, g, h
+        if e.op == "div":
+            rv = _domain(rv, rv == 0, bad)
+            w = lv / rv
+            if order >= 1:
+                g = (lg - w * rg) / rv
+            if order >= 2:
+                cross = _outer(g, rg)
+                h = (lh - (cross + cross.transpose(1, 0, 2)) - w * rh) / rv
+            return w, g, h
+        raise ValueError(f"unknown binary op {e.op}")
     if isinstance(e, Power):
-        v, g, h = _bundle(e.base, x)
+        u, g, h = _walk(e.base, X, order, bad)
         k = e.exponent
         if k == 0:
-            return 1.0, np.zeros(n), np.zeros((n, n))
+            return (np.ones(N), None if g is None else np.zeros_like(g),
+                    None if h is None else np.zeros_like(h))
         if k == 1:
-            return v, g, h
-        vk1 = v ** (k - 1)
-        vk2 = v ** (k - 2)
-        return (
-            v ** k,
-            k * vk1 * g,
-            k * (k - 1) * vk2 * np.outer(g, g) + k * vk1 * h,
-        )
-    if isinstance(e, Unary):
-        v, g, h = _bundle(e.arg, x)
+            return u, g, h
+        v = u ** k
+        d1 = k * u ** (k - 1) if order >= 1 else None
+        d2 = k * (k - 1) * u ** (k - 2) if order >= 2 else None
+    elif isinstance(e, Unary):
+        u, g, h = _walk(e.arg, X, order, bad)
         if e.op == "neg":
-            return -v, -g, -h
-        if e.op == "sqrt":
-            if v <= 0.0:
-                raise EvalDomainError("sqrt of nonpositive argument")
-            s = np.sqrt(v)
-            return _chain(s, 0.5 / s, -0.25 / (v * s), v, g, h)
-        if e.op == "exp":
-            ev = np.exp(v)
-            return _chain(ev, ev, ev, v, g, h)
-        if e.op == "log":
-            if v <= 0.0:
-                raise EvalDomainError("log of nonpositive argument")
-            return _chain(np.log(v), 1.0 / v, -1.0 / (v * v), v, g, h)
-        if e.op == "sin":
-            return _chain(np.sin(v), np.cos(v), -np.sin(v), v, g, h)
-        if e.op == "cos":
-            return _chain(np.cos(v), -np.sin(v), -np.cos(v), v, g, h)
-        raise ValueError(f"unknown unary op {e.op}")
-    if isinstance(e, Binary):
-        lv, lg, lh = _bundle(e.left, x)
-        rv, rg, rh = _bundle(e.right, x)
-        if e.op == "add":
-            return lv + rv, lg + rg, lh + rh
-        if e.op == "sub":
-            return lv - rv, lg - rg, lh - rh
-        if e.op == "mul":
-            cross = np.outer(lg, rg)
-            return (
-                lv * rv,
-                lg * rv + lv * rg,
-                lh * rv + lv * rh + (cross + cross.T),
-            )
-        if e.op == "div":
-            if rv == 0.0:
-                raise EvalDomainError("division by zero")
-            w = lv / rv
-            gw = (lg - w * rg) / rv
-            cross = np.outer(gw, rg)
-            hw = (lh - (cross + cross.T) - w * rh) / rv
-            return w, gw, hw
-        raise ValueError(f"unknown binary op {e.op}")
-    raise TypeError(f"not an expression node: {e!r}")
+            return -u, None if g is None else -g, None if h is None else -h
+        if e.op not in _UNARY:
+            raise ValueError(f"unknown unary op {e.op}")
+        if e.op in ("sqrt", "log"):
+            u = _domain(u, u <= 0, bad)
+        phi, dphi, ddphi = _UNARY[e.op]
+        v = phi(u)
+        d1 = dphi(u, v) if order >= 1 else None
+        d2 = ddphi(u, v) if order >= 2 else None
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    # chain rule: D phi(u) = phi' Du,  D^2 phi(u) = phi'' Du Du^T + phi' D^2 u
+    return (v, None if d1 is None else d1 * g,
+            None if d2 is None else d2 * _outer(g, g) + d1 * h)
 
 
 def eval_bundle(e: Expression, x) -> EvalBundle:
     """Exact value, gradient and Hessian of ``e`` at ``x``.
 
-    Raises EvalDomainError when the point leaves the domain of a unary op
-    and NonFiniteError when arithmetic overflows to inf/nan.
+    Raises EvalDomainError when the point leaves the domain of sqrt, log
+    or division and NonFiniteError when arithmetic overflows to inf/nan.
     """
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v, g, h = _bundle(e, x)
-    if not (np.isfinite(v) and np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+    bad = np.zeros(1, dtype=bool)
+    with np.errstate(all="ignore"):
+        v, g, h = _walk(e, x[:, None], 2, bad)
+    if bad[0]:
+        raise EvalDomainError("sqrt/log of a nonpositive argument or division by zero")
+    if not (np.isfinite(v[0]) and np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
         raise NonFiniteError("evaluation produced a non-finite value")
-    return EvalBundle(float(v), g, h)
+    return EvalBundle(float(v[0]), g[:, 0], h[:, :, 0])
 
 
 def eval_value(e: Expression, x) -> float:
     return eval_bundle(e, x).value
 
 
-# Batched evaluation over columns of X (shape (n, N)).  Domain violations
-# poison the affected columns with NaN instead of raising, which lets the
-# sampling drivers reject those columns cheaply.
-
 def eval_values(e: Expression, X: np.ndarray) -> np.ndarray:
+    """Batched values (N,); columns outside a domain are NaN."""
     with np.errstate(all="ignore"):
-        return _values(e, X)
-
-
-def _values(e, X):
-    if isinstance(e, Const):
-        return np.full(X.shape[1], e.value)
-    if isinstance(e, Var):
-        return X[e.index].copy()
-    if isinstance(e, Power):
-        return _values(e.base, X) ** e.exponent
-    if isinstance(e, Unary):
-        v = _values(e.arg, X)
-        if e.op == "neg":
-            return -v
-        if e.op == "sqrt":
-            return np.where(v > 0, np.sqrt(np.maximum(v, 0)), np.nan)
-        if e.op == "exp":
-            return np.exp(v)
-        if e.op == "log":
-            return np.where(v > 0, np.log(np.maximum(v, 1e-300)), np.nan)
-        if e.op == "sin":
-            return np.sin(v)
-        return np.cos(v)
-    if isinstance(e, Binary):
-        lv = _values(e.left, X)
-        rv = _values(e.right, X)
-        if e.op == "add":
-            return lv + rv
-        if e.op == "sub":
-            return lv - rv
-        if e.op == "mul":
-            return lv * rv
-        return np.where(rv != 0, lv / np.where(rv != 0, rv, 1.0), np.nan)
-    raise TypeError(f"not an expression node: {e!r}")
+        return _walk(e, X, 0, np.zeros(X.shape[1], dtype=bool))[0]
 
 
 def eval_grads(e: Expression, X: np.ndarray):
-    """Batched (values, gradients) with shapes (N,) and (n, N)."""
+    """Batched (values, gradients) with shapes (N,) and (n, N); columns
+    outside a domain are NaN."""
     with np.errstate(all="ignore"):
-        return _grads(e, X)
-
-
-def _grads(e, X):
-    n, N = X.shape
-    if isinstance(e, Const):
-        return np.full(N, e.value), np.zeros((n, N))
-    if isinstance(e, Var):
-        g = np.zeros((n, N))
-        g[e.index] = 1.0
-        return X[e.index].copy(), g
-    if isinstance(e, Power):
-        v, g = _grads(e.base, X)
-        k = e.exponent
-        if k == 0:
-            return np.ones(N), np.zeros((n, N))
-        if k == 1:
-            return v, g
-        return v ** k, (k * v ** (k - 1)) * g
-    if isinstance(e, Unary):
-        v, g = _grads(e.arg, X)
-        if e.op == "neg":
-            return -v, -g
-        if e.op == "sqrt":
-            ok = v > 0
-            s = np.sqrt(np.where(ok, v, 1.0))
-            return np.where(ok, s, np.nan), np.where(ok, 0.5 / s, np.nan) * g
-        if e.op == "exp":
-            ev = np.exp(v)
-            return ev, ev * g
-        if e.op == "log":
-            ok = v > 0
-            return (
-                np.where(ok, np.log(np.where(ok, v, 1.0)), np.nan),
-                np.where(ok, 1.0 / np.where(ok, v, 1.0), np.nan) * g,
-            )
-        if e.op == "sin":
-            return np.sin(v), np.cos(v) * g
-        return np.cos(v), -np.sin(v) * g
-    if isinstance(e, Binary):
-        lv, lg = _grads(e.left, X)
-        rv, rg = _grads(e.right, X)
-        if e.op == "add":
-            return lv + rv, lg + rg
-        if e.op == "sub":
-            return lv - rv, lg - rg
-        if e.op == "mul":
-            return lv * rv, lg * rv + lv * rg
-        ok = rv != 0
-        rs = np.where(ok, rv, 1.0)
-        w = np.where(ok, lv / rs, np.nan)
-        return w, np.where(ok, 1.0 / rs, np.nan) * (lg - w * rg)
-    raise TypeError(f"not an expression node: {e!r}")
+        v, g, _ = _walk(e, X, 1, np.zeros(X.shape[1], dtype=bool))
+    return v, g
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ __all__ = [
     "stationarity_check",
     "build_multiplier_set",
     "maximize_linear",
-    "sample_members",
     "STATIONARITY_TOL",
 ]
 
@@ -516,19 +515,3 @@ def enumerate_polyhedron(ms: MultiplierSet, tol: float = 1e-9):
     V = ms.lam0[:, None] + ms.basis @ np.stack(verts, axis=1)
     R = ms.basis @ np.stack(ray_dirs, axis=1) if ray_dirs else np.zeros((ms.m, 0))
     return V, R
-
-
-def sample_members(ms: MultiplierSet, count: int, seed: int = 0,
-                   scale: float = 2.0, max_tries: int = 200):
-    """Rejection-sample feasible members (test helper)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    if ms.k == 0:
-        return [ms.lam0.copy()] if ms.feasible(ms.lam0, tol=1e-8) else []
-    for _ in range(max_tries * count):
-        lam = ms.member(scale * rng.standard_normal(ms.k))
-        if ms.feasible(lam, tol=1e-10):
-            out.append(lam)
-            if len(out) >= count:
-                break
-    return out

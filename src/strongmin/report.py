@@ -171,31 +171,7 @@ def analyze_report(path: str, seed: int = 0, samples: int = 20000,
         with _stage(clocks, "cq"):
             cqr = cq.run_cq(pd, probe_radius=probe_radius,
                             probe_samples=probe_samples, seed=seed)
-        rep["cq"] = {
-            "mfcq": _verdict(
-                cqr.mfcq,
-                "strict descent direction for all active inequalities",
-                "Exact (LP)" if cqr.mfcq is not None else "NotApplicable"),
-            "crcq": _verdict(
-                cqr.crcq,
-                "constant rank of every active-gradient subset near the point",
-                "Sampled (ball)" if cqr.crcq is not None else "NotApplicable"),
-            "rcq": _verdict(
-                cqr.rcq,
-                "normal cone meets the Jacobian kernel only at zero",
-                "Exact (LP)" if all(b.cone.kind == "orthant" for b in pd.blocks)
-                else "Sampled (kernel sphere grid)"),
-            "mscq_probe": {
-                "verdict": cqr.mscq.verdict,
-                "condition": "metric subregularity assumed by the analysis; "
-                             "sampling can only support or fail to support it",
-                "certification": "Sampled",
-                "ratio_bound": cqr.mscq.ratio_bound,
-                "per_radius": list(cqr.mscq.per_radius),
-                "samples": cqr.mscq.samples,
-            },
-            "notes": list(cqr.notes),
-        }
+        rep["cq"] = _cq_dict(cqr, pd)
     except Exception as err:
         rep["failed_stage"] = f"cq: {err}"
         return rep
@@ -268,6 +244,34 @@ def analyze_report(path: str, seed: int = 0, samples: int = 20000,
     return rep
 
 
+def _cq_dict(cqr: cq.CqReport, pd: problem.PointData) -> dict:
+    return {
+        "mfcq": _verdict(
+            cqr.mfcq,
+            "strict descent direction for all active inequalities",
+            "Exact (LP)" if cqr.mfcq is not None else "NotApplicable"),
+        "crcq": _verdict(
+            cqr.crcq,
+            "constant rank of every active-gradient subset near the point",
+            "Sampled (ball)" if cqr.crcq is not None else "NotApplicable"),
+        "rcq": _verdict(
+            cqr.rcq,
+            "normal cone meets the Jacobian kernel only at zero",
+            "Exact (LP)" if all(b.cone.kind == "orthant" for b in pd.blocks)
+            else "Sampled (kernel sphere grid)"),
+        "mscq_probe": {
+            "verdict": cqr.mscq.verdict,
+            "condition": "metric subregularity assumed by the analysis; "
+                         "sampling can only support or fail to support it",
+            "certification": "Sampled",
+            "ratio_bound": cqr.mscq.ratio_bound,
+            "per_radius": list(cqr.mscq.per_radius),
+            "samples": cqr.mscq.samples,
+        },
+        "notes": list(cqr.notes),
+    }
+
+
 def _qgc_dict(est: oracle.QgcEstimate) -> dict:
     return {
         "verdict": est.verdict,
@@ -298,11 +302,9 @@ def cq_report(path: str, seed: int = 0, probe_samples: int = 128,
     return {
         "tool": {"name": "strongmin", "version": __version__},
         "problem": {"digest": p.digest()},
-        "mfcq": cqr.mfcq, "crcq": cqr.crcq, "rcq": cqr.rcq,
-        "mscq_probe": {"verdict": cqr.mscq.verdict,
-                       "ratio_bound": cqr.mscq.ratio_bound,
-                       "per_radius": list(cqr.mscq.per_radius)},
-        "notes": list(cqr.notes),
+        "flags": {"seed": seed, "probe_samples": probe_samples,
+                  "probe_radius": probe_radius},
+        "cq": _cq_dict(cqr, pd),
     }
 
 

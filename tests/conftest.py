@@ -54,6 +54,21 @@ def pipeline(p, samples=4000, seed=0):
     return pd, st, ms
 
 
+def sample_members(ms, count, seed=0, scale=2.0, max_tries=200):
+    """Rejection-sample feasible members of a kkt.MultiplierSet."""
+    rng = np.random.default_rng(seed)
+    out = []
+    if ms.k == 0:
+        return [ms.lam0.copy()] if ms.feasible(ms.lam0, tol=1e-8) else []
+    for _ in range(max_tries * count):
+        lam = ms.member(scale * rng.standard_normal(ms.k))
+        if ms.feasible(lam, tol=1e-10):
+            out.append(lam)
+            if len(out) >= count:
+                break
+    return out
+
+
 def random_quadratic_problem(rng, n):
     """Unconstrained strictly convex quadratic with a known Hessian."""
     from strongmin import expr, problem

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from conftest import corpus_path
 from strongmin import cli, report
 
@@ -123,6 +125,47 @@ class TestReports:
         rep = json.loads(capsys.readouterr().out)
         p = problem.load(corpus_path("licq", "problem.prob"))
         assert rep["problem"]["digest"] == p.digest()
+
+
+    def test_cq_section_matches_analyze(self, capsys):
+        path = corpus_path("licq", "problem.prob")
+        assert run_cli(["cq", path, "--seed", "2"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["flags"] == {"seed": 2, "probe_samples": 128,
+                                "probe_radius": 0.1}
+        assert run_cli(["analyze", path, "--seed", "2", "--samples", "500"]) == 0
+        full = json.loads(capsys.readouterr().out)
+        assert rep["cq"] == full["cq"]
+        for key in ("mfcq", "crcq", "rcq"):
+            assert rep["cq"][key]["condition"]
+            assert rep["cq"][key]["certification"]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["pw1d", "f.pw", "--tilt"],
+        ["pw1d", "f.pw", "--tol", "1e-6"],
+        ["pw1d", "f.pw", "--samples", "10"],
+        ["qgc", "f.prob", "--tilt"],
+        ["qgc", "f.prob", "--tol", "1e-6"],
+        ["cq", "f.prob", "--tilt"],
+        ["cq", "f.prob", "--tol", "1e-6"],
+        ["cq", "f.prob", "--radii", "0.1,0.05"],
+    ])
+    def test_ignored_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "f.prob", "--tol", "1e-6", "--tilt", "--timings",
+         "--samples", "10", "--radii", "0.1,0.05", "--radius", "0.1"],
+        ["cq", "f.prob", "--samples", "10", "--radius", "0.2"],
+        ["qgc", "f.prob", "--samples", "10", "--radii", "0.1,0.05"],
+        ["pw1d", "f.pw", "--point", "0.5", "--d2", "--radii", "0.1"],
+    ])
+    def test_read_flags_are_accepted(self, argv):
+        cli.build_parser().parse_args(argv + ["--seed", "1", "--report", "r.json"])
 
 
 def test_numeric_failure_maps_to_exit_two(monkeypatch, capsys):

@@ -113,6 +113,34 @@ class TestEvalBundle:
         with pytest.raises(expr.NonFiniteError):
             expr.eval_bundle(e, [100.0])
 
+    def test_nan_from_overflow_is_not_a_domain_error(self):
+        # inf - inf is NaN before sqrt sees it; the domain test is u <= 0,
+        # which NaN fails, so the overflow is what gets reported
+        e = expr.parse("sqrt(exp(exp(x1)) - exp(exp(x1)))", ["x1"])
+        with pytest.raises(expr.NonFiniteError):
+            expr.eval_bundle(e, [100.0])
+
+    @pytest.mark.parametrize("text, raises", [
+        ("sqrt(x1)", [True, True, False]),
+        ("log(x1)", [True, True, False]),
+        ("1/x1", [False, True, False]),
+    ])
+    def test_batched_nan_exactly_where_pointwise_raises(self, text, raises):
+        e = expr.parse(text, ["x1"])
+        X = np.array([[-1.0, 0.0, 1.0]])
+        pointwise = []
+        for j in range(X.shape[1]):
+            try:
+                expr.eval_bundle(e, X[:, j])
+                pointwise.append(False)
+            except expr.EvalDomainError:
+                pointwise.append(True)
+        assert pointwise == raises
+        vals, grads = expr.eval_grads(e, X)
+        assert list(np.isnan(expr.eval_values(e, X))) == raises
+        assert list(np.isnan(vals)) == raises
+        assert list(np.isnan(grads[0])) == raises
+
 
 def random_polynomial(rng, nvars, depth=0):
     """Random polynomial tree over nvars variables."""
@@ -130,15 +158,49 @@ def random_polynomial(rng, nvars, depth=0):
                        random_polynomial(rng, nvars, depth + 1))
 
 
+def random_smooth(rng, nvars, depth=0):
+    """Random tree over every op; sqrt, log and the divisor of '/' get an
+    argument of the form t^2 + 1, so evaluation never leaves a domain."""
+    if depth > 3 or (depth > 0 and rng.random() < 0.3):
+        if rng.random() < 0.5:
+            return expr.Const(float(rng.uniform(-2, 2)))
+        return expr.Var(int(rng.integers(nvars)))
+
+    def sub():
+        return random_smooth(rng, nvars, depth + 1)
+
+    def positive():
+        return expr.Binary("add", expr.Power(sub(), 2), expr.Const(1.0))
+
+    op = rng.choice(["add", "sub", "mul", "div", "pow", "neg",
+                     "sqrt", "log", "exp", "sin", "cos"])
+    if op == "pow":
+        return expr.Power(sub(), int(rng.integers(0, 4)))
+    if op in ("sqrt", "log"):
+        return expr.Unary(op, positive())
+    if op in ("neg", "exp", "sin", "cos"):
+        return expr.Unary(op, sub())
+    if op == "div":
+        return expr.Binary("div", sub(), positive())
+    return expr.Binary(op, sub(), sub())
+
+
 class TestProperties:
     def test_gradient_hessian_match_finite_differences(self):
+        for generator in (random_polynomial, random_smooth):
+            self._check_against_finite_differences(generator)
+
+    def _check_against_finite_differences(self, generator):
         rng = np.random.default_rng(0)
         checked = 0
         while checked < 100:
             nvars = int(rng.integers(1, 4))
-            e = random_polynomial(rng, nvars)
+            e = generator(rng, nvars)
             x = rng.uniform(-1.5, 1.5, size=nvars)
-            b = expr.eval_bundle(e, x)
+            try:
+                b = expr.eval_bundle(e, x)
+            except expr.NonFiniteError:  # nested exp can overflow
+                continue
             scale = max(1.0, abs(b.value), float(np.max(np.abs(b.gradient))))
             if scale > 1e3:  # keep finite differences meaningful
                 continue
@@ -180,14 +242,23 @@ class TestProperties:
             assert np.allclose(hs, h1 + h2, rtol=1e-12, atol=1e-12)
 
     def test_batched_eval_matches_scalar(self):
+        for generator in (random_polynomial, random_smooth):
+            self._check_batched_matches_scalar(generator)
+
+    def _check_batched_matches_scalar(self, generator):
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            e = random_polynomial(rng, 3)
+        checked = 0
+        while checked < 20:
+            e = generator(rng, 3)
             X = rng.uniform(-1, 1, size=(3, 17))
+            try:
+                bundles = [expr.eval_bundle(e, X[:, j]) for j in range(X.shape[1])]
+            except expr.NonFiniteError:  # nested exp can overflow
+                continue
+            checked += 1
             vals, grads = expr.eval_grads(e, X)
             vals2 = expr.eval_values(e, X)
-            for j in range(X.shape[1]):
-                b = expr.eval_bundle(e, X[:, j])
+            for j, b in enumerate(bundles):
                 assert abs(vals[j] - b.value) < 1e-12 * max(1, abs(b.value))
                 assert abs(vals2[j] - b.value) < 1e-12 * max(1, abs(b.value))
                 assert np.allclose(grads[:, j], b.gradient, rtol=1e-12, atol=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import pipeline
+from conftest import pipeline, sample_members
 from strongmin import cones, kkt, problem
 
 
@@ -48,14 +48,14 @@ class TestMultiplierSet:
         assert ms.k == 2
         assert len(ms.soc_blocks) == 1
         # members have lam2 = lam3 and lam1 <= -sqrt(2)|lam2|
-        for lam in kkt.sample_members(ms, 50, seed=1):
+        for lam in sample_members(ms, 50, seed=1):
             assert abs(lam[1] - lam[2]) <= 1e-9
             assert lam[0] <= -np.sqrt(2.0) * abs(lam[1]) + 1e-8
 
     def test_orthant_polyhedron(self, ex47):
         pd, st, ms = pipeline(ex47)
         assert ms.k == 2
-        for lam in kkt.sample_members(ms, 50, seed=2):
+        for lam in sample_members(ms, 50, seed=2):
             assert np.all(lam >= -1e-10)
             assert abs(lam[0] + lam[1] - lam[2] - 1.0) <= 1e-9
 
@@ -79,7 +79,7 @@ class TestMultiplierSet:
         for p in (ex44, ex46, ex47):
             pd, st, ms = pipeline(p)
             J = pd.full_jacobian()
-            for lam in kkt.sample_members(ms, 50, seed=9):
+            for lam in sample_members(ms, 50, seed=9):
                 assert np.linalg.norm(pd.g.gradient + J.T @ lam) <= 1e-8
                 for bd, sl in zip(pd.blocks, pd.block_slices()):
                     y = cones.project(bd.cone, bd.value)
@@ -146,7 +146,7 @@ class TestMaximizeLinear:
                 dn = kkt.maximize_linear(ms, -c)
                 if up.status != "bounded" or dn.status != "bounded":
                     continue
-                for lam in kkt.sample_members(ms, 100, seed=5):
+                for lam in sample_members(ms, 100, seed=5):
                     v = float(c @ lam)
                     assert -dn.value - 1e-8 <= v <= up.value + 1e-8
 

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import corpus_path, pipeline, random_quadratic_problem
+from conftest import (corpus_path, pipeline, random_quadratic_problem,
+                      sample_members)
 from strongmin import expr, kkt, problem, sosc
 from strongmin._sampling import sphere
 
@@ -373,7 +374,7 @@ class TestAnalyze:
             c = rng.standard_normal(4)
             res = kkt.maximize_linear(ms, c)
             best = max((float(c @ lam)
-                        for lam in kkt.sample_members(ms, 300, seed=11, scale=3.0)),
+                        for lam in sample_members(ms, 300, seed=11, scale=3.0)),
                        default=-np.inf)
             if res.status == "bounded":
                 assert best <= res.value + 1e-7
