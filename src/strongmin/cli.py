@@ -15,22 +15,19 @@ from . import report as _report
 __all__ = ["main"]
 
 
-def _common(sub, samples=20000, radii=True,
-            radius_help="single radius (overrides --radii)"):
-    """Add the input file and the flags shared by the subcommands.
-
-    ``samples=None`` and ``radii=False`` leave out --samples and --radii
-    for the subcommands that do not read them.
-    """
+def _common(sub):
+    """Add the input file and the flags every subcommand reads."""
     sub.add_argument("file", help="input file")
     sub.add_argument("--seed", type=int, default=0)
-    if samples is not None:
-        sub.add_argument("--samples", type=int, default=samples)
-    sub.add_argument("--radius", type=float, default=None, help=radius_help)
-    if radii:
-        sub.add_argument("--radii", default=None, help="comma list, e.g. 0.2,0.05")
     sub.add_argument("--report", default=None, metavar="PATH",
                      help="write the JSON report here (default: stdout)")
+
+
+def _radius_flags(sub):
+    """Add --radius and --radii for the subcommands that test growth radii."""
+    sub.add_argument("--radius", type=float, default=None,
+                     help="single radius (overrides --radii)")
+    sub.add_argument("--radii", default=None, help="comma list, e.g. 0.2,0.05")
 
 
 def _radii(text):
@@ -48,20 +45,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sp.add_parser("analyze", help="full second-order analysis")
     _common(a)
+    a.add_argument("--samples", type=int, default=20000)
+    _radius_flags(a)
     a.add_argument("--tol", type=float, default=1e-7)
     a.add_argument("--tilt", action="store_true", help="run the tilt probe")
     a.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-identical reports)")
 
     c = sp.add_parser("cq", help="constraint-qualification diagnostics only")
-    _common(c, samples=128, radii=False,
-            radius_help="subregularity probe radius (default 0.1)")
+    _common(c)
+    c.add_argument("--samples", type=int, default=128)
+    c.add_argument("--radius", type=float, default=None,
+                   help="subregularity probe radius (default 0.1)")
 
     q = sp.add_parser("qgc", help="empirical quadratic-growth estimate only")
     _common(q)
+    q.add_argument("--samples", type=int, default=20000)
+    _radius_flags(q)
 
     w = sp.add_parser("pw1d", help="univariate piecewise analysis")
-    _common(w, samples=None)
+    _common(w)
+    _radius_flags(w)
     w.add_argument("--point", type=float, default=0.0)
     w.add_argument("--d2", action="store_true",
                    help="include second-order difference quotients")

@@ -296,6 +296,16 @@ def _domain(u, dom, bad):
     return np.where(dom, np.nan, u)
 
 
+def _ipow(u, k):
+    """u^k (k >= 0) by repeated multiplication.  Each product is exactly
+    rounded, so the bits are the same on every host and for one column or
+    many; a vectorised ``u ** k`` may differ from libm pow in the last bit."""
+    v = np.ones_like(u) if k == 0 else u
+    for _ in range(k - 1):
+        v = v * u
+    return v
+
+
 def _walk(e: Expression, X: np.ndarray, order: int, bad: np.ndarray):
     """Values (N,), gradients (n, N) and Hessians (n, n, N) of ``e`` over the
     columns of ``X`` (n, N).  Derivatives above ``order`` are None and never
@@ -343,9 +353,9 @@ def _walk(e: Expression, X: np.ndarray, order: int, bad: np.ndarray):
                     None if h is None else np.zeros_like(h))
         if k == 1:
             return u, g, h
-        v = u ** k
-        d1 = k * u ** (k - 1) if order >= 1 else None
-        d2 = k * (k - 1) * u ** (k - 2) if order >= 2 else None
+        v = _ipow(u, k)
+        d1 = k * _ipow(u, k - 1) if order >= 1 else None
+        d2 = k * (k - 1) * _ipow(u, k - 2) if order >= 2 else None
     elif isinstance(e, Unary):
         u, g, h = _walk(e.arg, X, order, bad)
         if e.op == "neg":
