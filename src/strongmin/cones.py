@@ -1,8 +1,9 @@
 """Geometry of constraint cones: nonpositive orthant and second-order cone.
 
 Supplies membership, Euclidean projection, normal/tangent cone tests at a
-point, and the local smooth-reduction data (h, its Jacobian and Hessians)
-that feeds the curvature correction of the second-order machinery.
+point, the local smooth-reduction data (h, its Jacobian and Hessians)
+that feeds the curvature correction of the second-order machinery, and
+the normal-cone face of a product of blocks that holds the multipliers.
 Conventions: the orthant block is the NONPOSITIVE orthant {y : y <= 0};
 the second-order cone soc(m) is {y : y_1 >= ||(y_2..y_m)||} with the first
 coordinate on the axis.
@@ -10,7 +11,8 @@ coordinate on the axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,12 +21,14 @@ __all__ = [
     "orthant",
     "soc",
     "Reduction",
+    "NormalFace",
     "project",
     "distance",
     "contains",
     "normal_cone_test",
     "tangent_cone_test",
     "reduction_at",
+    "normal_face",
     "project_normal",
     "MEMBERSHIP_TOL",
 ]
@@ -114,10 +118,10 @@ def normal_cone_test(k: Cone, y, v, tol: float = MEMBERSHIP_TOL) -> bool:
             return False
         inactive = y < -tol
         return bool(np.all(np.abs(v[inactive]) <= tol))
-    t, r = y[0], float(np.linalg.norm(y[1:]))
-    if r <= tol and abs(t) <= tol:  # vertex: v in -soc(m)
+    position = _soc_position(y, tol)
+    if position == "vertex":  # v in -soc(m)
         return -v[0] >= float(np.linalg.norm(v[1:])) - tol
-    if t > r + tol:  # interior
+    if position == "interior":
         return float(np.linalg.norm(v)) <= tol
     d = _boundary_ray(y)
     mu = float(v @ d) / float(d @ d)
@@ -131,10 +135,10 @@ def tangent_cone_test(k: Cone, y, w, tol: float = MEMBERSHIP_TOL) -> bool:
     if k.kind == "orthant":
         active = np.abs(y) <= tol
         return bool(np.all(w[active] <= tol))
-    t, r = y[0], float(np.linalg.norm(y[1:]))
-    if r <= tol and abs(t) <= tol:
+    position = _soc_position(y, tol)
+    if position == "vertex":
         return w[0] >= float(np.linalg.norm(w[1:])) - tol
-    if t > r + tol:
+    if position == "interior":
         return True
     return float(_boundary_ray(y) @ w) <= tol
 
@@ -147,14 +151,24 @@ def project_normal(k: Cone, y, v) -> np.ndarray:
         out = np.maximum(v, 0.0)
         out[y < -MEMBERSHIP_TOL] = 0.0
         return out
-    t, r = y[0], float(np.linalg.norm(y[1:]))
-    if r <= MEMBERSHIP_TOL and abs(t) <= MEMBERSHIP_TOL:
+    position = _soc_position(y, MEMBERSHIP_TOL)
+    if position == "vertex":
         return -project(k, -v)
-    if t > r + MEMBERSHIP_TOL:
+    if position == "interior":
         return np.zeros_like(v)
     d = _boundary_ray(y)
     mu = max(float(v @ d) / float(d @ d), 0.0)
     return mu * d
+
+
+def _soc_position(y: np.ndarray, tol: float) -> str:
+    """Where y sits in soc(m): "vertex", "interior" or "boundary", within tol."""
+    t, r = y[0], float(np.linalg.norm(y[1:]))
+    if r <= tol and abs(t) <= tol:
+        return "vertex"
+    if t > r + tol:
+        return "interior"
+    return "boundary"
 
 
 def _boundary_ray(y: np.ndarray) -> np.ndarray:
@@ -176,13 +190,16 @@ class Reduction:
     value-level accessors return h, its Jacobian (ell x m) and the stack of
     component Hessians (ell x m x m) at a query point.  ``scale`` rescales
     h by a positive constant; any scale yields an equally valid reduction,
-    which downstream code exploits as an invariance check.
+    which downstream code exploits as an invariance check.  On
+    "soc_boundary", ``ray`` is the generator (-1, ybar/||ybar||) of the
+    normal cone at the classified point.
     """
 
     case: str
     cone: Cone
     active: tuple = ()
     scale: float = 1.0
+    ray: Optional[np.ndarray] = field(default=None, compare=False)
 
     @property
     def ell(self) -> int:
@@ -235,7 +252,7 @@ class Reduction:
         return H
 
 
-def reduction_at(k: Cone, y, tol: float = 1e-8, scale: float = 1.0) -> Reduction:
+def reduction_at(k: Cone, y, tol: float = 1e-8) -> Reduction:
     """Classify the point and return the canonical reduction there.
 
     Orthant points with no active rows and soc interior points are
@@ -249,10 +266,82 @@ def reduction_at(k: Cone, y, tol: float = 1e-8, scale: float = 1.0) -> Reduction
         active = tuple(int(i) for i in np.flatnonzero(np.abs(y) <= tol))
         if not active:
             return Reduction("inactive", k)
-        return Reduction("affine", k, active=active, scale=scale)
-    t, r = y[0], float(np.linalg.norm(y[1:]))
-    if r <= tol and abs(t) <= tol:
-        return Reduction("soc_vertex", k, scale=scale)
-    if t > r + tol:
+        return Reduction("affine", k, active=active)
+    position = _soc_position(y, tol)
+    if position == "vertex":
+        return Reduction("soc_vertex", k)
+    if position == "interior":
         return Reduction("inactive", k)
-    return Reduction("soc_boundary", k, scale=scale)
+    return Reduction("soc_boundary", k, ray=_boundary_ray(y))
+
+
+@dataclass(frozen=True)
+class NormalFace:
+    """The normal cone N_Θ(q(x̄)) of a block product, in stacked coordinates.
+
+    nonneg: coordinates with lam_i >= 0 (active orthant rows); fixed:
+    coordinates held at zero (inactive orthant rows and soc interiors), in
+    block order; rays: (block slice, d) with lam_B = mu d, mu >= 0, at soc
+    boundary points; socs: block slices constrained to -soc(m) at soc
+    vertices.
+    """
+
+    nonneg: np.ndarray
+    fixed: np.ndarray
+    rays: Tuple[Tuple[slice, np.ndarray], ...]
+    socs: Tuple[slice, ...]
+
+    def project(self, lam: np.ndarray) -> np.ndarray:
+        """Euclidean projection of a stacked multiplier onto the face."""
+        out = lam.copy()
+        if self.fixed.size:
+            out[self.fixed] = 0.0
+        if self.nonneg.size:
+            out[self.nonneg] = np.maximum(out[self.nonneg], 0.0)
+        for sl, d in self.rays:
+            mu = max(float(out[sl] @ d) / float(d @ d), 0.0)
+            out[sl] = mu * d
+        for sl in self.socs:
+            out[sl] = -project(soc(sl.stop - sl.start), -out[sl])
+        return out
+
+    def contains(self, L: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        """Columnwise membership of L (m, N) in the face, within tol.
+
+        Each fixed coordinate must satisfy |lam_i| <= tol on its own.
+        """
+        ok = np.ones(L.shape[1], dtype=bool)
+        if self.nonneg.size:
+            ok &= np.all(L[self.nonneg] >= -tol, axis=0)
+        if self.fixed.size:
+            ok &= np.all(np.abs(L[self.fixed]) <= tol, axis=0)
+        for sl, d in self.rays:
+            mu = (d @ L[sl]) / float(d @ d)
+            ok &= mu >= -tol
+            ok &= np.linalg.norm(L[sl] - np.outer(d, mu), axis=0) <= tol
+        for sl in self.socs:
+            V = L[sl]
+            ok &= -V[0] >= np.linalg.norm(V[1:], axis=0) - tol
+        return ok
+
+
+def normal_face(reductions: Sequence[Reduction]) -> NormalFace:
+    """The normal-cone face of the block product, from per-block reductions."""
+    nonneg, fixed, rays, socs = [], [], [], []
+    start = 0
+    for red in reductions:
+        m = red.cone.m
+        sl = slice(start, start + m)
+        if red.case == "affine":
+            active = set(red.active)
+            for j in range(m):
+                (nonneg if j in active else fixed).append(start + j)
+        elif red.case == "soc_vertex":
+            socs.append(sl)
+        elif red.case == "soc_boundary":
+            rays.append((sl, red.ray))
+        else:  # inactive
+            fixed.extend(range(start, start + m))
+        start += m
+    return NormalFace(np.array(nonneg, dtype=int), np.array(fixed, dtype=int),
+                      tuple(rays), tuple(socs))

@@ -60,16 +60,6 @@ def _orthant_only(pd: PointData) -> bool:
     return all(b.cone.kind == "orthant" for b in pd.blocks)
 
 
-def _active_rows(pd: PointData):
-    """(block index, row index) pairs of active orthant rows."""
-    out = []
-    for bi, bd in enumerate(pd.blocks):
-        if bd.activity.case == "affine":
-            for j in bd.activity.active:
-                out.append((bi, j))
-    return out
-
-
 def check_mfcq(pd: PointData) -> Optional[bool]:
     """Strict descent direction for all active rows, via an LP over the unit box.
 
@@ -78,11 +68,11 @@ def check_mfcq(pd: PointData) -> Optional[bool]:
     """
     if not _orthant_only(pd):
         return None
-    rows = _active_rows(pd)
-    if not rows:
+    active = pd.face.nonneg
+    if not active.size:
         return True
     n = pd.n
-    grads = np.vstack([pd.blocks[bi].jacobian[j] for bi, j in rows])
+    grads = pd.full_jacobian()[active]
     # variables (d, s): maximize s with grad.d + s <= 0 and |d| <= 1, s >= 0
     k = grads.shape[0]
     A = np.vstack([
@@ -100,10 +90,10 @@ def check_mfcq_dual(pd: PointData) -> Optional[bool]:
     """Dual form: no convex combination of active gradients vanishes."""
     if not _orthant_only(pd):
         return None
-    rows = _active_rows(pd)
-    if not rows:
+    active = pd.face.nonneg
+    if not active.size:
         return True
-    grads = np.vstack([pd.blocks[bi].jacobian[j] for bi, j in rows])
+    grads = pd.full_jacobian()[active]
     k = grads.shape[0]
     A_eq = np.vstack([np.ones((1, k)), grads.T])
     b_eq = np.concatenate([[1.0], np.zeros(pd.n)])
@@ -116,21 +106,17 @@ def check_crcq(pd: PointData, radius: float = 1e-2, samples: int = 64,
     """Constant rank of every subset of active gradients on a sampled ball."""
     if not _orthant_only(pd):
         return None
-    rows = _active_rows(pd)
-    if not rows:
+    active = pd.face.nonneg
+    if not active.size:
         return True
-    if len(rows) > max_active:
+    if active.size > max_active:
         raise TooManyActiveConstraints(
-            f"{len(rows)} active rows; subset enumeration capped at {max_active}")
-    p = pd.problem
+            f"{active.size} active rows; subset enumeration capped at {max_active}")
+    rows = [row for b in pd.problem.blocks for row in b.rows]
     pts = np.column_stack([pd.x[:, None], ball(pd.x, radius, samples, seed=seed)])
-    grads = []
-    for bi, j in rows:
-        _, G = expr.eval_grads(p.blocks[bi].rows[j], pts)
-        grads.append(G)  # (n, N)
-    G = np.stack(grads)  # (k, n, N)
-    for size in range(1, len(rows) + 1):
-        for subset in combinations(range(len(rows)), size):
+    G = np.stack([expr.eval_grads(rows[i], pts)[1] for i in active])  # (k, n, N)
+    for size in range(1, active.size + 1):
+        for subset in combinations(range(active.size), size):
             mats = G[list(subset)].transpose(2, 0, 1)  # (N, |J|, n)
             s = np.linalg.svd(mats, compute_uv=False)
             smax = s[:, 0]
@@ -160,16 +146,9 @@ def check_rcq_dual(pd: PointData, tol: float = 1e-7, grid: int = 10000,
         return True
 
     if _orthant_only(pd):
-        rows = _active_rows(pd)
-        if not rows:
+        idx = pd.face.nonneg
+        if not idx.size:
             return True
-        idx = []
-        offset = 0
-        for bi, bd in enumerate(pd.blocks):
-            for j in bd.activity.active if bd.activity.case == "affine" else ():
-                idx.append(offset + j)
-            offset += bd.cone.m
-        idx = np.array(idx, dtype=int)
         k = idx.size
         # rows: normalization plus the stationarity system on active coordinates
         A_eq = np.vstack([np.ones((1, k)), J[idx].T])
@@ -181,41 +160,15 @@ def check_rcq_dual(pd: PointData, tol: float = 1e-7, grid: int = 10000,
     cands = null @ sphere(kappa, grid, seed=seed)
     # include exact boundary-ray directions when they lie in the kernel
     extra = []
-    for bd, sl in zip(pd.blocks, pd.block_slices()):
-        if bd.activity.case == "soc_boundary":
-            d = np.zeros(pd.m)
-            d[sl] = bd.activity.grad_h(bd.value)[0]
-            d /= np.linalg.norm(d)
-            if np.linalg.norm(J.T @ d) <= tol:
-                extra.append(d)
+    for sl, ray in pd.face.rays:
+        d = np.zeros(pd.m)
+        d[sl] = ray
+        d /= np.linalg.norm(d)
+        if np.linalg.norm(J.T @ d) <= tol:
+            extra.append(d)
     if extra:
         cands = np.column_stack([cands] + extra)
-    member = _normal_cone_membership_batch(pd, cands, tol)
-    return not bool(np.any(member))
-
-
-def _normal_cone_membership_batch(pd: PointData, L: np.ndarray,
-                                  tol: float) -> np.ndarray:
-    ok = np.ones(L.shape[1], dtype=bool)
-    for bd, sl in zip(pd.blocks, pd.block_slices()):
-        lam = L[sl]
-        red = bd.activity
-        if red.case == "inactive":
-            ok &= np.linalg.norm(lam, axis=0) <= tol
-        elif red.case == "affine":
-            active = np.zeros(bd.cone.m, dtype=bool)
-            active[list(red.active)] = True
-            ok &= np.all(lam >= -tol, axis=0)
-            if np.any(~active):
-                ok &= np.all(np.abs(lam[~active]) <= tol, axis=0)
-        elif red.case == "soc_vertex":
-            ok &= -lam[0] >= np.linalg.norm(lam[1:], axis=0) - tol
-        else:  # soc_boundary
-            d = red.grad_h(bd.value)[0]
-            mu = (d @ lam) / float(d @ d)
-            ok &= mu >= -tol
-            ok &= np.linalg.norm(lam - np.outer(d, mu), axis=0) <= tol
-    return ok
+    return not bool(np.any(pd.face.contains(cands, tol)))
 
 
 def probe_mscq(p: Problem, radius: float = 0.1, samples: int = 128,

@@ -90,55 +90,6 @@ class LinMaxResult:
 
 
 # ----------------------------------------------------------------------
-# block descriptors from the activity pattern
-# ----------------------------------------------------------------------
-
-def _block_descriptors(pd: PointData):
-    """Per-block normal-cone structure at q(x̄).
-
-    Returns (nonneg_idx, ray_blocks, soc_blocks, fixed_idx) in global
-    multiplier coordinates.
-    """
-    nonneg: List[int] = []
-    rays: List[Tuple[slice, np.ndarray]] = []
-    socs: List[slice] = []
-    fixed: List[int] = []
-    for bd, sl in zip(pd.blocks, pd.block_slices()):
-        red = bd.activity
-        if red.case == "inactive":
-            fixed.extend(range(sl.start, sl.stop))
-        elif red.case == "affine":
-            active = set(red.active)
-            for j in range(bd.cone.m):
-                (nonneg if j in active else fixed).append(sl.start + j)
-        elif red.case == "soc_vertex":
-            socs.append(sl)
-        elif red.case == "soc_boundary":
-            d = np.empty(bd.cone.m)
-            d[0] = -1.0
-            d[1:] = bd.value[1:] / np.linalg.norm(bd.value[1:])
-            rays.append((sl, d))
-        else:
-            raise ValueError(f"unknown activity case {red.case}")
-    return (np.array(nonneg, dtype=int), rays, socs, np.array(fixed, dtype=int))
-
-
-def _project_onto_normal_cone(pd: PointData, lam: np.ndarray,
-                              nonneg_idx, rays, socs, fixed_idx) -> np.ndarray:
-    out = lam.copy()
-    if fixed_idx.size:
-        out[fixed_idx] = 0.0
-    if nonneg_idx.size:
-        out[nonneg_idx] = np.maximum(out[nonneg_idx], 0.0)
-    for sl, d in rays:
-        mu = max(float(out[sl] @ d) / float(d @ d), 0.0)
-        out[sl] = mu * d
-    for sl in socs:
-        out[sl] = -cones.project(cones.soc(sl.stop - sl.start), -out[sl])
-    return out
-
-
-# ----------------------------------------------------------------------
 # stationarity
 # ----------------------------------------------------------------------
 
@@ -158,7 +109,7 @@ def stationarity_check(pd: PointData, tol: float = STATIONARITY_TOL,
         ok = res <= tol
         return StationarityResult(ok, res, np.zeros(0) if ok else None)
 
-    nonneg_idx, rays, socs, fixed_idx = _block_descriptors(pd)
+    face = pd.face
     JT = J.T
     L = max(float(np.linalg.norm(J, 2)) ** 2, 1e-12)
     step = 1.0 / L
@@ -168,34 +119,32 @@ def stationarity_check(pd: PointData, tol: float = STATIONARITY_TOL,
     t_acc = 1.0
     for _ in range(iters):
         grad = J @ (grad_g + JT @ y)
-        nxt = _project_onto_normal_cone(pd, y - step * grad,
-                                        nonneg_idx, rays, socs, fixed_idx)
+        nxt = face.project(y - step * grad)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
         y = nxt + ((t_acc - 1.0) / t_next) * (nxt - lam)
         lam, t_acc = nxt, t_next
 
-    lam = _active_face_polish(pd, lam, grad_g, JT,
-                              nonneg_idx, rays, socs, fixed_idx)
+    lam = _active_face_polish(face, lam, grad_g, JT)
     res = float(np.linalg.norm(grad_g + JT @ lam))
     ok = res <= tol
     return StationarityResult(ok, res, lam if ok else None)
 
 
-def _active_face_polish(pd, lam, grad_g, JT, nonneg_idx, rays, socs, fixed_idx):
+def _active_face_polish(face, lam, grad_g, JT):
     """Least squares on the face of the normal cone identified by lam."""
     m = lam.shape[0]
     cols = []
-    for i in nonneg_idx:
+    for i in face.nonneg:
         if lam[i] > 1e-10:
             e = np.zeros(m)
             e[i] = 1.0
             cols.append(e)
-    for sl, d in rays:
+    for sl, d in face.rays:
         if float(lam[sl] @ d) / float(d @ d) > 1e-10:
             e = np.zeros(m)
             e[sl] = d
             cols.append(e)
-    for sl in socs:
+    for sl in face.socs:
         v = lam[sl]
         nv = np.linalg.norm(v)
         if nv <= 1e-10:
@@ -215,17 +164,7 @@ def _active_face_polish(pd, lam, grad_g, JT, nonneg_idx, rays, socs, fixed_idx):
     F = np.stack(cols, axis=1)
     mu, *_ = np.linalg.lstsq(JT @ F, -grad_g, rcond=None)
     cand = F @ mu
-    ok = True
-    for bd, sl in zip(pd.blocks, pd.block_slices()):
-        try:
-            if not cones.normal_cone_test(bd.cone, cones.project(bd.cone, bd.value),
-                                          cand[sl], tol=1e-8):
-                ok = False
-                break
-        except ValueError:
-            ok = False
-            break
-    if not ok:
+    if not face.contains(cand[:, None], tol=1e-8)[0]:
         return lam
     old = np.linalg.norm(grad_g + JT @ lam)
     new = np.linalg.norm(grad_g + JT @ cand)
@@ -250,18 +189,18 @@ def build_multiplier_set(pd: PointData,
         return MultiplierSet(0, np.zeros(0), np.zeros((0, 0)),
                              np.zeros(0, dtype=int), [], [])
 
-    nonneg_idx, rays, socs, fixed_idx = _block_descriptors(pd)
+    face = pd.face
     J = pd.full_jacobian()
 
     # equality system: stationarity rows, fixed coordinates, ray complements
     rows = [J.T]
     rhs = [-pd.g.gradient]
-    for i in fixed_idx:
+    for i in face.fixed:
         e = np.zeros(m)
         e[i] = 1.0
         rows.append(e[None, :])
         rhs.append(np.zeros(1))
-    for sl, d in rays:
+    for sl, d in face.rays:
         width = sl.stop - sl.start
         basis = _orthogonal_complement(d)
         block_rows = np.zeros((width - 1, m))
@@ -283,7 +222,8 @@ def build_multiplier_set(pd: PointData,
     rank = int(np.sum(s > tol))
     basis = vt[rank:].T  # (m, k)
 
-    ms = MultiplierSet(m, lam0, basis, nonneg_idx, rays, socs)
+    ms = MultiplierSet(m, lam0, basis, face.nonneg, list(face.rays),
+                       list(face.socs))
     if not ms.feasible(lam0, tol=1e-7):
         raise EmptyMultiplierSet("witness violates the cone constraints")
     return ms

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import cones, expr
-from .cones import Cone, Reduction
+from .cones import Cone, NormalFace, Reduction
 from .expr import EvalBundle, Expression
 
 __all__ = [
@@ -103,6 +103,7 @@ class PointData:
     x: np.ndarray
     g: EvalBundle
     blocks: Tuple[BlockData, ...]
+    face: NormalFace           # normal cone at the classified block values
 
     @property
     def n(self) -> int:
@@ -267,7 +268,7 @@ def save_text(p: Problem) -> str:
 # ----------------------------------------------------------------------
 
 def evaluate(p: Problem, x) -> PointData:
-    """All derivative data plus per-block activity/residual at x."""
+    """All derivative data, per-block activity/residual and the normal face at x."""
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError(f"point must have length {p.n}")
@@ -286,7 +287,8 @@ def evaluate(p: Problem, x) -> PointData:
             activity = cones.reduction_at(b.cone, cones.project(b.cone, value),
                                           tol=ACTIVITY_TOL)
         blocks.append(BlockData(b.cone, value, jac, hess, residual, activity))
-    return PointData(p, x, g, tuple(blocks))
+    face = cones.normal_face([b.activity for b in blocks])
+    return PointData(p, x, g, tuple(blocks), face)
 
 
 def batch_constraint_values(p: Problem, X: np.ndarray) -> np.ndarray:

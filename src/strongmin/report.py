@@ -99,16 +99,6 @@ def _vec(v) -> Optional[list]:
 # conic pipeline
 # ----------------------------------------------------------------------
 
-def _load_problem(path: str) -> problem.Problem:
-    try:
-        p = problem.load(path)
-    except FileNotFoundError as err:
-        raise InputError(f"cannot open {path!r}: {err}") from err
-    except problem.ProblemFormatError as err:
-        raise InputError(f"{path}: {err}") from err
-    return p
-
-
 @contextmanager
 def _stage(clocks: dict, name: str):
     """Record the wall-clock milliseconds of the enclosed block as clocks[name]."""
@@ -119,16 +109,36 @@ def _stage(clocks: dict, name: str):
         clocks[name] = 1000.0 * (time.perf_counter() - t0)
 
 
-def analyze_report(path: str, seed: int = 0, samples: int = 20000,
-                   radii=None, tol: float = 1e-7, tilt: bool = False,
-                   timings: bool = False, probe_samples: int = 128,
-                   probe_radius: float = 0.1) -> dict:
-    """Full pipeline: evaluate, stationarity, multipliers, CQ, curvature, oracle."""
-    clocks: dict = {}
+def _evaluated(path: str, clocks: dict):
+    """Load the problem and evaluate it at its point: (problem, PointData).
+
+    Raises InputError for an unreadable file, a missing point or an
+    infeasible point, so every conic subcommand refuses the same inputs.
+    """
     with _stage(clocks, "load"):
-        p = _load_problem(path)
+        try:
+            p = problem.load(path)
+        except FileNotFoundError as err:
+            raise InputError(f"cannot open {path!r}: {err}") from err
+        except problem.ProblemFormatError as err:
+            raise InputError(f"{path}: {err}") from err
     if p.point is None:
         raise InputError(f"{path}: analysis needs a 'point:' line")
+    with _stage(clocks, "evaluate"):
+        pd = problem.evaluate(p, p.point)
+    if not pd.feasible:
+        raise InputError(
+            f"{path}: candidate point is infeasible "
+            f"(residual {pd.max_residual:.3e} > {problem.FEASIBILITY_TOL:g})")
+    return p, pd
+
+
+def analyze_report(path: str, seed: int = 0, samples: int = 20000,
+                   radii=None, tol: float = 1e-7, tilt: bool = False,
+                   timings: bool = False) -> dict:
+    """Full pipeline: evaluate, stationarity, multipliers, CQ, curvature, oracle."""
+    clocks: dict = {}
+    p, pd = _evaluated(path, clocks)
     radii = tuple(radii) if radii else oracle.DEFAULT_RADII
 
     rep: dict = {
@@ -142,18 +152,12 @@ def analyze_report(path: str, seed: int = 0, samples: int = 20000,
         "flags": {"seed": seed, "samples": samples,
                   "radii": [float(r) for r in radii], "tol": tol, "tilt": tilt},
         "failed_stage": None,
+        "feasibility": {
+            "max_residual": pd.max_residual,
+            "feasible": pd.feasible,
+            "tolerance": problem.FEASIBILITY_TOL,
+        },
     }
-    with _stage(clocks, "evaluate"):
-        pd = problem.evaluate(p, p.point)
-    rep["feasibility"] = {
-        "max_residual": pd.max_residual,
-        "feasible": pd.feasible,
-        "tolerance": problem.FEASIBILITY_TOL,
-    }
-    if not pd.feasible:
-        raise InputError(
-            f"{path}: candidate point is infeasible "
-            f"(residual {pd.max_residual:.3e} > {problem.FEASIBILITY_TOL:g})")
 
     try:
         with _stage(clocks, "stationarity"):
@@ -169,8 +173,7 @@ def analyze_report(path: str, seed: int = 0, samples: int = 20000,
 
     try:
         with _stage(clocks, "cq"):
-            cqr = cq.run_cq(pd, probe_radius=probe_radius,
-                            probe_samples=probe_samples, seed=seed)
+            cqr = cq.run_cq(pd, seed=seed)
         rep["cq"] = _cq_dict(cqr, pd)
     except Exception as err:
         rep["failed_stage"] = f"cq: {err}"
@@ -291,12 +294,7 @@ def _qgc_dict(est: oracle.QgcEstimate) -> dict:
 
 def cq_report(path: str, seed: int = 0, probe_samples: int = 128,
               probe_radius: float = 0.1) -> dict:
-    p = _load_problem(path)
-    if p.point is None:
-        raise InputError(f"{path}: needs a 'point:' line")
-    pd = problem.evaluate(p, p.point)
-    if not pd.feasible:
-        raise InputError(f"{path}: candidate point is infeasible")
+    p, pd = _evaluated(path, {})
     cqr = cq.run_cq(pd, probe_radius=probe_radius, probe_samples=probe_samples,
                     seed=seed)
     return {
@@ -310,9 +308,7 @@ def cq_report(path: str, seed: int = 0, probe_samples: int = 128,
 
 def qgc_report(path: str, seed: int = 0, samples: int = 20000,
                radii=None) -> dict:
-    p = _load_problem(path)
-    if p.point is None:
-        raise InputError(f"{path}: needs a 'point:' line")
+    p, _ = _evaluated(path, {})
     radii = tuple(radii) if radii else oracle.DEFAULT_RADII
     est = oracle.estimate_qg_modulus(p, radii=radii, count=samples, seed=seed)
     return {

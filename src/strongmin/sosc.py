@@ -243,16 +243,12 @@ class CriticalCone:
         tight = np.flatnonzero(Fw >= -1e-7)
         if tight.size:
             rows.append(self.ineq[tight])
-        for B, m in self.soc:
-            z = B @ w_admm
-            nz = np.linalg.norm(z)
-            if nz <= 1e-7:
+        states = self._soc_states(w_admm[:, None])[:, 0]
+        for (B, _), state in zip(self.soc, states):
+            if state == _VERTEX:
                 rows.append(B)  # vertex: B w = 0
-            elif abs(z[0] - np.linalg.norm(z[1:])) <= 1e-6 * max(1.0, nz):
-                d = np.empty(m)
-                d[0] = -1.0
-                d[1:] = z[1:] / np.linalg.norm(z[1:])
-                rows.append((d @ B)[None, :])  # boundary: stay on the facet
+            elif state == _BOUNDARY:  # stay on the facet
+                rows.append((cones._boundary_ray(B @ w_admm) @ B)[None, :])
         if not rows:
             return w0.copy() if self.contains(w0, tol=1e-11) else w_admm
         A = np.vstack(rows)
@@ -280,28 +276,17 @@ class SoscReport:
 def build_critical_cone(pd: PointData, grad_tol: float = 1e-10) -> CriticalCone:
     """Linearized critical cone at the evaluated point."""
     n = pd.n
-    eq_rows: List[np.ndarray] = []
-    ineq_rows: List[np.ndarray] = []
-    soc_rows: List[Tuple[np.ndarray, int]] = []
     g = pd.g.gradient
-    if np.linalg.norm(g) > grad_tol:
-        eq_rows.append(g[None, :])
-    for bd in pd.blocks:
-        red = bd.activity
-        if red.case == "inactive":
-            continue
-        if red.case == "affine":
-            for j in red.active:
-                ineq_rows.append(bd.jacobian[j][None, :])
-        elif red.case == "soc_vertex":
-            soc_rows.append((bd.jacobian.copy(), bd.cone.m))
-        elif red.case == "soc_boundary":
-            d = np.empty(bd.cone.m)
-            d[0] = -1.0
-            d[1:] = bd.value[1:] / np.linalg.norm(bd.value[1:])
-            ineq_rows.append((d @ bd.jacobian)[None, :])
-    eq = np.vstack(eq_rows) if eq_rows else np.zeros((0, n))
-    ineq = np.vstack(ineq_rows) if ineq_rows else np.zeros((0, n))
+    eq = g[None, :] if np.linalg.norm(g) > grad_tol else np.zeros((0, n))
+    J = pd.full_jacobian()
+    face = pd.face
+    # active orthant rows and boundary rays, keyed by coordinate so the
+    # inequality rows keep block order
+    keyed = [(int(i), J[i]) for i in face.nonneg]
+    keyed += [(sl.start, d @ J[sl]) for sl, d in face.rays]
+    keyed.sort(key=lambda item: item[0])
+    ineq = np.vstack([row for _, row in keyed]) if keyed else np.zeros((0, n))
+    soc_rows = [(J[sl], sl.stop - sl.start) for sl in face.socs]
     return CriticalCone(n, eq, ineq, soc_rows)
 
 
@@ -462,8 +447,7 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
     everything else is Sampled with the seed recorded.
     """
     cone = build_critical_cone(pd)
-    has_boundary = any(b.activity.case == "soc_boundary" for b in pd.blocks)
-    exact_ok = cone.is_subspace and ms.k == 0 and not has_boundary
+    exact_ok = cone.is_subspace and ms.k == 0 and not pd.face.rays
 
     if exact_ok and force != "sampled":
         P = cone.subspace_basis()

@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import corpus_path
+from conftest import REPO, corpus_path
 from strongmin import cli, report
 
 
@@ -21,17 +23,24 @@ class TestExitCodes:
         bad.write_text("vars: x1\nobjective: x1 +\npoint: 0\n")
         assert run_cli(["analyze", str(bad)]) == 1
 
-    def test_missing_point_is_input_error(self, tmp_path):
+    @pytest.mark.parametrize("command", ["analyze", "cq", "qgc"])
+    def test_missing_point_is_input_error(self, command, tmp_path, capsys):
         p = tmp_path / "nopoint.prob"
         p.write_text("vars: x1\nobjective: x1^2\n")
-        assert run_cli(["analyze", str(p)]) == 1
+        assert run_cli([command, str(p)]) == 1
+        out = capsys.readouterr()
+        assert "needs a 'point:' line" in out.err
+        assert out.out == ""
 
-    def test_infeasible_point_is_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["analyze", "cq", "qgc"])
+    def test_infeasible_point_is_input_error(self, command, tmp_path, capsys):
         p = tmp_path / "infeas.prob"
         p.write_text("vars: x1\nobjective: x1\n"
                      "block orthant 1:\n  row: x1\npoint: 1\n")
-        assert run_cli(["analyze", str(p)]) == 1
-        assert "infeasible" in capsys.readouterr().err
+        assert run_cli([command, str(p)]) == 1
+        out = capsys.readouterr()
+        assert "candidate point is infeasible" in out.err
+        assert out.out == ""
 
     def test_completed_analysis_is_zero_even_when_not_stationary(self, tmp_path,
                                                                  capsys):
@@ -62,6 +71,19 @@ class TestReports:
                             "--report", str(path)])
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.join(REPO, "src"))
+            proc = subprocess.run(
+                [sys.executable, "-m", "strongmin", "analyze",
+                 corpus_path("socb", "problem.prob"), "--samples", "2000"],
+                env=env, capture_output=True, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_byte_identical_pw1d(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

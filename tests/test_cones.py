@@ -166,3 +166,108 @@ class TestReduction:
             if J.shape[0]:
                 s = np.linalg.svd(J, compute_uv=False)
                 assert s[-1] >= 1e-9  # surjective Jacobian
+
+
+# soc boundary block ahead of an orthant block with one active and one
+# inactive row, then an soc vertex block and an soc interior block
+MIXED4 = """\
+vars: x1 x2 x3
+objective: x1^2 + x2^2 + x3^2 - x2
+block soc 3:
+  row: 1 + x1
+  row: 1 + x2
+  row: x3
+block orthant 2:
+  row: x1 + x3^2
+  row: x2 - 1
+block soc 3:
+  row: x3 + x1^2
+  row: x3
+  row: x1^2
+block soc 2:
+  row: 2 + x1
+  row: x2
+point: 0 0 0
+"""
+
+# one base point per reduction case, plus an orthant block with no active row
+FACE_BLOCKS = [
+    (soc(3), np.array([1.0, 0.6, -0.8])),          # boundary
+    (orthant(3), np.array([0.0, -1.5, 0.0])),      # affine, one inactive row
+    (soc(4), np.zeros(4)),                         # vertex
+    (soc(3), np.array([2.0, 0.5, 0.5])),           # interior
+    (orthant(2), np.array([-1.0, -0.25])),         # inactive
+]
+
+
+def _face_and_slices(blocks):
+    face = cones.normal_face([cones.reduction_at(k, y) for k, y in blocks])
+    slices, start = [], 0
+    for k, _ in blocks:
+        slices.append(slice(start, start + k.m))
+        start += k.m
+    return face, slices
+
+
+class TestNormalFace:
+    def test_contains_matches_blockwise_normal_cone_test(self):
+        rng = np.random.default_rng(6)
+        face, slices = _face_and_slices(FACE_BLOCKS)
+        m = slices[-1].stop
+        L = np.zeros((m, 600))
+        for j in range(L.shape[1]):
+            for (k, y), sl in zip(FACE_BLOCKS, slices):
+                v = cones.project_normal(k, y, rng.standard_normal(k.m))
+                if rng.random() < 0.3:  # push off the face by far more than tol
+                    v = v + 0.1 * rng.standard_normal(k.m)
+                L[sl, j] = v
+        got = face.contains(L)
+        want = [all(cones.normal_cone_test(k, y, L[sl, j])
+                    for (k, y), sl in zip(FACE_BLOCKS, slices))
+                for j in range(L.shape[1])]
+        assert list(got) == want
+        assert 0 < int(np.sum(got)) < L.shape[1]
+
+    def test_fixed_coordinates_are_tested_one_by_one(self):
+        face, _ = _face_and_slices([(soc(3), np.array([2.0, 0.5, 0.5]))])
+        tol = cones.MEMBERSHIP_TOL
+        inside = np.full((3, 1), 0.9 * tol)  # norm above tol, each entry below
+        assert face.contains(inside, tol)[0]
+        assert not face.contains(2.0 * inside, tol)[0]
+
+    def test_project_is_idempotent_and_equals_project_normal(self):
+        rng = np.random.default_rng(7)
+        face, slices = _face_and_slices(FACE_BLOCKS)
+        m = slices[-1].stop
+        for _ in range(300):
+            lam = 3.0 * rng.standard_normal(m)
+            p = face.project(lam)
+            assert face.contains(p[:, None])[0]
+            assert np.allclose(face.project(p), p, rtol=0.0, atol=1e-14)
+            for (k, y), sl in zip(FACE_BLOCKS, slices):
+                assert np.array_equal(p[sl], cones.project_normal(k, y, lam[sl]))
+
+    def test_ray_is_bit_equal_to_reduction_gradient(self):
+        rng = np.random.default_rng(8)
+        for m in (2, 3, 5):
+            for _ in range(200):
+                ybar = rng.standard_normal(m - 1) * rng.uniform(0.1, 10.0)
+                y = np.concatenate([[np.linalg.norm(ybar)], ybar])
+                red = cones.reduction_at(soc(m), y)
+                assert red.case == "soc_boundary"
+                assert np.array_equal(red.ray, red.grad_h(y)[0])
+
+    def test_mixed_blocks_keep_block_order(self):
+        from strongmin import problem, sosc
+        pd = problem.evaluate(problem.loads(MIXED4), np.zeros(3))
+        face = pd.face
+        assert face.nonneg.tolist() == [3]
+        assert face.fixed.tolist() == [4, 8, 9]
+        assert [(sl.start, sl.stop) for sl, _ in face.rays] == [(0, 3)]
+        assert np.array_equal(face.rays[0][1], [-1.0, 1.0, 0.0])
+        assert [(sl.start, sl.stop) for sl in face.socs] == [(5, 8)]
+        cone = sosc.build_critical_cone(pd)
+        # boundary-ray row of block 0 ahead of the active orthant row of block 1
+        assert np.array_equal(cone.ineq, [[-1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        assert len(cone.soc) == 1 and cone.soc[0][1] == 3
+        assert np.array_equal(cone.soc[0][0], pd.blocks[2].jacobian)
