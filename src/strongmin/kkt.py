@@ -1,12 +1,13 @@
 """Stationarity verification and the Lagrange multiplier set.
 
 The multiplier set is the intersection of an affine set (solutions of the
-stationarity equation) with per-block normal-cone constraints.  It is
-stored as a particular solution plus a null-space basis, with cone
-descriptors attached per block.  A linear functional can be maximized
-exactly over it: a dense simplex handles the polyhedral case, and a
-cutting-plane loop with projection-based separating hyperplanes handles
-blocks constrained to the polar second-order cone.
+stationarity equation) with the normal-cone face of the evaluated point
+(``PointData.face``).  It is stored as a particular solution plus a
+null-space basis, with the face's cone descriptors attached.  A linear
+functional can be maximized exactly over it: a dense simplex handles the
+polyhedral case, and a cutting-plane loop with projection-based
+separating hyperplanes handles blocks constrained to the polar
+second-order cone.
 """
 
 from __future__ import annotations

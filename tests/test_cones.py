@@ -218,8 +218,11 @@ class TestNormalFace:
         for j in range(L.shape[1]):
             for (k, y), sl in zip(FACE_BLOCKS, slices):
                 v = cones.project_normal(k, y, rng.standard_normal(k.m))
-                if rng.random() < 0.3:  # push off the face by far more than tol
+                u = rng.random()
+                if u < 0.3:  # push off the face by far more than tol
                     v = v + 0.1 * rng.standard_normal(k.m)
+                elif u < 0.45:  # reverse: leaves a ray, nonneg rows and -soc
+                    v = -v
                 L[sl, j] = v
         got = face.contains(L)
         want = [all(cones.normal_cone_test(k, y, L[sl, j])
