@@ -30,10 +30,16 @@ def _radius_flags(sub):
     sub.add_argument("--radii", default=None, help="comma list, e.g. 0.2,0.05")
 
 
-def _radii(text):
-    if text is None or text == "auto":
+def _radii(args):
+    """The radii to test: --radius, else --radii, else None for the default."""
+    if args.radius is not None:
+        return [args.radius]
+    if args.radii is None or args.radii == "auto":
         return None
-    return [float(v) for v in text.split(",") if v.strip()]
+    try:
+        return [float(v) for v in args.radii.split(",") if v.strip()]
+    except ValueError as err:
+        raise _report.InputError(f"--radii: {err}") from err
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sp.add_parser("cq", help="constraint-qualification diagnostics only")
     _common(c)
     c.add_argument("--samples", type=int, default=128)
-    c.add_argument("--radius", type=float, default=None,
+    c.add_argument("--radius", type=float, default=0.1,
                    help="subregularity probe radius (default 0.1)")
 
     q = sp.add_parser("qgc", help="empirical quadratic-growth estimate only")
@@ -85,22 +91,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "analyze":
-            radii = [args.radius] if args.radius else _radii(args.radii)
             rep = _report.analyze_report(
-                args.file, seed=args.seed, samples=args.samples, radii=radii,
-                tol=args.tol, tilt=args.tilt, timings=args.timings)
+                args.file, seed=args.seed, samples=args.samples,
+                radii=_radii(args), tol=args.tol, tilt=args.tilt,
+                timings=args.timings)
         elif args.command == "cq":
             rep = _report.cq_report(args.file, seed=args.seed,
                                     probe_samples=args.samples,
-                                    probe_radius=args.radius or 0.1)
+                                    probe_radius=args.radius)
         elif args.command == "qgc":
-            radii = [args.radius] if args.radius else _radii(args.radii)
             rep = _report.qgc_report(args.file, seed=args.seed,
-                                     samples=args.samples, radii=radii)
+                                     samples=args.samples, radii=_radii(args))
         else:
-            radii = [args.radius] if args.radius else _radii(args.radii)
             rep = _report.pw1d_report(args.file, point=args.point,
-                                      radii=radii, with_d2=args.d2,
+                                      radii=_radii(args), with_d2=args.d2,
                                       seed=args.seed)
     except _report.InputError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -146,15 +146,7 @@ def check_rcq_dual(pd: PointData, tol: float = 1e-7, grid: int = 10000,
         return True
 
     if _orthant_only(pd):
-        idx = pd.face.nonneg
-        if not idx.size:
-            return True
-        k = idx.size
-        # rows: normalization plus the stationarity system on active coordinates
-        A_eq = np.vstack([np.ones((1, k)), J[idx].T])
-        b_eq = np.concatenate([[1.0], np.zeros(pd.n)])
-        res = solve_lp(np.zeros(k), A_eq=A_eq, b_eq=b_eq, nonneg=True)
-        return bool(res.status == "infeasible")
+        return bool(check_mfcq_dual(pd))
 
     # scan the kernel sphere for a nonzero normal-cone member
     cands = null @ sphere(kappa, grid, seed=seed)

@@ -28,10 +28,6 @@ class InputError(Exception):
     """Bad input file or candidate point; maps to exit code 1."""
 
 
-class _SkipConditions(Exception):
-    """Internal: slope conditions need a proximally stationary base point."""
-
-
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
@@ -96,7 +92,7 @@ def _vec(v) -> Optional[list]:
 
 
 # ----------------------------------------------------------------------
-# conic pipeline
+# stages
 # ----------------------------------------------------------------------
 
 @contextmanager
@@ -109,19 +105,55 @@ def _stage(clocks: dict, name: str):
         clocks[name] = 1000.0 * (time.perf_counter() - t0)
 
 
-def _evaluated(path: str, clocks: dict):
-    """Load the problem and evaluate it at its point: (problem, PointData).
+def _run_stages(rep: dict, clocks: dict, stages) -> None:
+    """Run (name, build) stages in order, storing each section as rep[name].
 
-    Raises InputError for an unreadable file, a missing point or an
-    infeasible point, so every conic subcommand refuses the same inputs.
+    The first stage that raises ends the run with
+    rep["failed_stage"] = "<name>: <error>"; the sections before it stay,
+    so a numeric failure still leaves a partial report.
     """
-    with _stage(clocks, "load"):
+    for name, build in stages:
         try:
-            p = problem.load(path)
-        except FileNotFoundError as err:
-            raise InputError(f"cannot open {path!r}: {err}") from err
-        except problem.ProblemFormatError as err:
-            raise InputError(f"{path}: {err}") from err
+            with _stage(clocks, name):
+                rep[name] = build()
+        except Exception as err:
+            rep["failed_stage"] = f"{name}: {err}"
+            return
+
+
+def _require_positive(**values) -> None:
+    """Raise InputError unless every named count or radius is finite and > 0."""
+    for name, value in values.items():
+        for v in value if isinstance(value, (list, tuple)) else [value]:
+            if not (math.isfinite(v) and v > 0):
+                raise InputError(f"{name} must be finite and positive, got {v!r}")
+
+
+def _load(load, format_error, path: str):
+    """load(path), with a missing or malformed file raised as InputError."""
+    try:
+        return load(path)
+    except FileNotFoundError as err:
+        raise InputError(f"cannot open {path!r}: {err}") from err
+    except format_error as err:
+        raise InputError(f"{path}: {err}") from err
+
+
+# ----------------------------------------------------------------------
+# conic pipeline
+# ----------------------------------------------------------------------
+
+def _conic_report(path: str, flags: dict, stages, timings: bool = False) -> dict:
+    """Load the problem, evaluate it at its point, write the header, run the stages.
+
+    An unreadable file, a missing point or an infeasible point raises
+    InputError, so every conic subcommand refuses the same inputs.  Every
+    stage reads its inputs from `flags`, which the header records; sosc
+    also reads the stationarity section before it.
+    """
+    clocks: dict = {}
+    with _stage(clocks, "load"):
+        p = _load(problem.load, problem.ProblemFormatError, path)
     if p.point is None:
         raise InputError(f"{path}: analysis needs a 'point:' line")
     with _stage(clocks, "evaluate"):
@@ -130,17 +162,6 @@ def _evaluated(path: str, clocks: dict):
         raise InputError(
             f"{path}: candidate point is infeasible "
             f"(residual {pd.max_residual:.3e} > {problem.FEASIBILITY_TOL:g})")
-    return p, pd
-
-
-def analyze_report(path: str, seed: int = 0, samples: int = 20000,
-                   radii=None, tol: float = 1e-7, tilt: bool = False,
-                   timings: bool = False) -> dict:
-    """Full pipeline: evaluate, stationarity, multipliers, CQ, curvature, oracle."""
-    clocks: dict = {}
-    p, pd = _evaluated(path, clocks)
-    radii = tuple(radii) if radii else oracle.DEFAULT_RADII
-
     rep: dict = {
         "tool": {"name": "strongmin", "version": __version__},
         "problem": {
@@ -149,8 +170,7 @@ def analyze_report(path: str, seed: int = 0, samples: int = 20000,
             "blocks": [{"cone": b.cone.kind, "dim": b.cone.m} for b in p.blocks],
             "point": _vec(p.point),
         },
-        "flags": {"seed": seed, "samples": samples,
-                  "radii": [float(r) for r in radii], "tol": tol, "tilt": tilt},
+        "flags": flags,
         "failed_stage": None,
         "feasibility": {
             "max_residual": pd.max_residual,
@@ -158,93 +178,70 @@ def analyze_report(path: str, seed: int = 0, samples: int = 20000,
             "tolerance": problem.FEASIBILITY_TOL,
         },
     }
+    seed = flags["seed"]
+    # analyze records no probe flags and runs the probe at run_cq's defaults
+    probe = {k: v for k, v in flags.items() if k.startswith("probe_")}
 
-    try:
-        with _stage(clocks, "stationarity"):
-            st = kkt.stationarity_check(pd, tol=max(tol, 1e-12))
-        rep["stationarity"] = _verdict(
-            st.is_stationary,
-            "a multiplier in the normal cone solves the first-order equation",
-            "Exact (projected least squares)",
-            residual=st.residual, witness=_vec(st.witness))
-    except Exception as err:  # pragma: no cover - defensive
-        rep["failed_stage"] = f"stationarity: {err}"
-        return rep
+    def sosc_section():
+        st = rep["stationarity"]
+        if not st["holds"]:
+            return {"skipped": "point is not stationary",
+                    "sonc": None, "sosc": None, "predicted_modulus": None}
+        ms = kkt.build_multiplier_set(pd, np.asarray(st["witness"]))
+        return _sosc_dict(sosc.analyze(pd, ms, samples=flags["samples"], seed=seed))
 
-    try:
-        with _stage(clocks, "cq"):
-            cqr = cq.run_cq(pd, seed=seed)
-        rep["cq"] = _cq_dict(cqr, pd)
-    except Exception as err:
-        rep["failed_stage"] = f"cq: {err}"
-        return rep
-
-    if st.is_stationary:
-        try:
-            with _stage(clocks, "sosc"):
-                ms = kkt.build_multiplier_set(pd, st.witness)
-                sr = sosc.analyze(pd, ms, samples=samples, seed=seed)
-            rep["sosc"] = {
-                "sonc": _verdict(
-                    sr.sonc_holds,
-                    "max of the multiplier curvature form is nonnegative "
-                    "on the critical cone",
-                    sr.certification),
-                "sosc": _verdict(
-                    sr.sosc_holds,
-                    "max of the multiplier curvature form is positive "
-                    "on the critical cone",
-                    sr.certification),
-                "predicted_modulus": sr.predicted_modulus,
-                "worst_direction": _vec(sr.worst_direction),
-                "certification": sr.certification,
-                "empty_cone": sr.empty_cone,
-                "inner_max_warning": sr.inner_max_warning,
-                "samples": sr.sample_count,
-                "seed": sr.seed,
-                "note": "critical cone taken in linearized form; exact under "
-                        "the assumed metric subregularity",
-            }
-        except Exception as err:
-            rep["failed_stage"] = f"sosc: {err}"
-            return rep
-    else:
-        rep["sosc"] = {
-            "skipped": "point is not stationary",
-            "sonc": None, "sosc": None, "predicted_modulus": None,
-        }
-
-    try:
-        with _stage(clocks, "oracle"):
-            est = oracle.estimate_qg_modulus(p, radii=radii, count=samples,
-                                             seed=seed)
-        rep["oracle"] = _qgc_dict(est)
-    except Exception as err:
-        rep["failed_stage"] = f"oracle: {err}"
-        return rep
-
-    if tilt:
-        try:
-            with _stage(clocks, "tilt"):
-                tr = oracle.tilt_probe(p, seed=seed)
-            rep["tilt"] = {
-                "single_valued": tr.single_valued,
-                "lipschitz_estimate": tr.lipschitz_estimate,
-                "refined_ratio": tr.refined_ratio,
-                "base_ratio": tr.base_ratio,
-                "evidence_against_tilt_stability": tr.evidence_against,
-                "condition": "tilted solution map single-valued and Lipschitz "
-                             "near the point",
-                "certification": "Sampled",
-                "note": tr.note,
-            }
-        except Exception as err:
-            rep["failed_stage"] = f"tilt: {err}"
-            return rep
-
+    build = {
+        "stationarity": lambda: _stationarity_dict(
+            kkt.stationarity_check(pd, tol=max(flags["tol"], 1e-12))),
+        "cq": lambda: _cq_dict(cq.run_cq(pd, seed=seed, **probe), pd),
+        "sosc": sosc_section,
+        "oracle": lambda: _qgc_dict(oracle.estimate_qg_modulus(
+            p, radii=tuple(flags["radii"]), count=flags["samples"], seed=seed)),
+        "tilt": lambda: _tilt_dict(oracle.tilt_probe(p, seed=seed)),
+    }
+    _run_stages(rep, clocks, [(name, build[name]) for name in stages])
     if timings:
         rep["timings_ms"] = clocks
     return rep
+
+
+def _oracle_flags(seed: int, samples: int, radii) -> dict:
+    """The checked flags of the growth oracle: seed, samples and radii."""
+    radii = [float(r) for r in (radii if radii else oracle.DEFAULT_RADII)]
+    _require_positive(samples=samples, radii=radii)
+    return {"seed": seed, "samples": samples, "radii": radii}
+
+
+def analyze_report(path: str, seed: int = 0, samples: int = 20000,
+                   radii=None, tol: float = 1e-7, tilt: bool = False,
+                   timings: bool = False) -> dict:
+    """Full pipeline: evaluate, stationarity, multipliers, CQ, curvature, oracle."""
+    flags = dict(_oracle_flags(seed, samples, radii), tol=tol, tilt=tilt)
+    stages = ("stationarity", "cq", "sosc", "oracle") + (("tilt",) if tilt else ())
+    return _conic_report(path, flags, stages, timings)
+
+
+def cq_report(path: str, seed: int = 0, probe_samples: int = 128,
+              probe_radius: float = 0.1) -> dict:
+    """The cq stage of analyze alone, with the subregularity probe's flags."""
+    _require_positive(probe_samples=probe_samples, probe_radius=probe_radius)
+    flags = {"seed": seed, "probe_samples": probe_samples,
+             "probe_radius": probe_radius}
+    return _conic_report(path, flags, ("cq",))
+
+
+def qgc_report(path: str, seed: int = 0, samples: int = 20000,
+               radii=None) -> dict:
+    """The oracle stage of analyze alone."""
+    return _conic_report(path, _oracle_flags(seed, samples, radii), ("oracle",))
+
+
+def _stationarity_dict(st: kkt.StationarityResult) -> dict:
+    return _verdict(
+        st.is_stationary,
+        "a multiplier in the normal cone solves the first-order equation",
+        "Exact (projected least squares)",
+        residual=st.residual, witness=_vec(st.witness))
 
 
 def _cq_dict(cqr: cq.CqReport, pd: problem.PointData) -> dict:
@@ -292,29 +289,41 @@ def _qgc_dict(est: oracle.QgcEstimate) -> dict:
     }
 
 
-def cq_report(path: str, seed: int = 0, probe_samples: int = 128,
-              probe_radius: float = 0.1) -> dict:
-    p, pd = _evaluated(path, {})
-    cqr = cq.run_cq(pd, probe_radius=probe_radius, probe_samples=probe_samples,
-                    seed=seed)
+def _sosc_dict(sr: sosc.SoscReport) -> dict:
     return {
-        "tool": {"name": "strongmin", "version": __version__},
-        "problem": {"digest": p.digest()},
-        "flags": {"seed": seed, "probe_samples": probe_samples,
-                  "probe_radius": probe_radius},
-        "cq": _cq_dict(cqr, pd),
+        "sonc": _verdict(
+            sr.sonc_holds,
+            "max of the multiplier curvature form is nonnegative "
+            "on the critical cone",
+            sr.certification),
+        "sosc": _verdict(
+            sr.sosc_holds,
+            "max of the multiplier curvature form is positive "
+            "on the critical cone",
+            sr.certification),
+        "predicted_modulus": sr.predicted_modulus,
+        "worst_direction": _vec(sr.worst_direction),
+        "certification": sr.certification,
+        "empty_cone": sr.empty_cone,
+        "inner_max_warning": sr.inner_max_warning,
+        "samples": sr.sample_count,
+        "seed": sr.seed,
+        "note": "critical cone taken in linearized form; exact under "
+                "the assumed metric subregularity",
     }
 
 
-def qgc_report(path: str, seed: int = 0, samples: int = 20000,
-               radii=None) -> dict:
-    p, _ = _evaluated(path, {})
-    radii = tuple(radii) if radii else oracle.DEFAULT_RADII
-    est = oracle.estimate_qg_modulus(p, radii=radii, count=samples, seed=seed)
+def _tilt_dict(tr: oracle.TiltReport) -> dict:
     return {
-        "tool": {"name": "strongmin", "version": __version__},
-        "problem": {"digest": p.digest()},
-        "oracle": _qgc_dict(est),
+        "single_valued": tr.single_valued,
+        "lipschitz_estimate": tr.lipschitz_estimate,
+        "refined_ratio": tr.refined_ratio,
+        "base_ratio": tr.base_ratio,
+        "evidence_against_tilt_stability": tr.evidence_against,
+        "condition": "tilted solution map single-valued and Lipschitz "
+                     "near the point",
+        "certification": "Sampled",
+        "note": tr.note,
     }
 
 
@@ -324,17 +333,12 @@ def qgc_report(path: str, seed: int = 0, samples: int = 20000,
 
 def pw1d_report(path: str, point: float = 0.0, radii=None,
                 with_d2: bool = False, seed: int = 0) -> dict:
-    try:
-        f = pw1d.load(path)
-    except FileNotFoundError as err:
-        raise InputError(f"cannot open {path!r}: {err}") from err
-    except pw1d.Pw1dFormatError as err:
-        raise InputError(f"{path}: {err}") from err
-
+    f = _load(pw1d.load, pw1d.Pw1dFormatError, path)
     if radii is None or radii == "auto":
         radii_t = f.suggested_radii()
     else:
         radii_t = tuple(float(r) for r in radii)
+        _require_positive(radii=radii_t)
 
     rep: dict = {
         "tool": {"name": "strongmin", "version": __version__},
@@ -353,11 +357,11 @@ def pw1d_report(path: str, point: float = 0.0, radii=None,
     stationary = iv is not None and iv[0] <= 1e-12 and iv[1] >= -1e-12
     rep["proximally_stationary"] = stationary
 
-    try:
+    def conditions():
         if not stationary:
-            raise _SkipConditions
+            return {"skipped": "zero is not a proximal subgradient at the point"}
         cond = pw1d.check_conditions(f, point)
-        rep["conditions"] = {
+        return {
             "pd_34": _verdict(cond.pd_lower_bound,
                               "every tangent slope pair satisfies "
                               "z.w >= c w^2 for some c > 0",
@@ -373,16 +377,10 @@ def pw1d_report(path: str, point: float = 0.0, radii=None,
             "min_ratio": cond.min_ratio,
             "accepted_pairs": [[w, z] for w, z in cond.accepted],
         }
-    except _SkipConditions:
-        rep["conditions"] = {
-            "skipped": "zero is not a proximal subgradient at the point"}
-    except Exception as err:
-        rep["failed_stage"] = f"conditions: {err}"
-        return rep
 
-    try:
+    def qgc():
         est = pw1d.estimate_qgc_1d(f, point, radii=radii_t)
-        rep["qgc"] = {
+        return {
             "verdict": est.verdict,
             "condition": "empirical quadratic growth on a geometric grid",
             "certification": "Sampled",
@@ -390,16 +388,18 @@ def pw1d_report(path: str, point: float = 0.0, radii=None,
             "radii": list(est.radii),
             "per_radius": list(est.per_radius),
         }
-    except Exception as err:
-        rep["failed_stage"] = f"qgc: {err}"
-        return rep
 
-    if with_d2:
+    def second_subderivative():
         out = {}
         for w in (1.0, -1.0):
             r = pw1d.second_subderivative(f, point, 0.0, w)
             out[f"w={w:g}"] = {"value": r.value, "trend": r.trend}
-        rep["second_subderivative"] = out
+        return out
+
+    stages = [("conditions", conditions), ("qgc", qgc)]
+    if with_d2:
+        stages.append(("second_subderivative", second_subderivative))
+    _run_stages(rep, {}, stages)
     return rep
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -150,14 +151,26 @@ class TestReports:
 
 
     def test_cq_section_matches_analyze(self, capsys):
+        # cq and qgc run single stages of analyze under the same header
         path = corpus_path("licq", "problem.prob")
         assert run_cli(["cq", path, "--seed", "2"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["flags"] == {"seed": 2, "probe_samples": 128,
                                 "probe_radius": 0.1}
-        assert run_cli(["analyze", path, "--seed", "2", "--samples", "500"]) == 0
+        args = ["--seed", "2", "--samples", "500", "--radii", "0.2,0.05"]
+        assert run_cli(["qgc", path] + args) == 0
+        growth = json.loads(capsys.readouterr().out)
+        assert growth["flags"] == {"seed": 2, "samples": 500,
+                                   "radii": [0.2, 0.05]}
+        assert growth["oracle"]["radii"] == [0.2, 0.05]
+        assert run_cli(["analyze", path] + args) == 0
         full = json.loads(capsys.readouterr().out)
         assert rep["cq"] == full["cq"]
+        assert growth["oracle"] == full["oracle"]
+        for partial in (rep, growth):
+            assert partial["failed_stage"] is None
+            for key in ("tool", "problem", "feasibility"):
+                assert partial[key] == full[key]
         for key in ("mfcq", "crcq", "rcq"):
             assert rep["cq"][key]["condition"]
             assert rep["cq"][key]["certification"]
@@ -190,19 +203,52 @@ class TestFlags:
         cli.build_parser().parse_args(argv + ["--seed", "1", "--report", "r.json"])
 
 
-def test_numeric_failure_maps_to_exit_two(monkeypatch, capsys):
-    from strongmin import oracle
-
+# each case: the failing stage, a section written before it and one after it
+@pytest.mark.parametrize("argv, module, call, stage, kept, dropped", [
+    (["analyze", corpus_path("quad3", "problem.prob"), "--samples", "500",
+      "--tilt"], "oracle", "estimate_qg_modulus", "oracle", "sosc", "tilt"),
+    (["cq", corpus_path("licq", "problem.prob")], "cq", "run_cq", "cq",
+     "feasibility", None),
+    (["qgc", corpus_path("licq", "problem.prob"), "--samples", "500"],
+     "oracle", "estimate_qg_modulus", "oracle", "feasibility", None),
+    (["pw1d", corpus_path("sq", "function.pw"), "--d2"], "pw1d",
+     "estimate_qgc_1d", "qgc", "conditions", "second_subderivative"),
+], ids=["analyze", "cq", "qgc", "pw1d"])
+def test_numeric_failure_maps_to_exit_two(argv, module, call, stage, kept,
+                                          dropped, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise FloatingPointError("synthetic blowup")
 
-    monkeypatch.setattr(oracle, "estimate_qg_modulus", boom)
-    code = run_cli(["analyze", corpus_path("quad3", "problem.prob"),
-                    "--samples", "500"])
-    assert code == 2
+    monkeypatch.setattr(importlib.import_module(f"strongmin.{module}"), call, boom)
+    assert run_cli(argv) == 2
     out = capsys.readouterr()
     rep = json.loads(out.out)
-    assert rep["failed_stage"].startswith("oracle")
+    assert rep["failed_stage"] == f"{stage}: synthetic blowup"
+    assert kept in rep
+    assert stage not in rep and dropped not in rep
+    assert f"numeric failure in stage: {stage}" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--samples", "0"],
+    ["analyze", "--radii", "0.2,-0.05"],
+    ["cq", "--radius", "0"],
+    ["cq", "--samples", "-3"],
+    ["qgc", "--samples", "0"],
+    ["qgc", "--radius", "-0.1"],
+    ["qgc", "--radii", "0.2,nan"],
+    ["pw1d", "--radius", "0"],
+    ["pw1d", "--radii", "0.1,inf"],
+    ["pw1d", "--radii", "0.1,x"],
+], ids="_".join)
+def test_invalid_numeric_flags_are_input_errors(argv, capsys):
+    command, flags = argv[0], argv[1:]
+    path = (corpus_path("sq", "function.pw") if command == "pw1d"
+            else corpus_path("licq", "problem.prob"))
+    assert run_cli([command, path] + flags) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ")
+    assert out.out == ""
 
 
 def test_nonfinite_serialization():

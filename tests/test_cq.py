@@ -27,6 +27,7 @@ class TestMfcq:
         for p in (ex46, ex47, licq):
             pd = problem.evaluate(p, p.point)
             assert cq.check_mfcq(pd) == cq.check_mfcq_dual(pd)
+            assert cq.check_rcq_dual(pd) == cq.check_mfcq_dual(pd)
 
     def test_primal_dual_agreement_random(self):
         rng = np.random.default_rng(0)
@@ -45,6 +46,7 @@ class TestMfcq:
                                 blocks, np.zeros(n))
             pd = problem.evaluate(p, p.point)
             assert cq.check_mfcq(pd) == cq.check_mfcq_dual(pd)
+            assert cq.check_rcq_dual(pd) == cq.check_mfcq_dual(pd)
 
 
 class TestCrcq:
