@@ -1,44 +1,83 @@
 """Batched projected penalty descent shared by the sampling oracles.
 
-Two drivers: pushing sample points onto the feasible set (distance
-estimation and feasible sampling), and minimizing a tilted objective over
-the feasible set intersected with a ball (tilt probe).  Everything is
-vectorized over sample columns; per-column adaptive steps keep the loops
-deterministic and independent of batching.
+One loop, `_descend`, minimizes base(y) + rho * dist^2(q(y); K) over the
+sample columns with a per-column adaptive step.  Its two penalties are
+`push_to_feasible` (base ||y - x||^2: distance estimation and feasible
+sampling) and `minimize_tilted` (base g(y) - v.y inside a ball: the tilt
+probe).  `_residual` forms q - Pi_K(q) for the stacked blocks; the
+descent, the Gauss-Newton restoration and `feasibility_residuals` (also
+the cq probe's denominator) all read it.
+
+Every contraction is an elementwise product summed over one axis, never
+BLAS, so a column's result does not depend on the other columns of its
+batch, except through these batch-wide terms: the initial step of
+`push_to_feasible` is 0.05 * max(1, max|X|) over the whole batch;
+`_restore` stops only once every column's residual is <= 1e-13; and numpy
+sums a one-column batch pairwise along an axis of 8 or more entries (n, m
+or the size of a soc block), in place of the row order of wider batches.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import expr
-from .problem import (Problem, batch_constraint_grads, batch_constraint_values,
-                      batch_distance)
+from . import cones, expr
+from .problem import Problem, batch_constraint_grads, batch_constraint_values
 
 __all__ = ["push_to_feasible", "feasibility_residuals", "minimize_tilted"]
 
 
+def _residual(p: Problem, Q: np.ndarray) -> np.ndarray:
+    """q - Pi_K(q) for the stacked block values Q (m, N), block by block."""
+    R = np.empty_like(Q)
+    start = 0
+    for b in p.blocks:
+        sl = slice(start, start + b.cone.m)
+        R[sl] = Q[sl] - cones.project_batch(b.cone, Q[sl])
+        start += b.cone.m
+    return R
+
+
 def feasibility_residuals(p: Problem, Y: np.ndarray) -> np.ndarray:
-    if not p.blocks:
-        return np.zeros(Y.shape[1])
-    return batch_distance(p, batch_constraint_values(p, Y))
+    """Columnwise distance of q(y) to the cone product."""
+    return np.linalg.norm(_residual(p, batch_constraint_values(p, Y)), axis=0)
 
 
 def _dist_grad(p: Problem, Y: np.ndarray):
     """dist^2(q(y); cones) and its gradient, columnwise."""
     q, jacs = batch_constraint_grads(p, Y)
-    if q.shape[0] == 0:
-        return np.zeros(Y.shape[1]), np.zeros_like(Y)
-    from . import cones as _c
-    resid = np.zeros_like(q)
-    start = 0
-    for b in p.blocks:
-        sl = slice(start, start + b.cone.m)
-        resid[sl] = q[sl] - _c.project_batch(b.cone, q[sl])
-        start += b.cone.m
-    d2 = np.sum(resid * resid, axis=0)
-    grad = 2.0 * np.einsum("mnN,mN->nN", jacs, resid, optimize=True)
-    return d2, grad
+    R = _residual(p, q)
+    return np.sum(R * R, axis=0), 2.0 * (jacs * R[:, None, :]).sum(axis=0)
+
+
+def _descend(f, Y, steps, rho, iters, rho_doubling, clip=None):
+    """Columnwise adaptive-step descent on base(y) + rho * d2(y).
+
+    f(Z) returns (base, base_grad, d2, d2_grad) at the columns of Z.  Each
+    column steps along its normalized gradient; an improving candidate is
+    accepted and grows the step by 1.2, otherwise the step halves.  rho
+    doubles every `rho_doubling` iterations, and `clip`, if given, maps
+    each candidate back into the admissible set.
+    """
+    base, base_grad, d2, d2_grad = f(Y)
+    for it in range(iters):
+        if it and it % rho_doubling == 0:
+            rho *= 2.0
+        grad = base_grad + rho * d2_grad
+        gn = np.linalg.norm(grad, axis=0)
+        gn = np.where(gn > 1e-14, gn, 1.0)
+        cand = Y - steps * grad / gn
+        if clip is not None:
+            cand = clip(cand)
+        base_c, base_grad_c, d2_c, d2_grad_c = f(cand)
+        better = np.nan_to_num(base_c + rho * d2_c, nan=np.inf) < base + rho * d2
+        Y = np.where(better, cand, Y)
+        base = np.where(better, base_c, base)
+        base_grad = np.where(better, base_grad_c, base_grad)
+        d2 = np.where(better, d2_c, d2)
+        d2_grad = np.where(better, d2_grad_c, d2_grad)
+        steps = np.where(better, steps * 1.2, steps * 0.5)
+    return Y
 
 
 def push_to_feasible(p: Problem, X: np.ndarray, iters: int = 200,
@@ -52,58 +91,32 @@ def push_to_feasible(p: Problem, X: np.ndarray, iters: int = 200,
     """
     if not p.blocks:
         return X.copy(), np.zeros(X.shape[1])
-    Y = X.copy()
-    scale = max(1.0, float(np.max(np.abs(X))))
-    steps = np.full(X.shape[1], 0.05 * scale)
-    rho = rho0
 
-    d2, dgrad = _dist_grad(p, Y)
-    psi = np.sum((Y - X) ** 2, axis=0) + rho * d2
-    for it in range(iters):
-        if it and it % rho_doubling == 0:
-            rho *= 2.0
-            d2, dgrad = _dist_grad(p, Y)
-            psi = np.sum((Y - X) ** 2, axis=0) + rho * d2
-        grad = 2.0 * (Y - X) + rho * dgrad
-        gn = np.linalg.norm(grad, axis=0)
-        gn = np.where(gn > 1e-14, gn, 1.0)
-        cand = Y - steps * grad / gn
-        d2c, dgradc = _dist_grad(p, cand)
-        psic = np.sum((cand - X) ** 2, axis=0) + rho * d2c
-        better = np.nan_to_num(psic, nan=np.inf) < psi
-        Y = np.where(better, cand, Y)
-        psi = np.where(better, psic, psi)
-        d2 = np.where(better, d2c, d2)
-        dgrad = np.where(better, dgradc, dgrad)
-        steps = np.where(better, steps * 1.2, steps * 0.5)
+    def f(Z):
+        return (np.sum((Z - X) ** 2, axis=0), 2.0 * (Z - X)) + _dist_grad(p, Z)
+
+    steps = np.full(X.shape[1], 0.05 * max(1.0, float(np.max(np.abs(X)))))
+    Y = _descend(f, X.copy(), steps, rho0, iters, rho_doubling)
     Y = _restore(p, Y, restore_iters)
     return Y, feasibility_residuals(p, Y)
 
 
 def _restore(p: Problem, Y: np.ndarray, iters: int) -> np.ndarray:
     """Damped Gauss-Newton on the cone residual of q(y)."""
-    from . import cones as _c
-    n, N = Y.shape
     eye = np.eye(p.m) * 1e-12
     best_res = feasibility_residuals(p, Y)
     for _ in range(iters):
         if np.all(best_res <= 1e-13):
             break
         q, jacs = batch_constraint_grads(p, Y)
-        resid = np.zeros_like(q)
-        start = 0
-        for b in p.blocks:
-            sl = slice(start, start + b.cone.m)
-            resid[sl] = q[sl] - _c.project_batch(b.cone, q[sl])
-            start += b.cone.m
-        JJT = np.einsum("inN,jnN->Nij", jacs, jacs, optimize=True)
-        rhs = resid.T[:, :, None]
+        R = _residual(p, q)
+        JJT = (jacs[:, None] * jacs[None, :]).sum(axis=2).transpose(2, 0, 1)
+        rhs = R.T[:, :, None]
         try:
             mu = np.linalg.solve(JJT + eye[None, :, :], rhs)[:, :, 0]
         except np.linalg.LinAlgError:
             mu = np.linalg.solve(JJT + 1e-8 * np.eye(p.m)[None, :, :], rhs)[:, :, 0]
-        step = np.einsum("mnN,Nm->nN", jacs, mu, optimize=True)
-        step = np.nan_to_num(step)
+        step = np.nan_to_num((jacs * mu.T[:, None, :]).sum(axis=0))
         cand = Y - step
         res_c = feasibility_residuals(p, cand)
         better = np.nan_to_num(res_c, nan=np.inf) < best_res
@@ -121,39 +134,17 @@ def minimize_tilted(p: Problem, V: np.ndarray, starts: np.ndarray,
     V (n, N) holds one tilt per column, starts (n, N) the initial points.
     Returns (Y, objective values, feasibility residuals).
     """
-    n, N = starts.shape
-    Y = _clip_ball(starts.copy(), center, ball_radius)
-    steps = np.full(N, 0.05 * max(ball_radius, 1e-6))
-    rho = rho0
+    def f(Z):
+        g, g_grad = expr.eval_grads(p.objective, Z)
+        return (g - np.sum(V * Z, axis=0), g_grad - V) + _dist_grad(p, Z)
 
-    def objective(Z, rho_now):
-        g = expr.eval_values(p.objective, Z)
-        tilt = np.sum(V * Z, axis=0)
-        d2, _ = _dist_grad(p, Z) if p.blocks else (np.zeros(N), None)
-        return g - tilt + rho_now * d2
+    def clip(Z):
+        return _clip_ball(Z, center, ball_radius)
 
-    val = objective(Y, rho)
-    for it in range(iters):
-        if it and it % rho_doubling == 0:
-            rho *= 2.0
-            val = objective(Y, rho)
-        gval, ggrad = expr.eval_grads(p.objective, Y)
-        grad = ggrad - V
-        if p.blocks:
-            _, dgrad = _dist_grad(p, Y)
-            grad = grad + rho * dgrad
-        gn = np.linalg.norm(grad, axis=0)
-        gn = np.where(gn > 1e-14, gn, 1.0)
-        cand = _clip_ball(Y - steps * grad / gn, center, ball_radius)
-        val_c = objective(cand, rho)
-        better = np.nan_to_num(val_c, nan=np.inf) < val
-        Y = np.where(better, cand, Y)
-        val = np.where(better, val_c, val)
-        steps = np.where(better, steps * 1.2, steps * 0.5)
-
+    steps = np.full(starts.shape[1], 0.05 * max(ball_radius, 1e-6))
+    Y = _descend(f, clip(starts), steps, rho0, iters, rho_doubling, clip)
     if p.blocks:
-        Y = _restore(p, Y, 20)
-        Y = _clip_ball(Y, center, ball_radius)
+        Y = clip(_restore(p, Y, 20))
     gfinal = expr.eval_values(p.objective, Y) - np.sum(V * Y, axis=0)
     return Y, gfinal, feasibility_residuals(p, Y)
 

@@ -2,7 +2,8 @@
 
 Subcommands: analyze, cq, qgc (conic problem files) and pw1d (univariate
 piecewise files).  Exit codes: 0 = analysis completed (whatever the
-verdicts), 1 = input error, 2 = numeric failure inside a stage.
+verdicts), 1 = input error or usage error, 2 = numeric failure inside a
+stage.
 """
 
 from __future__ import annotations
@@ -13,6 +14,13 @@ import sys
 from . import report as _report
 
 __all__ = ["main"]
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the input-error code."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n{self.format_usage()}")
 
 
 def _common(sub):
@@ -43,7 +51,7 @@ def _radii(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="strongmin",
         description="Second-order optimality and quadratic-growth verdicts "
                     "at a candidate point, cross-checked by sampling oracles.")
@@ -88,7 +96,10 @@ def _emit(rep: dict, path) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # --help (0) or a usage error (1)
+        return stop.code
     try:
         if args.command == "analyze":
             rep = _report.analyze_report(

@@ -17,10 +17,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import expr
-from ._descent import push_to_feasible
+from ._descent import feasibility_residuals, push_to_feasible
 from ._sampling import ball, sphere
 from ._simplex import solve_lp
-from .problem import PointData, Problem, batch_distance, batch_constraint_values
+from .problem import PointData, Problem
 
 __all__ = [
     "CqReport",
@@ -179,7 +179,7 @@ def probe_mscq(p: Problem, radius: float = 0.1, samples: int = 128,
     usable = True
     for i, r in enumerate((radius, radius / 4.0)):
         X = ball(p.point, r, samples, seed=seed + 7 * i)
-        denom = batch_distance(p, batch_constraint_values(p, X))
+        denom = feasibility_residuals(p, X)
         Y, res = push_to_feasible(p, X)
         numer = np.linalg.norm(Y - X, axis=0)
         mask = (denom > 1e-12) & (res <= 1e-9)

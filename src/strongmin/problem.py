@@ -315,15 +315,3 @@ def batch_constraint_grads(p: Problem, X: np.ndarray):
         return np.zeros((0, N)), np.zeros((0, n, N))
     return np.vstack(vals), np.stack(jacs)
 
-
-def batch_distance(p: Problem, Q: np.ndarray) -> np.ndarray:
-    """Columnwise distance of stacked constraint values to the cone product."""
-    N = Q.shape[1]
-    total = np.zeros(N)
-    start = 0
-    for b in p.blocks:
-        sl = slice(start, start + b.cone.m)
-        diff = Q[sl] - cones.project_batch(b.cone, Q[sl])
-        total += np.sum(diff * diff, axis=0)
-        start += b.cone.m
-    return np.sqrt(total)

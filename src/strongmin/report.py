@@ -122,9 +122,13 @@ def _run_stages(rep: dict, clocks: dict, stages) -> None:
 
 
 def _require_positive(**values) -> None:
-    """Raise InputError unless every named count or radius is finite and > 0."""
+    """Raise InputError unless every named count or radius is finite and > 0,
+    and every named list of them is nonempty."""
     for name, value in values.items():
-        for v in value if isinstance(value, (list, tuple)) else [value]:
+        items = value if isinstance(value, (list, tuple)) else [value]
+        if not items:
+            raise InputError(f"{name} must not be empty")
+        for v in items:
             if not (math.isfinite(v) and v > 0):
                 raise InputError(f"{name} must be finite and positive, got {v!r}")
 
@@ -207,7 +211,7 @@ def _conic_report(path: str, flags: dict, stages, timings: bool = False) -> dict
 
 def _oracle_flags(seed: int, samples: int, radii) -> dict:
     """The checked flags of the growth oracle: seed, samples and radii."""
-    radii = [float(r) for r in (radii if radii else oracle.DEFAULT_RADII)]
+    radii = [float(r) for r in (oracle.DEFAULT_RADII if radii is None else radii)]
     _require_positive(samples=samples, radii=radii)
     return {"seed": seed, "samples": samples, "radii": radii}
 

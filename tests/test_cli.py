@@ -237,6 +237,10 @@ def test_numeric_failure_maps_to_exit_two(argv, module, call, stage, kept,
     ["qgc", "--samples", "0"],
     ["qgc", "--radius", "-0.1"],
     ["qgc", "--radii", "0.2,nan"],
+    ["qgc", "--samples", "abc"],
+    ["analyze", "--radii", ","],
+    ["qgc", "--radii", ","],
+    ["pw1d", "--radii", ","],
     ["pw1d", "--radius", "0"],
     ["pw1d", "--radii", "0.1,inf"],
     ["pw1d", "--radii", "0.1,x"],
