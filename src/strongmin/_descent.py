@@ -33,7 +33,7 @@ def _residual(p: Problem, Q: np.ndarray) -> np.ndarray:
     start = 0
     for b in p.blocks:
         sl = slice(start, start + b.cone.m)
-        R[sl] = Q[sl] - cones.project_batch(b.cone, Q[sl])
+        R[sl] = Q[sl] - cones.project(b.cone, Q[sl])
         start += b.cone.m
     return R
 

@@ -1,9 +1,10 @@
 """Geometry of constraint cones: nonpositive orthant and second-order cone.
 
-Supplies membership, Euclidean projection, normal/tangent cone tests at a
-point, the local smooth-reduction data (h, its Jacobian and Hessians)
-that feeds the curvature correction of the second-order machinery, and
-the normal-cone face of a product of blocks that holds the multipliers.
+Supplies Euclidean projection, the polyhedral outer relaxation of soc,
+normal/tangent cone tests at a point, the local smooth-reduction data (h,
+its Jacobian and Hessians) that feeds the curvature correction of the
+second-order machinery, and the normal-cone face of a product of blocks
+that holds the multipliers.
 Conventions: the orthant block is the NONPOSITIVE orthant {y : y <= 0};
 the second-order cone soc(m) is {y : y_1 >= ||(y_2..y_m)||} with the first
 coordinate on the axis.
@@ -24,7 +25,7 @@ __all__ = [
     "NormalFace",
     "project",
     "distance",
-    "contains",
+    "soc_relaxation",
     "normal_cone_test",
     "tangent_cone_test",
     "reduction_at",
@@ -58,38 +59,33 @@ def soc(m: int) -> Cone:
     return Cone("soc", m)
 
 
-def project(k: Cone, y) -> np.ndarray:
-    """Euclidean projection onto the cone (total on finite inputs)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (k.m,):
-        raise ValueError(f"expected vector of length {k.m}, got shape {y.shape}")
-    if k.kind == "orthant":
-        return np.minimum(y, 0.0)
-    t, r = y[0], float(np.linalg.norm(y[1:]))
-    if t >= r:
-        return y.copy()
-    if t <= -r:
-        return np.zeros_like(y)
-    alpha = (t + r) / 2.0
-    out = np.empty_like(y)
-    out[0] = alpha
-    out[1:] = alpha * y[1:] / r
-    return out
+def project(k: Cone, Y) -> np.ndarray:
+    """Euclidean projection onto the cone of a vector (m,) or of the columns
+    of an (m, N) array (total on finite inputs).
 
-
-def project_batch(k: Cone, Y: np.ndarray) -> np.ndarray:
-    """Columnwise projection; Y has shape (m, N)."""
+    A soc column (t, ybar) outside the cone and its polar maps to
+    alpha (1, ybar / r) with r = ||ybar|| and alpha = (t + r) / 2; columns
+    in the cone (the vertex included) are copied, and the other polar
+    columns become +0.0.  r sums its squares in row order, so a column of a
+    batch and the same vector alone project bit for bit alike.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim not in (1, 2) or Y.shape[0] != k.m:
+        raise ValueError(f"expected {k.m} rows, got shape {Y.shape}")
     if k.kind == "orthant":
         return np.minimum(Y, 0.0)
     t = Y[0]
-    r = np.linalg.norm(Y[1:], axis=0)
+    sq = Y[1] * Y[1]
+    for row in Y[2:]:
+        sq = sq + row * row
+    r = np.sqrt(sq)
     inside = t >= r
     polar = t <= -r
     alpha = (t + r) / 2.0
-    safe_r = np.where(r > 0, r, 1.0)
-    out = np.concatenate([alpha[None, :], alpha / safe_r * Y[1:]], axis=0)
-    out[:, inside] = Y[:, inside]
-    out[:, polar] = 0.0
+    out = np.empty_like(Y)
+    out[0] = np.where(inside, t, np.where(polar, 0.0, alpha))
+    out[1:] = np.where(inside, Y[1:], np.where(
+        polar, 0.0, alpha / np.where(r > 0, r, 1.0) * Y[1:]))
     return out
 
 
@@ -98,8 +94,18 @@ def distance(k: Cone, y) -> float:
     return float(np.linalg.norm(y - project(k, y)))
 
 
-def contains(k: Cone, y, tol: float = MEMBERSHIP_TOL) -> bool:
-    return distance(k, y) <= tol
+def soc_relaxation(B: np.ndarray) -> np.ndarray:
+    """Rows R with R w <= 0 whenever B w lies in soc(m).
+
+    The polyhedral outer relaxation (Bw)_1 >= |(Bw)_i| of the cone, as the
+    rows [-B_1, -(B_1 + B_i), -(B_1 - B_i), ...] for i = 2..m.
+    """
+    B = np.asarray(B, dtype=float)
+    R = np.empty((2 * B.shape[0] - 1, B.shape[1]))
+    R[0] = -B[0]
+    R[1::2] = -(B[0] + B[1:])
+    R[2::2] = B[1:] - B[0]  # -(B_1 - B_i), with +0.0 where the two agree
+    return R
 
 
 def normal_cone_test(k: Cone, y, v, tol: float = MEMBERSHIP_TOL) -> bool:

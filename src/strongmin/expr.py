@@ -24,8 +24,9 @@ Grammar::
 ``^`` binds tighter than unary minus, which binds tighter than ``*``/``/``.
 Binary operators of equal precedence associate to the left.  Function
 identifiers are limited to sqrt, exp, log, sin, cos; any other identifier
-must be a declared variable.  Exponents are nonnegative integer literals,
-which keeps polynomial data smooth everywhere.
+must be a declared variable.  Exponents are nonnegative integer literals
+up to MAX_EXPONENT, which keeps polynomial data smooth everywhere and
+bounds the repeated multiplication that evaluates a power.
 """
 
 from __future__ import annotations
@@ -54,9 +55,11 @@ __all__ = [
     "eval_grads",
     "to_text",
     "quadratic_shift",
+    "MAX_EXPONENT",
 ]
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
+MAX_EXPONENT = 100
 
 
 class ExprError(Exception):
@@ -235,6 +238,8 @@ class _Parser:
             kind, val, off = self.take()
             if kind != "num" or any(c in val for c in ".eE"):
                 raise ParseError("exponent must be a nonnegative integer literal", off)
+            if int(val) > MAX_EXPONENT:
+                raise ParseError(f"exponent above {MAX_EXPONENT}", off)
             e = Power(e, int(val))
         if negate:
             e = Unary("neg", e)

@@ -3,7 +3,7 @@
 The multiplier set is the intersection of an affine set (solutions of the
 stationarity equation) with the normal-cone face of the evaluated point
 (``PointData.face``).  It is stored as a particular solution plus a
-null-space basis, with the face's cone descriptors attached.  A linear
+null-space basis, with the point's ``NormalFace`` attached.  A linear
 functional can be maximized exactly over it: a dense simplex handles the
 polyhedral case, and a cutting-plane loop with projection-based
 separating hyperplanes handles blocks constrained to the polar
@@ -48,15 +48,15 @@ class StationarityResult:
 
 @dataclass
 class MultiplierSet:
-    """Affine parameterization lam0 + basis @ t with per-block cone constraints."""
+    """Affine parameterization lam0 + basis @ t, intersected with the face."""
 
-    m: int
     lam0: np.ndarray
     basis: np.ndarray                     # (m, k)
-    nonneg_idx: np.ndarray                # global coordinates with lam_i >= 0
-    ray_blocks: List[Tuple[slice, np.ndarray]]  # (block slice, ray direction)
-    soc_blocks: List[slice]               # blocks constrained to -soc
-    empty: bool = False
+    face: cones.NormalFace
+
+    @property
+    def m(self) -> int:
+        return self.lam0.shape[0]
 
     @property
     def k(self) -> int:
@@ -65,20 +65,6 @@ class MultiplierSet:
     def member(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return self.lam0 + self.basis @ t
-
-    def feasible(self, lam, tol: float = 1e-9) -> bool:
-        lam = np.asarray(lam, dtype=float)
-        if self.nonneg_idx.size and np.any(lam[self.nonneg_idx] < -tol):
-            return False
-        for sl, d in self.ray_blocks:
-            mu = float(lam[sl] @ d) / float(d @ d)
-            if mu < -tol or np.linalg.norm(lam[sl] - mu * d) > tol:
-                return False
-        for sl in self.soc_blocks:
-            v = lam[sl]
-            if -v[0] < np.linalg.norm(v[1:]) - tol:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -186,11 +172,10 @@ def build_multiplier_set(pd: PointData,
                 f"point is not stationary (residual {st.residual:.3e})")
         witness = st.witness
     m = pd.m
-    if m == 0:
-        return MultiplierSet(0, np.zeros(0), np.zeros((0, 0)),
-                             np.zeros(0, dtype=int), [], [])
-
     face = pd.face
+    if m == 0:
+        return MultiplierSet(np.zeros(0), np.zeros((0, 0)), face)
+
     J = pd.full_jacobian()
 
     # equality system: stationarity rows, fixed coordinates, ray complements
@@ -223,11 +208,9 @@ def build_multiplier_set(pd: PointData,
     rank = int(np.sum(s > tol))
     basis = vt[rank:].T  # (m, k)
 
-    ms = MultiplierSet(m, lam0, basis, face.nonneg, list(face.rays),
-                       list(face.socs))
-    if not ms.feasible(lam0, tol=1e-7):
+    if not face.contains(lam0[:, None], tol=1e-7)[0]:
         raise EmptyMultiplierSet("witness violates the cone constraints")
-    return ms
+    return MultiplierSet(lam0, basis, face)
 
 
 def _orthogonal_complement(d: np.ndarray) -> np.ndarray:
@@ -250,8 +233,6 @@ def maximize_linear(ms: MultiplierSet, c, gap_tol: float = 1e-9,
     argmaxes with projection hyperplanes; the loop stops once the argmax
     is feasible or the primal bound gap drops below ``gap_tol``.
     """
-    if ms.empty:
-        return LinMaxResult("empty")
     c = np.asarray(c, dtype=float)
     if ms.k == 0:
         return LinMaxResult("bounded", value=float(c @ ms.lam0), argmax=ms.lam0.copy())
@@ -260,34 +241,19 @@ def maximize_linear(ms: MultiplierSet, c, gap_tol: float = 1e-9,
     f = c @ N
 
     # linear rows a.t <= b, valid for the whole set; t = 0 is feasible
-    A_rows: List[np.ndarray] = []
-    b_rows: List[float] = []
+    A_face, b_face = _face_rows(ms)
+    A_rows, b_rows = list(A_face), list(b_face)
 
     def add_row(a_lam: np.ndarray, b_val: float):
         A_rows.append(a_lam @ N)
         b_rows.append(b_val - float(a_lam @ lam0))
 
-    for i in ms.nonneg_idx:
-        e = np.zeros(ms.m)
-        e[i] = -1.0
-        add_row(e, 0.0)  # -lam_i <= 0
-    for sl, d in ms.ray_blocks:
-        a = np.zeros(ms.m)
-        a[sl] = -d
-        add_row(a, 0.0)  # ray coordinate >= 0
-    for sl in ms.soc_blocks:
-        # valid initial relaxation of lam_B in -soc: lam_1 <= -|lam_j|
-        e = np.zeros(ms.m)
-        e[sl.start] = 1.0
-        add_row(e, 0.0)
-        for j in range(sl.start + 1, sl.stop):
-            for sgn in (1.0, -1.0):
-                a = np.zeros(ms.m)
-                a[sl.start] = 1.0
-                a[j] = sgn
-                add_row(a, 0.0)
+    for sl in ms.face.socs:
+        # initial relaxation of lam_B in -soc, i.e. of -lam_B in soc
+        for a in cones.soc_relaxation(-np.eye(ms.m)[sl]):
+            add_row(a, 0.0)
 
-    if not ms.soc_blocks:
+    if not ms.face.socs:
         return _polyhedral_max(ms, c, f, A_rows, b_rows)
 
     # cutting planes around the soc blocks
@@ -338,9 +304,23 @@ def _polyhedral_max(ms, c, f, A_rows, b_rows) -> LinMaxResult:
     return LinMaxResult("bounded", value=float(c @ lam), argmax=lam)
 
 
+def _face_rows(ms: MultiplierSet) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows A t <= b of the face's nonneg and ray constraints, in that order.
+
+    lam_i >= 0 on nonneg coordinates and the ray coordinate d.lam_B >= 0
+    on soc boundary blocks, for lam = lam0 + basis @ t.
+    """
+    rows = [-ms.basis[i] for i in ms.face.nonneg]
+    rhs = [float(ms.lam0[i]) for i in ms.face.nonneg]
+    for sl, d in ms.face.rays:
+        rows.append(-(d @ ms.basis[sl]))
+        rhs.append(float(d @ ms.lam0[sl]))
+    return np.array(rows).reshape(len(rows), ms.k), np.array(rhs)
+
+
 def _max_soc_violation(ms, lam) -> float:
     worst = 0.0
-    for sl in ms.soc_blocks:
+    for sl in ms.face.socs:
         k = cones.soc(sl.stop - sl.start)
         worst = max(worst, cones.distance(k, -lam[sl]))
     return worst
@@ -366,7 +346,7 @@ def _shrink_to_feasible(ms, lam0, lam_star):
 
 
 def _add_projection_cuts(ms, lam_star, add_row):
-    for sl in ms.soc_blocks:
+    for sl in ms.face.socs:
         k = cones.soc(sl.stop - sl.start)
         z = lam_star[sl]
         p = -cones.project(k, -z)
@@ -403,27 +383,18 @@ def enumerate_polyhedron(ms: MultiplierSet, tol: float = 1e-9):
     """
     from itertools import combinations
 
-    if ms.soc_blocks or ms.k > 3:
+    if ms.face.socs or ms.k > 3:
         return None
     k = ms.k
     if k == 0:
         return ms.lam0[:, None], np.zeros((ms.m, 0))
 
     # inequality rows A t <= b equivalent to the cone descriptors
-    rows: List[np.ndarray] = []
-    rhs: List[float] = []
-    for i in ms.nonneg_idx:
-        rows.append(-ms.basis[i])            # lam0_i + (N t)_i >= 0
-        rhs.append(float(ms.lam0[i]))
-    for sl, d in ms.ray_blocks:
-        rows.append(-(d @ ms.basis[sl]))     # ray coordinate >= 0
-        rhs.append(float(d @ ms.lam0[sl]))
-    if not rows:
+    A, b = _face_rows(ms)
+    if not A.shape[0]:
         # affine set: constant objective iff c.N = 0, else unbounded
         rays = np.hstack([ms.basis, -ms.basis])
         return ms.lam0[:, None], rays
-    A = np.vstack(rows)
-    b = np.array(rhs)
 
     verts: List[np.ndarray] = []
     for subset in combinations(range(A.shape[0]), k):

@@ -60,8 +60,15 @@ class TiltReport:
     note: str
 
 
-def _sample_feasible_full(p: Problem, radius: float, count: int, seed: int = 0,
-                          keep_tol: float = 1e-9):
+def sample_feasible(p: Problem, radius: float, count: int, seed: int = 0,
+                    keep_tol: float = 1e-9):
+    """Feasible points near the candidate, their residuals, and a usable flag.
+
+    Ball samples are pushed onto the feasible set; columns whose final
+    residual exceeds ``keep_tol`` (or that land beyond 1.05 radius) are
+    discarded.  Returns (Y, residuals, ok), with ok False (inconclusive)
+    when fewer than half the requested points survive.
+    """
     if p.point is None:
         raise ValueError("problem has no candidate point")
     X = ball(p.point, radius, count, seed=seed)
@@ -71,19 +78,6 @@ def _sample_feasible_full(p: Problem, radius: float, count: int, seed: int = 0,
     dist = np.linalg.norm(Y - p.point[:, None], axis=0)
     keep = (res <= keep_tol) & (dist <= 1.05 * radius)
     return Y[:, keep], res[keep], keep.sum() >= 0.5 * count
-
-
-def sample_feasible(p: Problem, radius: float, count: int, seed: int = 0,
-                    keep_tol: float = 1e-9):
-    """Feasible points near the candidate, or an inconclusive flag.
-
-    Ball samples are pushed onto the feasible set; columns whose final
-    residual exceeds ``keep_tol`` are discarded.  The result is flagged
-    inconclusive when fewer than half the requested points survive.
-    """
-    Y, _, ok = _sample_feasible_full(p, radius, count, seed=seed,
-                                     keep_tol=keep_tol)
-    return Y, ok
 
 
 def qgc_verdict(per_radius, usable=True):
@@ -126,7 +120,7 @@ def estimate_qg_modulus(p: Problem, radii=DEFAULT_RADII, count: int = 20000,
     kept: List[int] = []
     usable = True
     for i, r in enumerate(radii):
-        Y, res, ok = _sample_feasible_full(p, r, count, seed=seed + 31 * i)
+        Y, res, ok = sample_feasible(p, r, count, seed=seed + 31 * i)
         usable = usable and ok
         kept.append(Y.shape[1])
         if Y.shape[1] == 0:

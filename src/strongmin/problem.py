@@ -80,11 +80,8 @@ class Problem:
         return Problem(self.variables, self.objective, self.blocks,
                        np.asarray(x, dtype=float))
 
-    def canonical_text(self) -> str:
-        return save_text(self)
-
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+        return hashlib.sha256(save_text(self).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -235,6 +232,8 @@ def loads(text: str) -> Problem:
                 point = np.array([float(v) for v in values])
             except ValueError as err:
                 raise ProblemFormatError(f"bad point coordinate: {err}", lineno) from err
+            if not np.all(np.isfinite(point)):
+                raise ProblemFormatError("point coordinates must be finite", lineno)
             seen_point = True
             idx += 1
         else:

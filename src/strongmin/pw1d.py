@@ -16,7 +16,7 @@ evaluation never cancels catastrophically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -281,10 +281,7 @@ def binary_staircase(base: float = 2.0, slope: float = 2.0,
 
 def example33() -> Piecewise1D:
     """Dyadic flat/rise staircase (base 2, rise slope 2)."""
-    f = binary_staircase(2.0, 2.0)
-    return Piecewise1D(f.pieces, f.breakpoints, f.rel_anchor, f.anchor_value,
-                       f.accumulation, f.even, f.scales, f.radii,
-                       name="example33")
+    return replace(binary_staircase(2.0, 2.0), name="example33")
 
 
 def _mirror(pieces: List[Piece], bps: List[float]):
@@ -299,6 +296,17 @@ def _mirror(pieces: List[Piece], bps: List[float]):
 # ----------------------------------------------------------------------
 # file format
 # ----------------------------------------------------------------------
+
+def _floats(values: List[str], what: str, lineno: int) -> List[float]:
+    """The finite numbers of one line, or a Pw1dFormatError naming it."""
+    try:
+        out = [float(v) for v in values]
+    except ValueError as err:
+        raise Pw1dFormatError(f"bad {what}: {err}", lineno) from err
+    if not all(math.isfinite(v) for v in out):
+        raise Pw1dFormatError(f"every {what} must be finite", lineno)
+    return out
+
 
 def loads(text: str) -> Piecewise1D:
     lines = [ln.split("#", 1)[0].rstrip() for ln in text.splitlines()]
@@ -317,11 +325,14 @@ def loads(text: str) -> Piecewise1D:
         if name == "example33":
             return example33()
         if name == "binary-staircase":
-            vals = [float(a) for a in args] or [2.0, 2.0]
+            vals = _floats(args, "generator parameter", body[0][0]) or [2.0, 2.0]
             if len(vals) != 2:
                 raise Pw1dFormatError("binary-staircase takes two parameters",
                                       body[0][0])
-            return binary_staircase(*vals)
+            try:
+                return binary_staircase(*vals)
+            except ValueError as err:
+                raise Pw1dFormatError(str(err), body[0][0]) from err
         raise Pw1dFormatError(f"unknown generator {name!r}", body[0][0])
 
     bps: Optional[List[float]] = None
@@ -329,13 +340,17 @@ def loads(text: str) -> Piecewise1D:
     even = False
     for lineno, ln in body:
         if ln.startswith("breakpoints:"):
-            bps = [float(v) for v in ln[len("breakpoints:"):].split()]
+            bps = _floats(ln[len("breakpoints:"):].split(), "breakpoint", lineno)
         elif ln.startswith("piece "):
             head, _, rest = ln.partition(":")
-            idx = int(head.split()[1])
+            try:
+                idx = int(head.split()[1])
+            except (IndexError, ValueError) as err:
+                raise Pw1dFormatError("piece index must be an integer",
+                                      lineno) from err
             if idx != len(coeffs):
                 raise Pw1dFormatError(f"expected piece {len(coeffs)}", lineno)
-            vals = [float(v) for v in rest.split()]
+            vals = _floats(rest.split(), "coefficient", lineno)
             if len(vals) != 3:
                 raise Pw1dFormatError("piece needs coefficients 'a b c'", lineno)
             coeffs.append(tuple(vals))

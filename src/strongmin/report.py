@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, cq, kkt, oracle, problem, pw1d, sosc
+from . import __version__, cq, expr, kkt, oracle, problem, pw1d, sosc
 
 __all__ = ["analyze_report", "cq_report", "qgc_report", "pw1d_report",
            "dumps_report", "InputError"]
@@ -134,11 +134,12 @@ def _require_positive(**values) -> None:
 
 
 def _load(load, format_error, path: str):
-    """load(path), with a missing or malformed file raised as InputError."""
+    """load(path), with a missing, unreadable or malformed file raised as
+    InputError."""
     try:
         return load(path)
-    except FileNotFoundError as err:
-        raise InputError(f"cannot open {path!r}: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise InputError(f"cannot read {path!r}: {err}") from err
     except format_error as err:
         raise InputError(f"{path}: {err}") from err
 
@@ -150,10 +151,11 @@ def _load(load, format_error, path: str):
 def _conic_report(path: str, flags: dict, stages, timings: bool = False) -> dict:
     """Load the problem, evaluate it at its point, write the header, run the stages.
 
-    An unreadable file, a missing point or an infeasible point raises
-    InputError, so every conic subcommand refuses the same inputs.  Every
-    stage reads its inputs from `flags`, which the header records; sosc
-    also reads the stationarity section before it.
+    An unreadable file, a missing point, a point outside the domain of the
+    data or an infeasible point raises InputError, so every conic
+    subcommand refuses the same inputs.  Every stage reads its inputs from
+    `flags`, which the header records; sosc also reads the stationarity
+    section before it.
     """
     clocks: dict = {}
     with _stage(clocks, "load"):
@@ -161,7 +163,11 @@ def _conic_report(path: str, flags: dict, stages, timings: bool = False) -> dict
     if p.point is None:
         raise InputError(f"{path}: analysis needs a 'point:' line")
     with _stage(clocks, "evaluate"):
-        pd = problem.evaluate(p, p.point)
+        try:
+            pd = problem.evaluate(p, p.point)
+        except expr.ExprError as err:
+            raise InputError(f"{path}: cannot evaluate at the candidate point: "
+                             f"{err}") from err
     if not pd.feasible:
         raise InputError(
             f"{path}: candidate point is infeasible "

@@ -103,14 +103,12 @@ class CriticalCone:
 
         Maximizes each of +-w_i over the box |w_i| <= 1 intersected with a
         polyhedral outer relaxation of the cone, each soc constraint B w in
-        soc(m) relaxed to (Bw)_0 >= |(Bw)_i|.  The relaxation is a cone, so
-        the 2n optima are all 0 when it is {0} and their maximum is 1
-        otherwise.  Exact for polyhedral cones; with soc blocks a True
+        soc(m) relaxed by ``cones.soc_relaxation``.  The relaxation is a
+        cone, so the 2n optima are all 0 when it is {0} and their maximum
+        is 1 otherwise.  Exact for polyhedral cones; with soc blocks a True
         answer is a certificate and False decides nothing.
         """
-        relax = [self.ineq]
-        for B, _ in self.soc:
-            relax += [-(B[0] - B[1:]), -(B[0] + B[1:]), -B[:1]]
+        relax = [self.ineq] + [cones.soc_relaxation(B) for B, _ in self.soc]
         box = np.eye(self.n)
         A_ub = np.vstack(relax + [box, -box])
         b_ub = np.concatenate([np.zeros(A_ub.shape[0] - 2 * self.n),
@@ -133,7 +131,7 @@ class CriticalCone:
         if self._ineq_sl.stop > self._ineq_sl.start:
             out += np.sum(np.maximum(Z[self._ineq_sl], 0.0) ** 2, axis=0)
         for sl, m in self._soc_sl:
-            P = cones.project_batch(cones.soc(m), Z[sl])
+            P = cones.project(cones.soc(m), Z[sl])
             out += np.sum((Z[sl] - P) ** 2, axis=0)
         out = np.sqrt(out)
         return float(out[0]) if single else out
@@ -146,7 +144,7 @@ class CriticalCone:
         out[self._eq_sl] = 0.0
         out[self._ineq_sl] = np.minimum(out[self._ineq_sl], 0.0)
         for sl, m in self._soc_sl:
-            out[sl] = cones.project_batch(cones.soc(m), out[sl])
+            out[sl] = cones.project(cones.soc(m), out[sl])
         return out
 
     def project(self, W: np.ndarray, iters: int = 1200,

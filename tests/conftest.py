@@ -59,10 +59,10 @@ def sample_members(ms, count, seed=0, scale=2.0, max_tries=200):
     rng = np.random.default_rng(seed)
     out = []
     if ms.k == 0:
-        return [ms.lam0.copy()] if ms.feasible(ms.lam0, tol=1e-8) else []
+        return [ms.lam0.copy()] if ms.face.contains(ms.lam0[:, None], tol=1e-8)[0] else []
     for _ in range(max_tries * count):
         lam = ms.member(scale * rng.standard_normal(ms.k))
-        if ms.feasible(lam, tol=1e-10):
+        if ms.face.contains(lam[:, None], tol=1e-10)[0]:
             out.append(lam)
             if len(out) >= count:
                 break

@@ -14,6 +14,27 @@ def run_cli(args):
     return cli.main(args)
 
 
+# (subcommand, file name, file bytes) of inputs that must exit 1; bytes None
+# makes the path a directory
+MALFORMED = [
+    ("pw1d", "bp.pw", b"pw1d\nbreakpoints: a\npiece 0: 0 0 1\npiece 1: 0 0 1\n"),
+    ("pw1d", "coef.pw", b"pw1d\nbreakpoints: 0\npiece 0: 0 x 1\npiece 1: 0 0 1\n"),
+    ("pw1d", "nanbp.pw", b"pw1d\nbreakpoints: nan\npiece 0: 0 0 1\npiece 1: 0 0 1\n"),
+    ("pw1d", "index.pw", b"pw1d\nbreakpoints: 0\npiece x: 0 0 1\npiece 1: 0 0 1\n"),
+    ("pw1d", "gen_ab.pw", b"pw1d\ngenerator: binary-staircase a b\n"),
+    ("pw1d", "gen_11.pw", b"pw1d\ngenerator: binary-staircase 1 1\n"),
+    ("pw1d", "dir.pw", None),
+    ("analyze", "dir.prob", None),
+    ("pw1d", "latin1.pw", b"pw1d\nbreakpoints: 0\xff\n"),
+    ("analyze", "latin1.prob", b"vars: x1\nobjective: x1^2\npoint: \xff\n"),
+    ("analyze", "nan.prob", b"vars: x1\nobjective: x1^2\npoint: nan\n"),
+    ("qgc", "inf.prob", b"vars: x1\nobjective: x1^2\npoint: inf\n"),
+    ("analyze", "log0.prob", b"vars: x1\nobjective: log(x1)\npoint: 0\n"),
+    ("cq", "log0.prob", b"vars: x1\nobjective: x1\n"
+                        b"block orthant 1:\n  row: log(x1)\npoint: 0\n"),
+]
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         assert run_cli(["analyze", "missing.prob"]) == 1
@@ -42,6 +63,19 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert "candidate point is infeasible" in out.err
         assert out.out == ""
+
+    @pytest.mark.parametrize("command, name, content", MALFORMED,
+                             ids=[f"{c}-{n}" for c, n, _ in MALFORMED])
+    def test_malformed_input_is_input_error(self, command, name, content,
+                                            tmp_path, capsys):
+        path = tmp_path / name
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert run_cli([command, str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and out.out == ""
 
     def test_completed_analysis_is_zero_even_when_not_stationary(self, tmp_path,
                                                                  capsys):

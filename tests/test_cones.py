@@ -49,12 +49,49 @@ class TestProject:
                 assert np.linalg.norm(py - pz) <= np.linalg.norm(y - z) + 1e-12
 
     def test_batch_matches_single(self):
+        # bit for bit, signed zeros included: a column of a batch and the
+        # same vector alone take the same arithmetic
         rng = np.random.default_rng(2)
-        for k in (orthant(3), soc(3), soc(4)):
+        for k in (orthant(3), soc(3), soc(4), soc(12)):
             Y = rng.standard_normal((k.m, 50))
-            P = cones.project_batch(k, Y)
-            for j in range(50):
-                assert np.allclose(P[:, j], cones.project(k, Y[:, j]))
+            Y[:, 0] = -0.0          # the vertex, signed
+            Y[:, 1] = 0.0
+            Y[0, 2] = -np.linalg.norm(Y[1:, 2])   # on the polar boundary
+            Y[0, 3] = np.linalg.norm(Y[1:, 3])    # on the cone boundary
+            P = cones.project(k, Y)
+            for j in range(Y.shape[1]):
+                assert P[:, j].tobytes() == cones.project(k, Y[:, j]).tobytes()
+
+    def test_vertex_is_copied_and_polar_columns_become_positive_zero(self):
+        Y = np.array([[-0.0, -2.0, -1.0], [0.0, 1.0, 0.0], [-0.0, -1.0, 0.0]])
+        P = cones.project(soc(3), Y)
+        assert P[:, 0].tobytes() == Y[:, 0].tobytes()
+        assert P[:, 1:].tobytes() == np.zeros((3, 2)).tobytes()
+
+    def test_rejects_a_wrong_row_count(self):
+        with pytest.raises(ValueError):
+            cones.project(soc(3), np.zeros((4, 2)))
+
+
+class TestSocRelaxation:
+    def test_members_satisfy_the_rows(self):
+        rng = np.random.default_rng(3)
+        for m, n in ((2, 2), (3, 3), (4, 6), (3, 5)):
+            B = rng.standard_normal((m, n))  # full row rank
+            R = cones.soc_relaxation(B)
+            assert R.shape == (2 * m - 1, n)
+            # w with B w = z for soc members z (boundary ones included)
+            for _ in range(200):
+                z = random_point_in(soc(m), rng)
+                w, *_ = np.linalg.lstsq(B, z, rcond=None)
+                assert np.all(R @ w <= 1e-9 * max(1.0, np.linalg.norm(w)))
+
+    def test_row_order(self):
+        B = np.arange(12.0).reshape(3, 4)
+        R = cones.soc_relaxation(B)
+        expected = [-B[0], -(B[0] + B[1]), -(B[0] - B[1]),
+                    -(B[0] + B[2]), -(B[0] - B[2])]
+        assert np.array_equal(R, np.array(expected))
 
 
 class TestNormalCone:

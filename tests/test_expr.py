@@ -68,6 +68,13 @@ class TestParse:
         with pytest.raises(expr.ParseError):
             expr.parse("x1^-1", ["x1"])
 
+    def test_exponent_bound(self):
+        # a huge literal would take that many multiplications to evaluate
+        for text in ("x^101", "x^99999999999", "(x + 1)^1000"):
+            with pytest.raises(expr.ParseError, match="exponent above 100"):
+                expr.parse(text, ["x"])
+        assert expr.parse("x^100", ["x"]).exponent == expr.MAX_EXPONENT
+
     def test_functions(self):
         e = expr.parse("sin(x1) + cos(x1) + exp(x1) + log(x1) + sqrt(x1)", ["x1"])
         v = expr.eval_value(e, [2.0])

@@ -46,7 +46,7 @@ class TestMultiplierSet:
     def test_soc_vertex_cone_parameterization(self, ex44):
         pd, st, ms = pipeline(ex44)
         assert ms.k == 2
-        assert len(ms.soc_blocks) == 1
+        assert len(ms.face.socs) == 1
         # members have lam2 = lam3 and lam1 <= -sqrt(2)|lam2|
         for lam in sample_members(ms, 50, seed=1):
             assert abs(lam[1] - lam[2]) <= 1e-9
@@ -93,7 +93,7 @@ class TestMaximizeLinear:
         res = kkt.maximize_linear(ms, np.array([-0.5, -0.5, -1.0]))
         assert res.status == "bounded"
         assert abs(res.value + 0.5) <= 1e-9
-        assert ms.feasible(res.argmax, tol=1e-8)
+        assert ms.face.contains(res.argmax[:, None], tol=1e-8)[0]
 
     def test_vertex_enumeration_oracle(self, ex47):
         # truncate the unbounded polyhedron and let the bound grow
@@ -177,7 +177,7 @@ class TestMaximizeLinear:
                     continue
                 lam = res.argmax
                 assert np.linalg.norm(pd.g.gradient + J.T @ lam) <= 1e-7
-                assert ms.feasible(lam, tol=1e-8)
+                assert ms.face.contains(lam[:, None], tol=1e-8)[0]
 
 
 class TestEnumeration:

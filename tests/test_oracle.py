@@ -5,7 +5,7 @@ from strongmin import oracle, problem
 
 class TestSampleFeasible:
     def test_soc_instance_keeps_enough(self, ex44):
-        pts, ok = oracle.sample_feasible(ex44, 0.1, 1000, seed=0)
+        pts, _, ok = oracle.sample_feasible(ex44, 0.1, 1000, seed=0)
         assert ok and pts.shape[1] >= 500
         # cone residual <= 1e-9 bounds the set-description violation by
         # sqrt(2) * 1e-9 (the subregularity modulus of this instance)
@@ -14,13 +14,13 @@ class TestSampleFeasible:
 
     def test_unconstrained_keeps_all(self):
         p = problem.loads("vars: x1 x2\nobjective: x1^2 + x2^2\npoint: 0 0\n")
-        pts, ok = oracle.sample_feasible(p, 0.1, 500, seed=0)
+        pts, _, ok = oracle.sample_feasible(p, 0.1, 500, seed=0)
         assert ok and pts.shape[1] == 500
 
     def test_infeasible_everywhere_flags(self):
         p = problem.loads("vars: x1\nobjective: x1^2\n"
                           "block orthant 1:\n  row: 0*x1 + 1\npoint: 0\n")
-        pts, ok = oracle.sample_feasible(p, 0.1, 100, seed=0)
+        pts, _, ok = oracle.sample_feasible(p, 0.1, 100, seed=0)
         assert not ok and pts.shape[1] == 0
 
 

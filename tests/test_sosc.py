@@ -348,7 +348,7 @@ class TestAnalyze:
                           "  row: x3\n"
                           "block orthant 1:\n  row: x1 - x2\npoint: 0 0 0\n")
         pd, st, ms = pipeline(p)
-        assert ms.k == 1 and len(ms.ray_blocks) == 1
+        assert ms.k == 1 and len(ms.face.rays) == 1
         cone = sosc.build_critical_cone(pd)
         w3 = cone.project(np.array([0.0, 0.0, 1.0]))
         w3 /= np.linalg.norm(w3)
