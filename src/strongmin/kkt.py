@@ -372,7 +372,7 @@ def _cut_direction(ms, lam0, N, t0, t_ray, add_row):
     _add_projection_cuts(ms, base + step * (N @ t_ray), add_row)
 
 
-def enumerate_polyhedron(ms: MultiplierSet, tol: float = 1e-9):
+def enumerate_polyhedron(ms: MultiplierSet):
     """Vertices and extreme rays of the t-parameterized multiplier set.
 
     Returns (vertices, rays) as (m, nv) and (m, nr) arrays in multiplier

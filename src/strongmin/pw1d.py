@@ -9,14 +9,15 @@ quadratic growth, and second-order difference quotients.
 Functions are piecewise affine/quadratic with finitely many pieces, plus
 two generator families whose pieces accumulate factorially or dyadically
 at the origin (truncated well below any sampled scale).  Generator pieces
-store values relative to the accumulation point so that deep-piece
+store f minus its value at the accumulation point, so that deep-piece
 evaluation never cancels catastrophically.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +42,15 @@ __all__ = [
 ]
 
 _VCAP = 1e6  # cap for unbounded subgradient intervals in graph geometry
+_EX31_LEVELS = 16          # factorial levels of example31 before its tail stub
+_STAIRCASE_LEVELS = 40     # flat/rise levels of binary_staircase before its tail
+_SCALES = tuple(10.0 ** (-k / 2.0) for k in range(2, 17))  # default t schedule
+_RADII = (1.0, 0.25, 0.0625)                                # default growth radii
+_TANGENT_TOL = 1e-3        # final normalized graph distance of a tangent pair
+_Z_GRID = np.linspace(-4.0, 4.0, 161)  # slopes z paired with w = +-1
+_QGC_GRID = 512            # geometric offsets per side and radius
+_QGC_FLOOR_REL = 1e-7      # smallest offset, relative to the radius
+_WPRIME_REL = (0.0, 1e-6, -1e-6)  # relative perturbations of w in d2
 
 
 class Pw1dFormatError(Exception):
@@ -68,74 +78,75 @@ class Piece:
 class Piecewise1D:
     """Piecewise affine/quadratic function, lower semicontinuous by rule.
 
-    ``pieces`` are open intervals covering the line except breakpoints
-    (where the value is the min of the one-sided limits) and an optional
-    accumulation point.  When ``rel_anchor`` is set the coefficients store
-    f - f(anchor); ``anchor_value`` is the absolute value there.
+    ``pieces`` are sorted open intervals of positive width, each ending
+    where the next starts; they cover the line except breakpoints (where
+    the value is the min of the one-sided limits) and an optional
+    accumulation point.  f is ``offset`` plus the stored pieces, whose
+    value at the accumulation point is 0.
     """
 
     pieces: List[Piece]
-    breakpoints: List[float]
-    rel_anchor: Optional[float] = None
-    anchor_value: float = 0.0
+    offset: float = 0.0
     accumulation: Optional[Tuple[float, Tuple[float, float]]] = None
     even: bool = False
-    scales: Optional[Tuple[float, ...]] = None
-    radii: Optional[Tuple[float, ...]] = None
+    scales: Tuple[float, ...] = _SCALES
+    radii: Tuple[float, ...] = _RADII
     name: str = "custom"
+    _starts: List[float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.pieces:
+            raise ValueError("need at least one piece")
+        if not all(p.lo < p.hi for p in self.pieces):
+            raise ValueError("every piece needs lo < hi")
+        if any(p.hi != q.lo for p, q in zip(self.pieces, self.pieces[1:])):
+            raise ValueError("each piece must start where the previous one ends")
+        self._starts = [p.lo for p in self.pieces]
+
+    @property
+    def breakpoints(self) -> List[float]:
+        """Where pieces meet, in increasing order, without the accumulation point."""
+        acc = self.accumulation
+        return [s for s in self._starts[1:] if acc is None or s != acc[0]]
 
     # -- lookup ---------------------------------------------------------
 
-    def _locate(self, x: float):
-        """(piece containing x in its open interior) or None."""
-        lo, hi = 0, len(self.pieces)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            p = self.pieces[mid]
-            if x < p.lo or (x == p.lo):
-                hi = mid
-            elif x > p.hi or (x == p.hi):
-                lo = mid + 1
-            else:
-                return p
-        return None
+    def _around(self, x: float):
+        """(piece ending at x, piece holding x inside, piece starting at x).
 
-    def _adjacent(self, x: float):
-        """(left piece ending at x, right piece starting at x) or Nones."""
-        left = right = None
-        for p in self.pieces:
-            if p.hi == x:
-                left = p
+        At most the inside piece or the two others are set; a point no
+        piece touches raises ValueError.
+        """
+        i = bisect_right(self._starts, x) - 1
+        left = inside = right = None
+        if i >= 0:
+            p = self.pieces[i]
             if p.lo == x:
                 right = p
-        return left, right
+                left = self.pieces[i - 1] if i else None
+            elif x < p.hi:
+                inside = p
+        if left is None and inside is None and right is None:
+            raise ValueError(f"x={x} outside the represented domain")
+        return left, inside, right
 
     # -- values ---------------------------------------------------------
 
-    def value_rel(self, x: float) -> float:
-        """f(x) - f(anchor) for anchored functions, else f(x)."""
+    def _stored(self, x: float) -> float:
+        """f(x) - offset."""
         if self.accumulation is not None and x == self.accumulation[0]:
-            return 0.0 if self.rel_anchor is not None else self.anchor_value
-        p = self._locate(x)
-        if p is not None:
-            return p.val(x)
-        left, right = self._adjacent(x)
-        vals = [q.val(x) for q in (left, right) if q is not None]
-        if not vals:
-            raise ValueError(f"x={x} outside the represented domain")
-        return min(vals)
+            return 0.0
+        left, inside, right = self._around(x)
+        if inside is not None:
+            return inside.val(x)
+        return min(p.val(x) for p in (left, right) if p is not None)
 
     def value(self, x: float) -> float:
-        base = self.anchor_value if self.rel_anchor is not None else 0.0
-        if self.accumulation is not None and x == self.accumulation[0]:
-            return self.anchor_value if self.rel_anchor is not None else self.value_rel(x)
-        return base + self.value_rel(x)
+        return self.offset + self._stored(x)
 
     def diff(self, x: float, xbar: float) -> float:
-        """f(x) - f(xbar), cancellation-free when xbar is the anchor."""
-        if self.rel_anchor is not None and xbar == self.rel_anchor:
-            return self.value_rel(x)
-        return self.value(x) - self.value(xbar)
+        """f(x) - f(xbar), free of the offset's cancellation."""
+        return self._stored(x) - self._stored(xbar)
 
     # -- subdifferential --------------------------------------------------
 
@@ -143,14 +154,11 @@ class Piecewise1D:
         """Proximal subdifferential as a closed interval, or None when empty."""
         if self.accumulation is not None and x == self.accumulation[0]:
             return self.accumulation[1]
-        p = self._locate(x)
-        if p is not None:
-            s = p.slope(x)
+        left, inside, right = self._around(x)
+        if inside is not None:
+            s = inside.slope(x)
             return (s, s)
-        left, right = self._adjacent(x)
-        if left is None and right is None:
-            raise ValueError(f"x={x} outside the represented domain")
-        v = self.value_rel(x)
+        v = min(p.val(x) for p in (left, right) if p is not None)
         lo = -math.inf
         hi = math.inf
         tiny = 1e-14 * max(1.0, abs(v))
@@ -167,19 +175,23 @@ class Piecewise1D:
     def graph_segments(self, lo: float, hi: float):
         """Straight segments ((x0,v0),(x1,v1)) of the graph with x in [lo, hi]."""
         segs = []
-        for p in self.pieces:
+        first = max(bisect_right(self._starts, lo) - 1, 0)
+        for p in self.pieces[first:bisect_left(self._starts, hi)]:
             a, b_ = max(p.lo, lo), min(p.hi, hi)
             if a < b_:  # lo/hi are finite, so the clipped ends are too
                 segs.append(((a, p.slope(a)), (b_, p.slope(b_))))
-        for x in self.breakpoints:
-            if lo <= x <= hi:
-                iv = self.prox_subdiff(x)
-                if iv is not None:
-                    v0 = max(iv[0], -_VCAP)
-                    v1 = min(iv[1], _VCAP)
-                    segs.append(((x, v0), (x, v1)))
-        if self.accumulation is not None:
-            x0, iv = self.accumulation
+        acc = self.accumulation
+        for x in self._starts[max(bisect_left(self._starts, lo), 1):
+                              bisect_right(self._starts, hi)]:
+            if acc is not None and x == acc[0]:
+                continue
+            iv = self.prox_subdiff(x)
+            if iv is not None:
+                v0 = max(iv[0], -_VCAP)
+                v1 = min(iv[1], _VCAP)
+                segs.append(((x, v0), (x, v1)))
+        if acc is not None:
+            x0, iv = acc
             if lo <= x0 <= hi:
                 segs.append(((x0, iv[0]), (x0, iv[1])))
         return segs
@@ -201,24 +213,12 @@ class Piecewise1D:
         d = np.sqrt((X - px) ** 2 + (V - pv) ** 2)
         return np.min(d, axis=0)
 
-    # -- defaults ---------------------------------------------------------
-
-    def suggested_scales(self, xbar: float = 0.0) -> Tuple[float, ...]:
-        if self.scales is not None:
-            return self.scales
-        return tuple(10.0 ** (-k / 2.0) for k in range(2, 17))
-
-    def suggested_radii(self) -> Tuple[float, ...]:
-        if self.radii is not None:
-            return self.radii
-        return (1.0, 0.25, 0.0625)
-
 
 # ----------------------------------------------------------------------
 # generators
 # ----------------------------------------------------------------------
 
-def example31(max_level: int = 16) -> Piecewise1D:
+def example31() -> Piecewise1D:
     """Even convex staircase with factorially shrinking slopes.
 
     Slopes 1/(n+2)! on (1/(n+2)!, 1/(n+1)!], global minimum at the origin
@@ -226,56 +226,50 @@ def example31(max_level: int = 16) -> Piecewise1D:
     fails there.  Pieces are stored relative to the minimum value so deep
     pieces evaluate without cancellation.
     """
-    alpha = [1.0 / math.factorial(n + 1) for n in range(max_level + 3)]
+    alpha = [1.0 / math.factorial(n + 1) for n in range(_EX31_LEVELS + 3)]
     # tail[m] = sum_{k>=m} 1/(k! (k+2)!)
-    tail = [0.0] * (max_level + 4)
-    for m in range(max_level + 2, -1, -1):
+    tail = [0.0] * (_EX31_LEVELS + 4)
+    for m in range(_EX31_LEVELS + 2, -1, -1):
         tail[m] = tail[m + 1] + 1.0 / (math.factorial(m) * math.factorial(m + 2))
     beta = tail[0]
 
     pieces: List[Piece] = []
     pieces.append(Piece(1.0, math.inf, -beta, 1.0, 0.0))  # f = x beyond 1
-    for m in range(max_level + 1):
+    for m in range(_EX31_LEVELS + 1):
         pieces.append(Piece(alpha[m + 1], alpha[m], -tail[m + 1], alpha[m + 1], 0.0))
-    last = alpha[max_level + 1]
-    pieces.append(Piece(0.0, last, 0.0, alpha[max_level + 2], 0.0))  # tail stub
-    bps = [alpha[m] for m in range(max_level + 2)] + [1.0]
-    bps = sorted(set(b for b in bps if b > 0.0))
-    pieces, bps = _mirror(pieces, bps)
-    scales = tuple(alpha[n] for n in range(2, 15))
-    radii = tuple(alpha[n] for n in range(3, 9))
-    return Piecewise1D(pieces, bps, rel_anchor=0.0, anchor_value=beta,
+    last = alpha[_EX31_LEVELS + 1]
+    pieces.append(Piece(0.0, last, 0.0, alpha[_EX31_LEVELS + 2], 0.0))  # tail stub
+    return Piecewise1D(_mirror(pieces), offset=beta,
                        accumulation=(0.0, (0.0, 0.0)), even=True,
-                       scales=scales, radii=radii, name="example31")
+                       scales=tuple(alpha[n] for n in range(2, 15)),
+                       radii=tuple(alpha[n] for n in range(3, 9)),
+                       name="example31")
 
 
-def binary_staircase(base: float = 2.0, slope: float = 2.0,
-                     levels: int = 40) -> Piecewise1D:
+def binary_staircase(base: float = 2.0, slope: float = 2.0) -> Piecewise1D:
     """Even staircase of flats and rises accumulating geometrically at 0.
 
     Constant value base^-n on [t_n, base^-n) with a rise of the given
     slope connecting consecutive flats; f(x) = x beyond 1.  Grows at least
     like x^2 on [-1, 1] while the subgradient graph contains long flats.
+    A slope within rounding of 1, or a base or slope so large that the
+    pieces underflow, rounds a flat or a rise to zero width and raises
+    ValueError.
     """
     if base <= 1.0 or slope <= 1.0:
         raise ValueError("need base > 1 and slope > 1")
-    r = [base ** (-n) for n in range(levels + 2)]
+    r = [base ** (-n) for n in range(_STAIRCASE_LEVELS + 2)]
     pieces: List[Piece] = [Piece(1.0, math.inf, 0.0, 1.0, 0.0)]
-    bps = [1.0]
-    for n in range(levels + 1):
+    for n in range(_STAIRCASE_LEVELS + 1):
         c_n, c_n1 = r[n], r[n + 1]
         t_n = r[n + 1] + (c_n - c_n1) / slope
         pieces.append(Piece(t_n, r[n], c_n, 0.0, 0.0))              # flat
         pieces.append(Piece(r[n + 1], t_n, c_n1 - slope * r[n + 1],
                             slope, 0.0))                            # rise
-        bps.extend([t_n, r[n + 1]])
-    pieces.append(Piece(0.0, r[levels + 1], 0.0, 1.0, 0.0))         # tail: f = x
-    bps = sorted(set(b for b in bps if b > 0.0))
-    pieces, bps = _mirror(pieces, bps)
-    scales = tuple(base ** (-n) for n in range(0, 31))
-    return Piecewise1D(pieces, bps, rel_anchor=0.0, anchor_value=0.0,
-                       accumulation=(0.0, (-1.0, 1.0)), even=True,
-                       scales=scales, radii=(1.0, 0.25, 0.0625),
+    pieces.append(Piece(0.0, r[-1], 0.0, 1.0, 0.0))                 # tail: f = x
+    return Piecewise1D(_mirror(pieces), accumulation=(0.0, (-1.0, 1.0)),
+                       even=True,
+                       scales=tuple(base ** (-n) for n in range(0, 31)),
                        name=f"binary-staircase({base:g},{slope:g})")
 
 
@@ -284,13 +278,13 @@ def example33() -> Piecewise1D:
     return replace(binary_staircase(2.0, 2.0), name="example33")
 
 
-def _mirror(pieces: List[Piece], bps: List[float]):
+def _mirror(pieces: List[Piece]) -> List[Piece]:
+    """The pieces of x >= 0 and their reflections, sorted."""
     full = list(pieces)
     for p in pieces:
         full.append(Piece(-p.hi, -p.lo, p.a, -p.b, p.c))
     full.sort(key=lambda q: (q.lo, q.hi))
-    bps_full = sorted(set([-b for b in bps] + list(bps)))
-    return full, bps_full
+    return full
 
 
 # ----------------------------------------------------------------------
@@ -365,19 +359,12 @@ def loads(text: str) -> Piecewise1D:
     if len(coeffs) != len(bps) + 1:
         raise Pw1dFormatError(
             f"{len(bps)} breakpoints need {len(bps) + 1} pieces, got {len(coeffs)}")
-    if even:
-        if any(b <= 0 for b in bps):
-            raise Pw1dFormatError("even functions list positive breakpoints only")
-        edges = [0.0] + bps + [math.inf]
-        pieces = [Piece(edges[i], edges[i + 1], *coeffs[i])
-                  for i in range(len(coeffs))]
-        pieces, bps_full = _mirror(pieces, bps)
-        bps_full = sorted(set(bps_full + [0.0]))
-        return Piecewise1D(pieces, bps_full, even=True)
-    edges = [-math.inf] + bps + [math.inf]
+    if even and any(b <= 0 for b in bps):
+        raise Pw1dFormatError("even functions list positive breakpoints only")
+    edges = [0.0 if even else -math.inf] + bps + [math.inf]
     pieces = [Piece(edges[i], edges[i + 1], *coeffs[i])
               for i in range(len(coeffs))]
-    return Piecewise1D(pieces, list(bps))
+    return Piecewise1D(_mirror(pieces) if even else pieces, even=even)
 
 
 def load(path_or_text: str) -> Piecewise1D:
@@ -392,17 +379,16 @@ def load(path_or_text: str) -> Piecewise1D:
 # ----------------------------------------------------------------------
 
 def tangent_direction_test(f: Piecewise1D, xbar: float, vbar: float,
-                           w: float, z: float,
-                           scales: Optional[Sequence[float]] = None,
-                           tol: float = 1e-3) -> bool:
+                           w: float, z: float) -> bool:
     """Is (w, z) tangent to the subgradient graph at (xbar, vbar)?
 
-    For every scale t the normalized distance from (xbar, vbar) + t (w, z)
-    to the graph is measured against analytic segments (no sampling).
-    Acceptance: the final normalized distance is below tol, or the
-    distances decay monotonically by a factor of at least two down to 0.15
-    (the decay branch captures directions approached along breakpoint
-    subsequences, at the resolution of the scale list).
+    For every scale t of ``f.scales`` the normalized distance from
+    (xbar, vbar) + t (w, z) to the graph is measured against analytic
+    segments (no sampling).  Acceptance: the final normalized distance is
+    below _TANGENT_TOL, or the distances decay monotonically by a factor of
+    at least two down to 0.15 (the decay branch captures directions
+    approached along breakpoint subsequences, at the resolution of the
+    scale list).
 
     Tangent cones are cones, so the direction is first normalized to unit
     x-component (unit slope component when w = 0): acceptance is invariant
@@ -416,19 +402,17 @@ def tangent_direction_test(f: Piecewise1D, xbar: float, vbar: float,
         raise ValueError("vbar is not a proximal subgradient at xbar")
     s = abs(w) if w != 0.0 else abs(z)
     w, z = w / s, z / s
-    deltas = _delta_profile(f, xbar, vbar, w, np.array([z]), scales)[:, 0]
-    return _accept_profile(deltas, tol)
+    deltas = _delta_profile(f, xbar, vbar, w, np.array([z]))[:, 0]
+    return _accept_profile(deltas)
 
 
 def _delta_profile(f: Piecewise1D, xbar: float, vbar: float, w: float,
-                   zs: np.ndarray, scales=None) -> np.ndarray:
+                   zs: np.ndarray) -> np.ndarray:
     """Normalized graph distances, one row per scale, one column per z."""
-    if scales is None:
-        scales = f.suggested_scales(xbar)
-    scales = sorted(scales, reverse=True)
+    ts = sorted(f.scales, reverse=True)
     nrm = np.hypot(w, zs)
-    out = np.empty((len(scales), zs.shape[0]))
-    for i, t in enumerate(scales):
+    out = np.empty((len(ts), zs.shape[0]))
+    for i, t in enumerate(ts):
         X = xbar + t * w
         window = 6.0 * t * (abs(w) + 1.0)
         d = f.graph_distances(X, vbar + t * zs, window)
@@ -436,8 +420,8 @@ def _delta_profile(f: Piecewise1D, xbar: float, vbar: float, w: float,
     return out
 
 
-def _accept_profile(deltas: np.ndarray, tol: float) -> bool:
-    if deltas[-1] <= tol:
+def _accept_profile(deltas: np.ndarray) -> bool:
+    if deltas[-1] <= _TANGENT_TOL:
         return True
     dmin = float(np.min(deltas))
     ratios_ok = bool(np.all(deltas[1:] <= deltas[:-1] * 1.3))
@@ -454,10 +438,7 @@ class ConditionsReport:
     accepted: Tuple[Tuple[float, float], ...]
 
 
-def check_conditions(f: Piecewise1D, xbar: float,
-                     z_grid: Optional[Sequence[float]] = None,
-                     scales: Optional[Sequence[float]] = None,
-                     tol: float = 1e-3) -> ConditionsReport:
+def check_conditions(f: Piecewise1D, xbar: float) -> ConditionsReport:
     """Slope conditions on the subgradient graphical derivative at xbar.
 
     Directions w = +-1 are paired with a z grid (plus analytic seed slopes
@@ -467,21 +448,17 @@ def check_conditions(f: Piecewise1D, xbar: float,
     iv = f.prox_subdiff(xbar)
     if iv is None or not (iv[0] <= 1e-12 and iv[1] >= -1e-12):
         raise ValueError("0 is not a proximal subgradient at xbar")
-    if z_grid is None:
-        z_grid = np.linspace(-4.0, 4.0, 161)
-    seeds = set()
-    for p in f.pieces:
-        if p.lo == xbar or p.hi == xbar:
-            seeds.add(2.0 * p.c)
+    left, _, right = f._around(xbar)
+    seeds = {2.0 * p.c for p in (left, right) if p is not None}
     accepted: List[Tuple[float, float]] = []
     per_w_max = {}
     for w in (1.0, -1.0):
         # w is +-1 here, so the direction is already normalized
-        zs = np.array(sorted(set(float(z) for z in z_grid) | {s * w for s in seeds}))
-        profile = _delta_profile(f, xbar, 0.0, w, zs, scales)
+        zs = np.array(sorted(set(float(z) for z in _Z_GRID) | {s * w for s in seeds}))
+        profile = _delta_profile(f, xbar, 0.0, w, zs)
         best = None
         for j, z in enumerate(zs):
-            if _accept_profile(profile[:, j], tol):
+            if _accept_profile(profile[:, j]):
                 accepted.append((w, float(z)))
                 best = z * w if best is None else max(best, z * w)
         if best is not None:
@@ -504,25 +481,25 @@ def check_conditions(f: Piecewise1D, xbar: float,
 
 
 def estimate_qgc_1d(f: Piecewise1D, xbar: float,
-                    radii: Optional[Sequence[float]] = None,
-                    grid: int = 512, floor_rel: float = 1e-7) -> QgcEstimate:
+                    radii: Optional[Sequence[float]] = None) -> QgcEstimate:
     """Empirical growth modulus: inf of 2(f(x)-f(xbar))/(x-xbar)^2 per radius.
 
-    The grid is geometric between radius*floor_rel and the radius on both
-    sides, with every breakpoint in range included exactly; generator
-    functions supply matched radii and cancellation-free differences.
+    The grid is geometric between radius*_QGC_FLOOR_REL and the radius on
+    both sides, with every breakpoint in range included exactly; radii
+    default to ``f.radii``, which generator functions match to their
+    pieces.
     """
     if radii is None:
-        radii = f.suggested_radii()
+        radii = f.radii
     per_radius: List[float] = []
     for r in radii:
-        offs = np.geomspace(r * floor_rel, r, grid)
+        offs = np.geomspace(r * _QGC_FLOOR_REL, r, _QGC_GRID)
         xs = set()
         for o in offs:
             xs.add(xbar + o)
             xs.add(xbar - o)
         for bp in f.breakpoints:
-            if abs(bp - xbar) <= r and abs(bp - xbar) >= r * floor_rel:
+            if abs(bp - xbar) <= r and abs(bp - xbar) >= r * _QGC_FLOOR_REL:
                 xs.add(bp)
         best = math.inf
         for x in xs:
@@ -534,8 +511,8 @@ def estimate_qgc_1d(f: Piecewise1D, xbar: float,
     verdict = qgc_verdict(per_radius)
     kappa = float(min(per_radius)) if per_radius else math.inf
     return QgcEstimate(tuple(float(r) for r in radii), tuple(per_radius),
-                       tuple([2 * grid] * len(radii)),
-                       tuple([2 * grid] * len(radii)), verdict, kappa, 0)
+                       tuple([2 * _QGC_GRID] * len(radii)),
+                       tuple([2 * _QGC_GRID] * len(radii)), verdict, kappa, 0)
 
 
 @dataclass(frozen=True)
@@ -545,24 +522,19 @@ class D2Result:
     per_tau: Tuple[float, ...]
 
 
-def second_subderivative(f: Piecewise1D, xbar: float, v: float, w: float,
-                         taus: Optional[Sequence[float]] = None,
-                         wprime_rel: Tuple[float, ...] = (0.0, 1e-6, -1e-6)
-                         ) -> D2Result:
+def second_subderivative(f: Piecewise1D, xbar: float, v: float,
+                         w: float) -> D2Result:
     """Numerical lower second-order difference quotient along w.
 
-    Minimizes the quotient over the tau schedule and a tight grid of
-    directions around w; a decreasing tail is Aitken-extrapolated and
-    flagged, since the underlying limit inferior may sit below every
+    Minimizes the quotient over the tau schedule ``f.scales`` and a tight
+    grid of directions around w; a decreasing tail is Aitken-extrapolated
+    and flagged, since the underlying limit inferior may sit below every
     finite-scale quotient.
     """
-    if taus is None:
-        taus = f.suggested_scales(xbar)
-    taus = sorted(taus, reverse=True)
     per_tau: List[float] = []
-    for t in taus:
+    for t in sorted(f.scales, reverse=True):
         best = math.inf
-        for rel in wprime_rel:
+        for rel in _WPRIME_REL:
             wp = w * (1.0 + rel)
             q = 2.0 * (f.diff(xbar + t * wp, xbar) - t * v * wp) / (t * t)
             best = min(best, q)

@@ -202,7 +202,7 @@ def _conic_report(path: str, flags: dict, stages, timings: bool = False) -> dict
 
     build = {
         "stationarity": lambda: _stationarity_dict(
-            kkt.stationarity_check(pd, tol=max(flags["tol"], 1e-12))),
+            kkt.stationarity_check(pd, tol=flags["tol"])),
         "cq": lambda: _cq_dict(cq.run_cq(pd, seed=seed, **probe), pd),
         "sosc": sosc_section,
         "oracle": lambda: _qgc_dict(oracle.estimate_qg_modulus(
@@ -226,6 +226,7 @@ def analyze_report(path: str, seed: int = 0, samples: int = 20000,
                    radii=None, tol: float = 1e-7, tilt: bool = False,
                    timings: bool = False) -> dict:
     """Full pipeline: evaluate, stationarity, multipliers, CQ, curvature, oracle."""
+    _require_positive(tol=tol)
     flags = dict(_oracle_flags(seed, samples, radii), tol=tol, tilt=tilt)
     stages = ("stationarity", "cq", "sosc", "oracle") + (("tilt",) if tilt else ())
     return _conic_report(path, flags, stages, timings)
@@ -343,9 +344,11 @@ def _tilt_dict(tr: oracle.TiltReport) -> dict:
 
 def pw1d_report(path: str, point: float = 0.0, radii=None,
                 with_d2: bool = False, seed: int = 0) -> dict:
+    if not math.isfinite(point):
+        raise InputError(f"point must be finite, got {point!r}")
     f = _load(pw1d.load, pw1d.Pw1dFormatError, path)
     if radii is None or radii == "auto":
-        radii_t = f.suggested_radii()
+        radii_t = f.radii
     else:
         radii_t = tuple(float(r) for r in radii)
         _require_positive(radii=radii_t)

@@ -400,20 +400,10 @@ class _SigmaEvaluator:
         return out
 
     def single_with_argmax(self, w: np.ndarray):
-        """Value plus a maximizing multiplier (None when unbounded)."""
-        if self.mode == "singleton":
-            lam = self.ms.lam0 if self.ms.m else np.zeros(0)
-            return float(w @ self._Q @ w), lam
+        """Value plus a maximizing multiplier (None when unbounded), by one
+        inner maximization; the generic mode's per-direction path."""
         base = float(w @ self.pd.g.hessian @ w)
-        c = _lambda_coefficients(self.pd, w)
-        if self.mode == "enumerated":
-            scores = self._verts.T @ c
-            if self._rays.shape[1] and np.any(
-                    self._rays.T @ c > 1e-9 * (1.0 + np.linalg.norm(c))):
-                return math.inf, None
-            j = int(np.argmax(scores))
-            return base + float(scores[j]), self._verts[:, j]
-        res = maximize_linear(self.ms, c)
+        res = maximize_linear(self.ms, _lambda_coefficients(self.pd, w))
         if res.status == "unbounded":
             return math.inf, None
         if res.cuts_exceeded:
@@ -423,11 +413,6 @@ class _SigmaEvaluator:
     @property
     def cheap(self) -> bool:
         return self.mode in ("singleton", "enumerated")
-
-    def model_matrix(self, lam) -> np.ndarray:
-        if self.mode == "singleton":
-            return self._Q
-        return _fixed_multiplier_matrix(self.pd, lam)
 
 
 # ----------------------------------------------------------------------
@@ -523,7 +508,8 @@ def _polish(cone, evaluator, W0, v0, rounds=60, step0=0.1, step_floor=1e-10):
         models = []
         for j in range(K):
             _, lam = evaluator.single_with_argmax(W[:, j])
-            models.append(evaluator.model_matrix(lam) if lam is not None else None)
+            models.append(None if lam is None
+                          else _fixed_multiplier_matrix(evaluator.pd, lam))
 
     n_trials = 2 * n
     offsets = np.zeros((n, n_trials))
@@ -572,7 +558,7 @@ def _polish(cone, evaluator, W0, v0, rounds=60, step0=0.1, step_floor=1e-10):
                         V[j] = val
                         W[:, j] = Pj[:, t]
                         if lam is not None:
-                            models[j] = evaluator.model_matrix(lam)
+                            models[j] = _fixed_multiplier_matrix(evaluator.pd, lam)
                         accepted = True
                         break
                 if not accepted:

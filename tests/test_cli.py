@@ -23,6 +23,9 @@ MALFORMED = [
     ("pw1d", "index.pw", b"pw1d\nbreakpoints: 0\npiece x: 0 0 1\npiece 1: 0 0 1\n"),
     ("pw1d", "gen_ab.pw", b"pw1d\ngenerator: binary-staircase a b\n"),
     ("pw1d", "gen_11.pw", b"pw1d\ngenerator: binary-staircase 1 1\n"),
+    # a slope this close to 1 rounds flats to zero width
+    ("pw1d", "gen_flat.pw",
+     b"pw1d\ngenerator: binary-staircase 1.5 1.0000000000000002\n"),
     ("pw1d", "dir.pw", None),
     ("analyze", "dir.prob", None),
     ("pw1d", "latin1.pw", b"pw1d\nbreakpoints: 0\xff\n"),
@@ -278,6 +281,11 @@ def test_numeric_failure_maps_to_exit_two(argv, module, call, stage, kept,
     ["pw1d", "--radius", "0"],
     ["pw1d", "--radii", "0.1,inf"],
     ["pw1d", "--radii", "0.1,x"],
+    ["pw1d", "--point", "nan"],
+    ["pw1d", "--point", "inf"],
+    ["analyze", "--tol", "nan"],
+    ["analyze", "--tol", "-1"],
+    ["analyze", "--tol", "0"],
 ], ids="_".join)
 def test_invalid_numeric_flags_are_input_errors(argv, capsys):
     command, flags = argv[0], argv[1:]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from strongmin import pw1d
 
 ALPHA = [1.0 / math.factorial(n + 1) for n in range(20)]
+EVEN_PW = "pw1d\nbreakpoints: 1\npiece 0: 0 1 0\npiece 1: 1 0 0\neven: true\n"
+# upper level to the right: value at the breakpoint is the lower limit
+JUMP_PW = "pw1d\nbreakpoints: 0\npiece 0: 0 0 0\npiece 1: 1 0 0\n"
 
 
 @pytest.fixture(scope="module")
@@ -206,8 +210,7 @@ class TestFormat:
             pw1d.loads("pw1d\nbreakpoints: 1\npiece 0: 0 0 1\n")
 
     def test_even_expansion(self):
-        f = pw1d.loads("pw1d\nbreakpoints: 1\npiece 0: 0 1 0\npiece 1: 1 0 0\n"
-                       "even: true\n")
+        f = pw1d.loads(EVEN_PW)
         assert f.value(0.5) == 0.5
         assert f.value(-0.5) == 0.5
         assert f.value(2.0) == 1.0
@@ -219,6 +222,68 @@ class TestFormat:
         assert f.prox_subdiff(0.0) == (-1.0, 1.0)
 
     def test_lsc_rule_at_jump(self):
-        # upper level to the right: value at the breakpoint is the lower limit
-        f = pw1d.loads("pw1d\nbreakpoints: 0\npiece 0: 0 0 0\npiece 1: 1 0 0\n")
+        f = pw1d.loads(JUMP_PW)
         assert f.value(0.0) == 0.0
+
+    def test_pieces_must_be_nonempty_and_contiguous(self):
+        inf = math.inf
+        for pieces in ([],
+                       [pw1d.Piece(-inf, 0.0, 0, 0, 1), pw1d.Piece(1.0, inf, 0, 0, 1)],
+                       [pw1d.Piece(-inf, 0.0, 0, 0, 1), pw1d.Piece(0.0, 0.0, 0, 0, 1),
+                        pw1d.Piece(0.0, inf, 0, 0, 1)]):
+            with pytest.raises(ValueError):
+                pw1d.Piecewise1D(pieces)
+
+
+def _scan(f, x):
+    """(value, prox_subdiff) of f at x by a linear scan over its pieces."""
+    acc = f.accumulation
+    if acc is not None and x == acc[0]:
+        return f.offset, acc[1]
+    for p in f.pieces:
+        if p.lo < x < p.hi:
+            return f.offset + p.val(x), (p.slope(x), p.slope(x))
+    left = next((p for p in f.pieces if p.hi == x), None)
+    right = next((p for p in f.pieces if p.lo == x), None)
+    v = min(p.val(x) for p in (left, right) if p is not None)
+    tiny = 1e-14 * max(1.0, abs(v))
+    lo = left.slope(x) if left is not None and left.val(x) <= v + tiny else -math.inf
+    hi = right.slope(x) if right is not None and right.val(x) <= v + tiny else math.inf
+    return f.offset + v, (None if lo > hi else (lo, hi))
+
+
+class TestLookup:
+    @pytest.mark.parametrize("make", [
+        pw1d.example31, pw1d.example33,
+        lambda: pw1d.binary_staircase(3.0, 2.0),
+        lambda: pw1d.binary_staircase(1.5, 1.2),
+        lambda: pw1d.loads(EVEN_PW), lambda: pw1d.loads(JUMP_PW),
+    ], ids=["example31", "example33", "staircase(3,2)", "staircase(1.5,1.2)",
+            "even", "jump"])
+    def test_agrees_with_linear_scan(self, make):
+        f = make()
+        rng = np.random.default_rng(0)
+        xs = [0.0]
+        for b in f.breakpoints:
+            xs += [b, np.nextafter(b, -math.inf), np.nextafter(b, math.inf)]
+        xs += list(rng.uniform(-2.0, 2.0, size=100))
+        xs += list(rng.choice([-1.0, 1.0], size=100)
+                   * 10.0 ** rng.uniform(-12.0, 0.0, size=100))
+        for x in map(float, xs):
+            value, iv = _scan(f, x)
+            assert f.value(x) == value, x
+            assert f.prox_subdiff(x) == iv, x
+
+    def test_diff_near_a_deep_point_is_exact(self, f31):
+        # f31 stores f minus its minimum; two nearby values of f itself
+        # would cancel that offset away
+        def exact(x):
+            p = next(p for p in f31.pieces if p.lo < x < p.hi)
+            X = Fraction(x)
+            return Fraction(p.a) + Fraction(p.b) * X + Fraction(p.c) * X * X
+
+        xbar = 0.001
+        for k in range(4, 13):
+            x = xbar + 10.0 ** -k
+            want = exact(x) - exact(xbar)
+            assert abs(Fraction(f31.diff(x, xbar)) - want) <= abs(want) / 10**6, k
