@@ -14,6 +14,11 @@ NaN, so that samplers can drop it.  At a single point (``eval_bundle``,
 ``eval_value``) the same columns raise EvalDomainError, and any other
 inf/nan raises NonFiniteError.
 
+A polynomial tree (``+ - *``, unary minus, ``^k``, constants, variables)
+can also be compiled once into its monomials (``compile_polynomial``);
+``RowStack`` evaluates a stack of rows from that form and hands every
+other row to the walker.
+
 Grammar::
 
     expr   := term (('+'|'-') term)*
@@ -32,7 +37,7 @@ bounds the repeated multiplication that evaluates a power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +60,10 @@ __all__ = [
     "eval_grads",
     "to_text",
     "quadratic_shift",
+    "compile_polynomial",
+    "RowStack",
     "MAX_EXPONENT",
+    "MAX_MONOMIALS",
 ]
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
@@ -416,13 +424,180 @@ def eval_grads(e: Expression, X: np.ndarray):
 
 
 # ----------------------------------------------------------------------
+# compiled polynomial rows
+# ----------------------------------------------------------------------
+
+# Most monomials a tree may expand to (at any step of its expansion) and
+# still be compiled; a larger tree keeps the walker.
+MAX_MONOMIALS = 64
+
+# One monomial: (coefficient, ((variable, exponent >= 1), ...) by variable).
+Monomial = Tuple[float, Tuple[Tuple[int, int], ...]]
+
+
+def _times(a: dict, b: dict):
+    """Product of two {exponents: coefficient} expansions, or None above the
+    bounds."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(i + j for i, j in zip(ea, eb))
+            if max(key, default=0) > MAX_EXPONENT:
+                return None
+            out[key] = out[key] + ca * cb if key in out else ca * cb
+    return out if len(out) <= MAX_MONOMIALS else None
+
+
+def _expand(e: Expression, n: int):
+    """``e`` as an {exponents: coefficient} dict in order of first
+    appearance, or None when ``e`` is not a polynomial (sqrt exp log sin
+    cos, '/') or exceeds MAX_MONOMIALS or MAX_EXPONENT."""
+    if isinstance(e, Const):
+        return {(0,) * n: e.value}
+    if isinstance(e, Var):
+        return {tuple(int(i == e.index) for i in range(n)): 1.0}
+    if isinstance(e, Unary):
+        a = _expand(e.arg, n) if e.op == "neg" else None
+        return None if a is None else {k: -c for k, c in a.items()}
+    if isinstance(e, Power):
+        a = _expand(e.base, n)
+        if a is None:
+            return None
+        if e.exponent == 0:
+            return {(0,) * n: 1.0}
+        out = a
+        for _ in range(e.exponent - 1):
+            out = _times(out, a)
+            if out is None:
+                return None
+        return out
+    if isinstance(e, Binary) and e.op != "div":
+        a, b = _expand(e.left, n), _expand(e.right, n)
+        if a is None or b is None:
+            return None
+        if e.op == "mul":
+            return _times(a, b)
+        sign = 1.0 if e.op == "add" else -1.0
+        out = dict(a)
+        for k, c in b.items():
+            out[k] = out[k] + sign * c if k in out else sign * c
+        return out if len(out) <= MAX_MONOMIALS else None
+    return None
+
+
+def compile_polynomial(e: Expression, n: int) -> Optional[Tuple[Monomial, ...]]:
+    """The monomials of ``e`` over n variables, or None if it has no
+    compiled form within MAX_MONOMIALS and MAX_EXPONENT."""
+    terms = _expand(e, n)
+    if terms is None:
+        return None
+    return tuple((c, tuple((i, k) for i, k in enumerate(ex) if k))
+                 for ex, c in terms.items())
+
+
+def _product(P, factors, d=None):
+    """prod x_i^k over ``factors`` from the power table P, in variable order;
+    with ``d``, the partial derivative in x_d: k x_d^(k-1) first, then the
+    other factors.  None stands for the constant 1."""
+    out = None
+    if d is not None:
+        k = dict(factors)[d]
+        out = k * P[d][k - 1] if k > 1 else None
+    for i, k in factors:
+        if i != d:
+            out = P[i][k] if out is None else out * P[i][k]
+    return out
+
+
+def _scaled(c: float, prod):
+    """c times a product from ``_product``; 1.0 * prod is prod bit for bit."""
+    return c if prod is None else prod if c == 1.0 else c * prod
+
+
+class RowStack:
+    """A stack of rows over n variables, evaluated together.
+
+    A polynomial row is compiled on construction into its monomials.  A
+    call forms one power table shared by every row, x_i^k by repeated
+    multiplication as ``_ipow`` forms it, and each distinct monomial and
+    partial derivative once.  A row's value and each gradient entry sum
+    coefficient times product over the monomials in order of first
+    appearance, so a row written as a sum of coefficient-times-monomial
+    terms gets the walker's bits.  Any other row goes through
+    ``eval_values``/``eval_grads``.  Every call returns fresh arrays.
+    """
+
+    def __init__(self, rows, n: int):
+        self.rows = tuple(rows)
+        self.n = n
+        self.compiled = tuple(compile_polynomial(r, n) for r in self.rows)
+        self._top = [0] * n
+        for terms in self.compiled:
+            for _, factors in terms or ():
+                for i, k in factors:
+                    self._top[i] = max(self._top[i], k)
+
+    def _powers(self, X):
+        """P[i][k] = x_i^k for 1 <= k <= the highest power of x_i used."""
+        P = []
+        for i, top in enumerate(self._top):
+            row = [None]
+            for _ in range(top):
+                row.append(X[i] if len(row) == 1 else row[-1] * X[i])
+            P.append(row)
+        return P
+
+    def _eval(self, X, order):
+        m, N = len(self.rows), X.shape[1]
+        V = np.empty((m, N))
+        J = np.zeros((m, self.n, N)) if order else None
+        with np.errstate(all="ignore"):
+            P = self._powers(X)
+            products = {}
+
+            def product(factors, d=None):
+                key = (factors, d)
+                if key not in products:
+                    products[key] = _product(P, factors, d)
+                return products[key]
+
+            for r, (row, terms) in enumerate(zip(self.rows, self.compiled)):
+                if terms is None:
+                    if order:
+                        V[r], J[r] = eval_grads(row, X)
+                    else:
+                        V[r] = eval_values(row, X)
+                    continue
+                for t, (c, factors) in enumerate(terms):
+                    term = _scaled(c, product(factors))
+                    if t:
+                        V[r] += term
+                    else:
+                        V[r] = term
+                    if order:
+                        for d, _ in factors:
+                            J[r, d] += _scaled(c, product(factors, d))
+        return V, J
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """Row values (m, N) over the columns of X (n, N)."""
+        return self._eval(X, 0)[0]
+
+    def grads(self, X: np.ndarray):
+        """Row values (m, N) and gradients (m, n, N); the values are the
+        bits ``values`` gives."""
+        return self._eval(X, 1)
+
+
+# ----------------------------------------------------------------------
 # rendering and tree surgery
 # ----------------------------------------------------------------------
 
 def to_text(e: Expression, variables) -> str:
     """Render a tree to parseable text (fully parenthesized)."""
     if isinstance(e, Const):
-        return repr(e.value) if e.value >= 0 else f"({repr(e.value)})"
+        # -0.0 too: a bare "-0.0" after a unary minus would not parse
+        return repr(e.value) if not np.signbit(e.value) else f"({repr(e.value)})"
     if isinstance(e, Var):
         return variables[e.index]
     if isinstance(e, Power):

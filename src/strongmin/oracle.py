@@ -17,7 +17,7 @@ import numpy as np
 from . import expr
 from ._descent import minimize_tilted, push_to_feasible
 from ._sampling import ball, sphere
-from .problem import Problem
+from .problem import Problem, batch_objective_values
 
 __all__ = [
     "QgcEstimate",
@@ -132,7 +132,7 @@ def estimate_qg_modulus(p: Problem, radii=DEFAULT_RADII, count: int = 20000,
         if not np.any(mask):
             per_radius.append(np.inf)
             continue
-        vals = expr.eval_values(p.objective, Y[:, mask])
+        vals = batch_objective_values(p, Y[:, mask])
         ratios = 2.0 * (vals - g0) / d2[mask]
         per_radius.append(float(np.min(ratios)))
     verdict = qgc_verdict(per_radius, usable=usable)

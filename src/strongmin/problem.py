@@ -16,6 +16,7 @@ line is optional in files, but required before analysis.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -36,6 +37,10 @@ __all__ = [
     "loads",
     "save_text",
     "evaluate",
+    "batch_constraint_values",
+    "batch_constraint_grads",
+    "batch_objective_values",
+    "batch_objective_grads",
     "FEASIBILITY_TOL",
     "ACTIVITY_TOL",
 ]
@@ -72,6 +77,16 @@ class Problem:
     @property
     def m(self) -> int:
         return sum(b.cone.m for b in self.blocks)
+
+    # Compiled on the first batched call, not by load.
+    @functools.cached_property
+    def row_stack(self) -> expr.RowStack:
+        """Every block's rows, stacked in block order."""
+        return expr.RowStack([r for b in self.blocks for r in b.rows], self.n)
+
+    @functools.cached_property
+    def objective_stack(self) -> expr.RowStack:
+        return expr.RowStack([self.objective], self.n)
 
     def with_objective(self, objective: Expression) -> "Problem":
         return Problem(self.variables, objective, self.blocks, self.point)
@@ -292,25 +307,20 @@ def evaluate(p: Problem, x) -> PointData:
 
 def batch_constraint_values(p: Problem, X: np.ndarray) -> np.ndarray:
     """Stacked q(x) over columns of X; shape (m, N)."""
-    if not p.blocks:
-        return np.zeros((0, X.shape[1]))
-    rows = []
-    for b in p.blocks:
-        for row in b.rows:
-            rows.append(expr.eval_values(row, X))
-    return np.vstack(rows)
+    return p.row_stack.values(X)
 
 
 def batch_constraint_grads(p: Problem, X: np.ndarray):
     """Stacked (values (m,N), jacobians (m,n,N)) over columns of X."""
-    n, N = X.shape
-    vals, jacs = [], []
-    for b in p.blocks:
-        for row in b.rows:
-            v, gmat = expr.eval_grads(row, X)
-            vals.append(v)
-            jacs.append(gmat)
-    if not vals:
-        return np.zeros((0, N)), np.zeros((0, n, N))
-    return np.vstack(vals), np.stack(jacs)
+    return p.row_stack.grads(X)
 
+
+def batch_objective_values(p: Problem, X: np.ndarray) -> np.ndarray:
+    """g(x) over columns of X; shape (N,)."""
+    return p.objective_stack.values(X)[0]
+
+
+def batch_objective_grads(p: Problem, X: np.ndarray):
+    """(g values (N,), gradients (n,N)) over columns of X."""
+    v, g = p.objective_stack.grads(X)
+    return v[0], g[0]

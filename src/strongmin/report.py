@@ -370,9 +370,11 @@ def pw1d_report(path: str, point: float = 0.0, radii=None,
     stationary = iv is not None and iv[0] <= 1e-12 and iv[1] >= -1e-12
     rep["proximally_stationary"] = stationary
 
+    not_stationary = {"skipped": "zero is not a proximal subgradient at the point"}
+
     def conditions():
         if not stationary:
-            return {"skipped": "zero is not a proximal subgradient at the point"}
+            return not_stationary
         cond = pw1d.check_conditions(f, point)
         return {
             "pd_34": _verdict(cond.pd_lower_bound,
@@ -403,6 +405,8 @@ def pw1d_report(path: str, point: float = 0.0, radii=None,
         }
 
     def second_subderivative():
+        if not stationary:
+            return not_stationary
         out = {}
         for w in (1.0, -1.0):
             r = pw1d.second_subderivative(f, point, 0.0, w)

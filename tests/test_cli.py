@@ -179,6 +179,17 @@ class TestReports:
         assert "skipped" in rep["conditions"]
         assert rep["qgc"]["verdict"] == "Fails"  # no growth at a slope point
 
+    def test_pw1d_d2_skipped_at_nonstationary_point(self, capsys):
+        # the second subderivative at v = 0 means nothing where 0 is not a
+        # proximal subgradient; ex31's subdifferential at 0.001 is {1/5040}
+        code = run_cli(["pw1d", corpus_path("ex31", "function.pw"),
+                        "--point", "0.001", "--d2"])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert rep["proximally_stationary"] is False
+        assert rep["second_subderivative"] == rep["conditions"] == {
+            "skipped": "zero is not a proximal subgradient at the point"}
+
     def test_digest_matches_canonical_form(self, capsys):
         from strongmin import problem
         run_cli(["cq", corpus_path("licq", "problem.prob")])

@@ -30,6 +30,37 @@ def test_feasible_columns_are_fixed_points(name, request):
     assert np.all(res[feasible] <= 1e-12)
 
 
+_NINE = [f"x{i}" for i in range(1, 10)]
+_NINE_ORTHANT = (
+    "vars: " + " ".join(_NINE) + "\n"
+    "objective: " + " + ".join(f"{v}^2" for v in _NINE) + "\n"
+    "block orthant 2:\n"
+    "  row: " + " + ".join(f"{v}^2" for v in _NINE) + " - 0.5\n"
+    "  row: " + " + ".join(f"{0.1 * i:g}*{v}" for i, v in enumerate(_NINE, 1))
+    + " - 0.2\n"
+    "point: " + " ".join("0" for _ in _NINE) + "\n")
+
+
+def test_frozen_column_keeps_the_live_batch_wide():
+    """A column that starts feasible is skipped, but never so that one live
+    column is left alone: with 9 variables numpy would sum that column's
+    norms pairwise and its bits would change with its batch."""
+    p = problem.loads(_NINE_ORTHANT)
+    rng = np.random.default_rng(9)
+    x, other = rng.uniform(-1, 1, 9), rng.uniform(-1, 1, 9)
+    feasible = np.full(9, -0.1)
+    X = np.column_stack([x, feasible, other])
+    assert list(feasibility_residuals(p, X) > 0) == [True, False, True]
+    # every batch below has max|X| <= 1, hence the same initial step
+    Y1, res1 = push_to_feasible(p, X[:, :2])
+    Y2, res2 = push_to_feasible(p, X[:, [0, 2]])
+    assert np.array_equal(Y1[:, 0], Y2[:, 0]) and res1[0] == res2[0]
+    assert np.array_equal(Y1[:, 1], feasible) and res1[1] == 0.0
+    # the check can see a collapse: a one-column batch gives other bits here
+    alone, _ = push_to_feasible(p, x[:, None])
+    assert not np.array_equal(alone[:, 0], Y1[:, 0])
+
+
 def test_no_blocks_returns_x_unchanged():
     p = problem.loads("vars: x1 x2\nobjective: x1^2 + x2^2\npoint: 0 0\n")
     X = ball(p.point, 0.3, 50, seed=0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongmin import expr
 
@@ -302,3 +304,96 @@ class TestProperties:
             e2 = expr.parse(expr.to_text(e, names), names)
             x = rng.uniform(-1, 1, size=3)
             assert abs(expr.eval_value(e, x) - expr.eval_value(e2, x)) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# compiled polynomial rows
+# ----------------------------------------------------------------------
+
+def polynomial_trees(nvars, levels):
+    """Trees shaped like random_polynomial's, with at most ``levels``
+    levels of operations; three levels keep every expansion far below
+    MAX_MONOMIALS."""
+    leaf = st.one_of(st.floats(-2, 2).map(expr.Const),
+                     st.integers(0, nvars - 1).map(expr.Var))
+    if levels == 0:
+        return leaf
+    sub = polynomial_trees(nvars, levels - 1)
+    return st.one_of(
+        leaf,
+        st.builds(expr.Binary, st.sampled_from(["add", "sub", "mul"]), sub, sub),
+        st.builds(expr.Power, sub, st.integers(0, 3)),
+        st.builds(expr.Unary, st.just("neg"), sub))
+
+
+def majorant(e):
+    """The tree with |c| for each constant, '+' for '-' and no unary minus:
+    at |x| it bounds every intermediate value and gradient entry of ``e``
+    at x, the walker's and the compiled form's alike, in absolute value."""
+    if isinstance(e, expr.Const):
+        return expr.Const(abs(e.value))
+    if isinstance(e, expr.Var):
+        return e
+    if isinstance(e, expr.Unary):
+        return majorant(e.arg)
+    if isinstance(e, expr.Power):
+        return expr.Power(majorant(e.base), e.exponent)
+    return expr.Binary("mul" if e.op == "mul" else "add",
+                       majorant(e.left), majorant(e.right))
+
+
+NAMES3 = ["x1", "x2", "x3"]
+
+
+class TestCompiledRows:
+    @settings(max_examples=300, deadline=None)
+    @given(tree=polynomial_trees(3, 3), seed=st.integers(0, 2**32 - 1))
+    def test_compiled_rows_match_the_walker(self, tree, seed):
+        assert expr.compile_polynomial(tree, 3) is not None
+        X = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(3, 16))
+        stack = expr.RowStack([tree], 3)
+        v, g = stack.grads(X)
+        wv, wg = expr.eval_grads(tree, X)
+        mv, mg = expr.eval_grads(majorant(tree), np.abs(X))
+        # 1e-12 relative to the majorant, which bounds the rounding of both
+        assert np.all(np.abs(v[0] - wv) <= 1e-12 * (1.0 + mv))
+        assert np.all(np.abs(g[0] - wg) <= 1e-12 * (1.0 + mg))
+        assert stack.values(X).tobytes() == v.tobytes()
+        # the text form parses back to a tree that evaluates identically
+        back = expr.parse(expr.to_text(tree, NAMES3), NAMES3)
+        bv, bg = expr.eval_grads(back, X)
+        assert np.array_equal(bv, wv) and np.array_equal(bg, wg)
+
+    @pytest.mark.parametrize("text", [
+        "sqrt(x1^2 + 1) + x2", "x1 / (x2^2 + 1)", "exp(x1) * x2",
+        "(x1 + x2)^64"])
+    def test_other_rows_fall_back_to_the_walker(self, text):
+        e = expr.parse(text, ["x1", "x2"])
+        assert expr.compile_polynomial(e, 2) is None
+        X = np.random.default_rng(8).uniform(-1, 1, size=(2, 50))
+        stack = expr.RowStack([expr.parse("x1*x2 - 3", ["x1", "x2"]), e], 2)
+        assert stack.compiled[0] is not None and stack.compiled[1] is None
+        v, g = stack.grads(X)
+        wv, wg = expr.eval_grads(e, X)
+        assert v[1].tobytes() == wv.tobytes() and g[1].tobytes() == wg.tobytes()
+        assert stack.values(X)[1].tobytes() == expr.eval_values(e, X).tobytes()
+
+    def test_monomial_bound(self):
+        # (x1 + x2)^k has k + 1 monomials
+        at_bound = expr.parse(f"(x1 + x2)^{expr.MAX_MONOMIALS - 1}", ["x1", "x2"])
+        assert len(expr.compile_polynomial(at_bound, 2)) == expr.MAX_MONOMIALS
+        nested = expr.parse("((x1^10)^10)^2", ["x1"])
+        assert expr.compile_polynomial(nested, 1) is None  # x1^200
+
+    def test_powers_are_repeated_multiplication(self):
+        xs = np.random.default_rng(6).uniform(-2, 2, size=200)
+        v, g = expr.RowStack([expr.parse("x1^4", ["x1"])], 1).grads(xs[None, :])
+        assert np.array_equal(v[0], xs * xs * xs * xs)
+        assert np.array_equal(g[0, 0], 4 * (xs * xs * xs))
+
+    def test_negative_zero_round_trips(self):
+        # "-0.0" used to render bare, and "(--0.0)" does not parse
+        for e in (expr.Unary("neg", expr.Const(-0.0)), expr.Const(-0.0)):
+            back = expr.parse(expr.to_text(e, []), [])
+            v, w = expr.eval_value(e, np.zeros(0)), expr.eval_value(back, np.zeros(0))
+            assert v == w and np.signbit(v) == np.signbit(w)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from strongmin import cones, problem
+from conftest import corpus_path
+from strongmin import cones, expr, problem
+from strongmin._sampling import ball
 
 
 class TestLoad:
@@ -107,3 +109,76 @@ class TestEvaluate:
     def test_soc_boundary_activity(self, socb):
         pd = problem.evaluate(socb, socb.point)
         assert pd.blocks[0].activity.case == "soc_boundary"
+
+
+def _quadratic_row(c, Q):
+    """c.x + 0.5 x.Q.x built term by term from 0, as the LICQ sweep of the
+    benchmark and of acceptance criterion 7 builds its rows."""
+    n = len(c)
+    e = expr.Const(0.0)
+    for i in range(n):
+        e = expr.Binary("add", e, expr.Binary("mul", expr.Const(float(c[i])),
+                                              expr.Var(i)))
+    for i in range(n):
+        for j in range(i, n):
+            coef = 0.5 * Q[i, j] if i == j else Q[i, j]
+            e = expr.Binary("add", e, expr.Binary(
+                "mul", expr.Const(float(coef)),
+                expr.Binary("mul", expr.Var(i), expr.Var(j))))
+    return e
+
+
+def _licq_sweep_instance():
+    rng = np.random.default_rng(11)
+    n, k = 4, 3
+    rows = []
+    for _ in range(k):
+        B = 0.4 * rng.standard_normal((n, n))
+        rows.append(_quadratic_row(rng.standard_normal(n), B + B.T))
+    H = rng.standard_normal((n, n))
+    p = problem.Problem(tuple(f"x{i + 1}" for i in range(n)),
+                        _quadratic_row(rng.standard_normal(n), H + H.T),
+                        (problem.Block(tuple(rows), cones.orthant(k)),),
+                        np.zeros(n))
+    return problem.loads(problem.save_text(p))  # through text, as the sweep
+
+
+class TestBatchedRows:
+    @pytest.mark.parametrize("name", ["ex44", "ex46", "ex47", "licq", "quad3",
+                                      "socb", "licq-sweep"])
+    def test_compiled_rows_give_the_walkers_values(self, name):
+        """Rows written as sums of coefficient times monomial evaluate, once
+        compiled, to the walker's floats (np.array_equal: the sign of a zero
+        aside), and the values path gives the gradients path's bytes."""
+        p = (_licq_sweep_instance() if name == "licq-sweep"
+             else problem.load(corpus_path(name, "problem.prob")))
+        X = ball(p.point, 1.0, 1000, seed=5)
+        rows = [r for b in p.blocks for r in b.rows]
+        assert all(t is not None for t in p.row_stack.compiled)
+        assert p.objective_stack.compiled[0] is not None
+        q, jacs = problem.batch_constraint_grads(p, X)
+        assert q.shape == (len(rows), 1000) and jacs.shape == (len(rows), p.n, 1000)
+        for i, row in enumerate(rows):
+            v, g = expr.eval_grads(row, X)
+            assert np.array_equal(q[i], v) and np.array_equal(jacs[i], g)
+        assert problem.batch_constraint_values(p, X).tobytes() == q.tobytes()
+        gv, gg = problem.batch_objective_grads(p, X)
+        wv, wg = expr.eval_grads(p.objective, X)
+        assert np.array_equal(gv, wv) and np.array_equal(gg, wg)
+        assert problem.batch_objective_values(p, X).tobytes() == gv.tobytes()
+
+    def test_rows_compile_on_first_batched_call(self, tmp_path):
+        path = tmp_path / "p.prob"
+        path.write_text("vars: x1\nobjective: x1^2\nblock orthant 1:\n"
+                        "  row: x1\npoint: 0\n")
+        p = problem.load(str(path))
+        assert "row_stack" not in vars(p) and "objective_stack" not in vars(p)
+        problem.batch_constraint_values(p, np.zeros((1, 3)))
+        assert "row_stack" in vars(p) and "objective_stack" not in vars(p)
+
+    def test_no_blocks(self):
+        p = problem.loads("vars: x1 x2\nobjective: x1*x2\npoint: 0 0\n")
+        X = np.ones((2, 4))
+        q, jacs = problem.batch_constraint_grads(p, X)
+        assert q.shape == (0, 4) and jacs.shape == (0, 2, 4)
+        assert problem.batch_constraint_values(p, X).shape == (0, 4)
