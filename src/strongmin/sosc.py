@@ -8,12 +8,17 @@ the objective Hessian form plus the exact maximum of a multiplier-linear
 functional over the multiplier set, including the reduction curvature
 correction contributed by active second-order-cone boundary blocks.
 
+`analyze` first presolves the cone: a soc block whose B has a zero first
+row, and an inequality row that one LP shows to vanish on the whole cone,
+become equality rows.  A cone left with equality rows only is a subspace
+and is projected exactly; every conic corpus cone ends up so.
+
 The infimum of sigma over unit directions of the cone is certified two
-ways: an eigenvalue reduction when the cone is a subspace, the multiplier
-set is a singleton and no curvature correction is present (Exact), and a
-deterministic low-discrepancy sphere search with coordinate-descent
-polishing otherwise (Sampled).  A cone that small LPs prove to be {0}
-makes both verdicts hold vacuously (Exact).
+ways: an eigenvalue reduction when the presolved cone is a subspace, the
+multiplier set is a singleton and no curvature correction is present
+(Exact), and a deterministic low-discrepancy sphere search with
+coordinate-descent polishing otherwise (Sampled).  A cone that small LPs
+prove to be {0} makes both verdicts hold vacuously (Exact).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "SoscReport",
     "NotInCriticalCone",
     "build_critical_cone",
+    "presolve",
     "sigma",
     "analyze",
     "VERDICT_TOL",
@@ -42,6 +48,9 @@ __all__ = [
 
 VERDICT_TOL = 1e-7
 _MEMBERSHIP_TOL = 1e-9
+# presolve: an inequality row F_i whose largest -F_i.w over the box and the
+# relaxed cone is at most this times ||F_i|| is an implicit equality
+_PRESOLVE_TOL = 1e-12
 _INTERIOR, _VERTEX, _BOUNDARY = 0, 1, 2  # position of B w in a soc block
 
 
@@ -98,27 +107,38 @@ class CriticalCone:
             raise ValueError("cone is not a subspace")
         return self._null
 
-    def is_trivial(self) -> bool:
-        """True when the cone is proven to be {0}.
+    def _box_maxima(self, C: np.ndarray):
+        """For each row c of C, the maximum of c.w over the box |w_i| <= 1
+        intersected with a polyhedral outer relaxation of the cone, or None
+        where the LP does not reach an optimum.
 
-        Maximizes each of +-w_i over the box |w_i| <= 1 intersected with a
-        polyhedral outer relaxation of the cone, each soc constraint B w in
-        soc(m) relaxed by ``cones.soc_relaxation``.  The relaxation is a
-        cone, so the 2n optima are all 0 when it is {0} and their maximum
-        is 1 otherwise.  Exact for polyhedral cones; with soc blocks a True
-        answer is a certificate and False decides nothing.
+        Each soc constraint B w in soc(m) is relaxed by
+        ``cones.soc_relaxation``, so the relaxation is a cone that contains
+        this one (and equals it when there is no soc block).  Lazy: a caller
+        may stop after the first answer it needs.
         """
         relax = [self.ineq] + [cones.soc_relaxation(B) for B, _ in self.soc]
         box = np.eye(self.n)
         A_ub = np.vstack(relax + [box, -box])
         b_ub = np.concatenate([np.zeros(A_ub.shape[0] - 2 * self.n),
                                np.ones(2 * self.n)])
-        for c in np.vstack([box, -box]):
-            res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=self.eq,
-                           b_eq=np.zeros(self.eq.shape[0]))
-            if res.status != "optimal" or res.value > 0.5:
-                return False
-        return True
+        b_eq = np.zeros(self.eq.shape[0])
+        for c in C:
+            res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=self.eq, b_eq=b_eq)
+            yield res.value if res.status == "optimal" else None
+
+    def is_trivial(self) -> bool:
+        """True when the cone is proven to be {0}.
+
+        Maximizes each of +-w_i over the box intersected with the
+        relaxation of ``_box_maxima``.  The relaxation is a cone, so the 2n
+        optima are all 0 when it is {0} and their maximum is 1 otherwise.
+        Exact for polyhedral cones; with soc blocks a True answer is a
+        certificate and False decides nothing.
+        """
+        box = np.eye(self.n)
+        return all(v is not None and v <= 0.5
+                   for v in self._box_maxima(np.vstack([box, -box])))
 
     def violation(self, W: np.ndarray) -> np.ndarray:
         """Columnwise distance of M w to the target set D."""
@@ -288,6 +308,31 @@ def build_critical_cone(pd: PointData, grad_tol: float = 1e-10) -> CriticalCone:
     return CriticalCone(n, eq, ineq, soc_rows)
 
 
+def presolve(cone: CriticalCone) -> CriticalCone:
+    """The same cone with its implicit equalities written as equality rows.
+
+    A soc block whose first row of B is zero forces B w = 0, since the
+    axis coordinate bounds the norm of the others; its other rows become
+    equality rows.  An inequality row F_i becomes one when -F_i.w has
+    maximum at most _PRESOLVE_TOL * ||F_i|| over the box and relaxation of
+    ``CriticalCone._box_maxima``: the relaxation contains the cone, so
+    F_i.w = 0 on all of it.  This is one step of facial reduction
+    (Borwein & Wolkowicz 1981).  A cone left with no inequality row and no
+    soc block is a subspace, projected exactly by ``P P^T``.
+    """
+    vertex = [not np.any(B[0]) for B, _ in cone.soc]
+    implicit = np.zeros(cone.ineq.shape[0], dtype=bool)
+    scale = np.linalg.norm(cone.ineq, axis=1)
+    for i, v in enumerate(cone._box_maxima(-cone.ineq)):
+        implicit[i] = v is not None and v <= _PRESOLVE_TOL * scale[i]
+    if not implicit.any() and not any(vertex):
+        return cone
+    eq = [cone.eq, cone.ineq[implicit]]
+    eq += [B[1:] for (B, _), v in zip(cone.soc, vertex) if v]
+    soc = [block for block, v in zip(cone.soc, vertex) if not v]
+    return CriticalCone(cone.n, np.vstack(eq), cone.ineq[~implicit], soc)
+
+
 # ----------------------------------------------------------------------
 # curvature functional
 # ----------------------------------------------------------------------
@@ -424,12 +469,12 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
             polish_rounds: int = 60) -> SoscReport:
     """Second-order verdicts and the predicted quadratic-growth modulus.
 
-    The Exact path applies when the critical cone is (structurally) a
-    linear subspace, the multiplier set is a singleton and no boundary
-    curvature enters, and when is_trivial proves the cone to be {0};
-    everything else is Sampled with the seed recorded.
+    The Exact path applies when the presolved critical cone is a linear
+    subspace, the multiplier set is a singleton and no boundary curvature
+    enters, and when is_trivial proves the cone to be {0}; everything else
+    is Sampled with the seed recorded.
     """
-    cone = build_critical_cone(pd)
+    cone = presolve(build_critical_cone(pd))
     exact_ok = cone.is_subspace and ms.k == 0 and not pd.face.rays
 
     if exact_ok and force != "sampled":

@@ -97,3 +97,29 @@ def quadratic_expr(c, Q):
                                    expr.Binary("mul", expr.Var(i), expr.Var(j)))
                 e = expr.Binary("add", e, term)
     return e
+
+
+def random_licq_instance(rng):
+    """Acceptance criterion 7's random orthant instance: k <= 3 active rows
+    with independent gradients (LICQ) at the origin, some multipliers 0."""
+    from strongmin import cones, problem
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(1, min(3, n) + 1))
+    while True:
+        A = rng.standard_normal((k, n))
+        if np.linalg.svd(A, compute_uv=False)[-1] >= 0.3:
+            break
+    rows = []
+    for i in range(k):
+        B = 0.4 * rng.standard_normal((n, n))
+        B = B + B.T
+        rows.append(quadratic_expr(A[i], B))
+    lam = np.abs(rng.standard_normal(k))
+    lam[rng.random(k) < 0.3] = 0.0
+    Hvecs = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    Heig = rng.uniform(-0.5, 2.5, size=n)
+    H = Hvecs @ np.diag(Heig) @ Hvecs.T
+    g = quadratic_expr(-(lam @ A), H)
+    names = tuple(f"x{i+1}" for i in range(n))
+    blocks = (problem.Block(tuple(rows), cones.orthant(k)),)
+    return problem.Problem(names, g, blocks, np.zeros(n))

@@ -6,7 +6,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import corpus_path, quadratic_expr
+from conftest import corpus_path, quadratic_expr, random_licq_instance
 from strongmin import cones, cq, expr, kkt, oracle, problem, pw1d, report, sosc
 
 
@@ -243,35 +243,12 @@ def _check_exact_vs_sampled():
         assert abs(sampled.predicted_modulus - exact.predicted_modulus) <= 1e-6
 
 
-def _random_licq_instance(rng):
-    n = int(rng.integers(2, 5))
-    k = int(rng.integers(1, min(3, n) + 1))
-    while True:
-        A = rng.standard_normal((k, n))
-        if np.linalg.svd(A, compute_uv=False)[-1] >= 0.3:
-            break
-    rows = []
-    for i in range(k):
-        B = 0.4 * rng.standard_normal((n, n))
-        B = B + B.T
-        rows.append(quadratic_expr(A[i], B))
-    lam = np.abs(rng.standard_normal(k))
-    lam[rng.random(k) < 0.3] = 0.0
-    Hvecs = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    Heig = rng.uniform(-0.5, 2.5, size=n)
-    H = Hvecs @ np.diag(Heig) @ Hvecs.T
-    g = quadratic_expr(-(lam @ A), H)
-    names = tuple(f"x{i+1}" for i in range(n))
-    blocks = (problem.Block(tuple(rows), cones.orthant(k)),)
-    return problem.Problem(names, g, blocks, np.zeros(n))
-
-
 def test_criterion_7_no_gap_consistency_sweep():
     with criterion(7, "no-gap consistency on random instances"):
         rng = np.random.default_rng(0)
         holds_checked = growth_checked = 0
         for _ in range(50):
-            p = _random_licq_instance(rng)
+            p = random_licq_instance(rng)
             pd = problem.evaluate(p, p.point)
             st = kkt.stationarity_check(pd)
             assert st.is_stationary

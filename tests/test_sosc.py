@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import (corpus_path, pipeline, random_quadratic_problem,
-                      sample_members)
+from conftest import (corpus_path, pipeline, random_licq_instance,
+                      random_quadratic_problem, sample_members)
 from strongmin import expr, kkt, problem, sosc
 from strongmin._sampling import sphere
 
@@ -128,6 +129,155 @@ class TestCriticalCone:
             for _ in range(20):
                 cand = cone.project(w0 + 0.5 * rng.standard_normal(3))
                 assert np.linalg.norm(w - w0) <= np.linalg.norm(cand - w0) + 1e-8
+
+
+def planted_cone(rng, with_soc):
+    """Random cone whose inequality rows hide implicit equalities: a and b
+    with -(a + b) force a.w = b.w = 0, and a soc block with a zero first
+    row forces its other rows to vanish; optionally a genuine soc block."""
+    n = int(rng.integers(3, 6))
+    a, b = rng.standard_normal((2, n))
+    free = rng.standard_normal((int(rng.integers(0, 3)), n))
+    rows = np.vstack([a, free, b, -(a + b)])
+    ineq = rows[rng.permutation(rows.shape[0])]
+    soc = [(np.vstack([np.zeros(n), rng.standard_normal((1, n))]), 2)]
+    if with_soc:
+        soc.append((np.vstack([np.eye(n)[0] * 3.0, rng.standard_normal((2, n))]), 3))
+    return sosc.CriticalCone(n, np.zeros((0, n)), ineq, soc)
+
+
+def null_basis(A, n):
+    if A.shape[0] == 0:
+        return np.eye(n)
+    _, s, vt = np.linalg.svd(A)
+    return vt[int(np.sum(s > 1e-10 * max(1.0, s[0]))):].T
+
+
+def face_projection(E, F, W):
+    """Euclidean projection onto the polyhedral cone {E w = 0, F w <= 0}
+    by brute force: the projection is the projection onto the span of the
+    face it lies on, so try every subset of F rows as that face and keep
+    the nearest feasible candidate."""
+    out = np.empty_like(W)
+    for j, w in enumerate(W.T):
+        best = None
+        for r in range(F.shape[0] + 1):
+            for active in itertools.combinations(range(F.shape[0]), r):
+                N = null_basis(np.vstack([E, F[list(active)]]), W.shape[0])
+                c = N @ (N.T @ w)
+                if np.all(F @ c <= 1e-12) and (
+                        best is None or np.linalg.norm(c - w) < np.linalg.norm(best - w)):
+                    best = c
+        out[:, j] = best
+    return out
+
+
+def face_enumeration_minimum(cone, Q):
+    """min w.Q.w over unit w of a polyhedral cone, by brute force: the
+    minimizer is an eigenvector of Q restricted to the span of the face
+    it lies on."""
+    best = math.inf
+    F = cone.ineq
+    for r in range(F.shape[0] + 1):
+        for active in itertools.combinations(range(F.shape[0]), r):
+            N = null_basis(np.vstack([cone.eq, F[list(active)]]), cone.n)
+            if N.shape[1] == 0:
+                continue
+            vals, vecs = np.linalg.eigh(N.T @ Q @ N)
+            for val, v in zip(vals, vecs.T):
+                w = N @ v
+                if np.all(F @ w <= 1e-9) or np.all(F @ w >= -1e-9):
+                    best = min(best, float(val))
+    return best
+
+
+class TestPresolve:
+    def test_planted_equalities_keep_the_cone(self):
+        # the raw cone has no interior point, so its ADMM projection is not
+        # the reference; the vertex block is written as its equality rows
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            raw = planted_cone(rng, with_soc=False)
+            pre = sosc.presolve(raw)
+            assert pre.is_subspace or pre.ineq.shape[0] <= raw.ineq.shape[0] - 3
+            assert not pre.soc
+            W = 2.0 * sphere(raw.n, 100, seed=3)
+            B = raw.soc[0][0]
+            exact = face_projection(B[1:], raw.ineq, W)
+            assert np.max(np.abs(pre.project(W) - exact)) <= 1e-6
+            X = np.hstack([exact, W, 0.5 * (exact + W)])
+            np.testing.assert_array_equal(raw.violation(X) <= 1e-9,
+                                          pre.violation(X) <= 1e-9)
+
+    def test_planted_equalities_beside_a_soc_block(self):
+        # each presolved equality row measures at least what its raw row or
+        # vertex block measured, so the raw violation never exceeds the
+        # presolved one; the genuine soc block is kept as it is
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            raw = planted_cone(rng, with_soc=True)
+            pre = sosc.presolve(raw)
+            assert pre.ineq.shape[0] <= raw.ineq.shape[0] - 3
+            assert len(pre.soc) == 1 and pre.soc[0][0] is raw.soc[1][0]
+            W = 2.0 * sphere(raw.n, 200, seed=3)
+            X = np.hstack([W, pre.project(W)])
+            assert np.all(raw.violation(X) <= pre.violation(X) * (1 + 1e-12) + 1e-15)
+
+    def test_small_slack_and_axis_row_are_kept(self):
+        # w1 <= 0 and 1e-6 w2 <= w1: -w1 reaches 1e-6 on the box, so the
+        # row is a genuine inequality; the soc block's first row is not zero
+        cone = sosc.CriticalCone(3, np.zeros((0, 3)),
+                                 np.array([[1.0, 0.0, 0.0], [-1.0, 1e-6, 0.0]]),
+                                 [(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), 2)])
+        pre = sosc.presolve(cone)
+        np.testing.assert_array_equal(pre.ineq, cone.ineq)
+        assert len(pre.soc) == 1 and pre.eq.shape[0] == 0
+
+    @pytest.mark.parametrize("name", ("ex44", "ex46", "ex47", "licq", "socb"))
+    def test_corpus_cones_presolve_to_subspaces(self, name):
+        raw = corpus_cone(name)
+        assert not raw.is_subspace
+        pre = sosc.presolve(raw)
+        assert pre.is_subspace
+        W = sphere(raw.n, 300, seed=6)
+        assert np.max(np.abs(pre.project(W) - raw.project(W))) <= 1e-9
+
+    def test_licq_takes_the_exact_path(self, licq):
+        pd, st, ms = pipeline(licq)
+        rep = sosc.analyze(pd, ms, samples=20000, seed=0)
+        assert rep.certification == "Exact" and rep.sample_count == 0
+        assert abs(rep.predicted_modulus - 2.0) <= 1e-12
+
+    def test_exact_modulus_matches_face_enumeration(self):
+        # criterion 7's draws: wherever the presolved cone is a subspace and
+        # the multiplier is unique, the eigenvalue path gives the infimum
+        rng = np.random.default_rng(0)
+        checked = 0
+        for _ in range(50):
+            pd, st, ms = pipeline(random_licq_instance(rng))
+            raw = sosc.build_critical_cone(pd)
+            if not (sosc.presolve(raw).is_subspace and ms.k == 0):
+                continue
+            rep = sosc.analyze(pd, ms, samples=6000, seed=0)
+            assert rep.certification == "Exact"
+            Q = sosc._fixed_multiplier_matrix(pd, ms.lam0)
+            expected = face_enumeration_minimum(raw, Q)
+            if math.isinf(expected):
+                assert rep.empty_cone
+            else:
+                assert abs(rep.predicted_modulus - expected) <= 1e-9
+            checked += 1
+        assert checked >= 20
+
+    def test_soc_and_orthant_still_uses_admm(self, monkeypatch):
+        cone = sosc.presolve(soc_and_orthant_cone())
+        assert not cone.is_subspace
+        iters = []
+        admm = sosc.CriticalCone._admm
+        monkeypatch.setattr(sosc.CriticalCone, "_admm",
+                            lambda self, W, it: iters.append(it) or admm(self, W, it))
+        cone.project(sphere(4, 20, seed=0))
+        assert iters == [1200]
 
 
 class TestSigma:
