@@ -56,10 +56,9 @@ def feasibility_residuals(p: Problem, Y: np.ndarray) -> np.ndarray:
 
 
 def _dist_grad(p: Problem, Y: np.ndarray):
-    """dist^2(q(y); cones) and its gradient, columnwise."""
-    q, jacs = batch_constraint_grads(p, Y)
-    R = _residual(p, q)
-    return np.sum(R * R, axis=0), 2.0 * (jacs * R[:, None, :]).sum(axis=0)
+    """dist^2(q(y); cones) and its gradient 2 J^T R, columnwise."""
+    R, G = p.row_stack.pullback(Y, lambda q: _residual(p, q))
+    return np.sum(R * R, axis=0), 2.0 * G
 
 
 # The step factors of a rejected and of an accepted candidate.

@@ -532,10 +532,16 @@ class RowStack:
         self.n = n
         self.compiled = tuple(compile_polynomial(r, n) for r in self.rows)
         self._top = [0] * n
+        # per compiled row, {d: the monomials that contain x_d, in order};
+        # the other entries of the row's gradient are structurally zero
+        self._partials = []
         for terms in self.compiled:
-            for _, factors in terms or ():
+            partials = {}
+            for c, factors in terms or ():
                 for i, k in factors:
                     self._top[i] = max(self._top[i], k)
+                    partials.setdefault(i, []).append((c, factors))
+            self._partials.append(partials)
 
     def _powers(self, X):
         """P[i][k] = x_i^k for 1 <= k <= the highest power of x_i used."""
@@ -548,45 +554,85 @@ class RowStack:
         return P
 
     def _eval(self, X, order):
-        m, N = len(self.rows), X.shape[1]
-        V = np.empty((m, N))
-        J = np.zeros((m, self.n, N)) if order else None
-        with np.errstate(all="ignore"):
-            P = self._powers(X)
-            products = {}
+        """Row values V (m, N), the walked rows' gradients {r: (n, N)} when
+        ``order`` is 1, and the memoized ``product(factors, d)``."""
+        V = np.empty((len(self.rows), X.shape[1]))
+        walked = {}
+        P = self._powers(X)
+        products = {}
 
-            def product(factors, d=None):
-                key = (factors, d)
-                if key not in products:
-                    products[key] = _product(P, factors, d)
-                return products[key]
+        def product(factors, d=None):
+            key = (factors, d)
+            if key not in products:
+                products[key] = _product(P, factors, d)
+            return products[key]
 
-            for r, (row, terms) in enumerate(zip(self.rows, self.compiled)):
-                if terms is None:
-                    if order:
-                        V[r], J[r] = eval_grads(row, X)
-                    else:
-                        V[r] = eval_values(row, X)
-                    continue
-                for t, (c, factors) in enumerate(terms):
-                    term = _scaled(c, product(factors))
-                    if t:
-                        V[r] += term
-                    else:
-                        V[r] = term
-                    if order:
-                        for d, _ in factors:
-                            J[r, d] += _scaled(c, product(factors, d))
-        return V, J
+        for r, (row, terms) in enumerate(zip(self.rows, self.compiled)):
+            if terms is None:
+                if order:
+                    V[r], walked[r] = eval_grads(row, X)
+                else:
+                    V[r] = eval_values(row, X)
+                continue
+            for t, (c, factors) in enumerate(terms):
+                term = _scaled(c, product(factors))
+                if t:
+                    V[r] += term
+                else:
+                    V[r] = term
+        return V, walked, product
+
+    def _partial(self, r, d, product):
+        """d row_r / d x_d of a compiled row, summed from 0.0 in term order."""
+        out = 0.0
+        for c, factors in self._partials[r][d]:
+            out = out + _scaled(c, product(factors, d))
+        return out
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Row values (m, N) over the columns of X (n, N)."""
-        return self._eval(X, 0)[0]
+        with np.errstate(all="ignore"):
+            return self._eval(X, 0)[0]
 
     def grads(self, X: np.ndarray):
         """Row values (m, N) and gradients (m, n, N); the values are the
         bits ``values`` gives."""
-        return self._eval(X, 1)
+        J = np.zeros((len(self.rows), self.n, X.shape[1]))
+        with np.errstate(all="ignore"):
+            V, walked, product = self._eval(X, 1)
+            for r, partials in enumerate(self._partials):
+                if r in walked:
+                    J[r] = walked[r]
+                for d in partials:
+                    J[r, d] = self._partial(r, d, product)
+        return V, J
+
+    def pullback(self, X: np.ndarray, fn):
+        """R = fn(V) for the row values V (m, N), and G (n, N) with
+        G[d] = sum_r J[r, d] * R[r], J the Jacobian ``grads`` gives.
+
+        G is summed in row order from the same J[r, d] bits without
+        forming J: structurally zero entries are skipped, which can only
+        change the sign of a zero sum.
+        """
+        G = np.zeros((self.n, X.shape[1]))
+        started = [False] * self.n
+        with np.errstate(all="ignore"):
+            V, walked, product = self._eval(X, 1)
+        R = fn(V)
+        with np.errstate(all="ignore"):
+            for r, partials in enumerate(self._partials):
+                if r in walked:
+                    entries = ((d, walked[r][d]) for d in range(self.n))
+                else:
+                    entries = ((d, self._partial(r, d, product)) for d in partials)
+                for d, jrd in entries:
+                    if started[d]:
+                        G[d] += jrd * R[r]
+                    else:
+                        G[d] = jrd * R[r]
+                        started[d] = True
+        return R, G
 
 
 # ----------------------------------------------------------------------

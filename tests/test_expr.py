@@ -364,6 +364,20 @@ class TestCompiledRows:
         bv, bg = expr.eval_grads(back, X)
         assert np.array_equal(bv, wv) and np.array_equal(bg, wg)
 
+    @settings(max_examples=100, deadline=None)
+    @given(trees=st.lists(polynomial_trees(3, 3), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pullback_is_the_jacobian_contraction(self, trees, seed):
+        # the same bits as contracting the Jacobian over its rows, up to
+        # the sign of a zero sum; one row keeps the walker
+        rows = trees + [expr.parse("sqrt(x1^2 + 1) * x3", NAMES3)]
+        X = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(3, 16))
+        stack = expr.RowStack(rows, 3)
+        V, J = stack.grads(X)
+        R, G = stack.pullback(X, lambda Q: Q - np.minimum(Q, 0.5))
+        assert R.tobytes() == (V - np.minimum(V, 0.5)).tobytes()
+        assert np.array_equal(G, (J * R[:, None, :]).sum(axis=0))
+
     @pytest.mark.parametrize("text", [
         "sqrt(x1^2 + 1) + x2", "x1 / (x2^2 + 1)", "exp(x1) * x2",
         "(x1 + x2)^64"])
