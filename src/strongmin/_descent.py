@@ -15,6 +15,8 @@ batch, except through these batch-wide terms: the initial step of
 `_restore` stops only once every column's residual is <= 1e-13; and numpy
 sums a one-column batch pairwise along an axis of 8 or more entries (n, m
 or the size of a soc block), in place of the row order of wider batches.
+`_restore`'s fallback from 1e-12 to 1e-8 regularization of a singular
+Gauss-Newton system is decided per column.
 
 `push_to_feasible` freezes a column whose cone residual at X is exactly 0:
 it returns the column unchanged with residual 0, and the column enters
@@ -150,10 +152,15 @@ def _restore(p: Problem, Y: np.ndarray, iters: int) -> np.ndarray:
         R = _residual(p, q)
         JJT = (jacs[:, None] * jacs[None, :]).sum(axis=2).transpose(2, 0, 1)
         rhs = R.T[:, :, None]
+        A = JJT + eye[None, :, :]
         try:
-            mu = np.linalg.solve(JJT + eye[None, :, :], rhs)[:, :, 0]
+            mu = np.linalg.solve(A, rhs)[:, :, 0]
         except np.linalg.LinAlgError:
-            mu = np.linalg.solve(JJT + 1e-8 * np.eye(p.m)[None, :, :], rhs)[:, :, 0]
+            # regularize more only the columns whose system is singular;
+            # each system is solved on its own, so the others keep their bits
+            singular = np.linalg.slogdet(A)[0] == 0.0
+            A[singular] = JJT[singular] + 1e-8 * np.eye(p.m)
+            mu = np.linalg.solve(A, rhs)[:, :, 0]
         step = np.nan_to_num((jacs * mu.T[:, None, :]).sum(axis=0))
         cand = Y - step
         res_c = feasibility_residuals(p, cand)

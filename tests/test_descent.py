@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from strongmin import problem
-from strongmin._descent import (feasibility_residuals, minimize_tilted,
-                                push_to_feasible)
+from strongmin._descent import (_restore, feasibility_residuals,
+                                minimize_tilted, push_to_feasible)
 from strongmin._sampling import ball
 
 
@@ -97,3 +97,17 @@ def test_tilted_minimizer_in_closed_form():
 def test_tilted_minimizer_on_an_active_constraint():
     V = np.array([[0.1, 0.15, 0.05], [0.05, -0.1, 0.1]])
     assert _tilted_error(V) <= 1e-6
+
+
+def test_singular_restoration_system_stays_in_its_column():
+    """Two rows with parallel gradients of norm 1000 where x2 = 0: there
+    JJ^T + 1e-12 I is singular in floating point, and only that column may
+    take the larger regularization."""
+    p = problem.loads("vars: x1 x2\nobjective: x1^2 + x2^2\n"
+                      "block orthant 2:\n  row: 1000*x1 + x2^2\n"
+                      "  row: 1000*x1 - x2^2\npoint: 0 0\n")
+    X = np.array([[0.5, 0.3, 0.5], [0.2, -0.4, 0.0]])
+    alone = _restore(p, X[:, :2].copy(), 1)
+    batch = _restore(p, X.copy(), 1)
+    assert alone.tobytes() == batch[:, :2].copy().tobytes()
+    assert feasibility_residuals(p, batch[:, 2:])[0] < feasibility_residuals(p, X[:, 2:])[0]
