@@ -152,12 +152,12 @@ def _restore(p: Problem, Y: np.ndarray, iters: int) -> np.ndarray:
         R = _residual(p, q)
         JJT = (jacs[:, None] * jacs[None, :]).sum(axis=2).transpose(2, 0, 1)
         rhs = R.T[:, :, None]
-        A = JJT + eye[None, :, :]
         try:
-            mu = np.linalg.solve(A, rhs)[:, :, 0]
+            mu = np.linalg.solve(JJT + eye[None, :, :], rhs)[:, :, 0]
         except np.linalg.LinAlgError:
             # regularize more only the columns whose system is singular;
             # each system is solved on its own, so the others keep their bits
+            A = JJT + eye[None, :, :]
             singular = np.linalg.slogdet(A)[0] == 0.0
             A[singular] = JJT[singular] + 1e-8 * np.eye(p.m)
             mu = np.linalg.solve(A, rhs)[:, :, 0]

@@ -612,8 +612,8 @@ class RowStack:
         G[d] = sum_r J[r, d] * R[r], J the Jacobian ``grads`` gives.
 
         G is summed in row order from the same J[r, d] bits without
-        forming J: structurally zero entries are skipped, which can only
-        change the sign of a zero sum.
+        forming J.  Structurally zero entries are skipped, which can only
+        change the sign of a zero sum or keep a 0 * inf = NaN out of it.
         """
         G = np.zeros((self.n, X.shape[1]))
         started = [False] * self.n
