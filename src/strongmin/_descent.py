@@ -65,6 +65,11 @@ def _dist_grad(p: Problem, Y: np.ndarray):
 
 # The step factors of a rejected and of an accepted candidate.
 _STEP_FACTORS = np.array([0.5, 1.2])
+# push_to_feasible: descent iterations, initial penalty and the iterations
+# between penalty doublings; minimize_tilted: the same three
+_PUSH_ITERS, _PUSH_RHO0, _PUSH_RHO_DOUBLING = 200, 10.0, 16
+_TILT_ITERS, _TILT_RHO0, _TILT_RHO_DOUBLING = 300, 100.0, 20
+_RESTORE_ITERS = 20  # Gauss-Newton restoration steps after either descent
 
 
 def _select(kept: np.ndarray, new: np.ndarray, mask: np.ndarray) -> None:
@@ -107,9 +112,7 @@ def _descend(f, Y, steps, rho, iters, rho_doubling, clip=None):
     return Y
 
 
-def push_to_feasible(p: Problem, X: np.ndarray, iters: int = 200,
-                     rho0: float = 10.0, rho_doubling: int = 16,
-                     restore_iters: int = 20):
+def push_to_feasible(p: Problem, X: np.ndarray):
     """Pull every column of X toward the nearest feasible point.
 
     Returns (Y, residuals).  The distance ||Y - X|| is an upper estimate of
@@ -133,9 +136,9 @@ def push_to_feasible(p: Problem, X: np.ndarray, iters: int = 200,
         D = Z - XL
         return (np.sum(D * D, axis=0), 2.0 * D) + _dist_grad(p, Z)
 
-    YL = _descend(f, XL.copy(), np.full(XL.shape[1], steps), rho0, iters,
-                  rho_doubling)
-    YL = _restore(p, YL, restore_iters)
+    YL = _descend(f, XL.copy(), np.full(XL.shape[1], steps), _PUSH_RHO0,
+                  _PUSH_ITERS, _PUSH_RHO_DOUBLING)
+    YL = _restore(p, YL, _RESTORE_ITERS)
     Y[:, live] = YL
     res[live] = feasibility_residuals(p, YL)
     return Y, res
@@ -172,9 +175,7 @@ def _restore(p: Problem, Y: np.ndarray, iters: int) -> np.ndarray:
 
 
 def minimize_tilted(p: Problem, V: np.ndarray, starts: np.ndarray,
-                    center: np.ndarray, ball_radius: float,
-                    iters: int = 300, rho0: float = 100.0,
-                    rho_doubling: int = 20):
+                    center: np.ndarray, ball_radius: float):
     """Columnwise minimization of g(y) - v.y over the feasible set ∩ ball.
 
     V (n, N) holds one tilt per column, starts (n, N) the initial points.
@@ -188,9 +189,10 @@ def minimize_tilted(p: Problem, V: np.ndarray, starts: np.ndarray,
         return _clip_ball(Z, center, ball_radius)
 
     steps = np.full(starts.shape[1], 0.05 * max(ball_radius, 1e-6))
-    Y = _descend(f, clip(starts), steps, rho0, iters, rho_doubling, clip)
+    Y = _descend(f, clip(starts), steps, _TILT_RHO0, _TILT_ITERS,
+                 _TILT_RHO_DOUBLING, clip)
     if p.blocks:
-        Y = clip(_restore(p, Y, 20))
+        Y = clip(_restore(p, Y, _RESTORE_ITERS))
     gfinal = batch_objective_values(p, Y) - np.sum(V * Y, axis=0)
     return Y, gfinal, feasibility_residuals(p, Y)
 

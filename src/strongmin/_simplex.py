@@ -17,6 +17,7 @@ import numpy as np
 __all__ = ["LpResult", "solve_lp"]
 
 _EPS = 1e-10
+_MAX_ITER = 20000  # pivots per phase
 
 
 @dataclass
@@ -27,10 +28,10 @@ class LpResult:
     ray: Optional[np.ndarray] = None      # recession direction when unbounded
 
 
-def _iterate(c, A, b, basis, ban=frozenset(), max_iter=20000):
+def _iterate(c, A, b, basis, ban=frozenset()):
     m, n = A.shape
     basis = list(basis)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         B = A[:, basis]
         try:
             xb = np.linalg.solve(B, b)

@@ -99,13 +99,13 @@ def _check(exp: dict, actual) -> (bool, str):
     raise ValueError(f"expectation without a check: {exp}")
 
 
-def run_entry(entry: CorpusEntry, samples: Optional[int] = None) -> List[CheckResult]:
+def run_entry(entry: CorpusEntry) -> List[CheckResult]:
     spec = entry.spec
     if entry.kind == "problem":
         rep = _report.analyze_report(
             entry.input_file,
             seed=spec.get("seed", 0),
-            samples=samples or spec.get("samples", 20000),
+            samples=spec.get("samples", 20000),
             tilt=spec.get("tilt", False))
     else:
         rep = _report.pw1d_report(entry.input_file, point=spec.get("point", 0.0))
@@ -122,11 +122,11 @@ def run_entry(entry: CorpusEntry, samples: Optional[int] = None) -> List[CheckRe
     return results
 
 
-def run_corpus(root: Optional[str] = None, samples: Optional[int] = None):
+def run_corpus(root: Optional[str] = None):
     """Run every entry; returns (all_passed, results)."""
     results: List[CheckResult] = []
     for entry in discover(root):
-        results.extend(run_entry(entry, samples=samples))
+        results.extend(run_entry(entry))
     return all(r.passed for r in results), results
 
 

@@ -35,6 +35,16 @@ __all__ = [
 ]
 
 
+# CRCQ: radius and size of the sampled ball, and the largest active set
+# whose subsets are enumerated
+_CRCQ_RADIUS = 1e-2
+_CRCQ_SAMPLES = 64
+_MAX_ACTIVE = 12
+# dual Robinson condition: kernel-sphere grid size and membership tolerance
+_RCQ_GRID = 10000
+_RCQ_TOL = 1e-7
+
+
 class TooManyActiveConstraints(Exception):
     pass
 
@@ -101,19 +111,19 @@ def check_mfcq_dual(pd: PointData) -> Optional[bool]:
     return bool(res.status == "infeasible")
 
 
-def check_crcq(pd: PointData, radius: float = 1e-2, samples: int = 64,
-               seed: int = 0, max_active: int = 12) -> Optional[bool]:
+def check_crcq(pd: PointData, radius: float = _CRCQ_RADIUS,
+               seed: int = 0) -> Optional[bool]:
     """Constant rank of every subset of active gradients on a sampled ball."""
     if not _orthant_only(pd):
         return None
     active = pd.face.nonneg
     if not active.size:
         return True
-    if active.size > max_active:
+    if active.size > _MAX_ACTIVE:
         raise TooManyActiveConstraints(
-            f"{active.size} active rows; subset enumeration capped at {max_active}")
+            f"{active.size} active rows; subset enumeration capped at {_MAX_ACTIVE}")
     rows = [row for b in pd.problem.blocks for row in b.rows]
-    pts = np.column_stack([pd.x[:, None], ball(pd.x, radius, samples, seed=seed)])
+    pts = np.column_stack([pd.x[:, None], ball(pd.x, radius, _CRCQ_SAMPLES, seed=seed)])
     G = np.stack([expr.eval_grads(rows[i], pts)[1] for i in active])  # (k, n, N)
     for size in range(1, active.size + 1):
         for subset in combinations(range(active.size), size):
@@ -127,8 +137,7 @@ def check_crcq(pd: PointData, radius: float = 1e-2, samples: int = 64,
     return True
 
 
-def check_rcq_dual(pd: PointData, tol: float = 1e-7, grid: int = 10000,
-                   seed: int = 0) -> bool:
+def check_rcq_dual(pd: PointData, seed: int = 0) -> bool:
     """Robinson condition via its dual: N_Θ(q(x̄)) ∩ ker ∇q(x̄)^T = {0}.
 
     Polyhedral problems reduce to an LP; with second-order-cone blocks the
@@ -149,18 +158,18 @@ def check_rcq_dual(pd: PointData, tol: float = 1e-7, grid: int = 10000,
         return bool(check_mfcq_dual(pd))
 
     # scan the kernel sphere for a nonzero normal-cone member
-    cands = null @ sphere(kappa, grid, seed=seed)
+    cands = null @ sphere(kappa, _RCQ_GRID, seed=seed)
     # include exact boundary-ray directions when they lie in the kernel
     extra = []
     for sl, ray in pd.face.rays:
         d = np.zeros(pd.m)
         d[sl] = ray
         d /= np.linalg.norm(d)
-        if np.linalg.norm(J.T @ d) <= tol:
+        if np.linalg.norm(J.T @ d) <= _RCQ_TOL:
             extra.append(d)
     if extra:
         cands = np.column_stack([cands] + extra)
-    return not bool(np.any(pd.face.contains(cands, tol)))
+    return not bool(np.any(pd.face.contains(cands, _RCQ_TOL)))
 
 
 def probe_mscq(p: Problem, radius: float = 0.1, samples: int = 128,
@@ -199,11 +208,10 @@ def probe_mscq(p: Problem, radius: float = 0.1, samples: int = 128,
     return MscqProbe(hi, tuple(bounds), samples, verdict)
 
 
-def run_cq(pd: PointData, radius: float = 1e-2, samples: int = 64,
-           probe_radius: float = 0.1, probe_samples: int = 128,
+def run_cq(pd: PointData, probe_radius: float = 0.1, probe_samples: int = 128,
            seed: int = 0) -> CqReport:
     mfcq = check_mfcq(pd)
-    crcq = check_crcq(pd, radius=radius, samples=samples, seed=seed)
+    crcq = check_crcq(pd, seed=seed)
     rcq = check_rcq_dual(pd, seed=seed)
     mscq = probe_mscq(pd.problem.with_point(pd.x), radius=probe_radius,
                       samples=probe_samples, seed=seed)

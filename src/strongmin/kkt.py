@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 STATIONARITY_TOL = 1e-7
+_STATIONARITY_ITERS = 4000  # accelerated projected-gradient iterations
+# cutting-plane loop: relative bound gap that ends it, and its cut budget
+_GAP_TOL = 1e-9
+_MAX_CUTS = 200
+_RECESSION_TOL = 1e-10  # soc violation of a unit ray that still recedes
 
 
 class EmptyMultiplierSet(Exception):
@@ -80,8 +85,7 @@ class LinMaxResult:
 # stationarity
 # ----------------------------------------------------------------------
 
-def stationarity_check(pd: PointData, tol: float = STATIONARITY_TOL,
-                       iters: int = 4000) -> StationarityResult:
+def stationarity_check(pd: PointData, tol: float = STATIONARITY_TOL) -> StationarityResult:
     """Distance from -∇g(x̄) to ∇q(x̄)^T applied to the normal cone.
 
     Solves min ||∇g + J^T lam|| over lam in N_Θ(q(x̄)) by an accelerated
@@ -104,7 +108,7 @@ def stationarity_check(pd: PointData, tol: float = STATIONARITY_TOL,
     lam = np.zeros(m)
     y = lam.copy()
     t_acc = 1.0
-    for _ in range(iters):
+    for _ in range(_STATIONARITY_ITERS):
         grad = J @ (grad_g + JT @ y)
         nxt = face.project(y - step * grad)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
@@ -224,14 +228,13 @@ def _orthogonal_complement(d: np.ndarray) -> np.ndarray:
 # linear maximization over the multiplier set
 # ----------------------------------------------------------------------
 
-def maximize_linear(ms: MultiplierSet, c, gap_tol: float = 1e-9,
-                    max_cuts: int = 200) -> LinMaxResult:
+def maximize_linear(ms: MultiplierSet, c) -> LinMaxResult:
     """Exact maximum of c.lam over the multiplier set.
 
     Polyhedral sets go straight to the simplex.  When a block lives in the
     polar second-order cone, a cutting-plane loop separates infeasible LP
     argmaxes with projection hyperplanes; the loop stops once the argmax
-    is feasible or the primal bound gap drops below ``gap_tol``.
+    is feasible or the primal bound gap drops below ``_GAP_TOL``.
     """
     c = np.asarray(c, dtype=float)
     if ms.k == 0:
@@ -259,7 +262,7 @@ def maximize_linear(ms: MultiplierSet, c, gap_tol: float = 1e-9,
     # cutting planes around the soc blocks
     best_feasible = lam0.copy()
     best_value = float(c @ lam0)
-    for _ in range(max_cuts):
+    for _ in range(_MAX_CUTS):
         res = solve_lp(f, A_ub=np.array(A_rows), b_ub=np.array(b_rows))
         if res.status == "infeasible":
             # cannot happen for a valid cut set; treat conservatively
@@ -280,7 +283,7 @@ def maximize_linear(ms: MultiplierSet, c, gap_tol: float = 1e-9,
         lb = float(c @ lam_feas)
         if lb > best_value:
             best_value, best_feasible = lb, lam_feas
-        if ub - best_value <= gap_tol * max(1.0, abs(ub)):
+        if ub - best_value <= _GAP_TOL * max(1.0, abs(ub)):
             return LinMaxResult("bounded", value=best_value, argmax=best_feasible)
         _add_projection_cuts(ms, lam_star, add_row)
     return LinMaxResult("bounded", value=best_value, argmax=best_feasible,
@@ -326,9 +329,9 @@ def _max_soc_violation(ms, lam) -> float:
     return worst
 
 
-def _soc_recession_ok(ms, lam_dir, tol: float = 1e-10) -> bool:
+def _soc_recession_ok(ms, lam_dir) -> bool:
     scale = max(np.linalg.norm(lam_dir), 1e-30)
-    return _max_soc_violation(ms, lam_dir / scale) <= tol
+    return _max_soc_violation(ms, lam_dir / scale) <= _RECESSION_TOL
 
 
 def _shrink_to_feasible(ms, lam0, lam_star):

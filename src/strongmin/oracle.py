@@ -36,6 +36,17 @@ HOLD_FLOOR = 1e-4
 FAIL_FLOOR = 1e-6
 TREND_DECAY = 1.25
 TREND_SLACK = 1.05
+_KEEP_TOL = 1e-9  # largest residual of a kept feasible sample
+
+# tilt probe: tilt grid radius and size, minimizer ball radius, descent
+# starts per tilt, bisection refinements, and the displacement ratio above
+# which the probe counts as evidence against tilt stability
+_TILT_RADIUS = 0.01
+_GRID = 16
+_BALL_RADIUS = 0.25
+_STARTS = 10
+_REFINE = 24
+_RATIO_THRESHOLD = 100.0
 
 
 @dataclass(frozen=True)
@@ -60,12 +71,11 @@ class TiltReport:
     note: str
 
 
-def sample_feasible(p: Problem, radius: float, count: int, seed: int = 0,
-                    keep_tol: float = 1e-9):
+def sample_feasible(p: Problem, radius: float, count: int, seed: int = 0):
     """Feasible points near the candidate, their residuals, and a usable flag.
 
     Ball samples are pushed onto the feasible set; columns whose final
-    residual exceeds ``keep_tol`` (or that land beyond 1.05 radius) are
+    residual exceeds ``_KEEP_TOL`` (or that land beyond 1.05 radius) are
     discarded.  Returns (Y, residuals, ok), with ok False (inconclusive)
     when fewer than half the requested points survive.
     """
@@ -76,7 +86,7 @@ def sample_feasible(p: Problem, radius: float, count: int, seed: int = 0,
         return X, np.zeros(count), True
     Y, res = push_to_feasible(p, X)
     dist = np.linalg.norm(Y - p.point[:, None], axis=0)
-    keep = (res <= keep_tol) & (dist <= 1.05 * radius)
+    keep = (res <= _KEEP_TOL) & (dist <= 1.05 * radius)
     return Y[:, keep], res[keep], keep.sum() >= 0.5 * count
 
 
@@ -146,18 +156,17 @@ def estimate_qg_modulus(p: Problem, radii=DEFAULT_RADII, count: int = 20000,
 # tilt probe
 # ----------------------------------------------------------------------
 
-def _solve_tilts(p: Problem, tilts: np.ndarray, center: np.ndarray,
-                 ball_radius: float, starts: int, seed: int, iters: int):
+def _solve_tilts(p: Problem, tilts: np.ndarray, center: np.ndarray, seed: int):
     """Global minimizers (clusters) per tilt column."""
     n, T = tilts.shape
-    S = np.column_stack([center[:, None], ball(center, 0.9 * ball_radius,
-                                               starts - 1, seed=seed)])
-    V = np.repeat(tilts, starts, axis=1)
+    S = np.column_stack([center[:, None], ball(center, 0.9 * _BALL_RADIUS,
+                                               _STARTS - 1, seed=seed)])
+    V = np.repeat(tilts, _STARTS, axis=1)
     X0 = np.tile(S, (1, T))
-    Y, vals, res = minimize_tilted(p, V, X0, center, ball_radius, iters=iters)
+    Y, vals, res = minimize_tilted(p, V, X0, center, _BALL_RADIUS)
     out = []
     for t in range(T):
-        sl = slice(t * starts, (t + 1) * starts)
+        sl = slice(t * _STARTS, (t + 1) * _STARTS)
         ys, vs, rs = Y[:, sl], vals[sl], res[sl]
         ok = rs <= 1e-7
         if not np.any(ok):
@@ -182,10 +191,7 @@ def _cluster(pts: np.ndarray, tol: float):
     return reps
 
 
-def tilt_probe(p: Problem, tilt_radius: float = 0.01, ball_radius: float = 0.25,
-               grid: int = 16, seed: int = 0, starts: int = 10,
-               refine: int = 24, iters: int = 300,
-               ratio_threshold: float = 100.0) -> TiltReport:
+def tilt_probe(p: Problem, seed: int = 0) -> TiltReport:
     """Watch minimizers of tilted problems: single-valued and Lipschitz?
 
     A coarse tilt grid seeds the probe; bisection then refines the tilt
@@ -203,14 +209,14 @@ def tilt_probe(p: Problem, tilt_radius: float = 0.01, ball_radius: float = 0.25,
             e = np.zeros(n)
             e[i] = sgn
             dirs.append(e)
-    extra = sphere(n, max(grid - len(dirs), 0), seed=seed + 5)
+    extra = sphere(n, max(_GRID - len(dirs), 0), seed=seed + 5)
     tilts = np.column_stack(dirs + [extra]) if extra.size else np.column_stack(dirs)
-    tilts = tilt_radius * tilts
+    tilts = _TILT_RADIUS * tilts
 
     solved = {}
 
     def solve(vcols: np.ndarray):
-        res = _solve_tilts(p, vcols, center, ball_radius, starts, seed, iters)
+        res = _solve_tilts(p, vcols, center, seed)
         for j in range(vcols.shape[1]):
             solved[vcols[:, j].tobytes()] = res[j]
 
@@ -230,7 +236,7 @@ def tilt_probe(p: Problem, tilt_radius: float = 0.01, ball_radius: float = 0.25,
 
     best_pair = max(pairs, key=lambda ab: ratio(*ab), default=None)
     refined = base_ratio
-    for _ in range(refine):
+    for _ in range(_REFINE):
         if best_pair is None:
             break
         a, b = best_pair
@@ -247,9 +253,9 @@ def tilt_probe(p: Problem, tilt_radius: float = 0.01, ball_radius: float = 0.25,
             break
 
     lip = np.inf if multivalued else refined
-    evidence = bool(multivalued or refined > ratio_threshold)
+    evidence = bool(multivalued or refined > _RATIO_THRESHOLD)
     note = ("solution map multivalued on the tilt grid" if multivalued else
             f"max displacement ratio {refined:.3g} after refinement "
-            f"(threshold {ratio_threshold:g})")
+            f"(threshold {_RATIO_THRESHOLD:g})")
     return TiltReport(not multivalued, float(lip), float(refined),
                       float(base_ratio), tilts.shape[1], evidence, note)

@@ -24,6 +24,9 @@ __all__ = ["analyze_report", "cq_report", "qgc_report", "pw1d_report",
            "dumps_report", "InputError"]
 
 
+_SUBDIFF_COUNT = 6  # breakpoints nearest the point listed in a pw1d report
+
+
 class InputError(Exception):
     """Bad input file or candidate point; maps to exit code 1."""
 
@@ -420,8 +423,8 @@ def pw1d_report(path: str, point: float = 0.0, radii=None,
     return rep
 
 
-def _subdiff_summary(f: pw1d.Piecewise1D, point: float, count: int = 6):
-    near = sorted(f.breakpoints, key=lambda b: abs(b - point))[:count]
+def _subdiff_summary(f: pw1d.Piecewise1D, point: float):
+    near = sorted(f.breakpoints, key=lambda b: abs(b - point))[:_SUBDIFF_COUNT]
     out = []
     for b in sorted(near):
         iv = f.prox_subdiff(b)

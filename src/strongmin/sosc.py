@@ -48,10 +48,16 @@ __all__ = [
 
 VERDICT_TOL = 1e-7
 _MEMBERSHIP_TOL = 1e-9
+_GRAD_TOL = 1e-10  # a smaller objective gradient adds no equality row
 # presolve: an inequality row F_i whose largest -F_i.w over the box and the
 # relaxed cone is at most this times ||F_i|| is an implicit equality
 _PRESOLVE_TOL = 1e-12
 _INTERIOR, _VERTEX, _BOUNDARY = 0, 1, 2  # position of B w in a soc block
+# sampled path: coordinate-descent rounds, their first step and the step
+# below which a candidate stops
+_POLISH_ROUNDS = 60
+_POLISH_STEP0 = 0.1
+_POLISH_STEP_FLOOR = 1e-10
 
 
 class NotInCriticalCone(Exception):
@@ -291,11 +297,11 @@ class SoscReport:
     inner_max_warning: bool = False    # some inner maximization hit its cut limit
 
 
-def build_critical_cone(pd: PointData, grad_tol: float = 1e-10) -> CriticalCone:
+def build_critical_cone(pd: PointData) -> CriticalCone:
     """Linearized critical cone at the evaluated point."""
     n = pd.n
     g = pd.g.gradient
-    eq = g[None, :] if np.linalg.norm(g) > grad_tol else np.zeros((0, n))
+    eq = g[None, :] if np.linalg.norm(g) > _GRAD_TOL else np.zeros((0, n))
     J = pd.full_jacobian()
     face = pd.face
     # active orthant rows and boundary rays, keyed by coordinate so the
@@ -465,8 +471,7 @@ class _SigmaEvaluator:
 # ----------------------------------------------------------------------
 
 def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
-            seed: int = 0, force: Optional[str] = None,
-            polish_rounds: int = 60) -> SoscReport:
+            seed: int = 0, force: Optional[str] = None) -> SoscReport:
     """Second-order verdicts and the predicted quadratic-growth modulus.
 
     The Exact path applies when the presolved critical cone is a linear
@@ -531,13 +536,12 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
 
     order = np.argsort(np.where(finite, values, np.inf))
     top = order[: min(10, int(np.sum(finite)))]
-    best_w, best_v = _polish(cone, evaluator, cand[:, top],
-                             values[top], rounds=polish_rounds)
+    best_w, best_v = _polish(cone, evaluator, cand[:, top], values[top])
     return _verdicts(best_v, best_w, "Sampled", samples, seed,
                      warning=evaluator.cut_warning)
 
 
-def _polish(cone, evaluator, W0, v0, rounds=60, step0=0.1, step_floor=1e-10):
+def _polish(cone, evaluator, W0, v0):
     """Lockstep projected coordinate descent on the cone's unit sphere.
 
     All polish candidates advance together so projections batch; for
@@ -547,7 +551,7 @@ def _polish(cone, evaluator, W0, v0, rounds=60, step0=0.1, step_floor=1e-10):
     n, K = W0.shape
     W = W0.copy()
     V = np.asarray(v0, dtype=float).copy()
-    steps = np.full(K, step0)
+    steps = np.full(K, _POLISH_STEP0)
     models = None
     if not evaluator.cheap:
         models = []
@@ -562,8 +566,8 @@ def _polish(cone, evaluator, W0, v0, rounds=60, step0=0.1, step_floor=1e-10):
         offsets[i, 2 * i] = 1.0
         offsets[i, 2 * i + 1] = -1.0
 
-    for _ in range(rounds):
-        if np.all(steps < step_floor):
+    for _ in range(_POLISH_ROUNDS):
+        if np.all(steps < _POLISH_STEP_FLOOR):
             break
         trials = (W[:, :, None] + offsets[:, None, :] * steps[None, :, None])
         T = trials.reshape(n, K * n_trials)
