@@ -3,8 +3,8 @@
 Standard form: minimize c.x subject to A x = b, x >= 0, solved with
 Bland's rule (anti-cycling).  A convenience wrapper accepts inequality
 rows, equality rows, and free variables (split into differences).  All
-problems here have a handful of variables, so no effort is spent on
-factorization or sparsity.
+problems here have a handful of variables, so one dense tableau is pivoted
+in place, with no factorization or sparsity.
 """
 
 from __future__ import annotations
@@ -28,39 +28,34 @@ class LpResult:
     ray: Optional[np.ndarray] = None      # recession direction when unbounded
 
 
-def _iterate(c, A, b, basis, ban=frozenset()):
-    m, n = A.shape
-    basis = list(basis)
+def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    """Pivot the tableau on T[row, col] in place: one rank-one update."""
+    piv = T[row] / T[row, col]
+    T -= np.outer(T[:, col], piv)
+    T[row] = piv
+
+
+def _price(T: np.ndarray, c: np.ndarray, basis) -> None:
+    """Write the reduced costs of c for the current basis into the last row."""
+    m = len(basis)
+    T[m] = np.append(c, 0.0) - c[basis] @ T[:m]
+
+
+def _iterate(T: np.ndarray, basis, ncols: int):
+    """Bland-rule pivots among the first ncols columns until optimal or
+    unbounded.  Returns the status and, when unbounded, the entering column."""
+    m = len(basis)
     for _ in range(_MAX_ITER):
-        B = A[:, basis]
-        try:
-            xb = np.linalg.solve(B, b)
-            lam = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError:
-            B = B + 1e-13 * np.eye(m)
-            xb = np.linalg.solve(B, b)
-            lam = np.linalg.solve(B.T, c[basis])
-        reduced = c - lam @ A
-        entering = -1
-        for j in range(n):  # Bland: smallest eligible index
-            if j in ban or j in basis:
-                continue
-            if reduced[j] < -1e-9:
-                entering = j
-                break
-        if entering < 0:
-            x = np.zeros(n)
-            x[basis] = xb
-            return x, basis, "optimal", None
-        d = np.linalg.solve(B, A[:, entering])
+        eligible = T[m, :ncols] < -1e-9
+        eligible[[j for j in basis if j < ncols]] = False
+        candidates = np.flatnonzero(eligible)  # Bland: smallest eligible index
+        if not candidates.size:
+            return "optimal", None
+        entering = int(candidates[0])
+        d, xb = T[:m, entering], T[:m, -1]
         pos = d > _EPS
         if not np.any(pos):
-            x = np.zeros(n)
-            x[basis] = xb
-            ray = np.zeros(n)
-            ray[entering] = 1.0
-            ray[basis] = -d
-            return x, basis, "unbounded", ray
+            return "unbounded", entering
         ratios = np.where(pos, np.maximum(xb, 0.0) / np.where(pos, d, 1.0), np.inf)
         best = np.min(ratios)
         leave = -1
@@ -69,32 +64,49 @@ def _iterate(c, A, b, basis, ban=frozenset()):
                 if leave < 0 or basis[row] < basis[leave]:
                     leave = row
         basis[leave] = entering
+        _pivot(T, leave, entering)
     raise RuntimeError("simplex iteration limit exceeded")
 
 
+def _basic_point(T: np.ndarray, basis, width: int) -> np.ndarray:
+    x = np.zeros(width)
+    x[basis] = T[:len(basis), -1]
+    return x
+
+
 def _simplex_core(c, A, b):
-    """min c.x, Ax=b, x>=0 with b>=0. Returns (status, x, ray)."""
+    """min c.x, Ax=b, x>=0 with b>=0. Returns (status, x, ray).
+
+    The tableau T holds B^-1 [A | I | b] in its first m rows and the reduced
+    costs in its last row; phase 1 starts from the artificial basis B = I.
+    """
     m, n = A.shape
-    T = np.hstack([A, np.eye(m)])
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = b
     cost1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    x, basis, status, _ = _iterate(cost1, T, b.copy(), basis)
-    if status != "optimal" or float(cost1 @ x) > 1e-7:
+    _price(T, cost1, basis)
+    status, _ = _iterate(T, basis, n + m)
+    if status != "optimal" or float(cost1 @ _basic_point(T, basis, n + m)) > 1e-7:
         return "infeasible", None, None
     # drive artificials out of the basis where a real pivot exists
     for row, bi in enumerate(basis):
         if bi >= n:
-            B = T[:, basis]
-            tab = np.linalg.solve(B, T[:, :n])
-            piv = np.flatnonzero(np.abs(tab[row]) > 1e-8)
+            piv = np.flatnonzero(np.abs(T[row, :n]) > 1e-8)
             if piv.size:
                 basis[row] = int(piv[0])
-    cost2 = np.concatenate([c, np.zeros(m)])
-    ban = set(range(n, n + m))
-    x, basis, status, ray = _iterate(cost2, T, b.copy(), basis, ban=ban)
+                _pivot(T, row, basis[row])
+    _price(T, np.concatenate([c, np.zeros(m)]), basis)
+    status, entering = _iterate(T, basis, n)
+    x = _basic_point(T, basis, n + m)[:n]
     if status == "unbounded":
-        return "unbounded", x[:n], ray[:n]
-    return status, x[:n], None
+        ray = np.zeros(n + m)
+        ray[entering] = 1.0
+        ray[basis] = -T[:m, entering]
+        return "unbounded", x, ray[:n]
+    return status, x, None
 
 
 def solve_lp(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
