@@ -14,10 +14,12 @@ become equality rows.  A cone left with equality rows only is a subspace
 and is projected exactly; every conic corpus cone ends up so.
 
 The infimum of sigma over unit directions of the cone is certified two
-ways: an eigenvalue reduction when the presolved cone is a subspace, the
-multiplier set is a singleton and no curvature correction is present
-(Exact), and a deterministic low-discrepancy sphere search with
-coordinate-descent polishing otherwise (Sampled).  A cone that small LPs
+ways: an eigenvalue reduction when the presolved cone is a subspace and
+the multiplier set is a singleton (Exact), and a deterministic
+low-discrepancy sphere search with coordinate-descent polishing otherwise
+(Sampled).  With one multiplier, sigma is the quadratic form of
+`_fixed_multiplier_matrix`, whose Q already carries the boundary-curvature
+correction, so the Exact path covers boundary-active soc blocks too.  A cone that small LPs
 prove to be {0} makes both verdicts hold vacuously (Exact).
 """
 
@@ -475,12 +477,13 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
     """Second-order verdicts and the predicted quadratic-growth modulus.
 
     The Exact path applies when the presolved critical cone is a linear
-    subspace, the multiplier set is a singleton and no boundary curvature
-    enters, and when is_trivial proves the cone to be {0}; everything else
-    is Sampled with the seed recorded.
+    subspace and the multiplier set is a singleton (the modulus is then the
+    smallest eigenvalue of P^T Q P, boundary curvature included in Q), and
+    when is_trivial proves the cone to be {0}; everything else is Sampled
+    with the seed recorded.
     """
     cone = presolve(build_critical_cone(pd))
-    exact_ok = cone.is_subspace and ms.k == 0 and not pd.face.rays
+    exact_ok = cone.is_subspace and ms.k == 0
 
     if exact_ok and force != "sampled":
         P = cone.subspace_basis()

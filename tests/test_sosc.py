@@ -248,6 +248,31 @@ class TestPresolve:
         assert rep.certification == "Exact" and rep.sample_count == 0
         assert abs(rep.predicted_modulus - 2.0) <= 1e-12
 
+    def test_socb_takes_the_exact_path(self, socb):
+        # one multiplier on a boundary-active soc block: the curvature of
+        # the norm surface is part of the fixed-multiplier quadratic form
+        pd, st, ms = pipeline(socb)
+        assert ms.k == 0 and len(pd.face.rays) == 1
+        rep = sosc.analyze(pd, ms, samples=20000, seed=0)
+        assert rep.certification == "Exact" and rep.sample_count == 0
+        assert abs(rep.predicted_modulus - 1.5) <= 1e-12
+        sampled = sosc.analyze(pd, ms, samples=20000, seed=0, force="sampled")
+        assert sampled.certification == "Sampled"
+        assert abs(rep.predicted_modulus - sampled.predicted_modulus) <= 1e-6
+
+    def test_ray_multiplier_family_stays_sampled(self):
+        # the socb block plus a dependent inequality row: k = 1, so sigma
+        # is a maximum over a family and no single quadratic form
+        p = problem.loads("vars: x1 x2 x3\n"
+                          "objective: x1 - x2 + x1^2 + x2^2 + 0.25*x3^2\n"
+                          "block soc 3:\n  row: x1 + 1\n  row: x2 + 1\n"
+                          "  row: x3\n"
+                          "block orthant 1:\n  row: x1 - x2\npoint: 0 0 0\n")
+        pd, st, ms = pipeline(p)
+        assert ms.k == 1 and len(ms.face.rays) == 1
+        rep = sosc.analyze(pd, ms, samples=4000, seed=0)
+        assert rep.certification == "Sampled" and rep.sample_count == 4000
+
     def test_exact_modulus_matches_face_enumeration(self):
         # criterion 7's draws: wherever the presolved cone is a subspace and
         # the multiplier is unique, the eigenvalue path gives the infimum
