@@ -24,7 +24,7 @@ def _primes(count: int) -> list:
 def halton(dim: int, count: int, seed: int = 0) -> np.ndarray:
     """Halton points in [0,1)^dim, shape (dim, count); coordinate d uses the
     (d+1)-th prime as its base."""
-    start = 20 + (seed % 1_000_003) * 17
+    start = 20 + seed * 17
     idx = np.arange(start, start + count, dtype=np.int64)
     out = np.empty((dim, count))
     for d, base in enumerate(_primes(dim)):

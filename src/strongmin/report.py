@@ -136,6 +136,12 @@ def _require_positive(**values) -> None:
                 raise InputError(f"{name} must be finite and positive, got {v!r}")
 
 
+def _require_seed(seed) -> None:
+    """Raise InputError unless the seed is an integer in [0, 2**32)."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 32):
+        raise InputError(f"seed must be an integer in [0, 2**32), got {seed!r}")
+
+
 def _load(load, format_error, path: str):
     """load(path), with a missing, unreadable or malformed file raised as
     InputError."""
@@ -160,6 +166,7 @@ def _conic_report(path: str, flags: dict, stages, timings: bool = False) -> dict
     `flags`, which the header records; sosc also reads the stationarity
     section before it.
     """
+    _require_seed(flags["seed"])
     clocks: dict = {}
     with _stage(clocks, "load"):
         p = _load(problem.load, problem.ProblemFormatError, path)
@@ -349,6 +356,7 @@ def pw1d_report(path: str, point: float = 0.0, radii=None,
                 with_d2: bool = False, seed: int = 0) -> dict:
     if not math.isfinite(point):
         raise InputError(f"point must be finite, got {point!r}")
+    _require_seed(seed)
     f = _load(pw1d.load, pw1d.Pw1dFormatError, path)
     if radii is None or radii == "auto":
         radii_t = f.radii

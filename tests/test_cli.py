@@ -297,6 +297,10 @@ def test_numeric_failure_maps_to_exit_two(argv, module, call, stage, kept,
     ["analyze", "--tol", "nan"],
     ["analyze", "--tol", "-1"],
     ["analyze", "--tol", "0"],
+    ["analyze", "--seed", "-1"],
+    ["cq", "--seed", "4294967296"],
+    ["qgc", "--seed", "-1"],
+    ["pw1d", "--seed", "4294967296"],
 ], ids="_".join)
 def test_invalid_numeric_flags_are_input_errors(argv, capsys):
     command, flags = argv[0], argv[1:]

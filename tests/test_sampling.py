@@ -40,6 +40,15 @@ def test_halton_bytes_unchanged_up_to_15_dims(seed):
                 == halton_fixed_primes(dim, 257, seed=seed).tobytes())
 
 
+def test_seeds_do_not_alias():
+    # a seed only shifts the start index, by 17 per unit, with no wraparound
+    assert not np.array_equal(halton(3, 1000, seed=1_000_003), halton(3, 1000, seed=0))
+    H = halton(3, 4, seed=2 ** 32 - 1)
+    start = 20 + (2 ** 32 - 1) * 17
+    assert np.allclose(H[:, 0], [radical_inverse(start, b) for b in (2, 3, 5)],
+                       rtol=0, atol=1e-15)
+
+
 def test_twenty_dimensions():
     H = halton(20, 500, seed=3)
     assert H.shape == (20, 500)
