@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from strongmin._simplex import solve_lp
 
@@ -66,3 +67,53 @@ def test_random_against_vertex_enumeration():
             assert res.status == "unbounded"
             r = res.ray
             assert np.all(A @ r <= 1e-9) and c @ r > 0
+
+
+def random_lp(rng):
+    """A random LP with at most 5 variables and 8 rows: inequality rows, and
+    equality rows whose last one is the sum of the others, so that phase 1
+    leaves an artificial basic on a redundant row.  Returns the objective,
+    the rows and nonneg; one draw in five makes the redundant row
+    inconsistent, and so the LP infeasible."""
+    n = int(rng.integers(1, 6))
+    n_eq = int(rng.integers(0, 4))
+    n_ub = int(rng.integers(0, 9 - n_eq))
+    nonneg = bool(rng.integers(2))
+    x0 = rng.uniform(0.0, 2.0, n) if nonneg else rng.standard_normal(n)
+    A_ub = rng.standard_normal((n_ub, n))
+    b_ub = A_ub @ x0 + rng.uniform(0.0, 1.0, n_ub) * rng.integers(0, 2, n_ub)
+    A_eq = rng.standard_normal((n_eq, n))
+    if n_eq >= 2:
+        A_eq[-1] = A_eq[:-1].sum(axis=0)
+    b_eq = A_eq @ x0
+    if n_eq >= 2 and rng.integers(5) == 0:
+        b_eq[-1] += 1.0
+    return rng.standard_normal(n), A_ub, b_ub, A_eq, b_eq, nonneg
+
+
+def test_agrees_with_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(0)
+    seen = set()
+    for _ in range(300):
+        f, A_ub, b_ub, A_eq, b_eq, nonneg = random_lp(rng)
+        res = solve_lp(f, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, nonneg=nonneg)
+        ref = optimize.linprog(-f, A_ub=A_ub if len(b_ub) else None,
+                               b_ub=b_ub if len(b_ub) else None,
+                               A_eq=A_eq if len(b_eq) else None,
+                               b_eq=b_eq if len(b_eq) else None,
+                               bounds=(0, None) if nonneg else (None, None),
+                               method="highs")
+        assert res.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        seen.add(res.status)
+        if res.status == "optimal":
+            v = -ref.fun
+            assert abs(res.value - v) <= 1e-9 * max(1.0, abs(v))
+        elif res.status == "unbounded":
+            r = res.ray
+            scale = max(1.0, float(np.max(np.abs(r))))
+            assert np.all(A_ub @ r <= 1e-9 * scale)
+            assert np.all(np.abs(A_eq @ r) <= 1e-9 * scale)
+            assert not nonneg or np.all(r >= -1e-12 * scale)
+            assert f @ r > 0
+    assert seen == {"optimal", "unbounded", "infeasible"}
