@@ -85,7 +85,8 @@ class LinMaxResult:
 # stationarity
 # ----------------------------------------------------------------------
 
-def stationarity_check(pd: PointData, tol: float = STATIONARITY_TOL) -> StationarityResult:
+def stationarity_check(pd: PointData,
+                       tol: float = STATIONARITY_TOL) -> StationarityResult:
     """Distance from -∇g(x̄) to ∇q(x̄)^T applied to the normal cone.
 
     Solves min ||∇g + J^T lam|| over lam in N_Θ(q(x̄)) by an accelerated

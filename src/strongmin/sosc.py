@@ -19,8 +19,9 @@ the multiplier set is a singleton (Exact), and a deterministic
 low-discrepancy sphere search with coordinate-descent polishing otherwise
 (Sampled).  With one multiplier, sigma is the quadratic form of
 `_fixed_multiplier_matrix`, whose Q already carries the boundary-curvature
-correction, so the Exact path covers boundary-active soc blocks too.  A cone that small LPs
-prove to be {0} makes both verdicts hold vacuously (Exact).
+correction, so the Exact path covers boundary-active soc blocks too.  A
+cone that small LPs prove to be {0} makes both verdicts hold vacuously
+(Exact).
 """
 
 from __future__ import annotations
