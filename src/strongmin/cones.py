@@ -311,6 +311,16 @@ class NormalFace:
             out[sl] = -project(soc(sl.stop - sl.start), -out[sl])
         return out
 
+    def inequality_rows(self, X: np.ndarray) -> np.ndarray:
+        """The face's sign rows of X (rows in stacked coordinates), in
+        coordinate order: X[i] for each nonneg coordinate i and d @ X[sl]
+        for each ray block (sl, d)."""
+        keyed = [(int(i), X[i]) for i in self.nonneg]
+        keyed += [(sl.start, d @ X[sl]) for sl, d in self.rays]
+        keyed.sort(key=lambda item: item[0])
+        return np.array([row for _, row in keyed]).reshape(
+            (len(keyed),) + X.shape[1:])
+
     def contains(self, L: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         """Columnwise membership of L (m, N) in the face, within tol.
 

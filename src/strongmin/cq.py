@@ -16,11 +16,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import expr
 from ._descent import feasibility_residuals, push_to_feasible
 from ._sampling import ball, sphere
 from ._simplex import solve_lp
-from .problem import PointData, Problem
+from .problem import PointData, Problem, batch_constraint_grads
 
 __all__ = [
     "CqReport",
@@ -122,9 +121,8 @@ def check_crcq(pd: PointData, radius: float = _CRCQ_RADIUS,
     if active.size > _MAX_ACTIVE:
         raise TooManyActiveConstraints(
             f"{active.size} active rows; subset enumeration capped at {_MAX_ACTIVE}")
-    rows = [row for b in pd.problem.blocks for row in b.rows]
     pts = np.column_stack([pd.x[:, None], ball(pd.x, radius, _CRCQ_SAMPLES, seed=seed)])
-    G = np.stack([expr.eval_grads(rows[i], pts)[1] for i in active])  # (k, n, N)
+    G = batch_constraint_grads(pd.problem, pts)[1][active]  # (k, n, N)
     for size in range(1, active.size + 1):
         for subset in combinations(range(active.size), size):
             mats = G[list(subset)].transpose(2, 0, 1)  # (N, |J|, n)

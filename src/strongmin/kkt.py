@@ -4,16 +4,15 @@ The multiplier set is the intersection of an affine set (solutions of the
 stationarity equation) with the normal-cone face of the evaluated point
 (``PointData.face``).  It is stored as a particular solution plus a
 null-space basis, with the point's ``NormalFace`` attached.  A linear
-functional can be maximized exactly over it: a dense simplex handles the
-polyhedral case, and a cutting-plane loop with projection-based
-separating hyperplanes handles blocks constrained to the polar
-second-order cone.
+functional can be maximized exactly over it by one loop of dense simplex
+LPs: a polyhedral set needs one LP, and projection-based cutting planes
+handle blocks constrained to the polar second-order cone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -74,7 +73,7 @@ class MultiplierSet:
 
 @dataclass(frozen=True)
 class LinMaxResult:
-    status: str                       # "bounded" | "unbounded" | "empty"
+    status: str                       # "bounded" | "unbounded"
     value: Optional[float] = None
     argmax: Optional[np.ndarray] = None
     ray: Optional[np.ndarray] = None  # recession direction when unbounded
@@ -232,10 +231,14 @@ def _orthogonal_complement(d: np.ndarray) -> np.ndarray:
 def maximize_linear(ms: MultiplierSet, c) -> LinMaxResult:
     """Exact maximum of c.lam over the multiplier set.
 
-    Polyhedral sets go straight to the simplex.  When a block lives in the
-    polar second-order cone, a cutting-plane loop separates infeasible LP
-    argmaxes with projection hyperplanes; the loop stops once the argmax
-    is feasible or the primal bound gap drops below ``_GAP_TOL``.
+    One LP loop in the parameters t of lam = lam0 + basis @ t.  The first
+    LP holds the face's sign rows and the polyhedral relaxation of each
+    block in the polar second-order cone.  A polyhedral set returns after
+    it: its argmax is feasible, or its ray recedes.  Otherwise each round
+    separates an argmax that leaves a soc block with projection
+    hyperplanes, and the loop stops once the argmax is feasible or the
+    primal bound gap drops below ``_GAP_TOL``.  k > 0 without soc blocks
+    leaves a nonneg or ray coordinate, so the first LP has a row.
     """
     c = np.asarray(c, dtype=float)
     if ms.k == 0:
@@ -245,8 +248,8 @@ def maximize_linear(ms: MultiplierSet, c) -> LinMaxResult:
     f = c @ N
 
     # linear rows a.t <= b, valid for the whole set; t = 0 is feasible
-    A_face, b_face = _face_rows(ms)
-    A_rows, b_rows = list(A_face), list(b_face)
+    A_rows = list(-ms.face.inequality_rows(N))
+    b_rows = list(ms.face.inequality_rows(lam0))
 
     def add_row(a_lam: np.ndarray, b_val: float):
         A_rows.append(a_lam @ N)
@@ -257,10 +260,6 @@ def maximize_linear(ms: MultiplierSet, c) -> LinMaxResult:
         for a in cones.soc_relaxation(-np.eye(ms.m)[sl]):
             add_row(a, 0.0)
 
-    if not ms.face.socs:
-        return _polyhedral_max(ms, c, f, A_rows, b_rows)
-
-    # cutting planes around the soc blocks
     best_feasible = lam0.copy()
     best_value = float(c @ lam0)
     for _ in range(_MAX_CUTS):
@@ -289,37 +288,6 @@ def maximize_linear(ms: MultiplierSet, c) -> LinMaxResult:
         _add_projection_cuts(ms, lam_star, add_row)
     return LinMaxResult("bounded", value=best_value, argmax=best_feasible,
                         cuts_exceeded=True)
-
-
-def _polyhedral_max(ms, c, f, A_rows, b_rows) -> LinMaxResult:
-    if A_rows:
-        res = solve_lp(f, A_ub=np.array(A_rows), b_ub=np.array(b_rows))
-    else:
-        nrm = float(np.linalg.norm(f))
-        if nrm <= 1e-14:
-            return LinMaxResult("bounded", value=float(c @ ms.lam0),
-                                argmax=ms.lam0.copy())
-        return LinMaxResult("unbounded", ray=ms.basis @ (f / nrm))
-    if res.status == "unbounded":
-        return LinMaxResult("unbounded", ray=ms.basis @ res.ray)
-    if res.status == "infeasible":
-        return LinMaxResult("empty")
-    lam = ms.member(res.x)
-    return LinMaxResult("bounded", value=float(c @ lam), argmax=lam)
-
-
-def _face_rows(ms: MultiplierSet) -> Tuple[np.ndarray, np.ndarray]:
-    """Rows A t <= b of the face's nonneg and ray constraints, in that order.
-
-    lam_i >= 0 on nonneg coordinates and the ray coordinate d.lam_B >= 0
-    on soc boundary blocks, for lam = lam0 + basis @ t.
-    """
-    rows = [-ms.basis[i] for i in ms.face.nonneg]
-    rhs = [float(ms.lam0[i]) for i in ms.face.nonneg]
-    for sl, d in ms.face.rays:
-        rows.append(-(d @ ms.basis[sl]))
-        rhs.append(float(d @ ms.lam0[sl]))
-    return np.array(rows).reshape(len(rows), ms.k), np.array(rhs)
 
 
 def _max_soc_violation(ms, lam) -> float:
@@ -394,12 +362,8 @@ def enumerate_polyhedron(ms: MultiplierSet):
         return ms.lam0[:, None], np.zeros((ms.m, 0))
 
     # inequality rows A t <= b equivalent to the cone descriptors
-    A, b = _face_rows(ms)
-    if not A.shape[0]:
-        # affine set: constant objective iff c.N = 0, else unbounded
-        rays = np.hstack([ms.basis, -ms.basis])
-        return ms.lam0[:, None], rays
-
+    A = -ms.face.inequality_rows(ms.basis)
+    b = ms.face.inequality_rows(ms.lam0)
     verts: List[np.ndarray] = []
     for subset in combinations(range(A.shape[0]), k):
         sub = A[list(subset)]

@@ -257,11 +257,9 @@ def loads(text: str) -> Problem:
     return Problem(tuple(names), objective, tuple(blocks), point)
 
 
-def load(path_or_text: str) -> Problem:
-    """Load a problem from a path, or parse the text directly if it contains newlines."""
-    if "\n" in path_or_text:
-        return loads(path_or_text)
-    with open(path_or_text, "r", encoding="utf-8") as fh:
+def load(path: str) -> Problem:
+    """Load a problem from a file; ``loads`` parses text."""
+    with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
 
 

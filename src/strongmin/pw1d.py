@@ -367,10 +367,9 @@ def loads(text: str) -> Piecewise1D:
     return Piecewise1D(_mirror(pieces) if even else pieces, even=even)
 
 
-def load(path_or_text: str) -> Piecewise1D:
-    if "\n" in path_or_text:
-        return loads(path_or_text)
-    with open(path_or_text, "r", encoding="utf-8") as fh:
+def load(path: str) -> Piecewise1D:
+    """Load a function from a file; ``loads`` parses text."""
+    with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
 
 

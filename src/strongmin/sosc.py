@@ -5,13 +5,16 @@ The critical cone is realized as the linearized cone
 description under the metric-subregularity constraint qualification that
 every report assumes and records.  The curvature functional sigma(w) is
 the objective Hessian form plus the exact maximum of a multiplier-linear
-functional over the multiplier set, including the reduction curvature
-correction contributed by active second-order-cone boundary blocks.
+functional over the multiplier set, whose coefficients come from one
+tensor per point: the row Hessians plus the reduction curvature of each
+active second-order-cone boundary block.
 
-`analyze` first presolves the cone: a soc block whose B has a zero first
-row, and an inequality row that one LP shows to vanish on the whole cone,
-become equality rows.  A cone left with equality rows only is a subspace
-and is projected exactly; every conic corpus cone ends up so.
+`analyze` first presolves the cone: an inequality row, or a soc block's
+axis row, that one LP shows to vanish on a polyhedral relaxation becomes
+equality rows (the whole block, for an axis row).  A cone left with
+equality rows only is a subspace and is projected exactly; every conic
+corpus cone ends up so, and a cone whose relaxation is {0} ends up {0},
+where both verdicts hold vacuously (Exact).
 
 The infimum of sigma over unit directions of the cone is certified two
 ways: an eigenvalue reduction when the presolved cone is a subspace and
@@ -19,9 +22,7 @@ the multiplier set is a singleton (Exact), and a deterministic
 low-discrepancy sphere search with coordinate-descent polishing otherwise
 (Sampled).  With one multiplier, sigma is the quadratic form of
 `_fixed_multiplier_matrix`, whose Q already carries the boundary-curvature
-correction, so the Exact path covers boundary-active soc blocks too.  A
-cone that small LPs prove to be {0} makes both verdicts hold vacuously
-(Exact).
+correction, so the Exact path covers boundary-active soc blocks too.
 """
 
 from __future__ import annotations
@@ -136,19 +137,6 @@ class CriticalCone:
             res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=self.eq, b_eq=b_eq)
             yield res.value if res.status == "optimal" else None
 
-    def is_trivial(self) -> bool:
-        """True when the cone is proven to be {0}.
-
-        Maximizes each of +-w_i over the box intersected with the
-        relaxation of ``_box_maxima``.  The relaxation is a cone, so the 2n
-        optima are all 0 when it is {0} and their maximum is 1 otherwise.
-        Exact for polyhedral cones; with soc blocks a True answer is a
-        certificate and False decides nothing.
-        """
-        box = np.eye(self.n)
-        return all(v is not None and v <= 0.5
-                   for v in self._box_maxima(np.vstack([box, -box])))
-
     def violation(self, W: np.ndarray) -> np.ndarray:
         """Columnwise distance of M w to the target set D."""
         single = W.ndim == 1
@@ -225,66 +213,42 @@ class CriticalCone:
         return state
 
     def _polish_batch(self, W0: np.ndarray, Wa: np.ndarray) -> np.ndarray:
-        """Columnwise _polish_projection with one least-squares solve per
-        guessed active set.
+        """Exact projection on the active set guessed from the ADMM points
+        Wa, one least-squares solve per group of columns that share it; a
+        column keeps its ADMM point where the candidate is infeasible or
+        farther from W0.
 
-        Columns with a soc block on its boundary take the per-column path,
-        because their facet row depends on the column.
+        Held at zero: equalities, tight inequality rows, soc vertex blocks
+        and the facet row of a boundary soc block, which depends on the
+        column, so such a column is a group of its own.
         """
         tight = self.ineq @ Wa >= -1e-7
         state = self._soc_states(Wa)
-        on_boundary = np.any(state == _BOUNDARY, axis=0)
-        out = Wa.copy()
-        for j in np.flatnonzero(on_boundary):
-            out[:, j] = self._polish_projection(W0[:, j], Wa[:, j])
-        rest = np.flatnonzero(~on_boundary)
-        if rest.size == 0:
-            return out
-        keys, group = np.unique(np.vstack([tight, state])[:, rest].T, axis=0,
+        alone = np.where(np.any(state == _BOUNDARY, axis=0),
+                         np.arange(Wa.shape[1]), -1)
+        keys, group = np.unique(np.vstack([tight, state, alone]).T, axis=0,
                                 return_inverse=True)
         group = group.ravel()
         n_ineq = self.ineq.shape[0]
-        W0r, War = W0[:, rest], Wa[:, rest]
-        cand = W0r.copy()
+        cand = W0.copy()
         for g, key in enumerate(keys):
-            # held at zero: equalities, tight inequality rows, soc vertices
+            cols = np.flatnonzero(group == g)
             rows = [self.eq, self.ineq[key[:n_ineq].astype(bool)]]
-            rows += [B for (B, _), s in zip(self.soc, key[n_ineq:]) if s == _VERTEX]
+            for (B, _), s in zip(self.soc, key[n_ineq:-1]):
+                if s == _VERTEX:
+                    rows.append(B)
+                elif s == _BOUNDARY:  # cols is one column
+                    rows.append((cones._boundary_ray(B @ Wa[:, cols[0]]) @ B)[None, :])
             A = np.vstack(rows)
             if A.shape[0] == 0:
                 continue  # nothing active: the projection is w0 if feasible
-            cols = np.flatnonzero(group == g)
-            W0g = W0r[:, cols]
+            W0g = W0[:, cols]
             lam, *_ = np.linalg.lstsq(A @ A.T, A @ W0g, rcond=None)
             cand[:, cols] = W0g - A.T @ lam
         accept = (self.violation(cand) <= 1e-11) & (
-            np.linalg.norm(cand - W0r, axis=0)
-            <= np.linalg.norm(War - W0r, axis=0) + 1e-9)
-        out[:, rest] = np.where(accept, cand, War)
-        return out
-
-    def _polish_projection(self, w0: np.ndarray, w_admm: np.ndarray) -> np.ndarray:
-        """Exact projection on the guessed active set; keep ADMM on failure."""
-        rows = [self.eq] if self.eq.shape[0] else []
-        Fw = self.ineq @ w_admm if self.ineq.shape[0] else np.zeros(0)
-        tight = np.flatnonzero(Fw >= -1e-7)
-        if tight.size:
-            rows.append(self.ineq[tight])
-        states = self._soc_states(w_admm[:, None])[:, 0]
-        for (B, _), state in zip(self.soc, states):
-            if state == _VERTEX:
-                rows.append(B)  # vertex: B w = 0
-            elif state == _BOUNDARY:  # stay on the facet
-                rows.append((cones._boundary_ray(B @ w_admm) @ B)[None, :])
-        if not rows:
-            return w0.copy() if self.contains(w0, tol=1e-11) else w_admm
-        A = np.vstack(rows)
-        lam, *_ = np.linalg.lstsq(A @ A.T, A @ w0, rcond=None)
-        cand = w0 - A.T @ lam
-        if float(self.violation(cand)) <= 1e-11 and (
-                np.linalg.norm(cand - w0) <= np.linalg.norm(w_admm - w0) + 1e-9):
-            return cand
-        return w_admm
+            np.linalg.norm(cand - W0, axis=0)
+            <= np.linalg.norm(Wa - W0, axis=0) + 1e-9)
+        return np.where(accept, cand, Wa)
 
 
 @dataclass(frozen=True)
@@ -306,38 +270,34 @@ def build_critical_cone(pd: PointData) -> CriticalCone:
     g = pd.g.gradient
     eq = g[None, :] if np.linalg.norm(g) > _GRAD_TOL else np.zeros((0, n))
     J = pd.full_jacobian()
-    face = pd.face
-    # active orthant rows and boundary rays, keyed by coordinate so the
-    # inequality rows keep block order
-    keyed = [(int(i), J[i]) for i in face.nonneg]
-    keyed += [(sl.start, d @ J[sl]) for sl, d in face.rays]
-    keyed.sort(key=lambda item: item[0])
-    ineq = np.vstack([row for _, row in keyed]) if keyed else np.zeros((0, n))
-    soc_rows = [(J[sl], sl.stop - sl.start) for sl in face.socs]
+    ineq = pd.face.inequality_rows(J)
+    soc_rows = [(J[sl], sl.stop - sl.start) for sl in pd.face.socs]
     return CriticalCone(n, eq, ineq, soc_rows)
 
 
 def presolve(cone: CriticalCone) -> CriticalCone:
     """The same cone with its implicit equalities written as equality rows.
 
-    A soc block whose first row of B is zero forces B w = 0, since the
-    axis coordinate bounds the norm of the others; its other rows become
-    equality rows.  An inequality row F_i becomes one when -F_i.w has
-    maximum at most _PRESOLVE_TOL * ||F_i|| over the box and relaxation of
+    An inequality row F_i becomes one when -F_i.w has maximum at most
+    _PRESOLVE_TOL * ||F_i|| over the box and relaxation of
     ``CriticalCone._box_maxima``: the relaxation contains the cone, so
-    F_i.w = 0 on all of it.  This is one step of facial reduction
-    (Borwein & Wolkowicz 1981).  A cone left with no inequality row and no
-    soc block is a subspace, projected exactly by ``P P^T``.
+    F_i.w = 0 on all of it.  A soc block becomes the equality rows B when
+    its axis row B_0 has such a maximum, since B_0.w >= ||(B w)_2..m|| on
+    the cone; B_0 = 0 is the special case, which keeps the rows B[1:].
+    This is one step of facial reduction (Borwein & Wolkowicz 1981).  A
+    cone left with no inequality row and no soc block is a subspace,
+    projected exactly by ``P P^T``; when the relaxation is {0} every row
+    vanishes on it, so the cone presolves to {0}, an empty basis.
     """
-    vertex = [not np.any(B[0]) for B, _ in cone.soc]
-    implicit = np.zeros(cone.ineq.shape[0], dtype=bool)
-    scale = np.linalg.norm(cone.ineq, axis=1)
-    for i, v in enumerate(cone._box_maxima(-cone.ineq)):
-        implicit[i] = v is not None and v <= _PRESOLVE_TOL * scale[i]
-    if not implicit.any() and not any(vertex):
+    C = np.vstack([-cone.ineq] + [B[:1] for B, _ in cone.soc])
+    vanish = np.array([v is not None and v <= _PRESOLVE_TOL * s for v, s in
+                       zip(cone._box_maxima(C), np.linalg.norm(C, axis=1))],
+                      dtype=bool)
+    if not vanish.any():
         return cone
+    implicit, vertex = np.split(vanish, [cone.ineq.shape[0]])
     eq = [cone.eq, cone.ineq[implicit]]
-    eq += [B[1:] for (B, _), v in zip(cone.soc, vertex) if v]
+    eq += [B if np.any(B[0]) else B[1:] for (B, _), v in zip(cone.soc, vertex) if v]
     soc = [block for block, v in zip(cone.soc, vertex) if not v]
     return CriticalCone(cone.n, np.vstack(eq), cone.ineq[~implicit], soc)
 
@@ -346,23 +306,24 @@ def presolve(cone: CriticalCone) -> CriticalCone:
 # curvature functional
 # ----------------------------------------------------------------------
 
-def _lambda_coefficients_batch(pd: PointData, W: np.ndarray) -> np.ndarray:
-    """Columnwise coefficient vectors C (m x N) of the inner maximization."""
-    C = np.zeros((pd.m, W.shape[1]))
+def _curvature_tensor(pd: PointData) -> np.ndarray:
+    """T (m, n, n) with sigma(w) = w.H_g.w + max over lam of sum_i lam_i w.T_i.w:
+    row i's Hessian, plus d_i / (d.d) J^T H J on an active soc boundary
+    block whose reduction has gradient d and Hessian H, J its Jacobian."""
+    T = np.concatenate([np.zeros((0, pd.n, pd.n))] + [bd.hessians for bd in pd.blocks])
     for bd, sl in zip(pd.blocks, pd.block_slices()):
-        C[sl] = np.einsum("ijk,jN,kN->iN", bd.hessians, W, W, optimize=True)
         red = bd.activity
         if red.case == "soc_boundary":
             d = red.grad_h(bd.value)[0]
             H = red.hess_h(bd.value)[0]
-            JW = bd.jacobian @ W
-            kappa = np.einsum("iN,ij,jN->N", JW, H, JW)
-            C[sl] += np.outer(d / float(d @ d), kappa)
-    return C
+            T[sl] += np.multiply.outer(d / float(d @ d),
+                                       bd.jacobian.T @ H @ bd.jacobian)
+    return T
 
 
-def _lambda_coefficients(pd: PointData, w: np.ndarray) -> np.ndarray:
-    return _lambda_coefficients_batch(pd, np.asarray(w, float)[:, None])[:, 0]
+def _lambda_coefficients_batch(T: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Columnwise coefficient vectors C (m x N) of the inner maximization."""
+    return np.einsum("ijk,jN,kN->iN", T, W, W, optimize=True)
 
 
 def sigma(pd: PointData, ms: MultiplierSet, w,
@@ -379,27 +340,16 @@ def sigma(pd: PointData, ms: MultiplierSet, w,
     base = float(w @ pd.g.hessian @ w)
     if ms.m == 0:
         return base
-    res = maximize_linear(ms, _lambda_coefficients(pd, w))
+    C = _lambda_coefficients_batch(_curvature_tensor(pd), w[:, None])[:, 0]
+    res = maximize_linear(ms, C)
     if res.status == "unbounded":
         return math.inf
-    if res.status == "empty":
-        raise ValueError("multiplier set is empty")
     return base + res.value
 
 
 def _fixed_multiplier_matrix(pd: PointData, lam: np.ndarray) -> np.ndarray:
     """Full quadratic form Q with sigma(w) = w.Q.w for a fixed multiplier."""
-    Q = pd.g.hessian.copy()
-    for bd, sl in zip(pd.blocks, pd.block_slices()):
-        lam_b = lam[sl]
-        Q += np.einsum("i,ijk->jk", lam_b, bd.hessians)
-        red = bd.activity
-        if red.case == "soc_boundary":
-            d = red.grad_h(bd.value)[0]
-            H = red.hess_h(bd.value)[0]
-            mu = float(lam_b @ d) / float(d @ d)
-            Q += mu * bd.jacobian.T @ H @ bd.jacobian
-    return Q
+    return pd.g.hessian + np.einsum("i,ijk->jk", lam, _curvature_tensor(pd))
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +368,7 @@ class _SigmaEvaluator:
     def __init__(self, pd: PointData, ms: MultiplierSet):
         self.pd = pd
         self.ms = ms
+        self._T = _curvature_tensor(pd)
         self.cut_warning = False
         self.mode = "generic"
         if ms.m == 0 or ms.k == 0:
@@ -434,7 +385,7 @@ class _SigmaEvaluator:
         if self.mode == "singleton":
             return np.einsum("iN,ij,jN->N", W, self._Q, W, optimize=True)
         base = np.einsum("iN,ij,jN->N", W, self.pd.g.hessian, W, optimize=True)
-        C = _lambda_coefficients_batch(self.pd, W)
+        C = _lambda_coefficients_batch(self._T, W)
         if self.mode == "enumerated":
             vals = base + np.max(self._verts.T @ C, axis=0)
             if self._rays.shape[1]:
@@ -457,7 +408,8 @@ class _SigmaEvaluator:
         """Value plus a maximizing multiplier (None when unbounded), by one
         inner maximization; the generic mode's per-direction path."""
         base = float(w @ self.pd.g.hessian @ w)
-        res = maximize_linear(self.ms, _lambda_coefficients(self.pd, w))
+        C = _lambda_coefficients_batch(self._T, w[:, None])[:, 0]
+        res = maximize_linear(self.ms, C)
         if res.status == "unbounded":
             return math.inf, None
         if res.cuts_exceeded:
@@ -477,20 +429,20 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
             seed: int = 0, force: Optional[str] = None) -> SoscReport:
     """Second-order verdicts and the predicted quadratic-growth modulus.
 
-    The Exact path applies when the presolved critical cone is a linear
-    subspace and the multiplier set is a singleton (the modulus is then the
-    smallest eigenvalue of P^T Q P, boundary curvature included in Q), and
-    when is_trivial proves the cone to be {0}; everything else is Sampled
-    with the seed recorded.
+    A cone that presolves to the subspace {0} makes both verdicts hold
+    vacuously (Exact), whatever the path.  The Exact path applies when the
+    presolved critical cone is a linear subspace and the multiplier set is
+    a singleton (the modulus is then the smallest eigenvalue of P^T Q P,
+    boundary curvature included in Q); everything else is Sampled with the
+    seed recorded.
     """
     cone = presolve(build_critical_cone(pd))
-    exact_ok = cone.is_subspace and ms.k == 0
+    if cone.is_subspace and cone.subspace_basis().shape[1] == 0:
+        return SoscReport(True, True, math.inf, None, "Exact", 0, seed,
+                          empty_cone=True)
 
-    if exact_ok and force != "sampled":
+    if cone.is_subspace and ms.k == 0 and force != "sampled":
         P = cone.subspace_basis()
-        if P.shape[1] == 0:
-            return SoscReport(True, True, math.inf, None, "Exact", 0, seed,
-                              empty_cone=True)
         Q = _fixed_multiplier_matrix(pd, ms.lam0) if ms.m else pd.g.hessian
         vals, vecs = np.linalg.eigh(P.T @ Q @ P)
         modulus = float(vals[0])
@@ -498,15 +450,12 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
         return _verdicts(modulus, worst, "Exact", 0, seed)
 
     # ---- sampled path ----
-    if cone.is_trivial():
-        return SoscReport(True, True, math.inf, None, "Exact", 0, seed,
-                          empty_cone=True)
     n = pd.n
     dirs = sphere(n, samples, seed=seed)
     proj = cone.project(dirs, iters=250, polish=False)
     norms = np.linalg.norm(proj, axis=0)
-    # is_trivial decides polyhedral cones exactly; only soc blocks leave
-    # emptiness to the samples
+    # the presolve decides polyhedral cones exactly; only a soc block whose
+    # relaxation is not {0} leaves emptiness to the samples
     if cone.soc and float(np.max(norms, initial=0.0)) < 1e-6:
         return SoscReport(True, True, math.inf, None, "Sampled", samples, seed,
                           empty_cone=True)

@@ -44,6 +44,14 @@ def licq():
     return problem.load(corpus_path("licq", "problem.prob"))
 
 
+# a soc(3) vertex block beside an active orthant row: the presolved
+# critical cone keeps the row w1 <= 0, so its projection runs ADMM
+MIXED_SOC_AND_ORTHANT = ("vars: x1 x2 x3\nobjective: 0.5*x1^2 + x2^2\n"
+                         "block soc 3:\n  row: 2*x2^2\n  row: x2^2 - x3\n"
+                         "  row: x2^2 + x3\n"
+                         "block orthant 1:\n  row: x1\npoint: 0 0 0\n")
+
+
 def pipeline(p, samples=4000, seed=0):
     """evaluate -> stationarity -> multiplier set, shared across tests."""
     from strongmin import kkt, problem

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from conftest import REPO, corpus_path
-from strongmin import cli, report
+from conftest import MIXED_SOC_AND_ORTHANT, REPO, corpus_path
+from strongmin import cli, problem, report, sosc
 
 
 def run_cli(args):
@@ -42,6 +42,16 @@ class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         assert run_cli(["analyze", "missing.prob"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_file_argument_is_never_parsed_as_text(self, capsys):
+        # a path that holds a newline names a file like any other path
+        text = "vars: x\nobjective: x^2\npoint: 0"
+        assert run_cli(["qgc", text, "--samples", "100"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "cannot read" in out.err
+        assert run_cli(["pw1d", "pw1d\nbreakpoints: 0\nmissing.pw"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "cannot read" in out.err
 
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.prob"
@@ -110,15 +120,28 @@ class TestReports:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bytes_do_not_depend_on_blas_threads(self):
+    # socb takes the Exact path, ex44 the sampled path with cutting-plane
+    # inner maxima, and the mixed problem the sampled path with ADMM
+    # projections and the batched active-set polish
+    @pytest.mark.parametrize("name", ["socb", "ex44", "mixed_soc_and_orthant"])
+    def test_bytes_do_not_depend_on_blas_threads(self, name, tmp_path):
+        if name == "mixed_soc_and_orthant":
+            path = tmp_path / "mixed.prob"
+            path.write_text(MIXED_SOC_AND_ORTHANT)
+            p = problem.load(str(path))
+            cone = sosc.presolve(sosc.build_critical_cone(
+                problem.evaluate(p, p.point)))
+            assert cone.ineq.shape[0] and not cone.is_subspace
+        else:
+            path = corpus_path(name, "problem.prob")
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
                        PYTHONPATH=os.path.join(REPO, "src"))
             proc = subprocess.run(
-                [sys.executable, "-m", "strongmin", "analyze",
-                 corpus_path("socb", "problem.prob"), "--samples", "2000"],
+                [sys.executable, "-m", "strongmin", "analyze", str(path),
+                 "--samples", "2000"],
                 env=env, capture_output=True, check=True)
             outputs.append(proc.stdout)
         assert outputs[0] and outputs[0] == outputs[1]

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (corpus_path, pipeline, random_licq_instance,
-                      random_quadratic_problem, sample_members)
-from strongmin import expr, kkt, problem, sosc
+from conftest import (MIXED_SOC_AND_ORTHANT, corpus_path, pipeline,
+                      random_licq_instance, random_quadratic_problem,
+                      sample_members)
+from strongmin import cones, expr, kkt, problem, sosc
 from strongmin._sampling import sphere
 
 CONIC_CORPUS = ("ex44", "ex46", "ex47", "licq", "quad3", "socb")
@@ -23,6 +24,48 @@ def soc_and_orthant_cone():
     # interior, on the boundary and at the vertex of the soc block
     return sosc.CriticalCone(4, np.zeros((0, 4)), np.array([[0.0, 0.0, 0.0, 1.0]]),
                              [(np.eye(4)[:3], 3)])
+
+
+def polish_projection(cone, w0, w_admm):
+    """Per-column reference for CriticalCone._polish_batch: the exact
+    projection on the active set guessed from w_admm; w_admm on failure."""
+    rows = [cone.eq] if cone.eq.shape[0] else []
+    Fw = cone.ineq @ w_admm if cone.ineq.shape[0] else np.zeros(0)
+    tight = np.flatnonzero(Fw >= -1e-7)
+    if tight.size:
+        rows.append(cone.ineq[tight])
+    states = cone._soc_states(w_admm[:, None])[:, 0]
+    for (B, _), state in zip(cone.soc, states):
+        if state == sosc._VERTEX:
+            rows.append(B)  # vertex: B w = 0
+        elif state == sosc._BOUNDARY:  # stay on the facet
+            rows.append((cones._boundary_ray(B @ w_admm) @ B)[None, :])
+    if not rows:
+        return w0.copy() if cone.contains(w0, tol=1e-11) else w_admm
+    A = np.vstack(rows)
+    lam, *_ = np.linalg.lstsq(A @ A.T, A @ w0, rcond=None)
+    cand = w0 - A.T @ lam
+    if float(cone.violation(cand)) <= 1e-11 and (
+            np.linalg.norm(cand - w0) <= np.linalg.norm(w_admm - w0) + 1e-9):
+        return cand
+    return w_admm
+
+
+def relaxation_is_trivial(cone):
+    """Reference emptiness certificate: True when each of +-w_i has maximum
+    at most 0.5 over the box |w_i| <= 1 intersected with the polyhedral
+    relaxation of ``CriticalCone._box_maxima``.  The relaxation is a cone,
+    so the 2n optima are all 0 when it is {0} and their maximum is 1
+    otherwise.  Exact for polyhedral cones; with soc blocks a True answer
+    is a certificate and False decides nothing."""
+    box = np.eye(cone.n)
+    return all(v is not None and v <= 0.5
+               for v in cone._box_maxima(np.vstack([box, -box])))
+
+
+def presolves_to_zero(cone):
+    pre = sosc.presolve(cone)
+    return pre.is_subspace and pre.subspace_basis().shape[1] == 0
 
 
 def admm_two_solves(cone, W2, iters):
@@ -96,7 +139,7 @@ class TestCriticalCone:
         Wa = cone._admm(W, 250)
         batch = cone._polish_batch(W, Wa)
         for j in range(W.shape[1]):
-            ref = cone._polish_projection(W[:, j], Wa[:, j])
+            ref = polish_projection(cone, W[:, j], Wa[:, j])
             assert np.max(np.abs(batch[:, j] - ref)) <= 1e-12
         if name == "soc_and_orthant":
             states = set(cone._soc_states(Wa).ravel().tolist())
@@ -212,11 +255,16 @@ class TestPresolve:
     def test_planted_equalities_beside_a_soc_block(self):
         # each presolved equality row measures at least what its raw row or
         # vertex block measured, so the raw violation never exceeds the
-        # presolved one; the genuine soc block is kept as it is
+        # presolved one; the genuine soc block is kept as it is, except on
+        # draws whose relaxation is {0}, where the whole cone is {0}
         rng = np.random.default_rng(8)
-        for _ in range(10):
+        for draw in range(10):
             raw = planted_cone(rng, with_soc=True)
             pre = sosc.presolve(raw)
+            if draw in (1, 2, 4, 6, 7):
+                assert relaxation_is_trivial(raw) and presolves_to_zero(raw)
+                continue
+            assert not relaxation_is_trivial(raw)
             assert pre.ineq.shape[0] <= raw.ineq.shape[0] - 3
             assert len(pre.soc) == 1 and pre.soc[0][0] is raw.soc[1][0]
             W = 2.0 * sphere(raw.n, 200, seed=3)
@@ -293,6 +341,20 @@ class TestPresolve:
                 assert abs(rep.predicted_modulus - expected) <= 1e-9
             checked += 1
         assert checked >= 20
+
+    def test_soc_block_emptied_by_a_row(self):
+        # (w1, w2) in soc(2) and w1 <= 0 leave w1 = w2 = 0: both the row and
+        # the block vanish on the relaxation, so the cone is the e3 axis
+        cone = sosc.CriticalCone(3, np.zeros((0, 3)), np.array([[1.0, 0.0, 0.0]]),
+                                 [(np.eye(3)[:2], 2)])
+        pre = sosc.presolve(cone)
+        assert pre.is_subspace
+        P = pre.subspace_basis()
+        assert P.shape == (3, 1) and abs(abs(P[2, 0]) - 1.0) <= 1e-15
+        W = 2.0 * sphere(3, 200, seed=7)
+        expected = np.zeros_like(W)
+        expected[2] = W[2]
+        assert np.max(np.abs(pre.project(W) - expected)) <= 1e-15
 
     def test_soc_and_orthant_still_uses_admm(self, monkeypatch):
         cone = sosc.presolve(soc_and_orthant_cone())
@@ -536,10 +598,7 @@ class TestAnalyze:
 
     def test_mixed_soc_and_orthant_blocks(self):
         # extra sign constraint flips the worst direction into the cone
-        p = problem.loads("vars: x1 x2 x3\nobjective: 0.5*x1^2 + x2^2\n"
-                          "block soc 3:\n  row: 2*x2^2\n  row: x2^2 - x3\n"
-                          "  row: x2^2 + x3\n"
-                          "block orthant 1:\n  row: x1\npoint: 0 0 0\n")
+        p = problem.loads(MIXED_SOC_AND_ORTHANT)
         pd, st, ms = pipeline(p)
         rep = sosc.analyze(pd, ms, samples=4000, seed=0)
         assert abs(rep.predicted_modulus - 1.0) <= 1e-6
@@ -573,17 +632,28 @@ class TestAnalyze:
             "point: 0 0\n")
         pd, st, ms = pipeline(p)
         assert np.all(ms.lam0 > 0)
-        assert sosc.build_critical_cone(pd).is_trivial()
-        rep = sosc.analyze(pd, ms, samples=2000, seed=0)
-        assert rep.empty_cone and rep.sonc_holds and rep.sosc_holds
-        assert rep.predicted_modulus == math.inf
+        cone = sosc.build_critical_cone(pd)
+        assert relaxation_is_trivial(cone) and presolves_to_zero(cone)
+        for force in (None, "sampled"):
+            rep = sosc.analyze(pd, ms, samples=2000, seed=0, force=force)
+            assert rep.empty_cone and rep.sonc_holds and rep.sosc_holds
+            assert rep.predicted_modulus == math.inf
+            assert rep.certification == "Exact" and rep.sample_count == 0
 
     def test_is_trivial_decisions(self):
-        for name in CONIC_CORPUS:
-            assert not corpus_cone(name).is_trivial()
-        assert not soc_and_orthant_cone().is_trivial()
+        # the presolve gives the subspace {0} exactly where the reference
+        # relaxation certificate proves the cone to be {0}
+        cases = [corpus_cone(name) for name in CONIC_CORPUS]
+        cases.append(soc_and_orthant_cone())
         # w in soc(3) with w1 <= 0 leaves only w = 0, which the relaxation
         # w1 >= |w2|, w1 >= |w3| already proves
-        cone = sosc.CriticalCone(3, np.zeros((0, 3)), np.array([[1.0, 0.0, 0.0]]),
-                                 [(np.eye(3), 3)])
-        assert cone.is_trivial()
+        cases.append(sosc.CriticalCone(3, np.zeros((0, 3)),
+                                       np.array([[1.0, 0.0, 0.0]]),
+                                       [(np.eye(3), 3)]))
+        for seed, with_soc in ((7, False), (8, True)):
+            rng = np.random.default_rng(seed)
+            cases += [planted_cone(rng, with_soc) for _ in range(10)]
+        decisions = [relaxation_is_trivial(cone) for cone in cases]
+        assert [presolves_to_zero(cone) for cone in cases] == decisions
+        assert not any(decisions[:len(CONIC_CORPUS) + 1])
+        assert decisions[len(CONIC_CORPUS) + 1]
