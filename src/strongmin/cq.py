@@ -1,11 +1,10 @@
 """Constraint-qualification diagnostics.
 
-MFCQ (strict descent direction for the active inequalities) and its dual
-form, CRCQ (constant rank of every active-gradient subset on a sampled
-neighborhood), the dual characterization of the Robinson condition
-(normal cone meets the Jacobian kernel only at zero), and an empirical
-metric-subregularity probe.  The probe is evidence, never proof: reports
-say so explicitly.
+MFCQ (strict descent direction for the active inequalities), CRCQ
+(constant rank of every active-gradient subset on a sampled neighborhood),
+the dual characterization of the Robinson condition (normal cone meets
+the Jacobian kernel only at zero), and an empirical metric-subregularity
+probe.  The probe is evidence, never proof: reports say so explicitly.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "MscqProbe",
     "TooManyActiveConstraints",
     "check_mfcq",
-    "check_mfcq_dual",
     "check_crcq",
     "check_rcq_dual",
     "probe_mscq",
@@ -95,21 +93,6 @@ def check_mfcq(pd: PointData) -> Optional[bool]:
     return bool(res.status == "optimal" and res.value > 1e-9)
 
 
-def check_mfcq_dual(pd: PointData) -> Optional[bool]:
-    """Dual form: no convex combination of active gradients vanishes."""
-    if not _orthant_only(pd):
-        return None
-    active = pd.face.nonneg
-    if not active.size:
-        return True
-    grads = pd.full_jacobian()[active]
-    k = grads.shape[0]
-    A_eq = np.vstack([np.ones((1, k)), grads.T])
-    b_eq = np.concatenate([[1.0], np.zeros(pd.n)])
-    res = solve_lp(np.zeros(k), A_eq=A_eq, b_eq=b_eq, nonneg=True)
-    return bool(res.status == "infeasible")
-
-
 def check_crcq(pd: PointData, radius: float = _CRCQ_RADIUS,
                seed: int = 0) -> Optional[bool]:
     """Constant rank of every subset of active gradients on a sampled ball."""
@@ -138,9 +121,11 @@ def check_crcq(pd: PointData, radius: float = _CRCQ_RADIUS,
 def check_rcq_dual(pd: PointData, seed: int = 0) -> bool:
     """Robinson condition via its dual: N_Θ(q(x̄)) ∩ ker ∇q(x̄)^T = {0}.
 
-    Polyhedral problems reduce to an LP; with second-order-cone blocks the
-    kernel's unit sphere is scanned with a membership test, plus the exact
-    ray directions of boundary-active blocks.
+    On orthant-only problems this is MFCQ (Gordan's alternative: no
+    nonnegative nonzero combination of active gradients vanishes), so it
+    returns ``check_mfcq``; with second-order-cone blocks the kernel's unit
+    sphere is scanned with a membership test, plus the exact ray directions
+    of boundary-active blocks.
     """
     if pd.m == 0:
         return True
@@ -153,7 +138,7 @@ def check_rcq_dual(pd: PointData, seed: int = 0) -> bool:
         return True
 
     if _orthant_only(pd):
-        return bool(check_mfcq_dual(pd))
+        return check_mfcq(pd)
 
     # scan the kernel sphere for a nonzero normal-cone member
     cands = null @ sphere(kappa, _RCQ_GRID, seed=seed)
@@ -210,7 +195,8 @@ def run_cq(pd: PointData, probe_radius: float = 0.1, probe_samples: int = 128,
            seed: int = 0) -> CqReport:
     mfcq = check_mfcq(pd)
     crcq = check_crcq(pd, seed=seed)
-    rcq = check_rcq_dual(pd, seed=seed)
+    # one LP decides both on orthant-only problems, where they coincide
+    rcq = check_rcq_dual(pd, seed=seed) if mfcq is None else mfcq
     mscq = probe_mscq(pd.problem.with_point(pd.x), radius=probe_radius,
                       samples=probe_samples, seed=seed)
     notes: List[str] = [

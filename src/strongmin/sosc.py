@@ -23,6 +23,9 @@ low-discrepancy sphere search with coordinate-descent polishing otherwise
 (Sampled).  With one multiplier, sigma is the quadratic form of
 `_fixed_multiplier_matrix`, whose Q already carries the boundary-curvature
 correction, so the Exact path covers boundary-active soc blocks too.
+Sigma is scored only at unit directions that violate the cone by at most
+_MEMBERSHIP_TOL; `CriticalCone.project` may leave a column outside, and
+`analyze` raises NotInCriticalCone when no direction is left.
 """
 
 from __future__ import annotations
@@ -56,7 +59,10 @@ _GRAD_TOL = 1e-10  # a smaller objective gradient adds no equality row
 # presolve: an inequality row F_i whose largest -F_i.w over the box and the
 # relaxed cone is at most this times ||F_i|| is an implicit equality
 _PRESOLVE_TOL = 1e-12
-_INTERIOR, _VERTEX, _BOUNDARY = 0, 1, 2  # position of B w in a soc block
+# ADMM projection: a column stops once its primal and dual residuals are
+# both at most _ADMM_TOL, and every column stops after _ADMM_MAX_ITERS
+_ADMM_TOL = 1e-12
+_ADMM_MAX_ITERS = 1200
 # sampled path: coordinate-descent rounds, their first step and the step
 # below which a candidate stops
 _POLISH_ROUNDS = 60
@@ -91,17 +97,11 @@ class CriticalCone:
         else:
             self._null = None
         rows = [self.eq, self.ineq] + [B for B, _ in self.soc]
-        self._M = np.vstack([r for r in rows if r.shape[0]]) if any(
-            r.shape[0] for r in rows) else np.zeros((0, self.n))
-        start = 0
-        self._eq_sl = slice(start, start + self.eq.shape[0])
-        start += self.eq.shape[0]
-        self._ineq_sl = slice(start, start + self.ineq.shape[0])
-        start += self.ineq.shape[0]
-        self._soc_sl = []
-        for _, m in self.soc:
-            self._soc_sl.append((slice(start, start + m), m))
-            start += m
+        self._M = np.vstack(rows)
+        ends = np.cumsum([r.shape[0] for r in rows]).tolist()
+        self._eq_sl, self._ineq_sl = slice(0, ends[0]), slice(ends[0], ends[1])
+        self._soc_sl = [(slice(a, b), m) for a, b, (_, m)
+                        in zip(ends[1:], ends[2:], self.soc)]
         # ADMM x-update operator, formed once per cone (Boyd et al. 2011,
         # section 4.2): I + M^T M has eigenvalues >= 1, so its inverse is
         # well conditioned and one matrix product replaces two solves.
@@ -140,17 +140,8 @@ class CriticalCone:
     def violation(self, W: np.ndarray) -> np.ndarray:
         """Columnwise distance of M w to the target set D."""
         single = W.ndim == 1
-        W2 = W[:, None] if single else W
-        Z = self._M @ W2
-        out = np.zeros(W2.shape[1])
-        if self._eq_sl.stop > self._eq_sl.start:
-            out += np.sum(Z[self._eq_sl] ** 2, axis=0)
-        if self._ineq_sl.stop > self._ineq_sl.start:
-            out += np.sum(np.maximum(Z[self._ineq_sl], 0.0) ** 2, axis=0)
-        for sl, m in self._soc_sl:
-            P = cones.project(cones.soc(m), Z[sl])
-            out += np.sum((Z[sl] - P) ** 2, axis=0)
-        out = np.sqrt(out)
+        Z = self._M @ (W[:, None] if single else W)
+        out = np.linalg.norm(Z - self._proj_D(Z), axis=0)
         return float(out[0]) if single else out
 
     def contains(self, w, tol: float = _MEMBERSHIP_TOL) -> bool:
@@ -164,13 +155,15 @@ class CriticalCone:
             out[sl] = cones.project(cones.soc(m), out[sl])
         return out
 
-    def project(self, W: np.ndarray, iters: int = 1200,
-                polish: bool = True) -> np.ndarray:
-        """Euclidean projection onto the cone.
+    def project(self, W: np.ndarray) -> np.ndarray:
+        """Euclidean projection onto the cone, columnwise.
 
-        ADMM splitting handles the general case; an active-set polish makes
-        the result exact whenever the guessed active rows are right (always
-        true on the polyhedral part).  Subspaces are projected exactly.
+        Subspaces are projected exactly by P P^T, other cones by ADMM on
+        M x = z, z in D.  A column stops at the first iteration where its
+        primal residual ||M x - z|| and dual residual ||M^T (z - z_prev)||
+        are both at most _ADMM_TOL (Boyd et al. 2011, section 3.3) and
+        keeps that x; one still running after _ADMM_MAX_ITERS may lie
+        outside the cone.
         """
         single = W.ndim == 1
         W2 = np.asarray(W, dtype=float)
@@ -178,77 +171,32 @@ class CriticalCone:
         if self.is_subspace:
             P = self._null
             out = P @ (P.T @ W2)
-            return out[:, 0] if single else out
-        out = self._admm(W2, iters)
-        if polish:
-            out = self._polish_batch(W2, out)
+        else:
+            out = self._admm(W2)
         return out[:, 0] if single else out
 
-    def _admm(self, W2: np.ndarray, iters: int) -> np.ndarray:
-        if self._M.shape[0] == 0:
-            return W2.copy()
+    def _admm(self, W2: np.ndarray) -> np.ndarray:
+        X = W2.copy()
         M = self._M
+        live = np.arange(W2.shape[1])  # columns that have not stopped
         KW = self._K @ W2
         Z = self._proj_D(M @ W2)
         U = np.zeros_like(Z)
-        X = W2.copy()
-        for _ in range(iters):
-            X = KW + self._KMt @ (Z - U)
-            MX = M @ X
+        for _ in range(_ADMM_MAX_ITERS):
+            Xl = KW + self._KMt @ (Z - U)
+            MX = M @ Xl
+            Z_prev = Z
             Z = self._proj_D(MX + U)
             U += MX
             U -= Z
+            X[:, live] = Xl
+            go = ((np.linalg.norm(MX - Z, axis=0) > _ADMM_TOL)
+                  | (np.linalg.norm(M.T @ (Z - Z_prev), axis=0) > _ADMM_TOL))
+            if not go.all():
+                live, KW, Z, U = live[go], KW[:, go], Z[:, go], U[:, go]
+            if not live.size:
+                break
         return X
-
-    def _soc_states(self, Wa: np.ndarray) -> np.ndarray:
-        """Per soc block and column: interior, vertex or boundary of B w."""
-        state = np.full((len(self.soc), Wa.shape[1]), _INTERIOR, dtype=np.int8)
-        for b, (B, _) in enumerate(self.soc):
-            Z = B @ Wa
-            nz = np.linalg.norm(Z, axis=0)
-            on_facet = np.abs(Z[0] - np.linalg.norm(Z[1:], axis=0)) \
-                <= 1e-6 * np.maximum(1.0, nz)
-            state[b, on_facet] = _BOUNDARY
-            state[b, nz <= 1e-7] = _VERTEX
-        return state
-
-    def _polish_batch(self, W0: np.ndarray, Wa: np.ndarray) -> np.ndarray:
-        """Exact projection on the active set guessed from the ADMM points
-        Wa, one least-squares solve per group of columns that share it; a
-        column keeps its ADMM point where the candidate is infeasible or
-        farther from W0.
-
-        Held at zero: equalities, tight inequality rows, soc vertex blocks
-        and the facet row of a boundary soc block, which depends on the
-        column, so such a column is a group of its own.
-        """
-        tight = self.ineq @ Wa >= -1e-7
-        state = self._soc_states(Wa)
-        alone = np.where(np.any(state == _BOUNDARY, axis=0),
-                         np.arange(Wa.shape[1]), -1)
-        keys, group = np.unique(np.vstack([tight, state, alone]).T, axis=0,
-                                return_inverse=True)
-        group = group.ravel()
-        n_ineq = self.ineq.shape[0]
-        cand = W0.copy()
-        for g, key in enumerate(keys):
-            cols = np.flatnonzero(group == g)
-            rows = [self.eq, self.ineq[key[:n_ineq].astype(bool)]]
-            for (B, _), s in zip(self.soc, key[n_ineq:-1]):
-                if s == _VERTEX:
-                    rows.append(B)
-                elif s == _BOUNDARY:  # cols is one column
-                    rows.append((cones._boundary_ray(B @ Wa[:, cols[0]]) @ B)[None, :])
-            A = np.vstack(rows)
-            if A.shape[0] == 0:
-                continue  # nothing active: the projection is w0 if feasible
-            W0g = W0[:, cols]
-            lam, *_ = np.linalg.lstsq(A @ A.T, A @ W0g, rcond=None)
-            cand[:, cols] = W0g - A.T @ lam
-        accept = (self.violation(cand) <= 1e-11) & (
-            np.linalg.norm(cand - W0, axis=0)
-            <= np.linalg.norm(Wa - W0, axis=0) + 1e-9)
-        return np.where(accept, cand, Wa)
 
 
 @dataclass(frozen=True)
@@ -327,14 +275,13 @@ def _lambda_coefficients_batch(T: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def sigma(pd: PointData, ms: MultiplierSet, w,
-          cone: Optional[CriticalCone] = None,
-          membership_tol: float = _MEMBERSHIP_TOL):
+          cone: Optional[CriticalCone] = None):
     """Curvature functional at a critical direction; +inf when the inner
     maximization is unbounded.  Raises NotInCriticalCone outside the cone."""
     w = np.asarray(w, dtype=float)
     if cone is None:
         cone = build_critical_cone(pd)
-    if not cone.contains(w, tol=membership_tol):
+    if not cone.contains(w):
         raise NotInCriticalCone(
             f"direction violates the critical cone by {float(cone.violation(w)):.3e}")
     base = float(w @ pd.g.hessian @ w)
@@ -434,7 +381,8 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
     presolved critical cone is a linear subspace and the multiplier set is
     a singleton (the modulus is then the smallest eigenvalue of P^T Q P,
     boundary curvature included in Q); everything else is Sampled with the
-    seed recorded.
+    seed recorded.  Raises NotInCriticalCone when the sampled path has no
+    direction left in the cone.
     """
     cone = presolve(build_critical_cone(pd))
     if cone.is_subspace and cone.subspace_basis().shape[1] == 0:
@@ -452,7 +400,7 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
     # ---- sampled path ----
     n = pd.n
     dirs = sphere(n, samples, seed=seed)
-    proj = cone.project(dirs, iters=250, polish=False)
+    proj = cone.project(dirs)
     norms = np.linalg.norm(proj, axis=0)
     # the presolve decides polyhedral cones exactly; only a soc block whose
     # relaxation is not {0} leaves emptiness to the samples
@@ -473,10 +421,10 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
             e[i] = sgn
             axes.append(e)
     cand = np.column_stack([cand, np.column_stack(axes)])
-    cand = cone.project(cand, iters=1200)
-    nrm = np.linalg.norm(cand, axis=0)
-    ok = nrm >= 1e-9
-    cand = cand[:, ok] / nrm[ok]
+    cand, ok = _unit_members(cone, cone.project(cand))
+    if not ok.any():
+        raise NotInCriticalCone("no projected direction lies in the critical cone")
+    cand = cand[:, ok]
 
     evaluator = _SigmaEvaluator(pd, ms)
     if not evaluator.cheap and cand.shape[1] > 400:
@@ -524,10 +472,7 @@ def _polish(cone, evaluator, W0, v0):
             break
         trials = (W[:, :, None] + offsets[:, None, :] * steps[None, :, None])
         T = trials.reshape(n, K * n_trials)
-        P = cone.project(T, iters=250)
-        nrm = np.linalg.norm(P, axis=0)
-        good = nrm >= 1e-9
-        Pn = np.where(good[None, :], P / np.where(good, nrm, 1.0), 0.0)
+        Pn, good = _unit_members(cone, cone.project(T))
 
         if evaluator.cheap:
             vals = np.where(good, evaluator(Pn), np.inf)
@@ -568,6 +513,14 @@ def _polish(cone, evaluator, W0, v0):
 
     jbest = int(np.argmin(V))
     return W[:, jbest].copy(), float(V[jbest])
+
+
+def _unit_members(cone, P):
+    """The columns of P scaled to unit norm, and the mask of those that are
+    cone members to _MEMBERSHIP_TOL; a column of norm below 1e-9 is not."""
+    nrm = np.linalg.norm(P, axis=0)
+    Pn = P / np.where(nrm >= 1e-9, nrm, 1.0)
+    return Pn, (nrm >= 1e-9) & (cone.violation(Pn) <= _MEMBERSHIP_TOL)
 
 
 def _verdicts(modulus, worst, certification, count, seed, warning=False):

@@ -52,6 +52,22 @@ MIXED_SOC_AND_ORTHANT = ("vars: x1 x2 x3\nobjective: 0.5*x1^2 + x2^2\n"
                          "block orthant 1:\n  row: x1\npoint: 0 0 0\n")
 
 
+def mfcq_dual(pd):
+    """Reference for cq.check_mfcq on orthant-only problems, by Gordan's
+    alternative: no convex combination of active gradients vanishes."""
+    from strongmin._simplex import solve_lp
+    assert all(b.cone.kind == "orthant" for b in pd.blocks)
+    active = pd.face.nonneg
+    if not active.size:
+        return True
+    grads = pd.full_jacobian()[active]
+    k = grads.shape[0]
+    A_eq = np.vstack([np.ones((1, k)), grads.T])
+    b_eq = np.concatenate([[1.0], np.zeros(pd.n)])
+    res = solve_lp(np.zeros(k), A_eq=A_eq, b_eq=b_eq, nonneg=True)
+    return bool(res.status == "infeasible")
+
+
 def pipeline(p, samples=4000, seed=0):
     """evaluate -> stationarity -> multiplier set, shared across tests."""
     from strongmin import kkt, problem

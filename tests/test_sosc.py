@@ -8,7 +8,7 @@ import pytest
 from conftest import (MIXED_SOC_AND_ORTHANT, corpus_path, pipeline,
                       random_licq_instance, random_quadratic_problem,
                       sample_members)
-from strongmin import cones, expr, kkt, problem, sosc
+from strongmin import expr, kkt, problem, report, sosc
 from strongmin._sampling import sphere
 
 CONIC_CORPUS = ("ex44", "ex46", "ex47", "licq", "quad3", "socb")
@@ -24,31 +24,6 @@ def soc_and_orthant_cone():
     # interior, on the boundary and at the vertex of the soc block
     return sosc.CriticalCone(4, np.zeros((0, 4)), np.array([[0.0, 0.0, 0.0, 1.0]]),
                              [(np.eye(4)[:3], 3)])
-
-
-def polish_projection(cone, w0, w_admm):
-    """Per-column reference for CriticalCone._polish_batch: the exact
-    projection on the active set guessed from w_admm; w_admm on failure."""
-    rows = [cone.eq] if cone.eq.shape[0] else []
-    Fw = cone.ineq @ w_admm if cone.ineq.shape[0] else np.zeros(0)
-    tight = np.flatnonzero(Fw >= -1e-7)
-    if tight.size:
-        rows.append(cone.ineq[tight])
-    states = cone._soc_states(w_admm[:, None])[:, 0]
-    for (B, _), state in zip(cone.soc, states):
-        if state == sosc._VERTEX:
-            rows.append(B)  # vertex: B w = 0
-        elif state == sosc._BOUNDARY:  # stay on the facet
-            rows.append((cones._boundary_ray(B @ w_admm) @ B)[None, :])
-    if not rows:
-        return w0.copy() if cone.contains(w0, tol=1e-11) else w_admm
-    A = np.vstack(rows)
-    lam, *_ = np.linalg.lstsq(A @ A.T, A @ w0, rcond=None)
-    cand = w0 - A.T @ lam
-    if float(cone.violation(cand)) <= 1e-11 and (
-            np.linalg.norm(cand - w0) <= np.linalg.norm(w_admm - w0) + 1e-9):
-        return cand
-    return w_admm
 
 
 def relaxation_is_trivial(cone):
@@ -68,20 +43,29 @@ def presolves_to_zero(cone):
     return pre.is_subspace and pre.subspace_basis().shape[1] == 0
 
 
-def admm_two_solves(cone, W2, iters):
+def admm_two_solves(cone, W2):
     """Reference ADMM: the x-update solves with the Cholesky factor of
-    I + M^T M twice per iteration."""
+    I + M^T M twice per iteration.  Every column iterates until all have
+    stopped; a column's x is frozen from the first iteration where its
+    primal and dual residuals are both at most sosc._ADMM_TOL."""
     M = cone._M
     chol = np.linalg.cholesky(np.eye(cone.n) + M.T @ M)
     Z = cone._proj_D(M @ W2)
     U = np.zeros_like(Z)
     X = W2.copy()
-    for _ in range(iters):
+    live = np.ones(W2.shape[1], dtype=bool)
+    for _ in range(sosc._ADMM_MAX_ITERS):
         rhs = W2 + M.T @ (Z - U)
-        X = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-        MX = M @ X
+        Xk = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        MX = M @ Xk
+        Z_prev = Z
         Z = cone._proj_D(MX + U)
         U = U + MX - Z
+        X[:, live] = Xk[:, live]
+        live &= ((np.linalg.norm(MX - Z, axis=0) > sosc._ADMM_TOL)
+                 | (np.linalg.norm(M.T @ (Z - Z_prev), axis=0) > sosc._ADMM_TOL))
+        if not live.any():
+            break
     return X
 
 
@@ -127,23 +111,7 @@ class TestCriticalCone:
     def test_admm_matches_two_solve_reference(self, name):
         cone = corpus_cone(name)
         W = sphere(cone.n, 500, seed=1)
-        for iters in (250, 1200):
-            assert np.max(np.abs(cone._admm(W, iters) -
-                                 admm_two_solves(cone, W, iters))) <= 1e-12
-
-    @pytest.mark.parametrize("name", CONIC_CORPUS + ("soc_and_orthant",))
-    def test_batched_polish_matches_per_column(self, name):
-        cone = (soc_and_orthant_cone() if name == "soc_and_orthant"
-                else corpus_cone(name))
-        W = 2.0 * sphere(cone.n, 600, seed=2)
-        Wa = cone._admm(W, 250)
-        batch = cone._polish_batch(W, Wa)
-        for j in range(W.shape[1]):
-            ref = polish_projection(cone, W[:, j], Wa[:, j])
-            assert np.max(np.abs(batch[:, j] - ref)) <= 1e-12
-        if name == "soc_and_orthant":
-            states = set(cone._soc_states(Wa).ravel().tolist())
-            assert states == {sosc._INTERIOR, sosc._VERTEX, sosc._BOUNDARY}
+        assert np.max(np.abs(cone._admm(W) - admm_two_solves(cone, W))) <= 1e-12
 
     @pytest.mark.parametrize("name", CONIC_CORPUS + ("soc_and_orthant",))
     def test_moreau_decomposition(self, name):
@@ -160,6 +128,30 @@ class TestCriticalCone:
         members = cone.project(sphere(cone.n, 300, seed=5))
         assert np.max(cone.violation(members)) <= 1e-9
         assert np.max(R.T @ members) <= 1e-6
+
+    def test_projection_is_exact_on_criterion_7_cones(self):
+        # criterion 7's presolved cones that keep an inequality row: a
+        # column stops once ||M x - z|| <= _ADMM_TOL, about that divided by
+        # the row norm from the face, so agreement is to a few 1e-12
+        rng = np.random.default_rng(0)
+        checked = 0
+        for _ in range(50):
+            pd, st, ms = pipeline(random_licq_instance(rng))
+            cone = sosc.presolve(sosc.build_critical_cone(pd))
+            if not cone.ineq.shape[0]:
+                continue
+            W = sphere(cone.n, 300, seed=0)
+            exact = face_projection(cone.eq, cone.ineq, W)
+            assert np.max(np.abs(cone.project(W) - exact)) <= 3e-12
+            checked += 1
+        assert checked == 30
+
+    def test_soc_and_orthant_projection_is_orthogonal(self):
+        cone = soc_and_orthant_cone()
+        W = sphere(4, 600, seed=2)
+        P = cone.project(W)
+        assert np.max(np.abs(np.sum(P * (W - P), axis=0))) <= 1e-12
+        assert np.max(cone.violation(P)) <= 1e-12
 
     def test_projection_is_euclidean(self, ex47):
         pd = problem.evaluate(ex47, ex47.point)
@@ -359,12 +351,13 @@ class TestPresolve:
     def test_soc_and_orthant_still_uses_admm(self, monkeypatch):
         cone = sosc.presolve(soc_and_orthant_cone())
         assert not cone.is_subspace
-        iters = []
+        calls = []
         admm = sosc.CriticalCone._admm
         monkeypatch.setattr(sosc.CriticalCone, "_admm",
-                            lambda self, W, it: iters.append(it) or admm(self, W, it))
-        cone.project(sphere(4, 20, seed=0))
-        assert iters == [1200]
+                            lambda self, W: calls.append(W.shape) or admm(self, W))
+        P = cone.project(sphere(4, 20, seed=0))
+        assert calls == [(4, 20)]
+        assert np.max(cone.violation(P)) <= 1e-12
 
 
 class TestSigma:
@@ -400,7 +393,7 @@ class TestSigma:
                 if np.linalg.norm(w) < 1e-6:
                     continue
                 s1 = sosc.sigma(pd, ms, w, cone=cone)
-                s2 = sosc.sigma(pd, ms, 2.0 * w, cone=cone, membership_tol=1e-8)
+                s2 = sosc.sigma(pd, ms, 2.0 * w, cone=cone)
                 if math.isinf(s1):
                     assert math.isinf(s2)
                 else:
@@ -522,8 +515,42 @@ class TestAnalyze:
             cone = sosc.build_critical_cone(pd)
             w = rep.worst_direction
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-8
-            val = sosc.sigma(pd, ms, w, cone=cone, membership_tol=1e-7)
+            val = sosc.sigma(pd, ms, w, cone=cone)
             assert abs(val - rep.predicted_modulus) <= 1e-7
+
+    def test_sampled_modulus_on_criterion_7_draws(self):
+        # sigma is scored at cone members only, so the sampled modulus is
+        # never below the infimum, and it is attained at the worst direction
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            pd, st, ms = pipeline(random_licq_instance(rng))
+            rep = sosc.analyze(pd, ms, samples=1000, seed=0, force="sampled")
+            raw = sosc.build_critical_cone(pd)
+            expected = face_enumeration_minimum(
+                raw, sosc._fixed_multiplier_matrix(pd, ms.lam0))
+            if rep.empty_cone:
+                assert math.isinf(expected)
+                continue
+            w = rep.worst_direction
+            assert rep.predicted_modulus >= expected - 1e-9
+            assert sosc.presolve(raw).violation(w) <= sosc._MEMBERSHIP_TOL
+            assert abs(sosc.sigma(pd, ms, w) - rep.predicted_modulus) <= 1e-12
+
+    def test_projection_missing_the_cone_is_a_stage_failure(self, monkeypatch,
+                                                             tmp_path):
+        # shifted off the plane w3 = 0 of the presolved cone, no projected
+        # direction may be scored, so sosc fails instead of reporting holds
+        project = sosc.CriticalCone.project
+        monkeypatch.setattr(sosc.CriticalCone, "project",
+                            lambda self, W: project(self, W) + 1e-3)
+        pd, st, ms = pipeline(problem.loads(MIXED_SOC_AND_ORTHANT))
+        with pytest.raises(sosc.NotInCriticalCone):
+            sosc.analyze(pd, ms, samples=500, seed=0)
+        path = tmp_path / "mixed.prob"
+        path.write_text(MIXED_SOC_AND_ORTHANT)
+        rep = report.analyze_report(str(path), samples=500, seed=0)
+        assert rep["failed_stage"].startswith("sosc: ")
+        assert "sosc" not in rep
 
     def test_trivial_cone_reports_infinite_modulus(self):
         # objective gradient spans everything: critical cone is the origin
