@@ -1,10 +1,10 @@
 """Geometry of constraint cones: nonpositive orthant and second-order cone.
 
 Supplies Euclidean projection, the polyhedral outer relaxation of soc,
-normal/tangent cone tests at a point, the local smooth-reduction data (h,
-its Jacobian and Hessians) that feeds the curvature correction of the
-second-order machinery, and the normal-cone face of a product of blocks
-that holds the multipliers.
+and the normal-cone face of a product of blocks that holds the
+multipliers.  ``normal_face`` classifies each block at its value once;
+the ray it keeps at a soc boundary point is the gradient of the local
+reduction whose curvature the second-order machinery reads.
 Conventions: the orthant block is the NONPOSITIVE orthant {y : y <= 0};
 the second-order cone soc(m) is {y : y_1 >= ||(y_2..y_m)||} with the first
 coordinate on the axis.
@@ -12,8 +12,8 @@ coordinate on the axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -21,16 +21,11 @@ __all__ = [
     "Cone",
     "orthant",
     "soc",
-    "Reduction",
     "NormalFace",
     "project",
     "distance",
     "soc_relaxation",
-    "normal_cone_test",
-    "tangent_cone_test",
-    "reduction_at",
     "normal_face",
-    "project_normal",
     "MEMBERSHIP_TOL",
 ]
 
@@ -108,179 +103,6 @@ def soc_relaxation(B: np.ndarray) -> np.ndarray:
     return R
 
 
-def normal_cone_test(k: Cone, y, v, tol: float = MEMBERSHIP_TOL) -> bool:
-    """True iff v lies in the normal cone to the cone at y, within tol.
-
-    Orthant: v >= 0 with v_i = 0 on rows where y_i < 0.  Soc: {0} at
-    interior points, the polar cone -soc(m) at the vertex, and the single
-    ray spanned by (-1, ybar/||ybar||) at nonzero boundary points.
-    """
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if distance(k, y) > tol:
-        raise ValueError("base point is outside the cone beyond tolerance")
-    if k.kind == "orthant":
-        if np.any(v < -tol):
-            return False
-        inactive = y < -tol
-        return bool(np.all(np.abs(v[inactive]) <= tol))
-    position = _soc_position(y, tol)
-    if position == "vertex":  # v in -soc(m)
-        return -v[0] >= float(np.linalg.norm(v[1:])) - tol
-    if position == "interior":
-        return float(np.linalg.norm(v)) <= tol
-    d = _boundary_ray(y)
-    mu = float(v @ d) / float(d @ d)
-    return mu >= -tol and float(np.linalg.norm(v - mu * d)) <= tol
-
-
-def tangent_cone_test(k: Cone, y, w, tol: float = MEMBERSHIP_TOL) -> bool:
-    """True iff w lies in the tangent cone to the cone at y, within tol."""
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if k.kind == "orthant":
-        active = np.abs(y) <= tol
-        return bool(np.all(w[active] <= tol))
-    position = _soc_position(y, tol)
-    if position == "vertex":
-        return w[0] >= float(np.linalg.norm(w[1:])) - tol
-    if position == "interior":
-        return True
-    return float(_boundary_ray(y) @ w) <= tol
-
-
-def project_normal(k: Cone, y, v) -> np.ndarray:
-    """Projection of v onto the normal cone at y (y assumed in the cone)."""
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if k.kind == "orthant":
-        out = np.maximum(v, 0.0)
-        out[y < -MEMBERSHIP_TOL] = 0.0
-        return out
-    position = _soc_position(y, MEMBERSHIP_TOL)
-    if position == "vertex":
-        return -project(k, -v)
-    if position == "interior":
-        return np.zeros_like(v)
-    d = _boundary_ray(y)
-    mu = max(float(v @ d) / float(d @ d), 0.0)
-    return mu * d
-
-
-def _soc_position(y: np.ndarray, tol: float) -> str:
-    """Where y sits in soc(m): "vertex", "interior" or "boundary", within tol."""
-    t, r = y[0], float(np.linalg.norm(y[1:]))
-    if r <= tol and abs(t) <= tol:
-        return "vertex"
-    if t > r + tol:
-        return "interior"
-    return "boundary"
-
-
-def _boundary_ray(y: np.ndarray) -> np.ndarray:
-    """Generator (-1, ybar/||ybar||) of the normal ray at a soc boundary point."""
-    r = float(np.linalg.norm(y[1:]))
-    d = np.empty_like(y)
-    d[0] = -1.0
-    d[1:] = y[1:] / r
-    return d
-
-
-@dataclass(frozen=True)
-class Reduction:
-    """Local description of the cone near a point as h^{-1}(C).
-
-    case is one of "inactive", "affine" (orthant, h = coordinate selection),
-    "soc_vertex" (h = identity, C the cone itself) and "soc_boundary"
-    (h(y) = ||ybar|| - y_1, C = R_-, the only case with curvature).  The
-    value-level accessors return h, its Jacobian (ell x m) and the stack of
-    component Hessians (ell x m x m) at a query point.  ``scale`` rescales
-    h by a positive constant; any scale yields an equally valid reduction,
-    which downstream code exploits as an invariance check.  On
-    "soc_boundary", ``ray`` is the generator (-1, ybar/||ybar||) of the
-    normal cone at the classified point.
-    """
-
-    case: str
-    cone: Cone
-    active: tuple = ()
-    scale: float = 1.0
-    ray: Optional[np.ndarray] = field(default=None, compare=False)
-
-    @property
-    def ell(self) -> int:
-        if self.case == "inactive":
-            return 0
-        if self.case == "affine":
-            return len(self.active)
-        if self.case == "soc_vertex":
-            return self.cone.m
-        return 1
-
-    def h(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if self.case == "inactive":
-            return np.zeros(0)
-        if self.case == "affine":
-            return self.scale * y[list(self.active)]
-        if self.case == "soc_vertex":
-            return self.scale * y
-        return self.scale * np.array([float(np.linalg.norm(y[1:])) - y[0]])
-
-    def grad_h(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        m = self.cone.m
-        if self.case == "inactive":
-            return np.zeros((0, m))
-        if self.case == "affine":
-            J = np.zeros((len(self.active), m))
-            for row, idx in enumerate(self.active):
-                J[row, idx] = self.scale
-            return J
-        if self.case == "soc_vertex":
-            return self.scale * np.eye(m)
-        r = float(np.linalg.norm(y[1:]))
-        J = np.empty((1, m))
-        J[0, 0] = -self.scale
-        J[0, 1:] = self.scale * y[1:] / r
-        return J
-
-    def hess_h(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        m = self.cone.m
-        if self.case != "soc_boundary":
-            return np.zeros((self.ell, m, m))
-        ybar = y[1:]
-        r = float(np.linalg.norm(ybar))
-        H = np.zeros((1, m, m))
-        block = (np.eye(m - 1) - np.outer(ybar, ybar) / (r * r)) / r
-        H[0, 1:, 1:] = self.scale * block
-        return H
-
-
-def reduction_at(k: Cone, y, tol: float = 1e-8) -> Reduction:
-    """Classify the point and return the canonical reduction there.
-
-    Orthant points with no active rows and soc interior points are
-    Inactive.  The base-point identities h(y) = 0 and surjectivity of the
-    Jacobian hold by construction for every returned case.
-    """
-    y = np.asarray(y, dtype=float)
-    if distance(k, y) > tol:
-        raise ValueError("point is outside the cone beyond tolerance")
-    if k.kind == "orthant":
-        active = tuple(int(i) for i in np.flatnonzero(np.abs(y) <= tol))
-        if not active:
-            return Reduction("inactive", k)
-        return Reduction("affine", k, active=active)
-    position = _soc_position(y, tol)
-    if position == "vertex":
-        return Reduction("soc_vertex", k)
-    if position == "interior":
-        return Reduction("inactive", k)
-    return Reduction("soc_boundary", k, ray=_boundary_ray(y))
-
-
 @dataclass(frozen=True)
 class NormalFace:
     """The normal cone N_Θ(q(x̄)) of a block product, in stacked coordinates.
@@ -341,23 +163,38 @@ class NormalFace:
         return ok
 
 
-def normal_face(reductions: Sequence[Reduction]) -> NormalFace:
-    """The normal-cone face of the block product, from per-block reductions."""
+def normal_face(blocks: Iterable[Tuple[Cone, np.ndarray]],
+                tol: float) -> NormalFace:
+    """The normal-cone face of the block product at the block values.
+
+    blocks holds one (cone, y) pair per block, y in the cone.  An orthant
+    row with |y_i| <= tol is active (nonneg), any other row is fixed.  A
+    soc block with |y_1| and r = ||ybar|| both at most tol is a vertex
+    (socs), one with y_1 > r + tol is interior (fixed), and any other is a
+    boundary point whose ray d = (-1, ybar/r) is the gradient of the
+    reduction h(y) = ||ybar|| - y_1, the only piece with curvature.
+    """
     nonneg, fixed, rays, socs = [], [], [], []
     start = 0
-    for red in reductions:
-        m = red.cone.m
-        sl = slice(start, start + m)
-        if red.case == "affine":
-            active = set(red.active)
-            for j in range(m):
-                (nonneg if j in active else fixed).append(start + j)
-        elif red.case == "soc_vertex":
+    for k, y in blocks:
+        y = np.asarray(y, dtype=float)
+        sl = slice(start, start + k.m)
+        coords = np.arange(sl.start, sl.stop)
+        start += k.m
+        if k.kind == "orthant":
+            active = np.abs(y) <= tol
+            nonneg.extend(coords[active])
+            fixed.extend(coords[~active])
+            continue
+        r = float(np.linalg.norm(y[1:]))
+        if r <= tol and abs(y[0]) <= tol:
             socs.append(sl)
-        elif red.case == "soc_boundary":
-            rays.append((sl, red.ray))
-        else:  # inactive
-            fixed.extend(range(start, start + m))
-        start += m
+        elif y[0] > r + tol:
+            fixed.extend(coords)
+        else:
+            d = np.empty_like(y)
+            d[0] = -1.0
+            d[1:] = y[1:] / r
+            rays.append((sl, d))
     return NormalFace(np.array(nonneg, dtype=int), np.array(fixed, dtype=int),
                       tuple(rays), tuple(socs))

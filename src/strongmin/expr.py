@@ -59,7 +59,6 @@ __all__ = [
     "eval_values",
     "eval_grads",
     "to_text",
-    "quadratic_shift",
     "compile_polynomial",
     "RowStack",
     "MAX_EXPONENT",
@@ -656,13 +655,3 @@ def to_text(e: Expression, variables) -> str:
         sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
         return f"({to_text(e.left, variables)} {sym} {to_text(e.right, variables)})"
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def quadratic_shift(e: Expression, center, rho: float) -> Expression:
-    """Return e + (rho/2) * ||x - center||^2 as a tree."""
-    center = np.asarray(center, dtype=float)
-    out = e
-    for i, ci in enumerate(center):
-        term = Power(Binary("sub", Var(i), Const(float(ci))), 2)
-        out = Binary("add", out, Binary("mul", Const(rho / 2.0), term))
-    return out

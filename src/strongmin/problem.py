@@ -11,7 +11,10 @@ The text format is line oriented (sections in fixed order, ``#`` comments)::
     point: 0 0 0
 
 A problem may declare any number of blocks (including none) and the point
-line is optional in files, but required before analysis.
+line is optional in files, but required before analysis.  ``evaluate``
+gives each block's value, Jacobian, row Hessians and residual at a point,
+and the normal-cone face of ``cones.normal_face`` that kkt, cq and sosc
+read.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import cones, expr
-from .cones import Cone, NormalFace, Reduction
+from .cones import Cone, NormalFace
 from .expr import EvalBundle, Expression
 
 __all__ = [
@@ -88,9 +91,6 @@ class Problem:
     def objective_stack(self) -> expr.RowStack:
         return expr.RowStack([self.objective], self.n)
 
-    def with_objective(self, objective: Expression) -> "Problem":
-        return Problem(self.variables, objective, self.blocks, self.point)
-
     def with_point(self, x) -> "Problem":
         return Problem(self.variables, self.objective, self.blocks,
                        np.asarray(x, dtype=float))
@@ -106,7 +106,6 @@ class BlockData:
     jacobian: np.ndarray       # shape (m_B, n)
     hessians: np.ndarray       # shape (m_B, n, n)
     residual: float            # distance of value to the cone
-    activity: Reduction
 
 
 @dataclass(frozen=True)
@@ -137,11 +136,6 @@ class PointData:
         if not self.blocks:
             return np.zeros((0, self.n))
         return np.vstack([b.jacobian for b in self.blocks])
-
-    def full_values(self) -> np.ndarray:
-        if not self.blocks:
-            return np.zeros(0)
-        return np.concatenate([b.value for b in self.blocks])
 
     def block_slices(self):
         out, start = [], 0
@@ -280,7 +274,11 @@ def save_text(p: Problem) -> str:
 # ----------------------------------------------------------------------
 
 def evaluate(p: Problem, x) -> PointData:
-    """All derivative data, per-block activity/residual and the normal face at x."""
+    """All derivative data, per-block residuals and the normal face at x.
+
+    Each block is classified at its value, or at the value's projection
+    onto the cone when the residual exceeds FEASIBILITY_TOL.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError(f"point must have length {p.n}")
@@ -292,14 +290,11 @@ def evaluate(p: Problem, x) -> PointData:
         jac = np.vstack([bu.gradient for bu in bundles])
         hess = np.stack([bu.hessian for bu in bundles])
         residual = cones.distance(b.cone, value)
-        if residual <= FEASIBILITY_TOL:
-            activity = cones.reduction_at(b.cone, value, tol=ACTIVITY_TOL)
-        else:
-            # infeasible: classify at the nearest cone point, keep the residual
-            activity = cones.reduction_at(b.cone, cones.project(b.cone, value),
-                                          tol=ACTIVITY_TOL)
-        blocks.append(BlockData(b.cone, value, jac, hess, residual, activity))
-    face = cones.normal_face([b.activity for b in blocks])
+        blocks.append(BlockData(b.cone, value, jac, hess, residual))
+    face = cones.normal_face(
+        [(bd.cone, bd.value if bd.residual <= FEASIBILITY_TOL
+          else cones.project(bd.cone, bd.value)) for bd in blocks],
+        ACTIVITY_TOL)
     return PointData(p, x, g, tuple(blocks), face)
 
 

@@ -213,7 +213,7 @@ def _conic_report(path: str, flags: dict, stages, timings: bool = False) -> dict
     build = {
         "stationarity": lambda: _stationarity_dict(
             kkt.stationarity_check(pd, tol=flags["tol"])),
-        "cq": lambda: _cq_dict(cq.run_cq(pd, seed=seed, **probe), pd),
+        "cq": lambda: _cq_dict(cq.run_cq(pd, seed=seed, **probe)),
         "sosc": sosc_section,
         "oracle": lambda: _qgc_dict(oracle.estimate_qg_modulus(
             p, radii=tuple(flags["radii"]), count=flags["samples"], seed=seed)),
@@ -265,7 +265,7 @@ def _stationarity_dict(st: kkt.StationarityResult) -> dict:
         residual=st.residual, witness=_vec(st.witness))
 
 
-def _cq_dict(cqr: cq.CqReport, pd: problem.PointData) -> dict:
+def _cq_dict(cqr: cq.CqReport) -> dict:
     return {
         "mfcq": _verdict(
             cqr.mfcq,
@@ -278,7 +278,7 @@ def _cq_dict(cqr: cq.CqReport, pd: problem.PointData) -> dict:
         "rcq": _verdict(
             cqr.rcq,
             "normal cone meets the Jacobian kernel only at zero",
-            "Exact (LP)" if all(b.cone.kind == "orthant" for b in pd.blocks)
+            "Exact (LP)" if cqr.mfcq is not None
             else "Sampled (kernel sphere grid)"),
         "mscq_probe": {
             "verdict": cqr.mscq.verdict,

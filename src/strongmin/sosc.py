@@ -6,15 +6,17 @@ description under the metric-subregularity constraint qualification that
 every report assumes and records.  The curvature functional sigma(w) is
 the objective Hessian form plus the exact maximum of a multiplier-linear
 functional over the multiplier set, whose coefficients come from one
-tensor per point: the row Hessians plus the reduction curvature of each
-active second-order-cone boundary block.
+tensor per point: the row Hessians plus, on each active second-order-cone
+boundary block, the curvature of the reduction whose gradient is the
+block's ray in the normal face.
 
 `analyze` first presolves the cone: an inequality row, or a soc block's
 axis row, that one LP shows to vanish on a polyhedral relaxation becomes
 equality rows (the whole block, for an axis row).  A cone left with
 equality rows only is a subspace and is projected exactly; every conic
-corpus cone ends up so, and a cone whose relaxation is {0} ends up {0},
-where both verdicts hold vacuously (Exact).
+corpus cone ends up so.  A cone whose relaxation is {0}, or with one soc
+block that admits only w = 0 on the equality rows' null space, ends up
+{0}, where both verdicts hold vacuously (Exact).
 
 The infimum of sigma over unit directions of the cone is certified two
 ways: an eigenvalue reduction when the presolved cone is a subspace and
@@ -59,6 +61,10 @@ _GRAD_TOL = 1e-10  # a smaller objective gradient adds no equality row
 # presolve: an inequality row F_i whose largest -F_i.w over the box and the
 # relaxed cone is at most this times ||F_i|| is an implicit equality
 _PRESOLVE_TOL = 1e-12
+# presolve: a soc block whose quadratic form on the equality rows' null
+# space has its largest eigenvalue below -_SOC_EMPTY_TOL times its largest
+# eigenvalue magnitude admits only w = 0
+_SOC_EMPTY_TOL = 1e-9
 # ADMM projection: a column stops once its primal and dual residuals are
 # both at most _ADMM_TOL, and every column stops after _ADMM_MAX_ITERS
 _ADMM_TOL = 1e-12
@@ -88,14 +94,7 @@ class CriticalCone:
     soc: List[Tuple[np.ndarray, int]]
 
     def __post_init__(self):
-        if self.is_subspace and self.eq.shape[0]:
-            _, s, vt = np.linalg.svd(self.eq)
-            rank = int(np.sum(s > max(1e-12, (s[0] if s.size else 0) * 1e-12)))
-            self._null = vt[rank:].T  # orthonormal basis of the subspace
-        elif self.is_subspace:
-            self._null = np.eye(self.n)
-        else:
-            self._null = None
+        self._null = _null_basis(self.eq, self.n) if self.is_subspace else None
         rows = [self.eq, self.ineq] + [B for B, _ in self.soc]
         self._M = np.vstack(rows)
         ends = np.cumsum([r.shape[0] for r in rows]).tolist()
@@ -199,6 +198,15 @@ class CriticalCone:
         return X
 
 
+def _null_basis(E: np.ndarray, n: int) -> np.ndarray:
+    """Orthonormal basis (n, n - rank) of {w : E w = 0}."""
+    if not E.shape[0]:
+        return np.eye(n)
+    _, s, vt = np.linalg.svd(E)
+    rank = int(np.sum(s > max(1e-12, s[0] * 1e-12)))
+    return vt[rank:].T
+
+
 @dataclass(frozen=True)
 class SoscReport:
     sonc_holds: bool
@@ -236,18 +244,31 @@ def presolve(cone: CriticalCone) -> CriticalCone:
     cone left with no inequality row and no soc block is a subspace,
     projected exactly by ``P P^T``; when the relaxation is {0} every row
     vanishes on it, so the cone presolves to {0}, an empty basis.
+
+    The relaxation keeps rays that a soc block alone excludes.  So each
+    soc block left is also tested on the null space P of the equality
+    rows: when G = P^T (B_0 B_0^T - Bbar^T Bbar) P has
+    lambda_max(G) < -_SOC_EMPTY_TOL * max|lambda(G)|, then B_0.w <
+    ||Bbar w|| for every w = P z != 0, and the cone presolves to {0}.
     """
     C = np.vstack([-cone.ineq] + [B[:1] for B, _ in cone.soc])
     vanish = np.array([v is not None and v <= _PRESOLVE_TOL * s for v, s in
                        zip(cone._box_maxima(C), np.linalg.norm(C, axis=1))],
                       dtype=bool)
-    if not vanish.any():
-        return cone
-    implicit, vertex = np.split(vanish, [cone.ineq.shape[0]])
-    eq = [cone.eq, cone.ineq[implicit]]
-    eq += [B if np.any(B[0]) else B[1:] for (B, _), v in zip(cone.soc, vertex) if v]
-    soc = [block for block, v in zip(cone.soc, vertex) if not v]
-    return CriticalCone(cone.n, np.vstack(eq), cone.ineq[~implicit], soc)
+    if vanish.any():
+        implicit, vertex = np.split(vanish, [cone.ineq.shape[0]])
+        eq = [cone.eq, cone.ineq[implicit]]
+        eq += [B if np.any(B[0]) else B[1:] for (B, _), v in zip(cone.soc, vertex) if v]
+        soc = [block for block, v in zip(cone.soc, vertex) if not v]
+        cone = CriticalCone(cone.n, np.vstack(eq), cone.ineq[~implicit], soc)
+    if cone.soc:
+        P = _null_basis(cone.eq, cone.n)
+        for B, _ in cone.soc:
+            BP = B @ P
+            lam = np.linalg.eigvalsh(np.outer(BP[0], BP[0]) - BP[1:].T @ BP[1:])
+            if not lam.size or lam[-1] < -_SOC_EMPTY_TOL * np.max(np.abs(lam)):
+                return CriticalCone(cone.n, np.eye(cone.n), np.zeros((0, cone.n)), [])
+    return cone
 
 
 # ----------------------------------------------------------------------
@@ -256,16 +277,21 @@ def presolve(cone: CriticalCone) -> CriticalCone:
 
 def _curvature_tensor(pd: PointData) -> np.ndarray:
     """T (m, n, n) with sigma(w) = w.H_g.w + max over lam of sum_i lam_i w.T_i.w:
-    row i's Hessian, plus d_i / (d.d) J^T H J on an active soc boundary
-    block whose reduction has gradient d and Hessian H, J its Jacobian."""
+    row i's Hessian, plus d_i / (d.d) J^T H J on a soc boundary block with
+    face ray d and Jacobian J, where H = -d_1 (I - ybar ybar^T / r^2) / r on
+    the ybar rows and columns, r = ||ybar||, is the Hessian of the reduction
+    whose gradient is d.  Rescaling d rescales H alike and leaves T as is."""
     T = np.concatenate([np.zeros((0, pd.n, pd.n))] + [bd.hessians for bd in pd.blocks])
+    rays = {sl.start: d for sl, d in pd.face.rays}
     for bd, sl in zip(pd.blocks, pd.block_slices()):
-        red = bd.activity
-        if red.case == "soc_boundary":
-            d = red.grad_h(bd.value)[0]
-            H = red.hess_h(bd.value)[0]
-            T[sl] += np.multiply.outer(d / float(d @ d),
-                                       bd.jacobian.T @ H @ bd.jacobian)
+        if sl.start not in rays:
+            continue
+        d = rays[sl.start]
+        ybar = bd.value[1:]
+        r = float(np.linalg.norm(ybar))
+        H = np.zeros((bd.cone.m, bd.cone.m))
+        H[1:, 1:] = -d[0] * ((np.eye(ybar.size) - np.outer(ybar, ybar) / (r * r)) / r)
+        T[sl] += np.multiply.outer(d / float(d @ d), bd.jacobian.T @ H @ bd.jacobian)
     return T
 
 
@@ -402,8 +428,10 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
     dirs = sphere(n, samples, seed=seed)
     proj = cone.project(dirs)
     norms = np.linalg.norm(proj, axis=0)
-    # the presolve decides polyhedral cones exactly; only a soc block whose
-    # relaxation is not {0} leaves emptiness to the samples
+    # the presolve decides polyhedral cones exactly and finds a {0} that one
+    # soc block cuts from the equality rows' null space; a {0} met only by
+    # intersecting a block with inequality rows or other blocks is left to
+    # the samples
     if cone.soc and float(np.max(norms, initial=0.0)) < 1e-6:
         return SoscReport(True, True, math.inf, None, "Sampled", samples, seed,
                           empty_cone=True)

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -52,6 +53,14 @@ MIXED_SOC_AND_ORTHANT = ("vars: x1 x2 x3\nobjective: 0.5*x1^2 + x2^2\n"
                          "block orthant 1:\n  row: x1\npoint: 0 0 0\n")
 
 
+# a soc(3) block slicing the plane w2 = 0.8 w1 of the stationary point's
+# gradient: the cone {w2 = 0.8 w1} with w1 >= ||(0.8 w1, w2)|| is {0}, yet
+# the block's polyhedral relaxation keeps the ray (1, 0.8)
+SOC_SLICE_ZERO_CONE = ("vars: x1 x2\nobjective: 0.8*x1 - x2 + x1^2 + x2^2\n"
+                       "block soc 3:\n  row: x1\n  row: 0.8*x1\n  row: x2\n"
+                       "point: 0 0\n")
+
+
 def mfcq_dual(pd):
     """Reference for cq.check_mfcq on orthant-only problems, by Gordan's
     alternative: no convex combination of active gradients vanishes."""
@@ -66,6 +75,155 @@ def mfcq_dual(pd):
     b_eq = np.concatenate([[1.0], np.zeros(pd.n)])
     res = solve_lp(np.zeros(k), A_eq=A_eq, b_eq=b_eq, nonneg=True)
     return bool(res.status == "infeasible")
+
+
+# ----------------------------------------------------------------------
+# references that the library does not need: blockwise normal and tangent
+# cone tests, the normal-cone projection, a shifted objective, rescaled
+# rays and stacked block values
+# ----------------------------------------------------------------------
+
+def _soc_position(y, tol):
+    """Where y sits in soc(m): "vertex", "interior" or "boundary", within tol."""
+    t, r = y[0], float(np.linalg.norm(y[1:]))
+    if r <= tol and abs(t) <= tol:
+        return "vertex"
+    if t > r + tol:
+        return "interior"
+    return "boundary"
+
+
+def _boundary_ray(y):
+    """Generator (-1, ybar/||ybar||) of the normal ray at a soc boundary point."""
+    return np.concatenate([[-1.0], y[1:] / float(np.linalg.norm(y[1:]))])
+
+
+def normal_cone_test(k, y, v, tol=1e-9):
+    """True iff v lies in the normal cone to the cone k at y, within tol.
+
+    Orthant: v >= 0 with v_i = 0 on rows where y_i < 0.  Soc: {0} at
+    interior points, the polar cone -soc(m) at the vertex, and the single
+    ray spanned by (-1, ybar/||ybar||) at nonzero boundary points.
+    """
+    from strongmin import cones
+    y = np.asarray(y, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if cones.distance(k, y) > tol:
+        raise ValueError("base point is outside the cone beyond tolerance")
+    if k.kind == "orthant":
+        if np.any(v < -tol):
+            return False
+        return bool(np.all(np.abs(v[y < -tol]) <= tol))
+    position = _soc_position(y, tol)
+    if position == "vertex":  # v in -soc(m)
+        return -v[0] >= float(np.linalg.norm(v[1:])) - tol
+    if position == "interior":
+        return float(np.linalg.norm(v)) <= tol
+    d = _boundary_ray(y)
+    mu = float(v @ d) / float(d @ d)
+    return mu >= -tol and float(np.linalg.norm(v - mu * d)) <= tol
+
+
+def tangent_cone_test(k, y, w, tol=1e-9):
+    """True iff w lies in the tangent cone to the cone k at y, within tol."""
+    y = np.asarray(y, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if k.kind == "orthant":
+        return bool(np.all(w[np.abs(y) <= tol] <= tol))
+    position = _soc_position(y, tol)
+    if position == "vertex":
+        return w[0] >= float(np.linalg.norm(w[1:])) - tol
+    if position == "interior":
+        return True
+    return float(_boundary_ray(y) @ w) <= tol
+
+
+def project_normal(k, y, v):
+    """Projection of v onto the normal cone to the cone k at y (y in k)."""
+    from strongmin import cones
+    y = np.asarray(y, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if k.kind == "orthant":
+        out = np.maximum(v, 0.0)
+        out[y < -1e-9] = 0.0
+        return out
+    position = _soc_position(y, 1e-9)
+    if position == "vertex":
+        return -cones.project(k, -v)
+    if position == "interior":
+        return np.zeros_like(v)
+    d = _boundary_ray(y)
+    return max(float(v @ d) / float(d @ d), 0.0) * d
+
+
+def with_shifted_objective(p, rho):
+    """p with objective g + (rho/2) ||x - p.point||^2, as a tree."""
+    from strongmin import expr, problem
+    out = p.objective
+    for i, ci in enumerate(p.point):
+        term = expr.Power(expr.Binary("sub", expr.Var(i), expr.Const(float(ci))), 2)
+        out = expr.Binary("add", out, expr.Binary("mul", expr.Const(rho / 2.0), term))
+    return problem.Problem(p.variables, out, p.blocks, p.point)
+
+
+def rescaled_rays(pd, c):
+    """pd with each soc boundary ray d of its face replaced by c d, the
+    gradient of the equally valid reduction c h."""
+    import dataclasses
+    rays = tuple((sl, c * d) for sl, d in pd.face.rays)
+    return dataclasses.replace(pd, face=dataclasses.replace(pd.face, rays=rays))
+
+
+def full_values(pd):
+    """The block values of an evaluated point, stacked in block order."""
+    return np.concatenate([np.zeros(0)] + [b.value for b in pd.blocks])
+
+
+# ----------------------------------------------------------------------
+# hypothesis strategies
+# ----------------------------------------------------------------------
+
+def expression_trees(nvars, levels, smooth=False):
+    """Trees shaped like test_expr's random_polynomial, or random_smooth's
+    operations with ``smooth``, with at most ``levels`` levels of
+    operations; three polynomial levels keep every expansion far below
+    MAX_MONOMIALS.  Smooth trees are for parsing and printing: their
+    arguments are not kept in any domain."""
+    from strongmin import expr
+    leaf = st.one_of(st.floats(-2, 2).map(expr.Const),
+                     st.integers(0, nvars - 1).map(expr.Var))
+    if levels == 0:
+        return leaf
+    sub = expression_trees(nvars, levels - 1, smooth)
+    options = [
+        leaf,
+        st.builds(expr.Binary, st.sampled_from(["add", "sub", "mul"]), sub, sub),
+        st.builds(expr.Power, sub, st.integers(0, 3)),
+        st.builds(expr.Unary, st.just("neg"), sub)]
+    if smooth:
+        options += [st.builds(expr.Binary, st.just("div"), sub, sub),
+                    st.builds(expr.Unary, st.sampled_from(expr.FUNCTIONS), sub)]
+    return st.one_of(*options)
+
+
+@st.composite
+def problems(draw):
+    """Problems of 1-3 variables with up to three orthant or soc blocks,
+    rows over every operation, with or without a point."""
+    from strongmin import cones, problem
+    n = draw(st.integers(1, 3))
+    rows = expression_trees(n, 2, smooth=True)
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["orthant", "soc"]))
+        m = draw(st.integers(1 if kind == "orthant" else 2, 3))
+        blocks.append(problem.Block(tuple(draw(rows) for _ in range(m)),
+                                    cones.Cone(kind, m)))
+    point = draw(st.none() | st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=n, max_size=n).map(np.array))
+    return problem.Problem(tuple(f"x{i + 1}" for i in range(n)), draw(rows),
+                           tuple(blocks), point)
 
 
 def pipeline(p, samples=4000, seed=0):

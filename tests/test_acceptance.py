@@ -6,7 +6,8 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import corpus_path, mfcq_dual, quadratic_expr, random_licq_instance
+from conftest import (corpus_path, mfcq_dual, project_normal, quadratic_expr,
+                      random_licq_instance, rescaled_rays, with_shifted_objective)
 from strongmin import cones, cq, expr, kkt, oracle, problem, pw1d, report, sosc
 
 
@@ -137,7 +138,7 @@ def _check_moreau_and_polarity():
     while count < 500:
         k = kinds[count % 3]
         y = random_point_in(k, rng)
-        v = cones.project_normal(k, y, rng.standard_normal(k.m))
+        v = project_normal(k, y, rng.standard_normal(k.m))
         w = rng.standard_normal(k.m)
         if k.kind == "orthant":
             w[np.abs(y) <= 1e-9] = -np.abs(w[np.abs(y) <= 1e-9])
@@ -153,7 +154,6 @@ def _check_moreau_and_polarity():
 
 
 def _check_sigma_homogeneity_and_reduction_invariance():
-    import dataclasses
     rng = np.random.default_rng(0)
     for name in ("ex44", "ex47", "socb"):
         p = problem.load(corpus_path(name, "problem.prob"))
@@ -171,16 +171,15 @@ def _check_sigma_homogeneity_and_reduction_invariance():
                 assert math.isinf(s2)
             else:
                 assert abs(s2 - 4.0 * s1) <= 1e-9 * max(1.0, abs(s1))
-    # rescaled reduction leaves sigma unchanged on the boundary instance
+    # a rescaled reduction (ray d -> 2d) leaves sigma unchanged on the
+    # boundary instance
     p = problem.load(corpus_path("socb", "problem.prob"))
     pd = problem.evaluate(p, p.point)
     st = kkt.stationarity_check(pd)
     ms = kkt.build_multiplier_set(pd, st.witness)
     cone = sosc.build_critical_cone(pd)
-    blocks2 = tuple(dataclasses.replace(
-        bd, activity=dataclasses.replace(bd.activity, scale=2.0))
-        for bd in pd.blocks)
-    pd2 = dataclasses.replace(pd, blocks=blocks2)
+    assert pd.face.rays
+    pd2 = rescaled_rays(pd, 2.0)
     for _ in range(100):
         w = cone.project(rng.standard_normal(3))
         if np.linalg.norm(w) < 1e-6:
@@ -197,7 +196,7 @@ def _check_regularization_shift():
     st = kkt.stationarity_check(pd)
     ms = kkt.build_multiplier_set(pd, st.witness)
     base = sosc.analyze(pd, ms, samples=4000, seed=0)
-    p2 = p.with_objective(expr.quadratic_shift(p.objective, p.point, rho))
+    p2 = with_shifted_objective(p, rho)
     pd2 = problem.evaluate(p2, p.point)
     ms2 = kkt.build_multiplier_set(pd2, st.witness)
     shifted = sosc.analyze(pd2, ms2, samples=4000, seed=0)

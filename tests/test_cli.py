@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import MIXED_SOC_AND_ORTHANT, REPO, corpus_path
+from conftest import MIXED_SOC_AND_ORTHANT, REPO, SOC_SLICE_ZERO_CONE, corpus_path
 from strongmin import cli, problem, report, sosc
 
 
@@ -100,6 +100,18 @@ class TestExitCodes:
         rep = json.loads(out)
         assert rep["stationarity"]["holds"] is False
         assert rep["sosc"]["skipped"] == "point is not stationary"
+
+    def test_zero_cone_kept_by_a_soc_block_completes(self, tmp_path, capsys):
+        # the polyhedral relaxation keeps a ray, so only the presolve's
+        # per-block test, not its LPs, shows this cone to be {0}
+        p = tmp_path / "slice.prob"
+        p.write_text(SOC_SLICE_ZERO_CONE)
+        code = run_cli(["analyze", str(p), "--samples", "500"])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 0 and rep["failed_stage"] is None
+        assert rep["sosc"]["empty_cone"] is True
+        assert rep["sosc"]["certification"] == "Exact"
+        assert rep["sosc"]["sonc"]["holds"] and rep["sosc"]["sosc"]["holds"]
 
 
 class TestReports:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from strongmin import cones
+from conftest import normal_cone_test, project_normal, tangent_cone_test
+from strongmin import cones, problem
 from strongmin.cones import orthant, soc
+
+TOL = problem.ACTIVITY_TOL
 
 
 def random_point_in(k, rng):
@@ -96,27 +99,27 @@ class TestSocRelaxation:
 
 class TestNormalCone:
     def test_soc_vertex_polar_membership(self):
-        assert cones.normal_cone_test(soc(3), [0, 0, 0], [-2, 1, 1])
-        assert not cones.normal_cone_test(soc(3), [0, 0, 0], [-1, 1, 1])
+        assert normal_cone_test(soc(3), [0, 0, 0], [-2, 1, 1])
+        assert not normal_cone_test(soc(3), [0, 0, 0], [-1, 1, 1])
 
     def test_orthant_complementarity(self):
         y = [0.0, 0.0, -1.0]
-        assert cones.normal_cone_test(orthant(3), y, [1.0, 1.0, 0.0])
-        assert not cones.normal_cone_test(orthant(3), y, [1.0, 1.0, 0.5])
-        assert not cones.normal_cone_test(orthant(3), y, [-1.0, 0.0, 0.0])
+        assert normal_cone_test(orthant(3), y, [1.0, 1.0, 0.0])
+        assert not normal_cone_test(orthant(3), y, [1.0, 1.0, 0.5])
+        assert not normal_cone_test(orthant(3), y, [-1.0, 0.0, 0.0])
 
     def test_soc_interior_is_zero_only(self):
-        assert not cones.normal_cone_test(soc(3), [2.0, 0.0, 1.0], [0.1, 0, 0])
-        assert cones.normal_cone_test(soc(3), [2.0, 0.0, 1.0], [0.0, 0, 0])
+        assert not normal_cone_test(soc(3), [2.0, 0.0, 1.0], [0.1, 0, 0])
+        assert normal_cone_test(soc(3), [2.0, 0.0, 1.0], [0.0, 0, 0])
 
     def test_soc_boundary_ray(self):
         y = [1.0, 1.0, 0.0]
-        assert cones.normal_cone_test(soc(3), y, [-0.5, 0.5, 0.0])
-        assert not cones.normal_cone_test(soc(3), y, [-0.5, 0.0, 0.5])
+        assert normal_cone_test(soc(3), y, [-0.5, 0.5, 0.0])
+        assert not normal_cone_test(soc(3), y, [-0.5, 0.0, 0.5])
 
     def test_base_point_outside_raises(self):
         with pytest.raises(ValueError):
-            cones.normal_cone_test(orthant(2), [1.0, 0.0], [0.0, 0.0])
+            normal_cone_test(orthant(2), [1.0, 0.0], [0.0, 0.0])
 
     def test_polarity_with_tangent_cone(self):
         rng = np.random.default_rng(3)
@@ -124,7 +127,7 @@ class TestNormalCone:
         while count < 500:
             k = (orthant(3), soc(3), soc(4))[count % 3]
             y = random_point_in(k, rng)
-            v = cones.project_normal(k, y, rng.standard_normal(k.m))
+            v = project_normal(k, y, rng.standard_normal(k.m))
             w = rng.standard_normal(k.m)
             # make w tangent: project out the violating parts
             if k.kind == "orthant":
@@ -137,41 +140,63 @@ class TestNormalCone:
                 elif abs(t - r) <= 1e-9:
                     d = np.concatenate([[-1.0], y[1:] / r])
                     w = w - max(d @ w, 0.0) * d
-            assert cones.tangent_cone_test(k, y, w, tol=1e-8)
+            assert tangent_cone_test(k, y, w, tol=1e-8)
             assert v @ w <= 1e-9 * max(1.0, np.linalg.norm(v) * np.linalg.norm(w))
             count += 1
 
 
+def _identity_soc(y):
+    """A soc(m) block whose rows are the variables themselves, at y."""
+    from strongmin import expr
+    m = len(y)
+    rows = tuple(expr.Var(i) for i in range(m))
+    return problem.Problem(tuple(f"x{i + 1}" for i in range(m)), expr.Const(0.0),
+                           (problem.Block(rows, soc(m)),), np.asarray(y))
+
+
 class TestReduction:
+    # normal_face classifies each (cone, value) pair: the zero-curvature
+    # cases keep no ray, a soc boundary point keeps the gradient of the
+    # reduction h(y) = ||ybar|| - y_1, whose Hessian sosc forms from it
     def test_soc_vertex_zero_curvature(self):
-        red = cones.reduction_at(soc(3), [0.0, 0.0, 0.0])
-        assert red.case == "soc_vertex"
-        assert np.all(red.hess_h([0.0, 0, 0]) == 0.0)
+        face = cones.normal_face([(soc(3), [0.0, 0.0, 0.0])], TOL)
+        assert [(sl.start, sl.stop) for sl in face.socs] == [(0, 3)]
+        assert not face.rays and not face.nonneg.size and not face.fixed.size
 
     def test_orthant_affine_zero_curvature(self):
-        red = cones.reduction_at(orthant(3), [0.0, -1.0, 0.0])
-        assert red.case == "affine"
-        assert red.active == (0, 2)
-        assert np.all(red.hess_h([0.0, -1.0, 0.0]) == 0.0)
+        face = cones.normal_face([(orthant(3), [0.0, -1.0, 0.0])], TOL)
+        assert face.nonneg.tolist() == [0, 2]
+        assert face.fixed.tolist() == [1]
+        assert not face.rays and not face.socs
 
     def test_orthant_interior_inactive(self):
-        red = cones.reduction_at(orthant(2), [-1.0, -2.0])
-        assert red.case == "inactive"
+        face = cones.normal_face([(orthant(2), [-1.0, -2.0])], TOL)
+        assert face.fixed.tolist() == [0, 1]
+        assert not face.nonneg.size and not face.rays and not face.socs
 
     def test_soc_boundary_curvature(self):
+        from strongmin import sosc
         y = np.array([1.0, 1.0, 0.0])
-        red = cones.reduction_at(soc(3), y)
-        assert red.case == "soc_boundary"
-        assert np.allclose(red.h(y), [0.0])
-        assert np.allclose(red.grad_h(y), [[-1.0, 1.0, 0.0]])
-        assert np.allclose(red.hess_h(y)[0], np.diag([0.0, 0.0, 1.0]))
+        face = cones.normal_face([(soc(3), y)], TOL)
+        assert [(sl.start, sl.stop) for sl, _ in face.rays] == [(0, 3)]
+        assert np.array_equal(face.rays[0][1], [-1.0, 1.0, 0.0])
+        # linear rows (J = I): the block term is d/(d.d) (x) H
+        T = sosc._curvature_tensor(problem.evaluate(_identity_soc(y), y))
+        d = face.rays[0][1]
+        for i in range(3):
+            assert np.allclose(T[i], d[i] / 2.0 * np.diag([0.0, 0.0, 1.0]))
 
     def test_soc_boundary_hessian_matches_finite_differences(self):
+        # with J = I the block term is d/(d.d) (x) H, so sum_i d_i T_i = H,
+        # the Hessian of the reduction h(y) = ||ybar|| - y_1
+        from strongmin import sosc
         rng = np.random.default_rng(4)
         for _ in range(10):
             ybar = rng.standard_normal(2)
             y = np.concatenate([[np.linalg.norm(ybar)], ybar])
-            red = cones.reduction_at(soc(3), y)
+            pd = problem.evaluate(_identity_soc(y), y)
+            (_, d), = pd.face.rays
+            H = np.einsum("i,ijk->jk", d, sosc._curvature_tensor(pd))
             h = 1e-5
             H_fd = np.zeros((3, 3))
             for i in range(3):
@@ -185,24 +210,9 @@ class TestReduction:
                     yij[2][j] += h
                     yij[3][i] -= h
                     yij[3][j] -= h
-                    vals = [float(red.h(z)[0]) for z in yij]
+                    vals = [float(np.linalg.norm(z[1:]) - z[0]) for z in yij]
                     H_fd[i, j] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4 * h * h)
-            assert np.allclose(red.hess_h(y)[0], H_fd, atol=1e-5)
-
-    def test_base_identities(self):
-        rng = np.random.default_rng(5)
-        cases = [
-            (orthant(3), np.array([0.0, -1.0, 0.0])),
-            (soc(3), np.zeros(3)),
-            (soc(4), np.array([np.sqrt(2.0), 1.0, 1.0, 0.0])),
-        ]
-        for k, y in cases:
-            red = cones.reduction_at(k, y)
-            assert np.linalg.norm(red.h(y)) <= 1e-12
-            J = red.grad_h(y)
-            if J.shape[0]:
-                s = np.linalg.svd(J, compute_uv=False)
-                assert s[-1] >= 1e-9  # surjective Jacobian
+            assert np.allclose(H, H_fd, atol=1e-5)
 
 
 # soc boundary block ahead of an orthant block with one active and one
@@ -227,7 +237,7 @@ block soc 2:
 point: 0 0 0
 """
 
-# one base point per reduction case, plus an orthant block with no active row
+# one base point per face case, plus an orthant block with no active row
 FACE_BLOCKS = [
     (soc(3), np.array([1.0, 0.6, -0.8])),          # boundary
     (orthant(3), np.array([0.0, -1.5, 0.0])),      # affine, one inactive row
@@ -238,7 +248,7 @@ FACE_BLOCKS = [
 
 
 def _face_and_slices(blocks):
-    face = cones.normal_face([cones.reduction_at(k, y) for k, y in blocks])
+    face = cones.normal_face(blocks, TOL)
     slices, start = [], 0
     for k, _ in blocks:
         slices.append(slice(start, start + k.m))
@@ -254,7 +264,7 @@ class TestNormalFace:
         L = np.zeros((m, 600))
         for j in range(L.shape[1]):
             for (k, y), sl in zip(FACE_BLOCKS, slices):
-                v = cones.project_normal(k, y, rng.standard_normal(k.m))
+                v = project_normal(k, y, rng.standard_normal(k.m))
                 u = rng.random()
                 if u < 0.3:  # push off the face by far more than tol
                     v = v + 0.1 * rng.standard_normal(k.m)
@@ -262,7 +272,7 @@ class TestNormalFace:
                     v = -v
                 L[sl, j] = v
         got = face.contains(L)
-        want = [all(cones.normal_cone_test(k, y, L[sl, j])
+        want = [all(normal_cone_test(k, y, L[sl, j])
                     for (k, y), sl in zip(FACE_BLOCKS, slices))
                 for j in range(L.shape[1])]
         assert list(got) == want
@@ -285,17 +295,7 @@ class TestNormalFace:
             assert face.contains(p[:, None])[0]
             assert np.allclose(face.project(p), p, rtol=0.0, atol=1e-14)
             for (k, y), sl in zip(FACE_BLOCKS, slices):
-                assert np.array_equal(p[sl], cones.project_normal(k, y, lam[sl]))
-
-    def test_ray_is_bit_equal_to_reduction_gradient(self):
-        rng = np.random.default_rng(8)
-        for m in (2, 3, 5):
-            for _ in range(200):
-                ybar = rng.standard_normal(m - 1) * rng.uniform(0.1, 10.0)
-                y = np.concatenate([[np.linalg.norm(ybar)], ybar])
-                red = cones.reduction_at(soc(m), y)
-                assert red.case == "soc_boundary"
-                assert np.array_equal(red.ray, red.grad_h(y)[0])
+                assert np.array_equal(p[sl], project_normal(k, y, lam[sl]))
 
     def test_mixed_blocks_keep_block_order(self):
         from strongmin import problem, sosc

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import expression_trees
 from strongmin import expr
 
 
@@ -310,22 +311,6 @@ class TestProperties:
 # compiled polynomial rows
 # ----------------------------------------------------------------------
 
-def polynomial_trees(nvars, levels):
-    """Trees shaped like random_polynomial's, with at most ``levels``
-    levels of operations; three levels keep every expansion far below
-    MAX_MONOMIALS."""
-    leaf = st.one_of(st.floats(-2, 2).map(expr.Const),
-                     st.integers(0, nvars - 1).map(expr.Var))
-    if levels == 0:
-        return leaf
-    sub = polynomial_trees(nvars, levels - 1)
-    return st.one_of(
-        leaf,
-        st.builds(expr.Binary, st.sampled_from(["add", "sub", "mul"]), sub, sub),
-        st.builds(expr.Power, sub, st.integers(0, 3)),
-        st.builds(expr.Unary, st.just("neg"), sub))
-
-
 def majorant(e):
     """The tree with |c| for each constant, '+' for '-' and no unary minus:
     at |x| it bounds every intermediate value and gradient entry of ``e``
@@ -347,7 +332,7 @@ NAMES3 = ["x1", "x2", "x3"]
 
 class TestCompiledRows:
     @settings(max_examples=300, deadline=None)
-    @given(tree=polynomial_trees(3, 3), seed=st.integers(0, 2**32 - 1))
+    @given(tree=expression_trees(3, 3), seed=st.integers(0, 2**32 - 1))
     def test_compiled_rows_match_the_walker(self, tree, seed):
         assert expr.compile_polynomial(tree, 3) is not None
         X = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(3, 16))
@@ -365,7 +350,7 @@ class TestCompiledRows:
         assert np.array_equal(bv, wv) and np.array_equal(bg, wg)
 
     @settings(max_examples=100, deadline=None)
-    @given(trees=st.lists(polynomial_trees(3, 3), min_size=1, max_size=4),
+    @given(trees=st.lists(expression_trees(3, 3), min_size=1, max_size=4),
            seed=st.integers(0, 2**32 - 1))
     def test_pullback_is_the_jacobian_contraction(self, trees, seed):
         # the same bits as contracting the Jacobian over its rows, up to

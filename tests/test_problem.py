@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import corpus_path
+from conftest import corpus_path, full_values, problems
 from strongmin import cones, expr, problem
 from strongmin._sampling import ball
 
@@ -79,20 +80,34 @@ class TestRoundTrip:
     def test_digest_stable(self, ex44):
         assert ex44.digest() == problem.loads(problem.save_text(ex44)).digest()
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=problems())
+    def test_digest_survives_a_text_round_trip(self, p):
+        # polynomial and smooth rows, orthant and soc blocks, with and
+        # without a point; a lossy number format would keep the digest of
+        # the reloaded text, so the point must come back exactly too
+        back = problem.loads(problem.save_text(p))
+        assert back.digest() == p.digest()
+        if p.point is None:
+            assert back.point is None
+        else:
+            assert back.point.tobytes() == p.point.tobytes()
+
 
 class TestEvaluate:
     def test_soc_vertex_jacobian(self, ex44):
         pd = problem.evaluate(ex44, [0.0, 0.0, 0.0])
-        assert np.allclose(pd.full_values(), 0.0)
+        assert np.allclose(full_values(pd), 0.0)
         expected = np.array([[0, 0, 0], [0, 0, -1], [0, 0, 1]], dtype=float)
         assert np.allclose(pd.full_jacobian(), expected)
-        assert pd.blocks[0].activity.case == "soc_vertex"
+        assert [(sl.start, sl.stop) for sl in pd.face.socs] == [(0, 3)]
+        assert not pd.face.rays and not pd.face.nonneg.size and not pd.face.fixed.size
 
     def test_orthant_activity(self, ex46):
         pd = problem.evaluate(ex46, [0.0, 0.0, 0.0])
         bd = pd.blocks[0]
-        assert bd.activity.case == "affine"
-        assert bd.activity.active == (0, 1)
+        assert pd.face.nonneg.tolist() == [0, 1]
+        assert pd.face.fixed.tolist() == []
         assert np.allclose(bd.jacobian, [[1, 0, 0], [1, 0, 0]])
 
     def test_infeasible_point_records_residual(self, ex47):
@@ -108,7 +123,8 @@ class TestEvaluate:
 
     def test_soc_boundary_activity(self, socb):
         pd = problem.evaluate(socb, socb.point)
-        assert pd.blocks[0].activity.case == "soc_boundary"
+        assert [(sl.start, sl.stop) for sl, _ in pd.face.rays] == [(0, 3)]
+        assert not pd.face.socs and not pd.face.fixed.size
 
 
 def _quadratic_row(c, Q):

@@ -1,14 +1,13 @@
-import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import (MIXED_SOC_AND_ORTHANT, corpus_path, pipeline,
-                      random_licq_instance, random_quadratic_problem,
-                      sample_members)
-from strongmin import expr, kkt, problem, report, sosc
+from conftest import (MIXED_SOC_AND_ORTHANT, SOC_SLICE_ZERO_CONE, corpus_path,
+                      pipeline, random_licq_instance, random_quadratic_problem,
+                      rescaled_rays, sample_members, with_shifted_objective)
+from strongmin import kkt, problem, report, sosc
 from strongmin._sampling import sphere
 
 CONIC_CORPUS = ("ex44", "ex46", "ex47", "licq", "quad3", "socb")
@@ -348,6 +347,27 @@ class TestPresolve:
         expected[2] = W[2]
         assert np.max(np.abs(pre.project(W) - expected)) <= 1e-15
 
+    def test_soc_block_alone_decides_zero_cone(self):
+        # the LPs keep the block (its relaxation keeps the ray (1, 0.8)); on
+        # the null space of the gradient row its quadratic form is
+        # -0.28 / 1.64 < 0, so the cone presolves to {0} and is Exact
+        pd, st, ms = pipeline(problem.loads(SOC_SLICE_ZERO_CONE))
+        cone = sosc.build_critical_cone(pd)
+        assert not relaxation_is_trivial(cone) and presolves_to_zero(cone)
+        rep = sosc.analyze(pd, ms, samples=2000, seed=0)
+        assert rep.empty_cone and rep.sonc_holds and rep.sosc_holds
+        assert rep.certification == "Exact" and rep.predicted_modulus == math.inf
+
+    def test_soc_block_keeping_a_ray_is_kept(self):
+        # without the gradient row the same block is a proper cone
+        # (lambda_max = 0.36), and rows (w1, w1, w2) leave the ray w2 = 0,
+        # w1 >= 0 (lambda_max = 0): neither is {0}
+        for c in (0.8, 1.0):
+            B = np.array([[1.0, 0.0], [c, 0.0], [0.0, 1.0]])
+            cone = sosc.CriticalCone(2, np.zeros((0, 2)), np.zeros((0, 2)), [(B, 3)])
+            pre = sosc.presolve(cone)
+            assert len(pre.soc) == 1 and pre.eq.shape[0] == 0
+
     def test_soc_and_orthant_still_uses_admm(self, monkeypatch):
         cone = sosc.presolve(soc_and_orthant_cone())
         assert not cone.is_subspace
@@ -400,14 +420,12 @@ class TestSigma:
                     assert abs(s2 - 4.0 * s1) <= 1e-9 * max(1.0, abs(s1))
 
     def test_reduction_invariance_under_rescaling(self, socb):
-        # replacing the boundary reduction h by 2h must not move sigma
+        # replacing the boundary reduction h by 2h (its gradient, the
+        # face's ray d, by 2d) must not move sigma
         pd, st, ms = pipeline(socb)
         cone = sosc.build_critical_cone(pd)
-        blocks2 = []
-        for bd in pd.blocks:
-            red2 = dataclasses.replace(bd.activity, scale=2.0)
-            blocks2.append(dataclasses.replace(bd, activity=red2))
-        pd2 = dataclasses.replace(pd, blocks=tuple(blocks2))
+        assert pd.face.rays
+        pd2 = rescaled_rays(pd, 2.0)
         rng = np.random.default_rng(3)
         for _ in range(100):
             w = cone.project(rng.standard_normal(3))
@@ -501,7 +519,7 @@ class TestAnalyze:
         for p, rho in ((ex47, 0.35), (ex44, 0.8)):
             pd, st, ms = pipeline(p)
             base = sosc.analyze(pd, ms, samples=4000, seed=0)
-            p2 = p.with_objective(expr.quadratic_shift(p.objective, p.point, rho))
+            p2 = with_shifted_objective(p, rho)
             pd2 = problem.evaluate(p2, p.point)
             ms2 = kkt.build_multiplier_set(pd2, st.witness)
             shifted = sosc.analyze(pd2, ms2, samples=4000, seed=0)
@@ -581,7 +599,10 @@ class TestAnalyze:
                           "block soc 2:\n  row: x1 + 5\n  row: x2\n"
                           "block orthant 1:\n  row: -x1 - x2\npoint: 0 0\n")
         pd, st, ms = pipeline(p)
-        assert [b.activity.case for b in pd.blocks] == ["inactive", "affine"]
+        # the soc interior block is fixed at zero, the orthant row active
+        assert pd.face.fixed.tolist() == [0, 1]
+        assert pd.face.nonneg.tolist() == [2]
+        assert not pd.face.rays and not pd.face.socs
         rep = sosc.analyze(pd, ms, samples=4000, seed=0)
         assert abs(rep.predicted_modulus - 2.0) <= 1e-6
 
