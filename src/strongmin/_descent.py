@@ -1,33 +1,52 @@
-"""Batched projected penalty descent shared by the sampling oracles.
+"""Batched projected penalty descent and Gauss-Newton restoration shared by
+the sampling oracles.
 
 One loop, `_descend`, minimizes base(y) + rho * dist^2(q(y); K) over the
 sample columns with a per-column adaptive step.  Its two penalties are
 `push_to_feasible` (base ||y - x||^2: distance estimation and feasible
 sampling) and `minimize_tilted` (base g(y) - v.y inside a ball: the tilt
-probe).  `_residual` forms q - Pi_K(q) for the stacked blocks; the
+probe).  `_residual` forms R = q - Pi_K(q) for the stacked blocks; the
 descent, the Gauss-Newton restoration and `feasibility_residuals` (also
 the cq probe's denominator) all read it.
+
+`_restore` is a damped minimum-norm Gauss-Newton (Ben-Israel 1966) on the
+violated part of R alone; both descents end with it, and the growth
+oracle runs it first, from the ball samples themselves.  Each column
+solves (J J^T + D + 1e-12 I) mu = r and steps by -J^T mu, where
+- an orthant row enters, as its Jacobian row and residual, only in the
+  columns where its residual is nonzero;
+- a soc block whose residual R_b is nonzero enters as the one row
+  n_b^T J_b with n_b = R_b / ||R_b|| and right-hand side ||R_b||: a Newton
+  step on dist(q_b; K_b);
+- a row that does not enter is 0 in J, 1 in D and 0 in r, so its mu is 0.
+A satisfied row therefore holds nothing in place: parallel active
+gradients or a soc vertex leave a solvable system where the full one was
+singular.  A column takes no step once its residual is <= 1e-13, keeps a
+candidate only where it lowers the residual, and falls back from 1e-12 to
+1e-8 regularization when its own system is singular.  A rejected
+candidate halves that column's next step, and an accepted one restores
+the full step: a step that fixes one row may violate a nearly active one
+by more, and the same step again would be rejected again.
 
 Every contraction is an elementwise product summed over one axis, never
 BLAS, so a column's result does not depend on the other columns of its
 batch, except through these batch-wide terms: the initial step of
-`push_to_feasible` is 0.05 * max(1, max|X|) over the whole batch;
-`_restore` stops only once every column's residual is <= 1e-13; and numpy
-sums a one-column batch pairwise along an axis of 8 or more entries (n, m
-or the size of a soc block), in place of the row order of wider batches.
-`_restore`'s fallback from 1e-12 to 1e-8 regularization of a singular
-Gauss-Newton system is decided per column.
+`push_to_feasible` is 0.05 * max(1, max|X|) over the whole batch; and
+numpy sums a one-column batch pairwise along an axis of 8 or more entries
+(n, m or the size of a soc block), in place of the row order of wider
+batches.
 
-`push_to_feasible` freezes a column whose cone residual at X is exactly 0:
-it returns the column unchanged with residual 0, and the column enters
-neither `_descend` nor `_restore`.  This is exact.  At such a column base,
-d2 and both gradients are 0 for every rho (NaN only through an infinite
-Jacobian entry), so its candidate is the column itself and is never
-strictly better; and the restoration cannot lower a residual of 0.  The
-batch-wide terms do not move either: the initial step is still taken over
-the whole X, and a residual of 0 never holds up `_restore`'s stop rule.
-Only the one-column case is left, so when exactly one column of a wider
-batch is live, one frozen column is carried along with it.
+Columns that need no work are left out of the arithmetic, never so that a
+wider batch shrinks to one column.  `push_to_feasible` freezes a column
+whose cone residual at X is exactly 0: it returns the column unchanged
+with residual 0, and the column enters neither `_descend` nor `_restore`.
+This is exact.  At such a column base, d2 and both gradients are 0 for
+every rho (NaN only through an infinite Jacobian entry), so its candidate
+is the column itself and is never strictly better; and the restoration
+never steps a residual <= 1e-13.  The initial step is still taken over
+the whole X.  `_restore` likewise computes each step on the columns still
+above 1e-13 only.  When exactly one column of a wider batch is live, one
+finished column is carried along with it, and its candidate is discarded.
 """
 
 from __future__ import annotations
@@ -70,6 +89,7 @@ _STEP_FACTORS = np.array([0.5, 1.2])
 _PUSH_ITERS, _PUSH_RHO0, _PUSH_RHO_DOUBLING = 200, 10.0, 16
 _TILT_ITERS, _TILT_RHO0, _TILT_RHO_DOUBLING = 300, 100.0, 20
 _RESTORE_ITERS = 20  # Gauss-Newton restoration steps after either descent
+_RESTORE_TOL = 1e-13  # residual at which a column takes no further GN step
 
 
 def _select(kept: np.ndarray, new: np.ndarray, mask: np.ndarray) -> None:
@@ -144,17 +164,57 @@ def push_to_feasible(p: Problem, X: np.ndarray):
     return Y, res
 
 
+def _violated_rows(p: Problem, q: np.ndarray, jacs: np.ndarray):
+    """The Gauss-Newton rows (m, n, N), right-hand sides (m, N) and idle
+    flags (m, N) of the violated part of the cone residual at q."""
+    R = _residual(p, q)
+    J = np.zeros_like(jacs)
+    rhs = np.zeros_like(R)
+    idle = np.ones_like(R)
+    start = 0
+    for b in p.blocks:
+        sl = slice(start, start + b.cone.m)
+        if b.cone.kind == "orthant":
+            on = R[sl] != 0.0
+            J[sl] = np.where(on[:, None], jacs[sl], 0.0)
+            rhs[sl] = R[sl]
+            idle[sl] = ~on
+        else:
+            norm = np.linalg.norm(R[sl], axis=0)
+            on = norm != 0.0
+            nb = R[sl] / np.where(on, norm, 1.0)
+            J[start] = np.where(on, (nb[:, None] * jacs[sl]).sum(axis=0), 0.0)
+            rhs[start] = norm
+            idle[start] = ~on
+        start += b.cone.m
+    return J, rhs, idle
+
+
 def _restore(p: Problem, Y: np.ndarray, iters: int) -> np.ndarray:
-    """Damped Gauss-Newton on the cone residual of q(y)."""
+    """Damped minimum-norm Gauss-Newton on the violated part of the cone
+    residual of q(y) (see the module docstring), in place on Y.
+
+    A column takes no step once its residual is <= 1e-13, keeps a
+    candidate only where it lowers the residual, and halves its step after
+    each rejected one.
+    """
     eye = np.eye(p.m) * 1e-12
+    diag = np.arange(p.m)
     best_res = feasibility_residuals(p, Y)
+    scale = np.ones(Y.shape[1])
     for _ in range(iters):
-        if np.all(best_res <= 1e-13):
+        live = best_res > _RESTORE_TOL
+        if not live.any():
             break
-        q, jacs = batch_constraint_grads(p, Y)
-        R = _residual(p, q)
-        JJT = (jacs[:, None] * jacs[None, :]).sum(axis=2).transpose(2, 0, 1)
-        rhs = R.T[:, :, None]
+        if live.sum() == 1 and live.size >= 2:
+            live[np.argmin(live)] = True  # one finished companion
+        cols = np.flatnonzero(live)
+        Z = Y[:, cols]
+        q, jacs = batch_constraint_grads(p, Z)
+        J, rhs, idle = _violated_rows(p, q, jacs)
+        JJT = (J[:, None] * J[None, :]).sum(axis=2).transpose(2, 0, 1)
+        JJT[:, diag, diag] += idle.T
+        rhs = rhs.T[:, :, None]
         try:
             mu = np.linalg.solve(JJT + eye[None, :, :], rhs)[:, :, 0]
         except np.linalg.LinAlgError:
@@ -164,13 +224,13 @@ def _restore(p: Problem, Y: np.ndarray, iters: int) -> np.ndarray:
             singular = np.linalg.slogdet(A)[0] == 0.0
             A[singular] = JJT[singular] + 1e-8 * np.eye(p.m)
             mu = np.linalg.solve(A, rhs)[:, :, 0]
-        step = np.nan_to_num((jacs * mu.T[:, None, :]).sum(axis=0))
-        cand = Y - step
+        cand = Z - scale[cols] * np.nan_to_num((J * mu.T[:, None, :]).sum(axis=0))
         res_c = feasibility_residuals(p, cand)
-        better = np.nan_to_num(res_c, nan=np.inf) < best_res
-        mask = -better.astype(np.int64)
-        _select(Y, cand, mask)
-        _select(best_res, res_c, mask)
+        better = ((np.nan_to_num(res_c, nan=np.inf) < best_res[cols])
+                  & (best_res[cols] > _RESTORE_TOL))
+        Y[:, cols[better]] = cand[:, better]
+        best_res[cols[better]] = res_c[better]
+        scale[cols] = np.where(better, 1.0, 0.5 * scale[cols])
     return Y
 
 

@@ -1,10 +1,12 @@
 """Brute-force ground truth: empirical quadratic growth and tilt behavior.
 
-Nothing here trusts the analytic machinery.  Feasible points are produced
-by projected penalty descent, the growth modulus is an infimum of raw
-difference quotients, and the tilt probe watches minimizers of linearly
-perturbed problems move.  Verdict thresholds are recorded in the report:
-any finite-sample check of an asymptotic property needs cutoffs.
+Nothing here trusts the analytic machinery.  Feasible points are placed
+by Gauss-Newton restoration from the ball samples first, and by projected
+penalty descent for the samples it does not place; the growth modulus is
+an infimum of raw difference quotients, and the tilt probe watches
+minimizers of linearly perturbed problems move.  Verdict thresholds are
+recorded in the report: any finite-sample check of an asymptotic property
+needs cutoffs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import List, Tuple
 import numpy as np
 
 from . import expr
-from ._descent import minimize_tilted, push_to_feasible
+from ._descent import (_RESTORE_ITERS, _restore, feasibility_residuals,
+                       minimize_tilted, push_to_feasible)
 from ._sampling import ball, sphere
 from .problem import Problem, batch_objective_values
 
@@ -74,8 +77,10 @@ class TiltReport:
 def sample_feasible(p: Problem, radius: float, count: int, seed: int = 0):
     """Feasible points near the candidate, their residuals, and a usable flag.
 
-    Ball samples are pushed onto the feasible set; columns whose final
-    residual exceeds ``_KEEP_TOL`` (or that land beyond 1.05 radius) are
+    A ball sample is placed when its final residual is <= ``_KEEP_TOL`` and
+    it lies within 1.05 radius.  Gauss-Newton restoration runs first, from
+    the samples themselves; only the samples it does not place are pushed
+    by penalty descent, and those the descent does not place either are
     discarded.  Returns (Y, residuals, ok), with ok False (inconclusive)
     when fewer than half the requested points survive.
     """
@@ -84,9 +89,18 @@ def sample_feasible(p: Problem, radius: float, count: int, seed: int = 0):
     X = ball(p.point, radius, count, seed=seed)
     if not p.blocks:
         return X, np.zeros(count), True
-    Y, res = push_to_feasible(p, X)
-    dist = np.linalg.norm(Y - p.point[:, None], axis=0)
-    keep = (res <= _KEEP_TOL) & (dist <= 1.05 * radius)
+
+    def placed(Y, res):
+        dist = np.linalg.norm(Y - p.point[:, None], axis=0)
+        return (res <= _KEEP_TOL) & (dist <= 1.05 * radius)
+
+    Y = _restore(p, X.copy(), _RESTORE_ITERS)
+    res = feasibility_residuals(p, Y)
+    keep = placed(Y, res)
+    rest = np.flatnonzero(~keep)
+    if rest.size:
+        Y[:, rest], res[rest] = push_to_feasible(p, X[:, rest])
+        keep[rest] = placed(Y[:, rest], res[rest])
     return Y[:, keep], res[keep], keep.sum() >= 0.5 * count
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from strongmin import problem
-from strongmin._descent import (_restore, feasibility_residuals,
+from strongmin._descent import (_RESTORE_ITERS, _restore, feasibility_residuals,
                                 minimize_tilted, push_to_feasible)
 from strongmin._sampling import ball
 
@@ -17,6 +17,19 @@ def test_push_is_batch_invariant(name, request):
     for j in range(40):
         y, r = push_to_feasible(p, X[:, j:j + 1])
         assert np.array_equal(y[:, 0], Y[:, j]) and r[0] == res[j], j
+
+
+@pytest.mark.parametrize("name", ["ex44", "socb", "licq", "ex47"])
+def test_restore_is_batch_invariant(name, request):
+    """Gauss-Newton straight from the ball samples, as the growth oracle
+    runs it: a column stops on its own residual, never on its batch's."""
+    p = request.getfixturevalue(name)
+    X = ball(p.point, 0.2, 400, seed=0)
+    Y = _restore(p, X.copy(), _RESTORE_ITERS)
+    assert not np.array_equal(Y, X)
+    for j in range(40):
+        y = _restore(p, X[:, j:j + 1].copy(), _RESTORE_ITERS)
+        assert np.array_equal(y[:, 0], Y[:, j]), j
 
 
 @pytest.mark.parametrize("name", ["ex44", "socb", "licq", "ex47"])
@@ -111,3 +124,17 @@ def test_singular_restoration_system_stays_in_its_column():
     batch = _restore(p, X.copy(), 1)
     assert alone.tobytes() == batch[:, :2].copy().tobytes()
     assert feasibility_residuals(p, batch[:, 2:])[0] < feasibility_residuals(p, X[:, 2:])[0]
+
+
+def test_rejected_restoration_step_is_halved():
+    """x1 <= 0 is violated by 1e-3 while -2 x1 + x2 <= 0 holds by 1e-4: the
+    step on the violated row alone violates the other by 1.9e-3 and is
+    rejected.  Shorter steps bring both rows in, and one more step reaches
+    their corner; retrying the same step would leave the column where it is."""
+    p = problem.loads("vars: x1 x2\nobjective: x1^2 + x2^2\n"
+                      "block orthant 2:\n  row: x1\n  row: -2*x1 + x2\npoint: 0 0\n")
+    X = np.array([[1e-3], [1.9e-3]])
+    assert np.array_equal(_restore(p, X.copy(), 1), X)
+    Y = _restore(p, X.copy(), _RESTORE_ITERS)
+    assert feasibility_residuals(p, Y)[0] <= 1e-13
+    assert np.linalg.norm(Y - X) <= 3e-3

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from strongmin import oracle, problem
+from strongmin._descent import feasibility_residuals, push_to_feasible
 
 
 class TestSampleFeasible:
@@ -16,6 +18,44 @@ class TestSampleFeasible:
         p = problem.loads("vars: x1 x2\nobjective: x1^2 + x2^2\npoint: 0 0\n")
         pts, _, ok = oracle.sample_feasible(p, 0.1, 500, seed=0)
         assert ok and pts.shape[1] == 500
+
+    @pytest.mark.parametrize("name", ["ex44", "socb", "licq", "ex47", "ex46"])
+    def test_kept_columns_are_placed(self, name, request):
+        p = request.getfixturevalue(name)
+        for r in oracle.DEFAULT_RADII:
+            pts, res, ok = oracle.sample_feasible(p, r, 2000, seed=0)
+            assert ok
+            assert np.array_equal(res, feasibility_residuals(p, pts))
+            assert np.all(res <= oracle._KEEP_TOL)
+            dist = np.linalg.norm(pts - p.point[:, None], axis=0)
+            assert np.all(dist <= 1.05 * r)
+
+    def test_descent_places_what_gauss_newton_cannot(self, monkeypatch):
+        """On {|x1| >= 0.1}, Gauss-Newton from a sample near x1 = 0 jumps
+        by 0.01 / (2 |x1|) and lands feasible but far outside the ball;
+        the penalty descent from the same sample stays near it."""
+        p = problem.loads("vars: x1 x2\nobjective: x1^2 + x2^2\n"
+                          "block orthant 1:\n  row: 0.01 - x1^2\npoint: 0.1 0\n")
+        pushed = []
+
+        def spy(p, X):
+            Y, res = push_to_feasible(p, X)
+            pushed.append(Y)
+            return Y, res
+
+        monkeypatch.setattr(oracle, "push_to_feasible", spy)
+        count = 500
+        pts, res, ok = oracle.sample_feasible(p, 0.2, count, seed=0)
+        assert ok and len(pushed) == 1
+        descended = {c.tobytes() for c in pushed[0].T}
+        by_descent = sum(c.tobytes() in descended for c in pts.T)
+        # both paths placed columns, and the descent saw exactly the
+        # columns that Gauss-Newton did not place
+        by_gauss_newton = pts.shape[1] - by_descent
+        assert by_descent > 0 and by_gauss_newton > 0
+        assert pushed[0].shape[1] == count - by_gauss_newton
+        assert np.all(res <= oracle._KEEP_TOL)
+        assert np.all(np.abs(pts[0]) >= 0.1 - 1e-9)
 
     def test_infeasible_everywhere_flags(self):
         p = problem.loads("vars: x1\nobjective: x1^2\n"
@@ -33,6 +73,12 @@ class TestEstimate:
     def test_kappa_never_exceeds_true_modulus(self, ex44):
         est = oracle.estimate_qg_modulus(ex44, count=4000, seed=0)
         assert est.kappa_hat <= 1.0 + 0.05
+
+    def test_soc_vertex_growth_is_one_at_every_radius(self, ex44):
+        # on {|x3| <= x2^2} in the unit ball, (x1^2 + 2 x2^2) / ||x||^2 >= 1
+        est = oracle.estimate_qg_modulus(ex44, seed=0)
+        assert est.kept_counts == est.sample_counts
+        assert all(k >= 1.0 - 1e-7 for k in est.per_radius), est.per_radius
 
     def test_cubic_fails(self):
         p = problem.loads("vars: x1\nobjective: x1^3\npoint: 0\n")
