@@ -34,7 +34,9 @@ batch, except through these batch-wide terms: the initial step of
 `push_to_feasible` is 0.05 * max(1, max|X|) over the whole batch; and
 numpy sums a one-column batch pairwise along an axis of 8 or more entries
 (n, m or the size of a soc block), in place of the row order of wider
-batches.
+batches.  The tilt probe relies on this: it solves the midpoints its
+bisection may reach in one batch, at least 10 columns wide, and takes
+each visited tilt's minimizer to be the one a call of its own gives.
 
 Columns that need no work are left out of the arithmetic, never so that a
 wider batch shrinks to one column.  `push_to_feasible` freezes a column

@@ -205,18 +205,9 @@ def _cluster(pts: np.ndarray, tol: float):
     return reps
 
 
-def tilt_probe(p: Problem, seed: int = 0) -> TiltReport:
-    """Watch minimizers of tilted problems: single-valued and Lipschitz?
-
-    A coarse tilt grid seeds the probe; bisection then refines the tilt
-    pair with the worst displacement ratio.  A genuine jump of the solution
-    map makes the refined ratio blow up, which (like an observed
-    multivalued solution set) counts as evidence against tilt stability.
-    """
-    if p.point is None:
-        raise ValueError("problem has no candidate point")
-    n = p.n
-    center = p.point
+def _tilt_grid(n: int, seed: int) -> np.ndarray:
+    """The probe's coarse tilts: 0, the signed axes and sphere points up
+    to _GRID columns, scaled to the tilt radius."""
     dirs = [np.zeros(n)]
     for i in range(n):
         for sgn in (1.0, -1.0):
@@ -225,16 +216,48 @@ def tilt_probe(p: Problem, seed: int = 0) -> TiltReport:
             dirs.append(e)
     extra = sphere(n, max(_GRID - len(dirs), 0), seed=seed + 5)
     tilts = np.column_stack(dirs + [extra]) if extra.size else np.column_stack(dirs)
-    tilts = _TILT_RADIUS * tilts
+    return _TILT_RADIUS * tilts
 
-    solved = {}
+
+def _midpoint_tree(a: np.ndarray, b: np.ndarray, depth: int) -> List[np.ndarray]:
+    """The 2**depth - 1 midpoints that bisecting (a, b) can reach in
+    `depth` steps, each formed as the walk forms it, 0.5 * (x + y)."""
+    if depth == 0:
+        return []
+    mid = 0.5 * (a + b)
+    return ([mid] + _midpoint_tree(a, mid, depth - 1)
+            + _midpoint_tree(mid, b, depth - 1))
+
+
+def tilt_probe(p: Problem, seed: int = 0) -> TiltReport:
+    """Watch minimizers of tilted problems: single-valued and Lipschitz?
+
+    A coarse tilt grid seeds the probe; bisection then refines the tilt
+    pair with the worst displacement ratio.  A genuine jump of the solution
+    map makes the refined ratio blow up, which (like an observed
+    multivalued solution set) counts as evidence against tilt stability.
+    The walk stops early once its best pair is the pair it just bisected:
+    every later step would repeat that one.
+
+    Refinements are solved ahead: when the walk reaches a midpoint it has
+    not solved, one descent solves every midpoint it can reach over the
+    next `depth` steps (the largest tree no wider than the grid, capped
+    at the steps left).  Since a column's minimizer does not depend on
+    the rest of its batch, this gives the tilts the walk visits exactly
+    the minimizers of one call per step.  A solved-ahead tilt counts, in
+    the ratios and in the multivalued check, only once the walk reaches
+    it; the others are discarded.
+    """
+    if p.point is None:
+        raise ValueError("problem has no candidate point")
+    center = p.point
+    tilts = _tilt_grid(p.n, seed)
 
     def solve(vcols: np.ndarray):
         res = _solve_tilts(p, vcols, center, seed)
-        for j in range(vcols.shape[1]):
-            solved[vcols[:, j].tobytes()] = res[j]
+        return {vcols[:, j].tobytes(): res[j] for j in range(vcols.shape[1])}
 
-    solve(tilts)
+    solved = solve(tilts)
     multivalued = any(r is not None and len(r[1]) > 1 for r in solved.values())
 
     def ratio(va, vb):
@@ -250,20 +273,27 @@ def tilt_probe(p: Problem, seed: int = 0) -> TiltReport:
 
     best_pair = max(pairs, key=lambda ab: ratio(*ab), default=None)
     refined = base_ratio
-    for _ in range(_REFINE):
+    depth = _GRID.bit_length() - 1
+    ahead = {}
+    for step in range(_REFINE):
         if best_pair is None:
             break
         a, b = best_pair
         mid = 0.5 * (a + b)
-        solve(mid[:, None])
-        cols.append(mid)
-        cand = [(a, mid), (mid, b)] + [(a, b)]
+        key = mid.tobytes()
+        if key not in ahead:
+            tree = _midpoint_tree(a, b, min(depth, _REFINE - step))
+            ahead = solve(np.column_stack(tree))
+        solved[key] = ahead.pop(key)
+        cand = [(a, mid), (mid, b), (a, b)]
         best_pair = max(cand, key=lambda ab: ratio(*ab))
         refined = max(refined, ratio(*best_pair))
         if any(r is not None and len(r[1]) > 1 for r in solved.values()):
             multivalued = True
             break
         if np.linalg.norm(best_pair[0] - best_pair[1]) < 1e-12:
+            break
+        if best_pair is cand[2]:
             break
 
     lip = np.inf if multivalued else refined

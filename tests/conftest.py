@@ -79,8 +79,8 @@ def mfcq_dual(pd):
 
 # ----------------------------------------------------------------------
 # references that the library does not need: blockwise normal and tangent
-# cone tests, the normal-cone projection, a shifted objective, rescaled
-# rays and stacked block values
+# cone tests, the normal-cone projection, the one-call-per-step tilt walk,
+# a shifted objective, rescaled rays and stacked block values
 # ----------------------------------------------------------------------
 
 def _soc_position(y, tol):
@@ -172,6 +172,61 @@ def rescaled_rays(pd, c):
     import dataclasses
     rays = tuple((sl, c * d) for sl, d in pd.face.rays)
     return dataclasses.replace(pd, face=dataclasses.replace(pd.face, rays=rays))
+
+
+def sequential_tilt_probe(p, seed=0):
+    """Reference for oracle.tilt_probe: the bisection walk with one
+    _solve_tilts call per refinement, each solving only the midpoint the
+    walk reached.  Calls go through the oracle module, so a monkeypatched
+    _solve_tilts reaches them."""
+    from strongmin import oracle
+    center = p.point
+    tilts = oracle._tilt_grid(p.n, seed)
+    solved = {}
+
+    def solve(vcols):
+        res = oracle._solve_tilts(p, vcols, center, seed)
+        for j in range(vcols.shape[1]):
+            solved[vcols[:, j].tobytes()] = res[j]
+
+    def multi():
+        return any(r is not None and len(r[1]) > 1 for r in solved.values())
+
+    def ratio(va, vb):
+        ra, rb = solved.get(va.tobytes()), solved.get(vb.tobytes())
+        if ra is None or rb is None:
+            return 0.0
+        dv = np.linalg.norm(va - vb)
+        return float(np.linalg.norm(ra[0] - rb[0]) / dv) if dv > 1e-15 else 0.0
+
+    solve(tilts)
+    multivalued = multi()
+    cols = [tilts[:, j] for j in range(tilts.shape[1])]
+    pairs = [(a, b) for i, a in enumerate(cols) for b in cols[i + 1:]]
+    base_ratio = max((ratio(a, b) for a, b in pairs), default=0.0)
+    best_pair = max(pairs, key=lambda ab: ratio(*ab), default=None)
+    refined = base_ratio
+    for _ in range(oracle._REFINE):
+        if best_pair is None:
+            break
+        a, b = best_pair
+        mid = 0.5 * (a + b)
+        solve(mid[:, None])
+        best_pair = max([(a, mid), (mid, b), (a, b)], key=lambda ab: ratio(*ab))
+        refined = max(refined, ratio(*best_pair))
+        if multi():
+            multivalued = True
+            break
+        if np.linalg.norm(best_pair[0] - best_pair[1]) < 1e-12:
+            break
+    lip = np.inf if multivalued else refined
+    threshold = oracle._RATIO_THRESHOLD
+    note = ("solution map multivalued on the tilt grid" if multivalued else
+            f"max displacement ratio {refined:.3g} after refinement "
+            f"(threshold {threshold:g})")
+    return oracle.TiltReport(not multivalued, float(lip), float(refined),
+                             float(base_ratio), tilts.shape[1],
+                             bool(multivalued or refined > threshold), note)
 
 
 def full_values(pd):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import corpus_path, sequential_tilt_probe
 from strongmin import oracle, problem
 from strongmin._descent import feasibility_residuals, push_to_feasible
 
@@ -135,7 +136,83 @@ class TestTiltProbe:
         rep = oracle.tilt_probe(ex46, seed=0)
         assert rep.evidence_against
         assert rep.lipschitz_estimate > 100.0
+        # pinned bits: a reordered float operation in the probe shows here
+        assert rep.refined_ratio == 446124.0561116953
+        assert rep.base_ratio == 0.12000313307345284
 
     def test_evidence_against_second_instance(self, ex47):
         rep = oracle.tilt_probe(ex47, seed=0)
         assert rep.evidence_against
+
+
+# ex46: the full 24-step walk; ex44: multivalued at the first step; ex47 at
+# seed 3: multivalued deep in a solved-ahead batch; quad3: no evidence
+WALKS = [("ex46", 0), ("ex44", 0), ("ex47", 3), ("quad3", 0)]
+
+
+def _load(name):
+    return problem.load(corpus_path(name, "problem.prob"))
+
+
+class TestTiltLookahead:
+    @pytest.mark.parametrize("name,seed", WALKS)
+    def test_equals_sequential_walk(self, name, seed):
+        p = _load(name)
+        assert oracle.tilt_probe(p, seed=seed) == sequential_tilt_probe(p, seed)
+
+    # ex44 is left out: its grid is already multivalued
+    @pytest.mark.parametrize("name,seed", WALKS[:1] + WALKS[2:])
+    def test_unwalked_tilts_never_count(self, name, seed, monkeypatch):
+        p = _load(name)
+        solve = oracle._solve_tilts
+        walked = set()
+
+        def spy(p_, tilts, center, seed_):
+            walked.update(tilts[:, j].tobytes() for j in range(tilts.shape[1]))
+            return solve(p_, tilts, center, seed_)
+
+        monkeypatch.setattr(oracle, "_solve_tilts", spy)
+        ref = sequential_tilt_probe(p, seed)
+
+        def poisoned(p_, tilts, center, seed_):
+            out = solve(p_, tilts, center, seed_)
+            for j in range(tilts.shape[1]):
+                if tilts[:, j].tobytes() not in walked and out[j] is not None:
+                    best, _, vbest = out[j]
+                    out[j] = (best, [best, best + 1.0], vbest)
+            return out
+
+        monkeypatch.setattr(oracle, "_solve_tilts", poisoned)
+        assert oracle.tilt_probe(p, seed=seed) == ref
+
+    def test_batch_invariance(self, ex46):
+        tilts = oracle._tilt_grid(ex46.n, 0)[:, [0, 1, 4, 9]]
+        batch = oracle._solve_tilts(ex46, tilts, ex46.point, 0)
+        for j in range(tilts.shape[1]):
+            (one,) = oracle._solve_tilts(ex46, tilts[:, j:j + 1], ex46.point, 0)
+            best, clusters, vbest = batch[j]
+            assert np.array_equal(best, one[0])
+            assert vbest == one[2]
+            assert len(clusters) == len(one[1])
+            assert all(np.array_equal(c, d) for c, d in zip(clusters, one[1]))
+
+    def test_walk_stops_at_a_fixed_point(self, monkeypatch):
+        # an unsolvable midpoint leaves (a, b) the best pair: the reference
+        # re-solves the same midpoint at every later step, the probe stops
+        p = problem.loads("vars: x1 x2\nobjective: x1^2 + 2*x2^2\npoint: 0 0\n")
+        grid = {t.tobytes() for t in oracle._tilt_grid(p.n, 0).T}
+        solve = oracle._solve_tilts
+        calls = []
+
+        def unsolvable_midpoints(p_, tilts, center, seed_):
+            calls.append(tilts.shape[1])
+            out = solve(p_, tilts, center, seed_)
+            return [r if t.tobytes() in grid else None
+                    for t, r in zip(tilts.T, out)]
+
+        monkeypatch.setattr(oracle, "_solve_tilts", unsolvable_midpoints)
+        ref = sequential_tilt_probe(p, 0)
+        assert calls == [oracle._GRID] + [1] * oracle._REFINE
+        calls.clear()
+        assert oracle.tilt_probe(p, seed=0) == ref
+        assert calls == [oracle._GRID, 2 ** (oracle._GRID.bit_length() - 1) - 1]
