@@ -6,11 +6,18 @@ stationarity equation) with the normal-cone face of the evaluated point
 null-space basis, with the point's ``NormalFace`` attached.  A linear
 functional can be maximized exactly over it by one loop of dense simplex
 LPs: a polyhedral set needs one LP, and projection-based cutting planes
-handle blocks constrained to the polar second-order cone.
+handle blocks constrained to the polar second-order cone.  With k <= 3
+parameters, ``VertexMaximizer`` reads many such maxima at once off the
+vertices and rays of that first LP's polyhedron, and leaves the LP loop
+only the objectives this geometry does not settle.
+
+The stationarity check's accelerated projected-gradient loop exits at an
+exact fixed point, where every later iterate would repeat the last.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -28,6 +35,8 @@ __all__ = [
     "stationarity_check",
     "build_multiplier_set",
     "maximize_linear",
+    "enumerate_polyhedron",
+    "VertexMaximizer",
     "STATIONARITY_TOL",
 ]
 
@@ -89,8 +98,12 @@ def stationarity_check(pd: PointData,
     """Distance from -∇g(x̄) to ∇q(x̄)^T applied to the normal cone.
 
     Solves min ||∇g + J^T lam|| over lam in N_Θ(q(x̄)) by an accelerated
-    projected-gradient loop followed by an active-face least-squares
-    polish.  Stationary iff the residual is at most ``tol``.
+    projected-gradient loop (Beck & Teboulle 2009) followed by an
+    active-face least-squares polish.  The loop runs _STATIONARITY_ITERS
+    iterations, or stops after one that leaves both its iterate and its
+    extrapolated point bitwise unchanged: from there on every iterate is
+    the same, so the result has the bits of the full budget.  Stationary
+    iff the residual is at most ``tol``.
     """
     grad_g = pd.g.gradient
     J = pd.full_jacobian()
@@ -112,8 +125,13 @@ def stationarity_check(pd: PointData,
         grad = J @ (grad_g + JT @ y)
         nxt = face.project(y - step * grad)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        y = nxt + ((t_acc - 1.0) / t_next) * (nxt - lam)
-        lam, t_acc = nxt, t_next
+        y_next = nxt + ((t_acc - 1.0) / t_next) * (nxt - lam)
+        # nxt == lam makes the momentum term +0.0, and y_next == y makes the
+        # next nxt this one: every later iterate is this one, bit for bit
+        fixed = nxt.tobytes() == lam.tobytes() and y_next.tobytes() == y.tobytes()
+        y, lam, t_acc = y_next, nxt, t_next
+        if fixed:
+            break
 
     lam = _active_face_polish(face, lam, grad_g, JT)
     res = float(np.linalg.norm(grad_g + JT @ lam))
@@ -246,20 +264,7 @@ def maximize_linear(ms: MultiplierSet, c) -> LinMaxResult:
 
     N, lam0 = ms.basis, ms.lam0
     f = c @ N
-
-    # linear rows a.t <= b, valid for the whole set; t = 0 is feasible
-    A_rows = list(-ms.face.inequality_rows(N))
-    b_rows = list(ms.face.inequality_rows(lam0))
-
-    def add_row(a_lam: np.ndarray, b_val: float):
-        A_rows.append(a_lam @ N)
-        b_rows.append(b_val - float(a_lam @ lam0))
-
-    for sl in ms.face.socs:
-        # initial relaxation of lam_B in -soc, i.e. of -lam_B in soc
-        for a in cones.soc_relaxation(-np.eye(ms.m)[sl]):
-            add_row(a, 0.0)
-
+    A_rows, b_rows, add_row = _first_lp_rows(ms)
     best_feasible = lam0.copy()
     best_value = float(c @ lam0)
     for _ in range(_MAX_CUTS):
@@ -288,6 +293,27 @@ def maximize_linear(ms: MultiplierSet, c) -> LinMaxResult:
         _add_projection_cuts(ms, lam_star, add_row)
     return LinMaxResult("bounded", value=best_value, argmax=best_feasible,
                         cuts_exceeded=True)
+
+
+def _first_lp_rows(ms):
+    """Rows a.t <= b of maximize_linear's first LP, valid for the whole
+    set with t = 0 feasible: the face's sign rows, then the polyhedral
+    relaxation of each polar soc block.  Returns the two row lists and
+    add_row(a_lam, b_val), which appends a row given in multiplier
+    coordinates."""
+    N, lam0 = ms.basis, ms.lam0
+    A_rows = list(-ms.face.inequality_rows(N))
+    b_rows = list(ms.face.inequality_rows(lam0))
+
+    def add_row(a_lam: np.ndarray, b_val: float):
+        A_rows.append(a_lam @ N)
+        b_rows.append(b_val - float(a_lam @ lam0))
+
+    for sl in ms.face.socs:
+        # initial relaxation of lam_B in -soc, i.e. of -lam_B in soc
+        for a in cones.soc_relaxation(-np.eye(ms.m)[sl]):
+            add_row(a, 0.0)
+    return A_rows, b_rows, add_row
 
 
 def _max_soc_violation(ms, lam) -> float:
@@ -345,25 +371,28 @@ def _cut_direction(ms, lam0, N, t0, t_ray, add_row):
 
 
 def enumerate_polyhedron(ms: MultiplierSet):
-    """Vertices and extreme rays of the t-parameterized multiplier set.
+    """Vertices and extreme rays of the polyhedron that
+    ``maximize_linear``'s first LP solves over, in t.
 
     Returns (vertices, rays) as (m, nv) and (m, nr) arrays in multiplier
-    coordinates, or None when the set has soc blocks, k > 3, or no vertex
-    (callers then fall back to per-objective LPs).  With this geometry the
-    maximum of c.lam is max over vertex dot products, unbounded iff some
-    ray has positive objective.
+    coordinates, or None when k > 3 or the polyhedron has no vertex
+    (callers then fall back to per-objective LPs).  On a polyhedral set
+    the polyhedron is the set, whose maximum of c.lam is max over vertex
+    dot products, unbounded iff some ray has positive objective.  With
+    soc blocks it is their polyhedral relaxation, which contains the set;
+    ``VertexMaximizer`` reads both.
     """
     from itertools import combinations
 
-    if ms.face.socs or ms.k > 3:
+    if ms.k > 3:
         return None
     k = ms.k
     if k == 0:
         return ms.lam0[:, None], np.zeros((ms.m, 0))
 
-    # inequality rows A t <= b equivalent to the cone descriptors
-    A = -ms.face.inequality_rows(ms.basis)
-    b = ms.face.inequality_rows(ms.lam0)
+    A_rows, b_rows, _ = _first_lp_rows(ms)
+    A = np.array(A_rows).reshape(-1, k)
+    b = np.array(b_rows)
     verts: List[np.ndarray] = []
     for subset in combinations(range(A.shape[0]), k):
         sub = A[list(subset)]
@@ -395,3 +424,40 @@ def enumerate_polyhedron(ms: MultiplierSet):
     V = ms.lam0[:, None] + ms.basis @ np.stack(verts, axis=1)
     R = ms.basis @ np.stack(ray_dirs, axis=1) if ray_dirs else np.zeros((ms.m, 0))
     return V, R
+
+
+class VertexMaximizer:
+    """``maximize_linear`` for many objectives at once, read off the
+    vertices and rays of ``enumerate_polyhedron``.
+
+    A column c is settled as the first LP would settle it: unbounded when
+    some ray has objective above 1e-9 (1 + ||c||) and every such ray
+    recedes in the set (``_soc_recession_ok``), bounded with the best
+    vertex's value when no ray does and that vertex lies in the set (soc
+    violation at most 1e-9), which is then the exact maximum because the
+    relaxation contains the set.  Any other column needs the cut loop of
+    ``maximize_linear``.  On a polyhedral set every column is settled.
+    """
+
+    def __init__(self, ms: MultiplierSet, geom):
+        self.vertices, self.rays = geom
+        self._vertex_in = np.array([_max_soc_violation(ms, v) <= 1e-9
+                                    for v in self.vertices.T], dtype=bool)
+        self._ray_in = np.array([_soc_recession_ok(ms, r) for r in self.rays.T],
+                                dtype=bool)
+
+    def __call__(self, C: np.ndarray):
+        """Columnwise (values, best, settled) for objectives C (m, N):
+        values[j] is +inf when column j is unbounded, else the value of
+        vertex best[j]; both are meaningful only where settled[j]."""
+        vals = self.vertices.T @ C
+        best = np.argmax(vals, axis=0)
+        values = vals[best, np.arange(C.shape[1])]
+        if not self.rays.shape[1]:
+            return values, best, self._vertex_in[best]
+        scale = 1.0 + np.linalg.norm(C, axis=0)
+        up = self.rays.T @ C > 1e-9 * scale
+        unbounded = np.any(up, axis=0)
+        recedes = ~np.any(up & ~self._ray_in[:, None], axis=0)
+        return (np.where(unbounded, math.inf, values), best,
+                np.where(unbounded, recedes, self._vertex_in[best]))

@@ -237,7 +237,8 @@ def tilt_probe(p: Problem, seed: int = 0) -> TiltReport:
     map makes the refined ratio blow up, which (like an observed
     multivalued solution set) counts as evidence against tilt stability.
     The walk stops early once its best pair is the pair it just bisected:
-    every later step would repeat that one.
+    every later step would repeat that one.  The note says where the map
+    was first seen multivalued: on the grid, or at which refinement step.
 
     Refinements are solved ahead: when the walk reaches a midpoint it has
     not solved, one descent solves every midpoint it can reach over the
@@ -275,6 +276,7 @@ def tilt_probe(p: Problem, seed: int = 0) -> TiltReport:
     refined = base_ratio
     depth = _GRID.bit_length() - 1
     ahead = {}
+    where = "on the tilt grid"
     for step in range(_REFINE):
         if best_pair is None:
             break
@@ -289,6 +291,7 @@ def tilt_probe(p: Problem, seed: int = 0) -> TiltReport:
         best_pair = max(cand, key=lambda ab: ratio(*ab))
         refined = max(refined, ratio(*best_pair))
         if any(r is not None and len(r[1]) > 1 for r in solved.values()):
+            where = where if multivalued else f"at refinement {step + 1}"
             multivalued = True
             break
         if np.linalg.norm(best_pair[0] - best_pair[1]) < 1e-12:
@@ -298,7 +301,7 @@ def tilt_probe(p: Problem, seed: int = 0) -> TiltReport:
 
     lip = np.inf if multivalued else refined
     evidence = bool(multivalued or refined > _RATIO_THRESHOLD)
-    note = ("solution map multivalued on the tilt grid" if multivalued else
+    note = (f"solution map multivalued {where}" if multivalued else
             f"max displacement ratio {refined:.3g} after refinement "
             f"(threshold {_RATIO_THRESHOLD:g})")
     return TiltReport(not multivalued, float(lip), float(refined),

@@ -32,6 +32,7 @@ _MEMBERSHIP_TOL; `CriticalCone.project` may leave a column outside, and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -41,7 +42,8 @@ import numpy as np
 from . import cones
 from ._sampling import sphere
 from ._simplex import solve_lp
-from .kkt import MultiplierSet, enumerate_polyhedron, maximize_linear
+from .kkt import (MultiplierSet, VertexMaximizer, enumerate_polyhedron,
+                  maximize_linear)
 from .problem import PointData
 
 __all__ = [
@@ -295,9 +297,23 @@ def _curvature_tensor(pd: PointData) -> np.ndarray:
     return T
 
 
+@functools.lru_cache(maxsize=64)
+def _einsum_path(subscripts: str, *shapes) -> list:
+    """np.einsum's optimize=True contraction path for operands of these
+    shapes, planned once; only the shapes enter the plan."""
+    ops = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *ops, optimize=True)[0]
+
+
+def _einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
+    """np.einsum(subscripts, *ops, optimize=True) on a cached path."""
+    path = _einsum_path(subscripts, *(op.shape for op in ops))
+    return np.einsum(subscripts, *ops, optimize=path)
+
+
 def _lambda_coefficients_batch(T: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Columnwise coefficient vectors C (m x N) of the inner maximization."""
-    return np.einsum("ijk,jN,kN->iN", T, W, W, optimize=True)
+    return _einsum("ijk,jN,kN->iN", T, W, W)
 
 
 def sigma(pd: PointData, ms: MultiplierSet, w,
@@ -332,10 +348,15 @@ def _fixed_multiplier_matrix(pd: PointData, lam: np.ndarray) -> np.ndarray:
 class _SigmaEvaluator:
     """Columnwise sigma with the fastest exact backend available.
 
-    Singleton multiplier sets reduce to one quadratic form; polyhedral sets
-    with few parameters use cached vertex/ray geometry; everything else
-    solves one inner maximization per direction, with a fixed-multiplier
-    quadratic model available for pruning.
+    Singleton multiplier sets reduce to one quadratic form.  Sets with
+    k <= 3 read the inner maximum off cached vertices and rays
+    (``VertexMaximizer``): of the set itself when it is polyhedral, which
+    settles every direction, and of ``maximize_linear``'s first-LP
+    relaxation when it has soc blocks, which settles the directions whose
+    best vertex lies in the set or whose rising rays all recede in it.
+    Every other direction solves its own inner maximization.  Evaluation
+    is cheap, with no stride or model pruning in ``analyze``, only when
+    no direction can need the LP loop: singletons and polyhedral sets.
     """
 
     def __init__(self, pd: PointData, ms: MultiplierSet):
@@ -343,7 +364,7 @@ class _SigmaEvaluator:
         self.ms = ms
         self._T = _curvature_tensor(pd)
         self.cut_warning = False
-        self.mode = "generic"
+        self._vmax = None
         if ms.m == 0 or ms.k == 0:
             lam = ms.lam0 if ms.m else np.zeros(0)
             self._Q = _fixed_multiplier_matrix(pd, lam) if ms.m else pd.g.hessian
@@ -351,38 +372,40 @@ class _SigmaEvaluator:
             return
         geom = enumerate_polyhedron(ms)
         if geom is not None:
-            self._verts, self._rays = geom
-            self.mode = "enumerated"
+            self._vmax = VertexMaximizer(ms, geom)
+        self.mode = ("generic" if geom is None else
+                     "relaxed" if ms.face.socs else "enumerated")
 
     def __call__(self, W: np.ndarray) -> np.ndarray:
         if self.mode == "singleton":
-            return np.einsum("iN,ij,jN->N", W, self._Q, W, optimize=True)
-        base = np.einsum("iN,ij,jN->N", W, self.pd.g.hessian, W, optimize=True)
+            return _einsum("iN,ij,jN->N", W, self._Q, W)
+        base = _einsum("iN,ij,jN->N", W, self.pd.g.hessian, W)
         C = _lambda_coefficients_batch(self._T, W)
-        if self.mode == "enumerated":
-            vals = base + np.max(self._verts.T @ C, axis=0)
-            if self._rays.shape[1]:
-                scale = 1.0 + np.linalg.norm(C, axis=0)
-                unbounded = np.any(self._rays.T @ C > 1e-9 * scale, axis=0)
-                vals = np.where(unbounded, math.inf, vals)
-            return vals
-        out = np.empty(W.shape[1])
-        for j in range(W.shape[1]):
-            res = maximize_linear(self.ms, C[:, j])
-            if res.status == "unbounded":
-                out[j] = math.inf
-            else:
-                out[j] = base[j] + res.value
-                if res.cuts_exceeded:
-                    self.cut_warning = True
+        if self._vmax is None:
+            out, todo = np.empty(W.shape[1]), range(W.shape[1])
+        else:
+            values, _, settled = self._vmax(C)
+            out, todo = base + values, np.flatnonzero(~settled)
+        for j in todo:
+            out[j] = self._inner_max(base[j], C[:, j])[0]
         return out
 
     def single_with_argmax(self, w: np.ndarray):
-        """Value plus a maximizing multiplier (None when unbounded), by one
-        inner maximization; the generic mode's per-direction path."""
+        """Value plus a maximizing multiplier (None when unbounded) of one
+        direction; the per-direction path of ``_polish``'s model pruning."""
         base = float(w @ self.pd.g.hessian @ w)
-        C = _lambda_coefficients_batch(self._T, w[:, None])[:, 0]
-        res = maximize_linear(self.ms, C)
+        C = _lambda_coefficients_batch(self._T, w[:, None])
+        if self._vmax is not None:
+            values, best, settled = self._vmax(C)
+            if settled[0]:
+                if values[0] == math.inf:
+                    return math.inf, None
+                return base + values[0], self._vmax.vertices[:, best[0]]
+        return self._inner_max(base, C[:, 0])
+
+    def _inner_max(self, base: float, c: np.ndarray):
+        """sigma from one ``maximize_linear`` call, and its argmax."""
+        res = maximize_linear(self.ms, c)
         if res.status == "unbounded":
             return math.inf, None
         if res.cuts_exceeded:

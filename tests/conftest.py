@@ -11,6 +11,9 @@ REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 CORPUS = os.path.join(REPO, "corpus")
 
 
+CONIC_CORPUS = ("ex44", "ex46", "ex47", "licq", "quad3", "socb")
+
+
 def corpus_path(name: str, filename: str) -> str:
     return os.path.join(CORPUS, name, filename)
 
@@ -51,6 +54,16 @@ MIXED_SOC_AND_ORTHANT = ("vars: x1 x2 x3\nobjective: 0.5*x1^2 + x2^2\n"
                          "block soc 3:\n  row: 2*x2^2\n  row: x2^2 - x3\n"
                          "  row: x2^2 + x3\n"
                          "block orthant 1:\n  row: x1\npoint: 0 0 0\n")
+
+
+# a soc(3) vertex block whose multiplier set is the segment lam = (-1, s,
+# -s), |s| <= 1/sqrt(2), while the polyhedral relaxation of maximize_linear's
+# first LP reaches |s| <= 1: both relaxation vertices leave -soc, so every
+# bounded inner maximum runs the cut loop.  The critical cone is the x2
+# axis, where sigma is 2 + 4 s at best: the modulus is 2 + 2 sqrt(2)
+SOC_SEGMENT = ("vars: x1 x2 x3\nobjective: x3 + 0.5*x1^2 + x2^2 + x3^2\n"
+               "block soc 3:\n  row: x3\n  row: x1 + x2^2\n  row: x1 - x2^2\n"
+               "point: 0 0 0\n")
 
 
 # a soc(3) block slicing the plane w2 = 0.8 w1 of the stationary point's
@@ -206,7 +219,8 @@ def sequential_tilt_probe(p, seed=0):
     base_ratio = max((ratio(a, b) for a, b in pairs), default=0.0)
     best_pair = max(pairs, key=lambda ab: ratio(*ab), default=None)
     refined = base_ratio
-    for _ in range(oracle._REFINE):
+    where = "on the tilt grid"
+    for step in range(oracle._REFINE):
         if best_pair is None:
             break
         a, b = best_pair
@@ -215,18 +229,46 @@ def sequential_tilt_probe(p, seed=0):
         best_pair = max([(a, mid), (mid, b), (a, b)], key=lambda ab: ratio(*ab))
         refined = max(refined, ratio(*best_pair))
         if multi():
+            where = where if multivalued else f"at refinement {step + 1}"
             multivalued = True
             break
         if np.linalg.norm(best_pair[0] - best_pair[1]) < 1e-12:
             break
     lip = np.inf if multivalued else refined
     threshold = oracle._RATIO_THRESHOLD
-    note = ("solution map multivalued on the tilt grid" if multivalued else
+    note = (f"solution map multivalued {where}" if multivalued else
             f"max displacement ratio {refined:.3g} after refinement "
             f"(threshold {threshold:g})")
     return oracle.TiltReport(not multivalued, float(lip), float(refined),
                              float(base_ratio), tilts.shape[1],
                              bool(multivalued or refined > threshold), note)
+
+
+def full_budget_stationarity(pd, tol=1e-7):
+    """Reference for kkt.stationarity_check: all _STATIONARITY_ITERS
+    accelerated projected-gradient iterations, with no fixed-point exit,
+    then the same active-face polish."""
+    from strongmin import kkt
+    grad_g = pd.g.gradient
+    J = pd.full_jacobian()
+    m = J.shape[0]
+    if m == 0:
+        res = float(np.linalg.norm(grad_g))
+        return kkt.StationarityResult(res <= tol, res,
+                                      np.zeros(0) if res <= tol else None)
+    JT = J.T
+    step = 1.0 / max(float(np.linalg.norm(J, 2)) ** 2, 1e-12)
+    lam = np.zeros(m)
+    y = lam.copy()
+    t_acc = 1.0
+    for _ in range(kkt._STATIONARITY_ITERS):
+        nxt = pd.face.project(y - step * (J @ (grad_g + JT @ y)))
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
+        y = nxt + ((t_acc - 1.0) / t_next) * (nxt - lam)
+        lam, t_acc = nxt, t_next
+    lam = kkt._active_face_polish(pd.face, lam, grad_g, JT)
+    res = float(np.linalg.norm(grad_g + JT @ lam))
+    return kkt.StationarityResult(res <= tol, res, lam if res <= tol else None)
 
 
 def full_values(pd):

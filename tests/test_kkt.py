@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import normal_cone_test, pipeline, sample_members
-from strongmin import cones, kkt, problem
+from conftest import (CONIC_CORPUS, MIXED_SOC_AND_ORTHANT, SOC_SEGMENT,
+                      corpus_path, full_budget_stationarity, normal_cone_test,
+                      pipeline, problems, random_licq_instance, sample_members)
+from strongmin import cones, expr, kkt, problem, sosc
+
+
+def same_bits(st, ref):
+    """Residual and witness of two StationarityResults agree bit for bit."""
+    assert np.float64(st.residual).tobytes() == np.float64(ref.residual).tobytes()
+    assert st.is_stationary == ref.is_stationary
+    if ref.witness is None:
+        assert st.witness is None
+    else:
+        assert st.witness.tobytes() == ref.witness.tobytes()
 
 
 class TestStationarity:
@@ -40,6 +53,53 @@ class TestStationarity:
             for bd, sl in zip(pd.blocks, pd.block_slices()):
                 y = cones.project(bd.cone, bd.value)
                 assert normal_cone_test(bd.cone, y, st.witness[sl], tol=1e-8)
+
+
+class TestFixedPointExit:
+    # the loop leaves at a bitwise fixed point, after which every iterate of
+    # the full budget would repeat it: witness and residual keep their bits
+
+    @pytest.mark.parametrize("name", CONIC_CORPUS)
+    def test_corpus_equals_full_budget(self, name):
+        p = problem.load(corpus_path(name, "problem.prob"))
+        pd = problem.evaluate(p, p.point)
+        same_bits(kkt.stationarity_check(pd), full_budget_stationarity(pd))
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=problems())
+    def test_random_problems_equal_full_budget(self, p):
+        with np.errstate(all="ignore"):
+            try:
+                pd = problem.evaluate(p, np.zeros(p.n) if p.point is None else p.point)
+            except expr.ExprError:
+                assume(False)
+            try:
+                ref = full_budget_stationarity(pd)
+            except OverflowError:  # ||J||^2 beyond the float range
+                with pytest.raises(OverflowError):
+                    kkt.stationarity_check(pd)
+                return
+            same_bits(kkt.stationarity_check(pd), ref)
+
+    def test_criterion_7_draws_equal_full_budget(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            p = random_licq_instance(rng)
+            pd = problem.evaluate(p, p.point)
+            same_bits(kkt.stationarity_check(pd), full_budget_stationarity(pd))
+
+    def test_ex44_exits_within_three_iterations(self, ex44, monkeypatch):
+        pd = problem.evaluate(ex44, ex44.point)
+        project = cones.NormalFace.project
+        calls = []
+
+        def spy(face, lam):
+            calls.append(1)
+            return project(face, lam)
+
+        monkeypatch.setattr(cones.NormalFace, "project", spy)
+        assert kkt.stationarity_check(pd).is_stationary
+        assert 1 <= len(calls) <= 3
 
 
 class TestMultiplierSet:
@@ -196,3 +256,61 @@ class TestEnumeration:
                 else:
                     assert res.status == "bounded"
                     assert abs(np.max(V.T @ c) - res.value) <= 1e-8
+
+
+def vertex_maximizer_case(name):
+    text = {"mixed": MIXED_SOC_AND_ORTHANT, "segment": SOC_SEGMENT}.get(name)
+    p = (problem.loads(text) if text else
+         problem.load(corpus_path(name, "problem.prob")))
+    pd, st, ms = pipeline(p)
+    geom = kkt.enumerate_polyhedron(ms)
+    assert geom is not None and ms.face.socs
+    return pd, ms, kkt.VertexMaximizer(ms, geom)
+
+
+class TestVertexMaximizer:
+    # ex44: a polar soc cone (k = 2); mixed: a soc block beside an orthant
+    # row; segment: every relaxation vertex leaves -soc
+    @pytest.mark.parametrize("name", ["ex44", "mixed", "segment"])
+    def test_settled_columns_match_maximize_linear(self, name):
+        pd, ms, vmax = vertex_maximizer_case(name)
+        J = pd.full_jacobian()
+        C = np.random.default_rng(12).standard_normal((ms.m, 200))
+        values, best, settled = vmax(C)
+        for j in np.flatnonzero(settled):
+            res = kkt.maximize_linear(ms, C[:, j])
+            if res.status == "unbounded":
+                assert values[j] == np.inf
+                continue
+            assert res.status == "bounded" and np.isfinite(values[j])
+            assert abs(values[j] - res.value) <= 1e-9 * max(1.0, abs(res.value))
+            lam = vmax.vertices[:, best[j]]
+            assert np.linalg.norm(pd.g.gradient + J.T @ lam) <= 1e-8
+            assert ms.face.contains(lam[:, None], tol=1e-8)[0]
+            assert kkt._max_soc_violation(ms, lam) <= 1e-9
+        if name == "segment":
+            assert not settled.any()
+        else:
+            assert settled.sum() >= 20
+
+    @pytest.mark.parametrize("name", ["ex44", "mixed", "segment"])
+    def test_evaluator_matches_maximize_linear(self, name):
+        pd, ms, _ = vertex_maximizer_case(name)
+        evaluator = sosc._SigmaEvaluator(pd, ms)
+        assert evaluator.mode == "relaxed" and not evaluator.cheap
+        W = np.random.default_rng(13).standard_normal((pd.n, 60))
+        W /= np.linalg.norm(W, axis=0)
+        got = evaluator(W)
+        T = sosc._curvature_tensor(pd)
+        for j in range(W.shape[1]):
+            w = W[:, j]
+            res = kkt.maximize_linear(ms, np.einsum("ijk,j,k->i", T, w, w))
+            val, lam = evaluator.single_with_argmax(w)
+            if res.status == "unbounded":
+                assert got[j] == np.inf and val == np.inf and lam is None
+                continue
+            want = float(w @ pd.g.hessian @ w) + res.value
+            for v in (got[j], val):
+                assert abs(v - want) <= 1e-9 * max(1.0, abs(want))
+            assert ms.face.contains(lam[:, None], tol=1e-8)[0]
+

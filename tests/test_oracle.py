@@ -144,6 +144,15 @@ class TestTiltProbe:
         rep = oracle.tilt_probe(ex47, seed=0)
         assert rep.evidence_against
 
+    def test_note_names_where_the_map_turns_multivalued(self, ex44, ex47):
+        # ex44's grid has two clusters already; ex47 at seed 3 has none on
+        # the grid and finds the second at its 13th bisection midpoint
+        rep = oracle.tilt_probe(ex44, seed=0)
+        assert rep.note == "solution map multivalued on the tilt grid"
+        rep = oracle.tilt_probe(ex47, seed=3)
+        assert not rep.single_valued and rep.evidence_against
+        assert rep.note == "solution map multivalued at refinement 13"
+
 
 # ex46: the full 24-step walk; ex44: multivalued at the first step; ex47 at
 # seed 3: multivalued deep in a solved-ahead batch; quad3: no evidence

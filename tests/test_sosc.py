@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (MIXED_SOC_AND_ORTHANT, SOC_SLICE_ZERO_CONE, corpus_path,
-                      pipeline, random_licq_instance, random_quadratic_problem,
-                      rescaled_rays, sample_members, with_shifted_objective)
+from conftest import (CONIC_CORPUS, MIXED_SOC_AND_ORTHANT, SOC_SLICE_ZERO_CONE,
+                      corpus_path, pipeline, random_licq_instance,
+                      random_quadratic_problem, rescaled_rays, sample_members,
+                      with_shifted_objective)
 from strongmin import kkt, problem, report, sosc
 from strongmin._sampling import sphere
-
-CONIC_CORPUS = ("ex44", "ex46", "ex47", "licq", "quad3", "socb")
 
 
 def corpus_cone(name):
@@ -514,6 +513,22 @@ class TestAnalyze:
         assert sampled.certification == "Sampled"
         assert abs(exact.predicted_modulus - 1.0) <= 1e-12
         assert abs(sampled.predicted_modulus - exact.predicted_modulus) <= 1e-6
+
+    def test_ex44_inner_maxima_need_no_lp(self, ex44, monkeypatch):
+        # every direction's inner maximum is read off the relaxation's
+        # vertex, which lies in -soc, or its rays: no simplex LP is left
+        pd, st, ms = pipeline(ex44)
+        solve = kkt.solve_lp
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(kkt, "solve_lp", spy)
+        rep = sosc.analyze(pd, ms, samples=20000, seed=0)
+        assert calls == []
+        assert rep.predicted_modulus == 1.0 and not rep.inner_max_warning
 
     def test_regularization_shifts_modulus_exactly(self, ex47, ex44):
         for p, rho in ((ex47, 0.35), (ex44, 0.8)):
