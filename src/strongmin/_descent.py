@@ -28,27 +28,15 @@ candidate halves that column's next step, and an accepted one restores
 the full step: a step that fixes one row may violate a nearly active one
 by more, and the same step again would be rejected again.
 
-Every contraction is an elementwise product summed over one axis, never
-BLAS, so a column's result does not depend on the other columns of its
-batch, except through these batch-wide terms: the initial step of
-`push_to_feasible` is 0.05 * max(1, max|X|) over the whole batch; and
-numpy sums a one-column batch pairwise along an axis of 8 or more entries
-(n, m or the size of a soc block), in place of the row order of wider
-batches.  The tilt probe relies on this: it solves the midpoints its
-bisection may reach in one batch, at least 10 columns wide, and takes
-each visited tilt's minimizer to be the one a call of its own gives.
-
-Columns that need no work are left out of the arithmetic, never so that a
-wider batch shrinks to one column.  `push_to_feasible` freezes a column
-whose cone residual at X is exactly 0: it returns the column unchanged
-with residual 0, and the column enters neither `_descend` nor `_restore`.
-This is exact.  At such a column base, d2 and both gradients are 0 for
-every rho (NaN only through an infinite Jacobian entry), so its candidate
-is the column itself and is never strictly better; and the restoration
-never steps a residual <= 1e-13.  The initial step is still taken over
-the whole X.  `_restore` likewise computes each step on the columns still
-above 1e-13 only.  When exactly one column of a wider batch is live, one
-finished column is carried along with it, and its candidate is discarded.
+Every reduction over rows -- the residual and step norms, D.D and V.Z,
+a soc block's norm and contraction, JJ^T and J^T mu, the ball clip -- is
+`cones.column_sum`, a sum in row order from +0.0; everything else is
+elementwise or solves one column's own system.  So a column's result does
+not depend on the other columns of its batch, whatever the batch's width:
+`_restore` steps only the columns still above 1e-13, callers pass only the
+columns that need work, and the tilt probe solves the midpoints its
+bisection may reach in one batch and takes each visited tilt's minimizer
+to be the one a call of its own gives.
 """
 
 from __future__ import annotations
@@ -56,6 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cones
+from .cones import column_sum
 from .problem import (Problem, batch_constraint_grads, batch_constraint_values,
                       batch_objective_grads, batch_objective_values)
 
@@ -65,23 +54,25 @@ __all__ = ["push_to_feasible", "feasibility_residuals", "minimize_tilted"]
 def _residual(p: Problem, Q: np.ndarray) -> np.ndarray:
     """q - Pi_K(q) for the stacked block values Q (m, N), block by block."""
     R = np.empty_like(Q)
-    start = 0
-    for b in p.blocks:
-        sl = slice(start, start + b.cone.m)
+    for b, sl in zip(p.blocks, p.block_slices):
         R[sl] = Q[sl] - cones.project(b.cone, Q[sl])
-        start += b.cone.m
     return R
+
+
+def _column_norm(A: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each column, its squares summed in row order."""
+    return np.sqrt(column_sum(A * A))
 
 
 def feasibility_residuals(p: Problem, Y: np.ndarray) -> np.ndarray:
     """Columnwise distance of q(y) to the cone product."""
-    return np.linalg.norm(_residual(p, batch_constraint_values(p, Y)), axis=0)
+    return _column_norm(_residual(p, batch_constraint_values(p, Y)))
 
 
 def _dist_grad(p: Problem, Y: np.ndarray):
     """dist^2(q(y); cones) and its gradient 2 J^T R, columnwise."""
     R, G = p.row_stack.pullback(Y, lambda q: _residual(p, q))
-    return np.sum(R * R, axis=0), 2.0 * G
+    return column_sum(R * R), 2.0 * G
 
 
 # The step factors of a rejected and of an accepted candidate.
@@ -92,6 +83,7 @@ _PUSH_ITERS, _PUSH_RHO0, _PUSH_RHO_DOUBLING = 200, 10.0, 16
 _TILT_ITERS, _TILT_RHO0, _TILT_RHO_DOUBLING = 300, 100.0, 20
 _RESTORE_ITERS = 20  # Gauss-Newton restoration steps after either descent
 _RESTORE_TOL = 1e-13  # residual at which a column takes no further GN step
+_KEEP_TOL = 1e-9  # largest residual of a pushed sample that counts as feasible
 
 
 def _select(kept: np.ndarray, new: np.ndarray, mask: np.ndarray) -> None:
@@ -112,26 +104,32 @@ def _descend(f, Y, steps, rho, iters, rho_doubling, clip=None):
     column steps along its normalized gradient; an improving candidate is
     accepted and grows the step by 1.2, otherwise the step halves.  rho
     doubles every `rho_doubling` iterations, and `clip`, if given, maps
-    each candidate back into the admissible set.
+    each candidate back into the admissible set.  y, base, base_grad, d2
+    and d2_grad are row blocks of one state array: one select per step.
     """
-    base, base_grad, d2, d2_grad = f(Y)
+    n = Y.shape[0]
+    state, cand = np.empty((2, 3 * n + 2, Y.shape[1]))
+
+    def fill(S, Z):
+        S[:n] = Z
+        S[n], S[n + 1:2 * n + 1], S[2 * n + 1], S[2 * n + 2:] = f(Z)
+
+    fill(state, Y)
+    y, base, base_grad = state[:n], state[n], state[n + 1:2 * n + 1]
+    d2, d2_grad = state[2 * n + 1], state[2 * n + 2:]
     for it in range(iters):
         if it and it % rho_doubling == 0:
             rho *= 2.0
         grad = base_grad + rho * d2_grad
-        gn = np.linalg.norm(grad, axis=0)
+        gn = _column_norm(grad)
         gn = np.where(gn > 1e-14, gn, 1.0)
-        cand = Y - steps * grad / gn
-        if clip is not None:
-            cand = clip(cand)
-        base_c, base_grad_c, d2_c, d2_grad_c = f(cand)
-        better = np.nan_to_num(base_c + rho * d2_c, nan=np.inf) < base + rho * d2
-        mask = -better.astype(np.int64)
-        for kept, new in ((Y, cand), (base, base_c), (base_grad, base_grad_c),
-                          (d2, d2_c), (d2_grad, d2_grad_c)):
-            _select(kept, new, mask)
+        Z = y - steps * grad / gn
+        fill(cand, Z if clip is None else clip(Z))
+        better = (np.nan_to_num(cand[n] + rho * cand[2 * n + 1], nan=np.inf)
+                  < base + rho * d2)
+        _select(state, cand, -better.astype(np.int64))
         steps *= _STEP_FACTORS.take(better.view(np.int8))
-    return Y
+    return y
 
 
 def push_to_feasible(p: Problem, X: np.ndarray):
@@ -139,31 +137,16 @@ def push_to_feasible(p: Problem, X: np.ndarray):
 
     Returns (Y, residuals).  The distance ||Y - X|| is an upper estimate of
     the true distance to the feasible set; final feasibility residuals are
-    driven to ~1e-12 by a Gauss-Newton restoration whenever possible.
-    Columns that start feasible are frozen (see the module docstring).
+    driven to ~1e-12 by a Gauss-Newton restoration whenever possible.  A
+    column's initial step is 0.05 * max(1, max_i |x_i|).
     """
-    N = X.shape[1]
-    Y, res = X.copy(), np.zeros(N)
-    if not p.blocks:
-        return Y, res
-    steps = 0.05 * max(1.0, float(np.max(np.abs(X))))
-    live = feasibility_residuals(p, X) != 0.0
-    if live.sum() == 1 and N >= 2:
-        live[np.argmin(live)] = True  # one frozen companion
-    if not live.any():
-        return Y, res
-    XL = X[:, live]
-
     def f(Z):
-        D = Z - XL
-        return (np.sum(D * D, axis=0), 2.0 * D) + _dist_grad(p, Z)
+        D = Z - X
+        return (column_sum(D * D), 2.0 * D) + _dist_grad(p, Z)
 
-    YL = _descend(f, XL.copy(), np.full(XL.shape[1], steps), _PUSH_RHO0,
-                  _PUSH_ITERS, _PUSH_RHO_DOUBLING)
-    YL = _restore(p, YL, _RESTORE_ITERS)
-    Y[:, live] = YL
-    res[live] = feasibility_residuals(p, YL)
-    return Y, res
+    steps = 0.05 * np.maximum(1.0, np.max(np.abs(X), axis=0))
+    Y = _descend(f, X, steps, _PUSH_RHO0, _PUSH_ITERS, _PUSH_RHO_DOUBLING)
+    return _restore(p, Y, _RESTORE_ITERS)
 
 
 def _violated_rows(p: Problem, q: np.ndarray, jacs: np.ndarray):
@@ -173,48 +156,44 @@ def _violated_rows(p: Problem, q: np.ndarray, jacs: np.ndarray):
     J = np.zeros_like(jacs)
     rhs = np.zeros_like(R)
     idle = np.ones_like(R)
-    start = 0
-    for b in p.blocks:
-        sl = slice(start, start + b.cone.m)
+    for b, sl in zip(p.blocks, p.block_slices):
         if b.cone.kind == "orthant":
             on = R[sl] != 0.0
             J[sl] = np.where(on[:, None], jacs[sl], 0.0)
             rhs[sl] = R[sl]
             idle[sl] = ~on
         else:
-            norm = np.linalg.norm(R[sl], axis=0)
+            norm = _column_norm(R[sl])
             on = norm != 0.0
             nb = R[sl] / np.where(on, norm, 1.0)
-            J[start] = np.where(on, (nb[:, None] * jacs[sl]).sum(axis=0), 0.0)
-            rhs[start] = norm
-            idle[start] = ~on
-        start += b.cone.m
+            J[sl.start] = np.where(on, column_sum(nb[:, None] * jacs[sl]), 0.0)
+            rhs[sl.start] = norm
+            idle[sl.start] = ~on
     return J, rhs, idle
 
 
-def _restore(p: Problem, Y: np.ndarray, iters: int) -> np.ndarray:
+def _restore(p: Problem, Y: np.ndarray, iters: int):
     """Damped minimum-norm Gauss-Newton on the violated part of the cone
     residual of q(y) (see the module docstring), in place on Y.
 
     A column takes no step once its residual is <= 1e-13, keeps a
     candidate only where it lowers the residual, and halves its step after
-    each rejected one.
+    each rejected one.  Returns (Y, residuals), the residuals bit for bit
+    those `feasibility_residuals` gives at Y.
     """
     eye = np.eye(p.m) * 1e-12
     diag = np.arange(p.m)
-    best_res = feasibility_residuals(p, Y)
+    res = feasibility_residuals(p, Y)
     scale = np.ones(Y.shape[1])
     for _ in range(iters):
-        live = best_res > _RESTORE_TOL
-        if not live.any():
+        cols = np.flatnonzero(res > _RESTORE_TOL)
+        if not cols.size:
             break
-        if live.sum() == 1 and live.size >= 2:
-            live[np.argmin(live)] = True  # one finished companion
-        cols = np.flatnonzero(live)
         Z = Y[:, cols]
         q, jacs = batch_constraint_grads(p, Z)
         J, rhs, idle = _violated_rows(p, q, jacs)
-        JJT = (J[:, None] * J[None, :]).sum(axis=2).transpose(2, 0, 1)
+        JT = J.transpose(1, 0, 2)
+        JJT = column_sum(JT[:, :, None] * JT[:, None]).transpose(2, 0, 1)
         JJT[:, diag, diag] += idle.T
         rhs = rhs.T[:, :, None]
         try:
@@ -226,14 +205,13 @@ def _restore(p: Problem, Y: np.ndarray, iters: int) -> np.ndarray:
             singular = np.linalg.slogdet(A)[0] == 0.0
             A[singular] = JJT[singular] + 1e-8 * np.eye(p.m)
             mu = np.linalg.solve(A, rhs)[:, :, 0]
-        cand = Z - scale[cols] * np.nan_to_num((J * mu.T[:, None, :]).sum(axis=0))
+        cand = Z - scale[cols] * np.nan_to_num(column_sum(J * mu.T[:, None, :]))
         res_c = feasibility_residuals(p, cand)
-        better = ((np.nan_to_num(res_c, nan=np.inf) < best_res[cols])
-                  & (best_res[cols] > _RESTORE_TOL))
+        better = np.nan_to_num(res_c, nan=np.inf) < res[cols]
         Y[:, cols[better]] = cand[:, better]
-        best_res[cols[better]] = res_c[better]
+        res[cols[better]] = res_c[better]
         scale[cols] = np.where(better, 1.0, 0.5 * scale[cols])
-    return Y
+    return Y, res
 
 
 def minimize_tilted(p: Problem, V: np.ndarray, starts: np.ndarray,
@@ -245,22 +223,19 @@ def minimize_tilted(p: Problem, V: np.ndarray, starts: np.ndarray,
     """
     def f(Z):
         g, g_grad = batch_objective_grads(p, Z)
-        return (g - np.sum(V * Z, axis=0), g_grad - V) + _dist_grad(p, Z)
+        return (g - column_sum(V * Z), g_grad - V) + _dist_grad(p, Z)
 
     def clip(Z):
-        return _clip_ball(Z, center, ball_radius)
+        diff = Z - center[:, None]
+        nrm = _column_norm(diff)
+        factor = np.where(nrm > ball_radius,
+                          ball_radius / np.where(nrm > 0, nrm, 1.0), 1.0)
+        return center[:, None] + diff * factor
 
     steps = np.full(starts.shape[1], 0.05 * max(ball_radius, 1e-6))
     Y = _descend(f, clip(starts), steps, _TILT_RHO0, _TILT_ITERS,
                  _TILT_RHO_DOUBLING, clip)
     if p.blocks:
-        Y = clip(_restore(p, Y, _RESTORE_ITERS))
-    gfinal = batch_objective_values(p, Y) - np.sum(V * Y, axis=0)
+        Y = clip(_restore(p, Y, _RESTORE_ITERS)[0])
+    gfinal = batch_objective_values(p, Y) - column_sum(V * Y)
     return Y, gfinal, feasibility_residuals(p, Y)
-
-
-def _clip_ball(Y: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    diff = Y - center[:, None]
-    nrm = np.linalg.norm(diff, axis=0)
-    factor = np.where(nrm > radius, radius / np.where(nrm > 0, nrm, 1.0), 1.0)
-    return center[:, None] + diff * factor

@@ -23,6 +23,7 @@ __all__ = [
     "soc",
     "NormalFace",
     "project",
+    "column_sum",
     "distance",
     "soc_relaxation",
     "normal_face",
@@ -61,8 +62,8 @@ def project(k: Cone, Y) -> np.ndarray:
     A soc column (t, ybar) outside the cone and its polar maps to
     alpha (1, ybar / r) with r = ||ybar|| and alpha = (t + r) / 2; columns
     in the cone (the vertex included) are copied, and the other polar
-    columns become +0.0.  r sums its squares in row order, so a column of a
-    batch and the same vector alone project bit for bit alike.
+    columns become +0.0.  r sums its squares by ``column_sum``, so a column
+    of a batch and the same vector alone project bit for bit alike.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim not in (1, 2) or Y.shape[0] != k.m:
@@ -70,10 +71,7 @@ def project(k: Cone, Y) -> np.ndarray:
     if k.kind == "orthant":
         return np.minimum(Y, 0.0)
     t = Y[0]
-    sq = Y[1] * Y[1]
-    for row in Y[2:]:
-        sq = sq + row * row
-    r = np.sqrt(sq)
+    r = np.sqrt(column_sum(Y[1:] * Y[1:]))
     inside = t >= r
     polar = t <= -r
     alpha = (t + r) / 2.0
@@ -82,6 +80,16 @@ def project(k: Cone, Y) -> np.ndarray:
     out[1:] = np.where(inside, Y[1:], np.where(
         polar, 0.0, alpha / np.where(r > 0, r, 1.0) * Y[1:]))
     return out
+
+
+def column_sum(A: np.ndarray) -> np.ndarray:
+    """A[0] + A[1] + ... from +0.0 in row order: the bits numpy's add.reduce
+    gives a wide batch, also for a column alone (which numpy would sum
+    pairwise from 8 rows on)."""
+    s = np.zeros(A.shape[1:])
+    for row in A:
+        s += row
+    return s
 
 
 def distance(k: Cone, y) -> float:

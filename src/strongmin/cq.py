@@ -15,9 +15,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._descent import feasibility_residuals, push_to_feasible
+from ._descent import _KEEP_TOL, feasibility_residuals, push_to_feasible
 from ._sampling import ball, sphere
 from ._simplex import solve_lp
+from .cones import column_sum
 from .problem import PointData, Problem, batch_constraint_grads
 
 __all__ = [
@@ -93,8 +94,7 @@ def check_mfcq(pd: PointData) -> Optional[bool]:
     return bool(res.status == "optimal" and res.value > 1e-9)
 
 
-def check_crcq(pd: PointData, radius: float = _CRCQ_RADIUS,
-               seed: int = 0) -> Optional[bool]:
+def check_crcq(pd: PointData, seed: int = 0) -> Optional[bool]:
     """Constant rank of every subset of active gradients on a sampled ball."""
     if not _orthant_only(pd):
         return None
@@ -104,7 +104,7 @@ def check_crcq(pd: PointData, radius: float = _CRCQ_RADIUS,
     if active.size > _MAX_ACTIVE:
         raise TooManyActiveConstraints(
             f"{active.size} active rows; subset enumeration capped at {_MAX_ACTIVE}")
-    pts = np.column_stack([pd.x[:, None], ball(pd.x, radius, _CRCQ_SAMPLES, seed=seed)])
+    pts = np.column_stack([pd.x[:, None], ball(pd.x, _CRCQ_RADIUS, _CRCQ_SAMPLES, seed=seed)])
     G = batch_constraint_grads(pd.problem, pts)[1][active]  # (k, n, N)
     for size in range(1, active.size + 1):
         for subset in combinations(range(active.size), size):
@@ -160,8 +160,9 @@ def probe_mscq(p: Problem, radius: float = 0.1, samples: int = 128,
     """Empirical metric-subregularity ratio d(x;feasible)/d(q(x);cone).
 
     Numerators are upper estimates from projected penalty descent, so the
-    bound is conservative.  Supported requires finite bounds at the probe
-    radius and radius/4 within a factor of 4 of each other.
+    bound is conservative; only the samples with a residual above 1e-12
+    are pushed.  Supported requires finite bounds at the probe radius and
+    radius/4 within a factor of 4 of each other.
     """
     if p.point is None:
         raise ValueError("problem has no candidate point")
@@ -172,13 +173,15 @@ def probe_mscq(p: Problem, radius: float = 0.1, samples: int = 128,
     for i, r in enumerate((radius, radius / 4.0)):
         X = ball(p.point, r, samples, seed=seed + 7 * i)
         denom = feasibility_residuals(p, X)
+        live = denom > 1e-12
+        X, denom = X[:, live], denom[live]
         Y, res = push_to_feasible(p, X)
-        numer = np.linalg.norm(Y - X, axis=0)
-        mask = (denom > 1e-12) & (res <= 1e-9)
-        failed = (denom > 1e-12) & (res > 1e-9)
-        if np.sum(failed) > 0.5 * max(1, np.sum(denom > 1e-12)):
+        kept = res <= _KEEP_TOL
+        if np.sum(res > _KEEP_TOL) > 0.5 * max(1, X.shape[1]):
             usable = False
-        bounds.append(float(np.max(numer[mask] / denom[mask])) if np.any(mask) else 0.0)
+        D = Y - X
+        numer = np.sqrt(column_sum(D * D))
+        bounds.append(float(np.max(numer[kept] / denom[kept])) if np.any(kept) else 0.0)
     hi, lo = max(bounds), min(bounds)
     if not usable:
         verdict = "Inconclusive"

@@ -115,8 +115,8 @@ def stationarity_check(pd: PointData,
 
     face = pd.face
     JT = J.T
-    L = max(float(np.linalg.norm(J, 2)) ** 2, 1e-12)
-    step = 1.0 / L
+    nrm = float(np.linalg.norm(J, 2))
+    step = 1.0 / max(nrm * nrm, 1e-12)  # 0.0 when nrm * nrm overflows
 
     lam = np.zeros(m)
     y = lam.copy()

@@ -17,8 +17,8 @@ from typing import List, Tuple
 import numpy as np
 
 from . import expr
-from ._descent import (_RESTORE_ITERS, _restore, feasibility_residuals,
-                       minimize_tilted, push_to_feasible)
+from ._descent import (_KEEP_TOL, _RESTORE_ITERS, _restore, minimize_tilted,
+                       push_to_feasible)
 from ._sampling import ball, sphere
 from .problem import Problem, batch_objective_values
 
@@ -39,7 +39,6 @@ HOLD_FLOOR = 1e-4
 FAIL_FLOOR = 1e-6
 TREND_DECAY = 1.25
 TREND_SLACK = 1.05
-_KEEP_TOL = 1e-9  # largest residual of a kept feasible sample
 
 # tilt probe: tilt grid radius and size, minimizer ball radius, descent
 # starts per tilt, bisection refinements, and the displacement ratio above
@@ -94,8 +93,7 @@ def sample_feasible(p: Problem, radius: float, count: int, seed: int = 0):
         dist = np.linalg.norm(Y - p.point[:, None], axis=0)
         return (res <= _KEEP_TOL) & (dist <= 1.05 * radius)
 
-    Y = _restore(p, X.copy(), _RESTORE_ITERS)
-    res = feasibility_residuals(p, Y)
+    Y, res = _restore(p, X.copy(), _RESTORE_ITERS)
     keep = placed(Y, res)
     rest = np.flatnonzero(~keep)
     if rest.size:
@@ -236,9 +234,11 @@ def tilt_probe(p: Problem, seed: int = 0) -> TiltReport:
     pair with the worst displacement ratio.  A genuine jump of the solution
     map makes the refined ratio blow up, which (like an observed
     multivalued solution set) counts as evidence against tilt stability.
-    The walk stops early once its best pair is the pair it just bisected:
-    every later step would repeat that one.  The note says where the map
-    was first seen multivalued: on the grid, or at which refinement step.
+    A grid that is already multivalued settles the verdict and is not
+    walked, so its refined ratio is the base ratio.  The walk stops early
+    once its best pair is the pair it just bisected: every later step
+    would repeat that one.  The note says where the map was first seen
+    multivalued: on the grid, or at which refinement step.
 
     Refinements are solved ahead: when the walk reaches a midpoint it has
     not solved, one descent solves every midpoint it can reach over the
@@ -272,7 +272,9 @@ def tilt_probe(p: Problem, seed: int = 0) -> TiltReport:
     pairs = [(a, b) for i, a in enumerate(cols) for b in cols[i + 1:]]
     base_ratio = max((ratio(a, b) for a, b in pairs), default=0.0)
 
-    best_pair = max(pairs, key=lambda ab: ratio(*ab), default=None)
+    # a multivalued grid settles the verdict: there is no walk
+    best_pair = None if multivalued else max(pairs, key=lambda ab: ratio(*ab),
+                                             default=None)
     refined = base_ratio
     depth = _GRID.bit_length() - 1
     ahead = {}
@@ -291,7 +293,7 @@ def tilt_probe(p: Problem, seed: int = 0) -> TiltReport:
         best_pair = max(cand, key=lambda ab: ratio(*ab))
         refined = max(refined, ratio(*best_pair))
         if any(r is not None and len(r[1]) > 1 for r in solved.values()):
-            where = where if multivalued else f"at refinement {step + 1}"
+            where = f"at refinement {step + 1}"
             multivalued = True
             break
         if np.linalg.norm(best_pair[0] - best_pair[1]) < 1e-12:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -88,6 +89,12 @@ class Problem:
         return expr.RowStack([r for b in self.blocks for r in b.rows], self.n)
 
     @functools.cached_property
+    def block_slices(self) -> Tuple[slice, ...]:
+        """Each block's rows in the stacked coordinates, in block order."""
+        ends = list(itertools.accumulate((b.cone.m for b in self.blocks), initial=0))
+        return tuple(map(slice, ends[:-1], ends[1:]))
+
+    @functools.cached_property
     def objective_stack(self) -> expr.RowStack:
         return expr.RowStack([self.objective], self.n)
 
@@ -136,13 +143,6 @@ class PointData:
         if not self.blocks:
             return np.zeros((0, self.n))
         return np.vstack([b.jacobian for b in self.blocks])
-
-    def block_slices(self):
-        out, start = [], 0
-        for b in self.blocks:
-            out.append(slice(start, start + b.cone.m))
-            start += b.cone.m
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +277,8 @@ def evaluate(p: Problem, x) -> PointData:
     """All derivative data, per-block residuals and the normal face at x.
 
     Each block is classified at its value, or at the value's projection
-    onto the cone when the residual exceeds FEASIBILITY_TOL.
+    onto the cone when the residual exceeds FEASIBILITY_TOL; a residual
+    that is not finite raises expr.NonFiniteError.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
@@ -289,7 +290,10 @@ def evaluate(p: Problem, x) -> PointData:
         value = np.array([bu.value for bu in bundles])
         jac = np.vstack([bu.gradient for bu in bundles])
         hess = np.stack([bu.hessian for bu in bundles])
-        residual = cones.distance(b.cone, value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = cones.distance(b.cone, value)
+        if not np.isfinite(residual):
+            raise expr.NonFiniteError("a block's cone residual is not finite")
         blocks.append(BlockData(b.cone, value, jac, hess, residual))
     face = cones.normal_face(
         [(bd.cone, bd.value if bd.residual <= FEASIBILITY_TOL

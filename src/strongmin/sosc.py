@@ -285,7 +285,7 @@ def _curvature_tensor(pd: PointData) -> np.ndarray:
     whose gradient is d.  Rescaling d rescales H alike and leaves T as is."""
     T = np.concatenate([np.zeros((0, pd.n, pd.n))] + [bd.hessians for bd in pd.blocks])
     rays = {sl.start: d for sl, d in pd.face.rays}
-    for bd, sl in zip(pd.blocks, pd.block_slices()):
+    for bd, sl in zip(pd.blocks, pd.problem.block_slices):
         if sl.start not in rays:
             continue
         d = rays[sl.start]

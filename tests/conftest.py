@@ -217,7 +217,8 @@ def sequential_tilt_probe(p, seed=0):
     cols = [tilts[:, j] for j in range(tilts.shape[1])]
     pairs = [(a, b) for i, a in enumerate(cols) for b in cols[i + 1:]]
     base_ratio = max((ratio(a, b) for a, b in pairs), default=0.0)
-    best_pair = max(pairs, key=lambda ab: ratio(*ab), default=None)
+    best_pair = None if multivalued else max(pairs, key=lambda ab: ratio(*ab),
+                                             default=None)
     refined = base_ratio
     where = "on the tilt grid"
     for step in range(oracle._REFINE):
@@ -229,7 +230,7 @@ def sequential_tilt_probe(p, seed=0):
         best_pair = max([(a, mid), (mid, b), (a, b)], key=lambda ab: ratio(*ab))
         refined = max(refined, ratio(*best_pair))
         if multi():
-            where = where if multivalued else f"at refinement {step + 1}"
+            where = f"at refinement {step + 1}"
             multivalued = True
             break
         if np.linalg.norm(best_pair[0] - best_pair[1]) < 1e-12:
@@ -257,7 +258,8 @@ def full_budget_stationarity(pd, tol=1e-7):
         return kkt.StationarityResult(res <= tol, res,
                                       np.zeros(0) if res <= tol else None)
     JT = J.T
-    step = 1.0 / max(float(np.linalg.norm(J, 2)) ** 2, 1e-12)
+    nrm = float(np.linalg.norm(J, 2))
+    step = 1.0 / max(nrm * nrm, 1e-12)
     lam = np.zeros(m)
     y = lam.copy()
     t_acc = 1.0

@@ -77,6 +77,19 @@ class TestExitCodes:
         assert "candidate point is infeasible" in out.err
         assert out.out == ""
 
+    @pytest.mark.parametrize("command", ["analyze", "cq", "qgc"])
+    def test_unprojectable_point_is_input_error(self, command, tmp_path, capsys):
+        """x1 = 1.34e154 squares to inf in the soc norm: the residual is
+        NaN, and the point is refused rather than reported feasible."""
+        p = tmp_path / "huge.prob"
+        p.write_text("vars: x1\nobjective: 0.0\n"
+                     "block soc 2:\n  row: 0.0\n  row: x1^1\n"
+                     "point: 1.3407807929942597e+154\n")
+        assert run_cli([command, str(p)]) == 1
+        out = capsys.readouterr()
+        assert "cone residual is not finite" in out.err
+        assert out.out == ""
+
     @pytest.mark.parametrize("command, name, content", MALFORMED,
                              ids=[f"{c}-{n}" for c, n, _ in MALFORMED])
     def test_malformed_input_is_input_error(self, command, name, content,

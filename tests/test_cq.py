@@ -59,9 +59,10 @@ class TestCrcq:
         pd = problem.evaluate(ex46, ex46.point)
         assert cq.check_crcq(pd) is False
 
-    def test_affine_constraints_constant_rank(self, licq):
+    def test_affine_constraints_constant_rank(self, licq, monkeypatch):
+        monkeypatch.setattr(cq, "_CRCQ_RADIUS", 0.5)
         pd = problem.evaluate(licq, licq.point)
-        assert cq.check_crcq(pd, radius=0.5) is True
+        assert cq.check_crcq(pd) is True
 
     def test_too_many_active(self):
         rows = "\n".join(f"  row: x1 - x{1}^2" for _ in range(13))
@@ -117,10 +118,19 @@ class TestMscqProbe:
         probe = cq.probe_mscq(p)
         assert probe.verdict == "Supported" and probe.ratio_bound == 0.0
 
-    def test_inactive_block_ratio_zero(self):
+    def test_inactive_block_ratio_zero(self, monkeypatch):
+        """Every sample is feasible, so each radius pushes an empty batch."""
         p = problem.loads("vars: x1\nobjective: x1^2\n"
                           "block orthant 1:\n  row: x1 - 10\npoint: 0\n")
+        push, widths = cq.push_to_feasible, []
+
+        def spy(p, X):
+            widths.append(X.shape[1])
+            return push(p, X)
+
+        monkeypatch.setattr(cq, "push_to_feasible", spy)
         probe = cq.probe_mscq(p, radius=0.1)
+        assert widths == [0, 0]
         assert probe.verdict == "Supported" and probe.ratio_bound == 0.0
 
     def test_numerator_sane(self, ex44, ex47):

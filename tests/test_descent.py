@@ -7,29 +7,35 @@ from strongmin._descent import (_RESTORE_ITERS, _restore, feasibility_residuals,
 from strongmin._sampling import ball
 
 
+def _assert_batch_invariant(run, N, checked=None):
+    """run(cols) returns arrays whose last axis holds the columns ``cols``
+    of its inputs: a one-column call gives its column's bits of the call
+    on all N columns, for the first ``checked`` (default all) columns."""
+    wide = run(slice(None))
+    for j in range(N if checked is None else checked):
+        for alone, batch in zip(run([j]), wide):
+            assert alone[..., 0].tobytes() == batch[..., j].tobytes(), j
+
+
 @pytest.mark.parametrize("name", ["ex44", "socb", "licq", "ex47"])
 def test_push_is_batch_invariant(name, request):
     p = request.getfixturevalue(name)
     X = ball(p.point, 0.2, 400, seed=0)
-    # the initial step 0.05 * max(1, max|X|) is the same alone and in the batch
-    assert np.max(np.abs(X)) <= 1.0
-    Y, res = push_to_feasible(p, X)
-    for j in range(40):
-        y, r = push_to_feasible(p, X[:, j:j + 1])
-        assert np.array_equal(y[:, 0], Y[:, j]) and r[0] == res[j], j
+    _assert_batch_invariant(lambda cols: push_to_feasible(p, X[:, cols]), 400, 40)
 
 
 @pytest.mark.parametrize("name", ["ex44", "socb", "licq", "ex47"])
 def test_restore_is_batch_invariant(name, request):
     """Gauss-Newton straight from the ball samples, as the growth oracle
-    runs it: a column stops on its own residual, never on its batch's."""
+    runs it: a column stops on its own residual, never on its batch's, and
+    the residuals returned are those of the points returned."""
     p = request.getfixturevalue(name)
     X = ball(p.point, 0.2, 400, seed=0)
-    Y = _restore(p, X.copy(), _RESTORE_ITERS)
+    Y, res = _restore(p, X.copy(), _RESTORE_ITERS)
     assert not np.array_equal(Y, X)
-    for j in range(40):
-        y = _restore(p, X[:, j:j + 1].copy(), _RESTORE_ITERS)
-        assert np.array_equal(y[:, 0], Y[:, j]), j
+    assert res.tobytes() == feasibility_residuals(p, Y).tobytes()
+    _assert_batch_invariant(
+        lambda cols: _restore(p, X[:, cols].copy(), _RESTORE_ITERS), 400, 40)
 
 
 @pytest.mark.parametrize("name", ["ex44", "socb", "licq", "ex47"])
@@ -52,26 +58,48 @@ _NINE_ORTHANT = (
     "  row: " + " + ".join(f"{0.1 * i:g}*{v}" for i, v in enumerate(_NINE, 1))
     + " - 0.2\n"
     "point: " + " ".join("0" for _ in _NINE) + "\n")
+# the same nine variables in one soc(9) block: (0.2 + x1, x_i + 0.5 x_i^2)
+_NINE_SOC = (
+    "vars: " + " ".join(_NINE) + "\n"
+    "objective: " + " + ".join(f"{v}^2" for v in _NINE) + "\n"
+    "block soc 9:\n"
+    "  row: 0.2 + x1\n"
+    + "".join(f"  row: {v} + 0.5*{v}^2\n" for v in _NINE[1:])
+    + "point: " + " ".join("0" for _ in _NINE) + "\n")
 
 
-def test_frozen_column_keeps_the_live_batch_wide():
-    """A column that starts feasible is skipped, but never so that one live
-    column is left alone: with 9 variables numpy would sum that column's
-    norms pairwise and its bits would change with its batch."""
+def test_one_column_batch_equals_its_column_of_a_wide_batch():
+    """With 9 variables numpy sums a lone column's norms pairwise and a
+    wide batch's in row order; column_sum sums both in row order.  The
+    feasible second column is pushed like any other and stays put."""
     p = problem.loads(_NINE_ORTHANT)
-    rng = np.random.default_rng(9)
-    x, other = rng.uniform(-1, 1, 9), rng.uniform(-1, 1, 9)
-    feasible = np.full(9, -0.1)
-    X = np.column_stack([x, feasible, other])
-    assert list(feasibility_residuals(p, X) > 0) == [True, False, True]
-    # every batch below has max|X| <= 1, hence the same initial step
-    Y1, res1 = push_to_feasible(p, X[:, :2])
-    Y2, res2 = push_to_feasible(p, X[:, [0, 2]])
-    assert np.array_equal(Y1[:, 0], Y2[:, 0]) and res1[0] == res2[0]
-    assert np.array_equal(Y1[:, 1], feasible) and res1[1] == 0.0
-    # the check can see a collapse: a one-column batch gives other bits here
-    alone, _ = push_to_feasible(p, x[:, None])
-    assert not np.array_equal(alone[:, 0], Y1[:, 0])
+    X = np.random.default_rng(9).uniform(-1, 1, (9, 6))
+    X[:, 1] = -0.1
+    assert list(feasibility_residuals(p, X) > 0) == [True, False] + [True] * 4
+    _assert_batch_invariant(lambda cols: push_to_feasible(p, X[:, cols]), 6)
+    Y, res = push_to_feasible(p, X[:, 1:2])
+    assert np.array_equal(Y[:, 0], X[:, 1]) and res[0] == 0.0
+
+
+def test_initial_step_is_per_column():
+    """One column with |x| > 1 takes the step 0.05 |x|_inf; the others keep
+    0.05 and equal their one-column runs."""
+    p = problem.loads(_NINE_ORTHANT)
+    X = np.random.default_rng(4).uniform(-1, 1, (9, 5))
+    X[3, 2] = 3.0
+    _assert_batch_invariant(lambda cols: push_to_feasible(p, X[:, cols]), 5)
+
+
+def test_soc9_restore_and_tilted_descent_are_batch_invariant():
+    p = problem.loads(_NINE_SOC)
+    X = np.random.default_rng(5).uniform(-1, 1, (9, 8))
+    assert np.all(feasibility_residuals(p, X) > 0)
+    _assert_batch_invariant(
+        lambda cols: _restore(p, X[:, cols].copy(), _RESTORE_ITERS), 8)
+    V = 0.01 * np.random.default_rng(6).standard_normal((9, 8))
+    starts = ball(p.point, 0.2, 8, seed=0)
+    _assert_batch_invariant(lambda cols: minimize_tilted(
+        p, V[:, cols], starts[:, cols], p.point, 0.25), 8)
 
 
 def test_no_blocks_returns_x_unchanged():
@@ -120,8 +148,8 @@ def test_singular_restoration_system_stays_in_its_column():
                       "block orthant 2:\n  row: 1000*x1 + x2^2\n"
                       "  row: 1000*x1 - x2^2\npoint: 0 0\n")
     X = np.array([[0.5, 0.3, 0.5], [0.2, -0.4, 0.0]])
-    alone = _restore(p, X[:, :2].copy(), 1)
-    batch = _restore(p, X.copy(), 1)
+    alone, _ = _restore(p, X[:, :2].copy(), 1)
+    batch, _ = _restore(p, X.copy(), 1)
     assert alone.tobytes() == batch[:, :2].copy().tobytes()
     assert feasibility_residuals(p, batch[:, 2:])[0] < feasibility_residuals(p, X[:, 2:])[0]
 
@@ -134,7 +162,7 @@ def test_rejected_restoration_step_is_halved():
     p = problem.loads("vars: x1 x2\nobjective: x1^2 + x2^2\n"
                       "block orthant 2:\n  row: x1\n  row: -2*x1 + x2\npoint: 0 0\n")
     X = np.array([[1e-3], [1.9e-3]])
-    assert np.array_equal(_restore(p, X.copy(), 1), X)
-    Y = _restore(p, X.copy(), _RESTORE_ITERS)
-    assert feasibility_residuals(p, Y)[0] <= 1e-13
+    assert np.array_equal(_restore(p, X.copy(), 1)[0], X)
+    Y, res = _restore(p, X.copy(), _RESTORE_ITERS)
+    assert res[0] <= 1e-13
     assert np.linalg.norm(Y - X) <= 3e-3

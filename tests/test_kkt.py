@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from conftest import (CONIC_CORPUS, MIXED_SOC_AND_ORTHANT, SOC_SEGMENT,
                       corpus_path, full_budget_stationarity, normal_cone_test,
                       pipeline, problems, random_licq_instance, sample_members)
 from strongmin import cones, expr, kkt, problem, sosc
+
+
+HUGE_POINT = ("vars: x1\nobjective: 0.0\nblock soc 2:\n  row: 0.0\n  row: 0.0\n"
+              "block soc 2:\n  row: 0.0\n  row: x1^1\nblock orthant 1:\n"
+              "  row: 0.0\npoint: 1.3407807929942597e+154\n")
+HUGE_JACOBIAN = ("vars: x1\nobjective: 0\nblock orthant 1:\n"
+                 "  row: x1 / 3.3886258853730173e-245\npoint: 0\n")
 
 
 def same_bits(st, ref):
@@ -34,6 +41,13 @@ class TestStationarity:
         assert abs(lam[0] + lam[1] - lam[2] - 1.0) <= 1e-9
         assert np.all(lam >= -1e-10)
 
+    def test_huge_jacobian_is_stationary(self):
+        """||J||_2 ~ 3e244 squares to inf: the step is 0.0, not an
+        OverflowError, and lam = 0 certifies the point."""
+        pd = problem.evaluate(problem.loads(HUGE_JACOBIAN), [0.0])
+        st = kkt.stationarity_check(pd)
+        assert st.is_stationary and st.residual == 0.0
+
     def test_not_stationary_unconstrained(self):
         p = problem.loads("vars: x1\nobjective: x1^2\npoint: 1\n")
         pd = problem.evaluate(p, p.point)
@@ -50,7 +64,7 @@ class TestStationarity:
             J = pd.full_jacobian()
             res = np.linalg.norm(pd.g.gradient + J.T @ st.witness)
             assert res <= 1e-7
-            for bd, sl in zip(pd.blocks, pd.block_slices()):
+            for bd, sl in zip(pd.blocks, pd.problem.block_slices):
                 y = cones.project(bd.cone, bd.value)
                 assert normal_cone_test(bd.cone, y, st.witness[sl], tol=1e-8)
 
@@ -67,19 +81,17 @@ class TestFixedPointExit:
 
     @settings(max_examples=60, deadline=None)
     @given(p=problems())
+    # a point whose soc residual overflows: evaluate refuses it
+    @example(p=problem.loads(HUGE_POINT))
+    # ||J||^2 beyond the float range: the step is 0.0 and lam = 0 solves it
+    @example(p=problem.loads(HUGE_JACOBIAN))
     def test_random_problems_equal_full_budget(self, p):
         with np.errstate(all="ignore"):
             try:
                 pd = problem.evaluate(p, np.zeros(p.n) if p.point is None else p.point)
             except expr.ExprError:
                 assume(False)
-            try:
-                ref = full_budget_stationarity(pd)
-            except OverflowError:  # ||J||^2 beyond the float range
-                with pytest.raises(OverflowError):
-                    kkt.stationarity_check(pd)
-                return
-            same_bits(kkt.stationarity_check(pd), ref)
+            same_bits(kkt.stationarity_check(pd), full_budget_stationarity(pd))
 
     def test_criterion_7_draws_equal_full_budget(self):
         rng = np.random.default_rng(0)
@@ -141,7 +153,7 @@ class TestMultiplierSet:
             J = pd.full_jacobian()
             for lam in sample_members(ms, 50, seed=9):
                 assert np.linalg.norm(pd.g.gradient + J.T @ lam) <= 1e-8
-                for bd, sl in zip(pd.blocks, pd.block_slices()):
+                for bd, sl in zip(pd.blocks, pd.problem.block_slices):
                     y = cones.project(bd.cone, bd.value)
                     assert normal_cone_test(bd.cone, y, lam[sl], tol=1e-8)
 
