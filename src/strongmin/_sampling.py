@@ -61,6 +61,16 @@ def sphere(dim: int, count: int, seed: int = 0) -> np.ndarray:
     return z / norms
 
 
+def signed_axes(dim: int) -> np.ndarray:
+    """The signed unit axes [e1, -e1, e2, -e2, ...], shape (dim, 2 dim),
+    with +0.0 off the axes."""
+    out = np.zeros((dim, 2 * dim))
+    i = np.arange(dim)
+    out[i, 2 * i] = 1.0
+    out[i, 2 * i + 1] = -1.0
+    return out
+
+
 def ball(center, radius: float, count: int, seed: int = 0) -> np.ndarray:
     """Low-discrepancy points in the closed ball, shape (dim, count)."""
     center = np.asarray(center, dtype=float)

@@ -19,7 +19,7 @@ import numpy as np
 from . import expr
 from ._descent import (_KEEP_TOL, _RESTORE_ITERS, _restore, minimize_tilted,
                        push_to_feasible)
-from ._sampling import ball, sphere
+from ._sampling import ball, signed_axes, sphere
 from .problem import Problem, batch_objective_values
 
 __all__ = [
@@ -206,15 +206,9 @@ def _cluster(pts: np.ndarray, tol: float):
 def _tilt_grid(n: int, seed: int) -> np.ndarray:
     """The probe's coarse tilts: 0, the signed axes and sphere points up
     to _GRID columns, scaled to the tilt radius."""
-    dirs = [np.zeros(n)]
-    for i in range(n):
-        for sgn in (1.0, -1.0):
-            e = np.zeros(n)
-            e[i] = sgn
-            dirs.append(e)
-    extra = sphere(n, max(_GRID - len(dirs), 0), seed=seed + 5)
-    tilts = np.column_stack(dirs + [extra]) if extra.size else np.column_stack(dirs)
-    return _TILT_RADIUS * tilts
+    dirs = np.column_stack([np.zeros(n), signed_axes(n)])
+    extra = sphere(n, max(_GRID - dirs.shape[1], 0), seed=seed + 5)
+    return _TILT_RADIUS * np.column_stack([dirs, extra])
 
 
 def _midpoint_tree(a: np.ndarray, b: np.ndarray, depth: int) -> List[np.ndarray]:

@@ -314,10 +314,13 @@ def loads(text: str) -> Piecewise1D:
         if not spec:
             raise Pw1dFormatError("empty generator", body[0][0])
         name, args = spec[0], spec[1:]
-        if name == "example31":
-            return example31()
-        if name == "example33":
-            return example33()
+        if len(body) > 1:
+            raise Pw1dFormatError("a generator file has no further lines",
+                                  body[1][0])
+        if name in ("example31", "example33"):
+            if args:
+                raise Pw1dFormatError(f"{name} takes no parameters", body[0][0])
+            return example31() if name == "example31" else example33()
         if name == "binary-staircase":
             vals = _floats(args, "generator parameter", body[0][0]) or [2.0, 2.0]
             if len(vals) != 2:
@@ -334,6 +337,8 @@ def loads(text: str) -> Piecewise1D:
     even = False
     for lineno, ln in body:
         if ln.startswith("breakpoints:"):
+            if bps is not None:
+                raise Pw1dFormatError("breakpoints given twice", lineno)
             bps = _floats(ln[len("breakpoints:"):].split(), "breakpoint", lineno)
         elif ln.startswith("piece "):
             head, _, rest = ln.partition(":")
@@ -349,7 +354,10 @@ def loads(text: str) -> Piecewise1D:
                 raise Pw1dFormatError("piece needs coefficients 'a b c'", lineno)
             coeffs.append(tuple(vals))
         elif ln.startswith("even:"):
-            even = ln[len("even:"):].strip().lower() == "true"
+            flag = ln[len("even:"):].strip().lower()
+            if flag not in ("true", "false"):
+                raise Pw1dFormatError("even must be 'true' or 'false'", lineno)
+            even = flag == "true"
         else:
             raise Pw1dFormatError(f"unexpected line {ln!r}", lineno)
     if bps is None:

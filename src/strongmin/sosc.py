@@ -28,6 +28,11 @@ correction, so the Exact path covers boundary-active soc blocks too.
 Sigma is scored only at unit directions that violate the cone by at most
 _MEMBERSHIP_TOL; `CriticalCone.project` may leave a column outside, and
 `analyze` raises NotInCriticalCone when no direction is left.
+
+The search settles each direction it can in one batch and solves an LP
+loop for each other one, so `analyze` strides only unsettled candidates,
+and `_polish` tries trials in the order of a lower bound on sigma (exact
+where settled) and solves only down to the first that improves.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import cones
-from ._sampling import sphere
+from ._sampling import signed_axes, sphere
 from ._simplex import solve_lp
 from .kkt import (MultiplierSet, VertexMaximizer, enumerate_polyhedron,
                   maximize_linear)
@@ -342,21 +347,23 @@ def _fixed_multiplier_matrix(pd: PointData, lam: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# sigma evaluators over direction batches
+# sigma evaluator over direction batches
 # ----------------------------------------------------------------------
 
 class _SigmaEvaluator:
-    """Columnwise sigma with the fastest exact backend available.
+    """Columnwise sigma, settled per direction where the batch can.
 
-    Singleton multiplier sets reduce to one quadratic form.  Sets with
-    k <= 3 read the inner maximum off cached vertices and rays
-    (``VertexMaximizer``): of the set itself when it is polyhedral, which
-    settles every direction, and of ``maximize_linear``'s first-LP
-    relaxation when it has soc blocks, which settles the directions whose
-    best vertex lies in the set or whose rising rays all recede in it.
-    Every other direction solves its own inner maximization.  Evaluation
-    is cheap, with no stride or model pruning in ``analyze``, only when
-    no direction can need the LP loop: singletons and polyhedral sets.
+    Calling it on directions W gives (values, lams, settled): sigma and a
+    maximizing multiplier of each column that the batch settles, NaN in
+    the others.  A singleton multiplier set settles every column with one
+    quadratic form.  Sets with k <= 3 read the inner maximum off cached
+    vertices and rays (``VertexMaximizer``): of the set itself when it is
+    polyhedral, which settles every column, and of ``maximize_linear``'s
+    first-LP relaxation when it has soc blocks, which settles the columns
+    whose best vertex lies in the set or whose rising rays all recede in
+    it.  Larger sets settle nothing.  ``inner_max`` solves each column's
+    own ``maximize_linear``; ``form`` is the fixed-multiplier quadratic
+    form, from the cached curvature tensor.
     """
 
     def __init__(self, pd: PointData, ms: MultiplierSet):
@@ -364,57 +371,45 @@ class _SigmaEvaluator:
         self.ms = ms
         self._T = _curvature_tensor(pd)
         self.cut_warning = False
-        self._vmax = None
-        if ms.m == 0 or ms.k == 0:
-            lam = ms.lam0 if ms.m else np.zeros(0)
-            self._Q = _fixed_multiplier_matrix(pd, lam) if ms.m else pd.g.hessian
-            self.mode = "singleton"
+        self._Q = self._vmax = None
+        if ms.k == 0:
+            self._Q = self.form(ms.lam0) if ms.m else pd.g.hessian
             return
         geom = enumerate_polyhedron(ms)
         if geom is not None:
             self._vmax = VertexMaximizer(ms, geom)
-        self.mode = ("generic" if geom is None else
-                     "relaxed" if ms.face.socs else "enumerated")
 
-    def __call__(self, W: np.ndarray) -> np.ndarray:
-        if self.mode == "singleton":
-            return _einsum("iN,ij,jN->N", W, self._Q, W)
+    def form(self, lam: np.ndarray) -> np.ndarray:
+        return self.pd.g.hessian + np.einsum("i,ijk->jk", lam, self._T)
+
+    def __call__(self, W: np.ndarray):
+        N = W.shape[1]
+        if self._Q is not None:
+            return (_einsum("iN,ij,jN->N", W, self._Q, W),
+                    np.repeat(self.ms.lam0[:, None], N, axis=1), np.ones(N, dtype=bool))
+        if self._vmax is None:
+            return (np.full(N, np.nan), np.full((self.ms.m, N), np.nan),
+                    np.zeros(N, dtype=bool))
+        base = _einsum("iN,ij,jN->N", W, self.pd.g.hessian, W)
+        values, best, settled = self._vmax(_lambda_coefficients_batch(self._T, W))
+        return (np.where(settled, base + values, np.nan),
+                self._vmax.vertices[:, best], settled)
+
+    def inner_max(self, W: np.ndarray):
+        """(values, lams) of the columns of W from one ``maximize_linear``
+        call each, on coefficients formed over W; +inf and a NaN multiplier
+        where the inner maximum is unbounded."""
         base = _einsum("iN,ij,jN->N", W, self.pd.g.hessian, W)
         C = _lambda_coefficients_batch(self._T, W)
-        if self._vmax is None:
-            out, todo = np.empty(W.shape[1]), range(W.shape[1])
-        else:
-            values, _, settled = self._vmax(C)
-            out, todo = base + values, np.flatnonzero(~settled)
-        for j in todo:
-            out[j] = self._inner_max(base[j], C[:, j])[0]
-        return out
-
-    def single_with_argmax(self, w: np.ndarray):
-        """Value plus a maximizing multiplier (None when unbounded) of one
-        direction; the per-direction path of ``_polish``'s model pruning."""
-        base = float(w @ self.pd.g.hessian @ w)
-        C = _lambda_coefficients_batch(self._T, w[:, None])
-        if self._vmax is not None:
-            values, best, settled = self._vmax(C)
-            if settled[0]:
-                if values[0] == math.inf:
-                    return math.inf, None
-                return base + values[0], self._vmax.vertices[:, best[0]]
-        return self._inner_max(base, C[:, 0])
-
-    def _inner_max(self, base: float, c: np.ndarray):
-        """sigma from one ``maximize_linear`` call, and its argmax."""
-        res = maximize_linear(self.ms, c)
-        if res.status == "unbounded":
-            return math.inf, None
-        if res.cuts_exceeded:
-            self.cut_warning = True
-        return base + res.value, res.argmax
-
-    @property
-    def cheap(self) -> bool:
-        return self.mode in ("singleton", "enumerated")
+        values = np.full(W.shape[1], math.inf)
+        lams = np.full((self.ms.m, W.shape[1]), np.nan)
+        for j in range(W.shape[1]):
+            res = maximize_linear(self.ms, C[:, j])
+            if res.status == "unbounded":
+                continue
+            self.cut_warning |= res.cuts_exceeded
+            values[j], lams[:, j] = base[j] + res.value, res.argmax
+        return values, lams
 
 
 # ----------------------------------------------------------------------
@@ -430,8 +425,10 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
     presolved critical cone is a linear subspace and the multiplier set is
     a singleton (the modulus is then the smallest eigenvalue of P^T Q P,
     boundary curvature included in Q); everything else is Sampled with the
-    seed recorded.  Raises NotInCriticalCone when the sampled path has no
-    direction left in the cone.
+    seed recorded.  The sampled path scores every candidate the evaluator
+    settles, and of the u it leaves unsettled, each of which costs an LP
+    loop, every ceil(u / 400)-th when u > 400.  Raises NotInCriticalCone
+    when the sampled path has no direction left in the cone.
     """
     cone = presolve(build_critical_cone(pd))
     if cone.is_subspace and cone.subspace_basis().shape[1] == 0:
@@ -465,102 +462,87 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
     cand = proj[:, keep] / norms[keep]
 
     # axis seeds: cheap insurance for axis-aligned worst directions
-    axes = []
-    for i in range(n):
-        for sgn in (1.0, -1.0):
-            e = np.zeros(n)
-            e[i] = sgn
-            axes.append(e)
-    cand = np.column_stack([cand, np.column_stack(axes)])
+    cand = np.column_stack([cand, signed_axes(n)])
     cand, ok = _unit_members(cone, cone.project(cand))
     if not ok.any():
         raise NotInCriticalCone("no projected direction lies in the critical cone")
     cand = cand[:, ok]
 
     evaluator = _SigmaEvaluator(pd, ms)
-    if not evaluator.cheap and cand.shape[1] > 400:
-        stride = int(np.ceil(cand.shape[1] / 400))
-        cand = cand[:, ::stride]
-    values = evaluator(cand)
+    values, lams, settled = evaluator(cand)
+    todo = np.flatnonzero(~settled)
+    if todo.size > 400:
+        scored = settled.copy()
+        scored[todo[::int(np.ceil(todo.size / 400))]] = True
+        cand, values, lams, settled = (cand[:, scored], values[scored],
+                                       lams[:, scored], settled[scored])
+        todo = np.flatnonzero(~settled)
+    if todo.size:
+        values[todo], lams[:, todo] = evaluator.inner_max(cand[:, todo])
     finite = np.isfinite(values)
     if not np.any(finite):
         return SoscReport(True, True, math.inf, None, "Sampled", samples, seed)
 
     order = np.argsort(np.where(finite, values, np.inf))
     top = order[: min(10, int(np.sum(finite)))]
-    best_w, best_v = _polish(cone, evaluator, cand[:, top], values[top])
+    best_w, best_v = _polish(cone, evaluator, cand[:, top], values[top], lams[:, top])
     return _verdicts(best_v, best_w, "Sampled", samples, seed,
                      warning=evaluator.cut_warning)
 
 
-def _polish(cone, evaluator, W0, v0):
+def _polish(cone, evaluator, W0, v0, lams0):
     """Lockstep projected coordinate descent on the cone's unit sphere.
 
-    All polish candidates advance together so projections batch; for
-    expensive inner maximizations a fixed-multiplier quadratic model prunes
-    trial points that provably cannot improve.
+    All candidates advance together, so each round projects and batch
+    evaluates their trial points at once.  A candidate tries its trials
+    in the stable order of a lower bound on sigma and moves to the first
+    that improves on it by more than 1e-15, stopping at the first bound
+    that cannot.  The bound is sigma itself where the batch settled the
+    trial, and otherwise the quadratic form at the candidate's last
+    maximizing multiplier, which is at most sigma; only then does the
+    trial solve its own inner maximization.  A candidate that does not
+    move halves its step.
     """
     n, K = W0.shape
     W = W0.copy()
     V = np.asarray(v0, dtype=float).copy()
+    lams = np.array(lams0, dtype=float)
+    models = [None] * K  # forms at lams, built when a trial needs one
     steps = np.full(K, _POLISH_STEP0)
-    models = None
-    if not evaluator.cheap:
-        models = []
-        for j in range(K):
-            _, lam = evaluator.single_with_argmax(W[:, j])
-            models.append(None if lam is None
-                          else _fixed_multiplier_matrix(evaluator.pd, lam))
-
-    n_trials = 2 * n
-    offsets = np.zeros((n, n_trials))
-    for i in range(n):
-        offsets[i, 2 * i] = 1.0
-        offsets[i, 2 * i + 1] = -1.0
+    offsets = signed_axes(n)
+    n_trials = offsets.shape[1]
 
     for _ in range(_POLISH_ROUNDS):
         if np.all(steps < _POLISH_STEP_FLOOR):
             break
         trials = (W[:, :, None] + offsets[:, None, :] * steps[None, :, None])
-        T = trials.reshape(n, K * n_trials)
-        Pn, good = _unit_members(cone, cone.project(T))
+        Pn, good = _unit_members(cone, cone.project(trials.reshape(n, K * n_trials)))
+        values, trial_lams, settled = evaluator(Pn)
+        unsettled = ~settled.reshape(K, n_trials)
+        bound = values.copy()
+        for j in np.flatnonzero(unsettled.any(axis=1)):
+            if models[j] is None:
+                models[j] = evaluator.form(lams[:, j])
+            cols = j * n_trials + np.flatnonzero(unsettled[j])
+            bound[cols] = np.einsum("iN,ik,kN->N", Pn[:, cols], models[j], Pn[:, cols])
+        bound = np.where(good, bound, np.inf).reshape(K, n_trials)
 
-        if evaluator.cheap:
-            vals = np.where(good, evaluator(Pn), np.inf)
-            vals = vals.reshape(K, n_trials)
-            improved = np.min(vals, axis=1) < V - 1e-15
-            for j in range(K):
-                if improved[j]:
-                    tj = int(np.argmin(vals[j]))
-                    V[j] = float(vals[j, tj])
-                    W[:, j] = Pn[:, j * n_trials + tj]
-                else:
+        for j, order in enumerate(np.argsort(bound, axis=1, kind="stable")):
+            for t in order:
+                if bound[j, t] >= V[j] - 1e-15:
                     steps[j] *= 0.5
-        else:
-            for j in range(K):
-                block = slice(j * n_trials, (j + 1) * n_trials)
-                Pj = Pn[:, block]
-                gj = good[block]
-                if models[j] is not None:
-                    cheap = np.einsum("iN,ik,kN->N", Pj, models[j], Pj)
+                    break
+                col = j * n_trials + t
+                if settled[col]:
+                    val, lam = values[col], trial_lams[:, col]
                 else:
-                    cheap = np.full(n_trials, -np.inf)
-                cheap = np.where(gj, cheap, np.inf)
-                order = np.argsort(cheap)
-                accepted = False
-                for t in order:
-                    if cheap[t] >= V[j] - 1e-15:
-                        break  # quadratic model is a lower bound on sigma
-                    val, lam = evaluator.single_with_argmax(Pj[:, t])
-                    if val < V[j] - 1e-15:
-                        V[j] = val
-                        W[:, j] = Pj[:, t]
-                        if lam is not None:
-                            models[j] = _fixed_multiplier_matrix(evaluator.pd, lam)
-                        accepted = True
-                        break
-                if not accepted:
-                    steps[j] *= 0.5
+                    val, lam = evaluator.inner_max(Pn[:, col:col + 1])
+                    val, lam = val[0], lam[:, 0]
+                if val < V[j] - 1e-15:
+                    V[j], W[:, j], lams[:, j], models[j] = val, Pn[:, col], lam, None
+                    break
+            else:
+                steps[j] *= 0.5
 
     jbest = int(np.argmin(V))
     return W[:, jbest].copy(), float(V[jbest])

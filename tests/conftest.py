@@ -66,6 +66,17 @@ SOC_SEGMENT = ("vars: x1 x2 x3\nobjective: x3 + 0.5*x1^2 + x2^2 + x3^2\n"
                "point: 0 0 0\n")
 
 
+# five orthant rows x1 - c x2^2, c = 0.1 ... 0.5, all active: the multiplier
+# set is the simplex {lam >= 0, sum lam = 1}, whose k = 4 parameters are too
+# many for enumerate_polyhedron, so every inner maximum runs
+# maximize_linear.  The critical cone is the x2 axis, where sigma is
+# w2^2 (1 - 2 min c): the modulus is 0.8
+NO_VERTEX_GEOMETRY = ("vars: x1 x2\nobjective: -x1 + 0.5*x2^2\nblock orthant 5:\n"
+                      + "".join(f"  row: x1 - {c}*x2^2\n"
+                                for c in ("0.1", "0.2", "0.3", "0.4", "0.5"))
+                      + "point: 0 0\n")
+
+
 # a soc(3) block slicing the plane w2 = 0.8 w1 of the stationary point's
 # gradient: the cone {w2 = 0.8 w1} with w1 >= ||(0.8 w1, w2)|| is {0}, yet
 # the block's polyhedral relaxation keeps the ray (1, 0.8)

@@ -26,6 +26,12 @@ MALFORMED = [
     # a slope this close to 1 rounds flats to zero width
     ("pw1d", "gen_flat.pw",
      b"pw1d\ngenerator: binary-staircase 1.5 1.0000000000000002\n"),
+    ("pw1d", "even.pw", b"pw1d\nbreakpoints: 1\npiece 0: 0 0 1\npiece 1: 0 0 1\n"
+                        b"even: ture\n"),
+    ("pw1d", "gen_tail.pw", b"pw1d\ngenerator: example33\npiece 0: 0 0 1\n"),
+    ("pw1d", "bp_twice.pw", b"pw1d\nbreakpoints: 0\nbreakpoints: 0 1\n"
+                            b"piece 0: 0 0 1\npiece 1: 0 0 1\npiece 2: 0 0 1\n"),
+    ("pw1d", "gen_arg.pw", b"pw1d\ngenerator: example31 7\n"),
     ("pw1d", "dir.pw", None),
     ("analyze", "dir.prob", None),
     ("pw1d", "latin1.pw", b"pw1d\nbreakpoints: 0\xff\n"),

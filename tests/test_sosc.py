@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (CONIC_CORPUS, MIXED_SOC_AND_ORTHANT, SOC_SLICE_ZERO_CONE,
-                      corpus_path, pipeline, random_licq_instance,
-                      random_quadratic_problem, rescaled_rays, sample_members,
-                      with_shifted_objective)
+from conftest import (CONIC_CORPUS, MIXED_SOC_AND_ORTHANT, NO_VERTEX_GEOMETRY,
+                      SOC_SLICE_ZERO_CONE, corpus_path, pipeline,
+                      random_licq_instance, random_quadratic_problem,
+                      rescaled_rays, sample_members, with_shifted_objective)
 from strongmin import kkt, problem, report, sosc
 from strongmin._sampling import sphere
 
@@ -529,6 +529,26 @@ class TestAnalyze:
         rep = sosc.analyze(pd, ms, samples=20000, seed=0)
         assert calls == []
         assert rep.predicted_modulus == 1.0 and not rep.inner_max_warning
+
+    def test_set_without_vertex_geometry_solves_each_direction(self,
+                                                              monkeypatch):
+        pd, st, ms = pipeline(problem.loads(NO_VERTEX_GEOMETRY))
+        assert ms.k == 4 and kkt.enumerate_polyhedron(ms) is None
+        solve = sosc.maximize_linear
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sosc, "maximize_linear", spy)
+        rep = sosc.analyze(pd, ms, samples=20000, seed=0)
+        assert calls
+        assert rep.certification == "Sampled"
+        assert abs(rep.predicted_modulus - 0.8) <= 1e-9
+        w = rep.worst_direction
+        assert abs(w[0]) <= 1e-9 and abs(abs(w[1]) - 1.0) <= 1e-9
+        assert abs(sosc.sigma(pd, ms, w) - rep.predicted_modulus) <= 1e-12
 
     def test_regularization_shifts_modulus_exactly(self, ex47, ex44):
         for p, rho in ((ex47, 0.35), (ex44, 0.8)):
