@@ -109,12 +109,11 @@ def _simplex_core(c, A, b):
     return status, x, None
 
 
-def solve_lp(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-             nonneg=False) -> LpResult:
+def solve_lp(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LpResult:
     """Maximize objective.x subject to A_ub x <= b_ub and A_eq x = b_eq.
 
-    Variables are free unless nonneg=True.  Returns status optimal /
-    unbounded (with a recession ray) / infeasible.
+    Variables are free; a sign bound is a row of A_ub.  Returns status
+    optimal / unbounded (with a recession ray) / infeasible.
     """
     f = np.asarray(objective, dtype=float)
     nvar = f.shape[0]
@@ -123,25 +122,15 @@ def solve_lp(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     A_eq = np.zeros((0, nvar)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, float))
     b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, float))
 
-    if nonneg:
-        width = nvar
-        cols_ub, cols_eq, cost_x = A_ub, A_eq, -f
-        to_x = lambda z: z[:nvar]
-    else:
-        # free variables: x = u - v with u, v >= 0
-        width = 2 * nvar
-        cols_ub = np.hstack([A_ub, -A_ub])
-        cols_eq = np.hstack([A_eq, -A_eq])
-        cost_x = np.concatenate([-f, f])
-        to_x = lambda z: z[:nvar] - z[nvar:2 * nvar]
-
+    # free variables: x = u - v with u, v >= 0
     n_slack = A_ub.shape[0]
     A = np.vstack([
-        np.hstack([cols_ub, np.eye(n_slack)]),
-        np.hstack([cols_eq, np.zeros((A_eq.shape[0], n_slack))]),
+        np.hstack([A_ub, -A_ub, np.eye(n_slack)]),
+        np.hstack([A_eq, -A_eq, np.zeros((A_eq.shape[0], n_slack))]),
     ])
     b = np.concatenate([b_ub, b_eq])
-    cost = np.concatenate([cost_x, np.zeros(n_slack)])
+    cost = np.concatenate([-f, f, np.zeros(n_slack)])
+    to_x = lambda z: z[:nvar] - z[nvar:2 * nvar]
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0

@@ -65,7 +65,7 @@ class CqReport:
 
 
 def _orthant_only(pd: PointData) -> bool:
-    return all(b.cone.kind == "orthant" for b in pd.blocks)
+    return all(b.cone.kind == "orthant" for b in pd.problem.blocks)
 
 
 def check_mfcq(pd: PointData) -> Optional[bool]:
@@ -80,7 +80,7 @@ def check_mfcq(pd: PointData) -> Optional[bool]:
     if not active.size:
         return True
     n = pd.n
-    grads = pd.full_jacobian()[active]
+    grads = pd.J[active]
     # variables (d, s): maximize s with grad.d + s <= 0 and |d| <= 1, s >= 0
     k = grads.shape[0]
     A = np.vstack([
@@ -129,7 +129,7 @@ def check_rcq_dual(pd: PointData, seed: int = 0) -> bool:
     """
     if pd.m == 0:
         return True
-    J = pd.full_jacobian()
+    J = pd.J
     _, s, vt = np.linalg.svd(J.T, full_matrices=True)
     rank = int(np.sum(s > max(1e-12, (s[0] if s.size else 0.0) * 1e-10)))
     null = vt[rank:].T  # (m, kappa): basis of ker J^T

@@ -54,6 +54,7 @@ __all__ = [
     "EvalDomainError",
     "NonFiniteError",
     "parse",
+    "check_variables",
     "eval_bundle",
     "eval_value",
     "eval_values",
@@ -135,6 +136,9 @@ class EvalBundle:
 # ----------------------------------------------------------------------
 
 _OPS = set("+-*/^()")
+# only ASCII digits start or continue a number: str.isdigit also accepts
+# digits such as "²" and "٣", which float and int refuse or misread
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text: str):
@@ -150,18 +154,18 @@ def _tokenize(text: str):
             tokens.append(("op", c, i))
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
             seen_dot = seen_exp = False
             while j < n:
                 d = text[j]
-                if d.isdigit():
+                if d in _DIGITS:
                     j += 1
                 elif d == "." and not seen_dot and not seen_exp:
                     seen_dot = True
                     j += 1
                 elif d in "eE" and not seen_exp and j + 1 < n and (
-                    text[j + 1].isdigit() or (text[j + 1] in "+-" and j + 2 < n and text[j + 2].isdigit())
+                    text[j + 1] in _DIGITS or (text[j + 1] in "+-" and j + 2 < n and text[j + 2] in _DIGITS)
                 ):
                     seen_exp = True
                     j += 2 if text[j + 1] in "+-" else 1
@@ -274,11 +278,23 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", off)
 
 
-def parse(text: str, variables) -> Expression:
-    """Parse ``text`` over the ordered variable name list ``variables``."""
+def check_variables(variables) -> None:
+    """Raise ParseError unless every name is one identifier token of the
+    tokenizer and no name is a function identifier."""
     for name in variables:
+        try:
+            tokens = [tok[:2] for tok in _tokenize(name)]
+        except ParseError:
+            tokens = []
+        if tokens != [("ident", name), ("end", "")]:
+            raise ParseError(f"variable name {name!r} is not an identifier", 0)
         if name in FUNCTIONS:
             raise ParseError(f"variable name {name!r} collides with a function", 0)
+
+
+def parse(text: str, variables) -> Expression:
+    """Parse ``text`` over the ordered variable name list ``variables``."""
+    check_variables(variables)
     return _Parser(text, variables).parse()
 
 

@@ -106,7 +106,7 @@ def stationarity_check(pd: PointData,
     iff the residual is at most ``tol``.
     """
     grad_g = pd.g.gradient
-    J = pd.full_jacobian()
+    J = pd.J
     m = J.shape[0]
     if m == 0:
         res = float(np.linalg.norm(grad_g))
@@ -198,10 +198,8 @@ def build_multiplier_set(pd: PointData,
     if m == 0:
         return MultiplierSet(np.zeros(0), np.zeros((0, 0)), face)
 
-    J = pd.full_jacobian()
-
     # equality system: stationarity rows, fixed coordinates, ray complements
-    rows = [J.T]
+    rows = [pd.J.T]
     rhs = [-pd.g.gradient]
     for i in face.fixed:
         e = np.zeros(m)

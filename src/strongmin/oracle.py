@@ -68,7 +68,6 @@ class TiltReport:
     lipschitz_estimate: float         # +inf when multivalued
     refined_ratio: float              # max ratio after bisection refinement
     base_ratio: float                 # max ratio on the initial grid
-    grid_size: int
     evidence_against: bool
     note: str
 
@@ -301,4 +300,4 @@ def tilt_probe(p: Problem, seed: int = 0) -> TiltReport:
             f"max displacement ratio {refined:.3g} after refinement "
             f"(threshold {_RATIO_THRESHOLD:g})")
     return TiltReport(not multivalued, float(lip), float(refined),
-                      float(base_ratio), tilts.shape[1], evidence, note)
+                      float(base_ratio), evidence, note)

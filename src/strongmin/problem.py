@@ -12,9 +12,9 @@ The text format is line oriented (sections in fixed order, ``#`` comments)::
 
 A problem may declare any number of blocks (including none) and the point
 line is optional in files, but required before analysis.  ``evaluate``
-gives each block's value, Jacobian, row Hessians and residual at a point,
-and the normal-cone face of ``cones.normal_face`` that kkt, cq and sosc
-read.
+gives the stacked constraint values, Jacobian and row Hessians at a point,
+each block's residual, and the normal-cone face of ``cones.normal_face``
+that kkt, cq and sosc read.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -34,7 +35,6 @@ from .expr import EvalBundle, Expression
 __all__ = [
     "Problem",
     "Block",
-    "BlockData",
     "PointData",
     "ProblemFormatError",
     "load",
@@ -107,20 +107,17 @@ class Problem:
 
 
 @dataclass(frozen=True)
-class BlockData:
-    cone: Cone
-    value: np.ndarray          # q_B(x), shape (m_B,)
-    jacobian: np.ndarray       # shape (m_B, n)
-    hessians: np.ndarray       # shape (m_B, n, n)
-    residual: float            # distance of value to the cone
-
-
-@dataclass(frozen=True)
 class PointData:
+    """Derivative data at x, stacked in block order: block i owns the rows
+    ``problem.block_slices[i]`` of q, J and hessians."""
+
     problem: Problem
     x: np.ndarray
     g: EvalBundle
-    blocks: Tuple[BlockData, ...]
+    q: np.ndarray              # q(x), shape (m,)
+    J: np.ndarray              # shape (m, n)
+    hessians: np.ndarray       # shape (m, n, n)
+    residuals: Tuple[float, ...]  # each block's distance to its cone
     face: NormalFace           # normal cone at the classified block values
 
     @property
@@ -129,20 +126,15 @@ class PointData:
 
     @property
     def m(self) -> int:
-        return sum(b.cone.m for b in self.blocks)
+        return self.q.shape[0]
 
     @property
     def max_residual(self) -> float:
-        return max((b.residual for b in self.blocks), default=0.0)
+        return max(self.residuals, default=0.0)
 
     @property
     def feasible(self) -> bool:
         return self.max_residual <= FEASIBILITY_TOL
-
-    def full_jacobian(self) -> np.ndarray:
-        if not self.blocks:
-            return np.zeros((0, self.n))
-        return np.vstack([b.jacobian for b in self.blocks])
 
 
 # ----------------------------------------------------------------------
@@ -179,6 +171,10 @@ def loads(text: str) -> Problem:
         raise ProblemFormatError("no variables declared", lineno)
     if len(set(names)) != len(names):
         raise ProblemFormatError("duplicate variable name", lineno)
+    try:
+        expr.check_variables(names)
+    except expr.ParseError as err:
+        raise ProblemFormatError(f"vars: {err}", lineno) from err
     idx += 1
 
     # objective
@@ -203,14 +199,12 @@ def loads(text: str) -> Problem:
         if stripped.startswith("block "):
             if seen_point:
                 raise ProblemFormatError("block after point section", lineno)
-            head = stripped[len("block "):].rstrip(":")
-            parts = head.split()
-            if len(parts) != 2:
+            head = re.fullmatch(r"block\s+(\S+)\s+([0-9]+):", stripped)
+            if head is None:
                 raise ProblemFormatError("expected 'block <orthant|soc> <m>:'", lineno)
-            kind, mtext = parts
             try:
-                cone = Cone(kind, int(mtext))
-            except (ValueError, TypeError) as err:
+                cone = Cone(head[1], int(head[2]))
+            except ValueError as err:
                 raise ProblemFormatError(str(err), lineno) from err
             idx += 1
             rows: List[Expression] = []
@@ -284,22 +278,23 @@ def evaluate(p: Problem, x) -> PointData:
     if x.shape != (p.n,):
         raise ValueError(f"point must have length {p.n}")
     g = expr.eval_bundle(p.objective, x)
-    blocks = []
+    bundles, residuals, classified = [], [], []
     for b in p.blocks:
-        bundles = [expr.eval_bundle(row, x) for row in b.rows]
-        value = np.array([bu.value for bu in bundles])
-        jac = np.vstack([bu.gradient for bu in bundles])
-        hess = np.stack([bu.hessian for bu in bundles])
+        rows = [expr.eval_bundle(row, x) for row in b.rows]
+        value = np.array([bu.value for bu in rows])
         with np.errstate(over="ignore", invalid="ignore"):
             residual = cones.distance(b.cone, value)
         if not np.isfinite(residual):
             raise expr.NonFiniteError("a block's cone residual is not finite")
-        blocks.append(BlockData(b.cone, value, jac, hess, residual))
-    face = cones.normal_face(
-        [(bd.cone, bd.value if bd.residual <= FEASIBILITY_TOL
-          else cones.project(bd.cone, bd.value)) for bd in blocks],
-        ACTIVITY_TOL)
-    return PointData(p, x, g, tuple(blocks), face)
+        bundles += rows
+        residuals.append(residual)
+        classified.append((b.cone, value if residual <= FEASIBILITY_TOL
+                           else cones.project(b.cone, value)))
+    q = np.array([bu.value for bu in bundles], dtype=float)
+    J = np.array([bu.gradient for bu in bundles]).reshape(-1, p.n)
+    hessians = np.array([bu.hessian for bu in bundles]).reshape(-1, p.n, p.n)
+    return PointData(p, x, g, q, J, hessians, tuple(residuals),
+                     cones.normal_face(classified, ACTIVITY_TOL))
 
 
 def batch_constraint_values(p: Problem, X: np.ndarray) -> np.ndarray:

@@ -526,7 +526,6 @@ def estimate_qgc_1d(f: Piecewise1D, xbar: float,
 class D2Result:
     value: float
     trend: str                    # "stable" | "decreasing" | "increasing" | "diverging"
-    per_tau: Tuple[float, ...]
 
 
 def second_subderivative(f: Piecewise1D, xbar: float, v: float,
@@ -561,5 +560,5 @@ def second_subderivative(f: Piecewise1D, xbar: float, v: float,
         elif c > b > a:
             trend = "increasing"
     if value < -1e8:
-        return D2Result(-math.inf, "diverging", tuple(per_tau))
-    return D2Result(float(value), trend, tuple(per_tau))
+        return D2Result(-math.inf, "diverging")
+    return D2Result(float(value), trend)

@@ -22,9 +22,11 @@ The infimum of sigma over unit directions of the cone is certified two
 ways: an eigenvalue reduction when the presolved cone is a subspace and
 the multiplier set is a singleton (Exact), and a deterministic
 low-discrepancy sphere search with coordinate-descent polishing otherwise
-(Sampled).  With one multiplier, sigma is the quadratic form of
-`_fixed_multiplier_matrix`, whose Q already carries the boundary-curvature
-correction, so the Exact path covers boundary-active soc blocks too.
+(Sampled).  With one multiplier, sigma is the quadratic form
+`_SigmaEvaluator.form` of that multiplier, whose Q already carries the
+boundary-curvature correction, so the Exact path covers boundary-active
+soc blocks too.  Every sigma value, `sigma` included, comes from one
+`_SigmaEvaluator`.
 Sigma is scored only at unit directions that violate the cone by at most
 _MEMBERSHIP_TOL; `CriticalCone.project` may leave a column outside, and
 `analyze` raises NotInCriticalCone when no direction is left.
@@ -232,9 +234,8 @@ def build_critical_cone(pd: PointData) -> CriticalCone:
     n = pd.n
     g = pd.g.gradient
     eq = g[None, :] if np.linalg.norm(g) > _GRAD_TOL else np.zeros((0, n))
-    J = pd.full_jacobian()
-    ineq = pd.face.inequality_rows(J)
-    soc_rows = [(J[sl], sl.stop - sl.start) for sl in pd.face.socs]
+    ineq = pd.face.inequality_rows(pd.J)
+    soc_rows = [(pd.J[sl], sl.stop - sl.start) for sl in pd.face.socs]
     return CriticalCone(n, eq, ineq, soc_rows)
 
 
@@ -288,17 +289,13 @@ def _curvature_tensor(pd: PointData) -> np.ndarray:
     face ray d and Jacobian J, where H = -d_1 (I - ybar ybar^T / r^2) / r on
     the ybar rows and columns, r = ||ybar||, is the Hessian of the reduction
     whose gradient is d.  Rescaling d rescales H alike and leaves T as is."""
-    T = np.concatenate([np.zeros((0, pd.n, pd.n))] + [bd.hessians for bd in pd.blocks])
-    rays = {sl.start: d for sl, d in pd.face.rays}
-    for bd, sl in zip(pd.blocks, pd.problem.block_slices):
-        if sl.start not in rays:
-            continue
-        d = rays[sl.start]
-        ybar = bd.value[1:]
+    T = pd.hessians.copy()
+    for sl, d in pd.face.rays:
+        ybar = pd.q[sl][1:]
         r = float(np.linalg.norm(ybar))
-        H = np.zeros((bd.cone.m, bd.cone.m))
+        H = np.zeros((d.size, d.size))
         H[1:, 1:] = -d[0] * ((np.eye(ybar.size) - np.outer(ybar, ybar) / (r * r)) / r)
-        T[sl] += np.multiply.outer(d / float(d @ d), bd.jacobian.T @ H @ bd.jacobian)
+        T[sl] += np.multiply.outer(d / float(d @ d), pd.J[sl].T @ H @ pd.J[sl])
     return T
 
 
@@ -322,28 +319,23 @@ def _lambda_coefficients_batch(T: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def sigma(pd: PointData, ms: MultiplierSet, w,
-          cone: Optional[CriticalCone] = None):
+          cone: Optional[CriticalCone] = None) -> float:
     """Curvature functional at a critical direction; +inf when the inner
-    maximization is unbounded.  Raises NotInCriticalCone outside the cone."""
+    maximization is unbounded.  Raises NotInCriticalCone outside the cone.
+
+    The value is the one `analyze` scores w with: `_SigmaEvaluator`'s
+    batch where it settles w, its ``inner_max`` where it does not."""
     w = np.asarray(w, dtype=float)
     if cone is None:
         cone = build_critical_cone(pd)
     if not cone.contains(w):
         raise NotInCriticalCone(
             f"direction violates the critical cone by {float(cone.violation(w)):.3e}")
-    base = float(w @ pd.g.hessian @ w)
-    if ms.m == 0:
-        return base
-    C = _lambda_coefficients_batch(_curvature_tensor(pd), w[:, None])[:, 0]
-    res = maximize_linear(ms, C)
-    if res.status == "unbounded":
-        return math.inf
-    return base + res.value
-
-
-def _fixed_multiplier_matrix(pd: PointData, lam: np.ndarray) -> np.ndarray:
-    """Full quadratic form Q with sigma(w) = w.Q.w for a fixed multiplier."""
-    return pd.g.hessian + np.einsum("i,ijk->jk", lam, _curvature_tensor(pd))
+    evaluator = _SigmaEvaluator(pd, ms)
+    values, _, settled = evaluator(w[:, None])
+    if not settled[0]:
+        values, _ = evaluator.inner_max(w[:, None])
+    return float(values[0])
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +355,8 @@ class _SigmaEvaluator:
     whose best vertex lies in the set or whose rising rays all recede in
     it.  Larger sets settle nothing.  ``inner_max`` solves each column's
     own ``maximize_linear``; ``form`` is the fixed-multiplier quadratic
-    form, from the cached curvature tensor.
+    form, from the cached curvature tensor, and the objective Hessian
+    itself when there are no multipliers.
     """
 
     def __init__(self, pd: PointData, ms: MultiplierSet):
@@ -373,13 +366,15 @@ class _SigmaEvaluator:
         self.cut_warning = False
         self._Q = self._vmax = None
         if ms.k == 0:
-            self._Q = self.form(ms.lam0) if ms.m else pd.g.hessian
+            self._Q = self.form(ms.lam0)
             return
         geom = enumerate_polyhedron(ms)
         if geom is not None:
             self._vmax = VertexMaximizer(ms, geom)
 
     def form(self, lam: np.ndarray) -> np.ndarray:
+        if not self.ms.m:
+            return self.pd.g.hessian
         return self.pd.g.hessian + np.einsum("i,ijk->jk", lam, self._T)
 
     def __call__(self, W: np.ndarray):
@@ -435,10 +430,10 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
         return SoscReport(True, True, math.inf, None, "Exact", 0, seed,
                           empty_cone=True)
 
+    evaluator = _SigmaEvaluator(pd, ms)
     if cone.is_subspace and ms.k == 0 and force != "sampled":
         P = cone.subspace_basis()
-        Q = _fixed_multiplier_matrix(pd, ms.lam0) if ms.m else pd.g.hessian
-        vals, vecs = np.linalg.eigh(P.T @ Q @ P)
+        vals, vecs = np.linalg.eigh(P.T @ evaluator.form(ms.lam0) @ P)
         modulus = float(vals[0])
         worst = P @ vecs[:, 0]
         return _verdicts(modulus, worst, "Exact", 0, seed)
@@ -468,7 +463,6 @@ def analyze(pd: PointData, ms: MultiplierSet, samples: int = 20000,
         raise NotInCriticalCone("no projected direction lies in the critical cone")
     cand = cand[:, ok]
 
-    evaluator = _SigmaEvaluator(pd, ms)
     values, lams, settled = evaluator(cand)
     todo = np.flatnonzero(~settled)
     if todo.size > 400:

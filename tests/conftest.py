@@ -89,22 +89,24 @@ def mfcq_dual(pd):
     """Reference for cq.check_mfcq on orthant-only problems, by Gordan's
     alternative: no convex combination of active gradients vanishes."""
     from strongmin._simplex import solve_lp
-    assert all(b.cone.kind == "orthant" for b in pd.blocks)
+    assert all(b.cone.kind == "orthant" for b in pd.problem.blocks)
     active = pd.face.nonneg
     if not active.size:
         return True
-    grads = pd.full_jacobian()[active]
+    grads = pd.J[active]
     k = grads.shape[0]
     A_eq = np.vstack([np.ones((1, k)), grads.T])
     b_eq = np.concatenate([[1.0], np.zeros(pd.n)])
-    res = solve_lp(np.zeros(k), A_eq=A_eq, b_eq=b_eq, nonneg=True)
+    # the combination's weights are nonnegative: rows -I w <= 0
+    res = solve_lp(np.zeros(k), A_ub=-np.eye(k), b_ub=np.zeros(k),
+                   A_eq=A_eq, b_eq=b_eq)
     return bool(res.status == "infeasible")
 
 
 # ----------------------------------------------------------------------
 # references that the library does not need: blockwise normal and tangent
 # cone tests, the normal-cone projection, the one-call-per-step tilt walk,
-# a shifted objective, rescaled rays and stacked block values
+# a shifted objective and rescaled rays
 # ----------------------------------------------------------------------
 
 def _soc_position(y, tol):
@@ -252,7 +254,7 @@ def sequential_tilt_probe(p, seed=0):
             f"max displacement ratio {refined:.3g} after refinement "
             f"(threshold {threshold:g})")
     return oracle.TiltReport(not multivalued, float(lip), float(refined),
-                             float(base_ratio), tilts.shape[1],
+                             float(base_ratio),
                              bool(multivalued or refined > threshold), note)
 
 
@@ -262,7 +264,7 @@ def full_budget_stationarity(pd, tol=1e-7):
     then the same active-face polish."""
     from strongmin import kkt
     grad_g = pd.g.gradient
-    J = pd.full_jacobian()
+    J = pd.J
     m = J.shape[0]
     if m == 0:
         res = float(np.linalg.norm(grad_g))
@@ -282,11 +284,6 @@ def full_budget_stationarity(pd, tol=1e-7):
     lam = kkt._active_face_polish(pd.face, lam, grad_g, JT)
     res = float(np.linalg.norm(grad_g + JT @ lam))
     return kkt.StationarityResult(res <= tol, res, lam if res <= tol else None)
-
-
-def full_values(pd):
-    """The block values of an evaluated point, stacked in block order."""
-    return np.concatenate([np.zeros(0)] + [b.value for b in pd.blocks])
 
 
 # ----------------------------------------------------------------------

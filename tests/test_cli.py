@@ -41,6 +41,24 @@ MALFORMED = [
     ("analyze", "log0.prob", b"vars: x1\nobjective: log(x1)\npoint: 0\n"),
     ("cq", "log0.prob", b"vars: x1\nobjective: x1\n"
                         b"block orthant 1:\n  row: log(x1)\npoint: 0\n"),
+    # a number is ASCII digits: "²" is no literal, in a term or an exponent
+    ("analyze", "sup_term.prob", "vars: x1\nobjective: x1^2 + ²\npoint: 0\n".encode()),
+    ("analyze", "sup_exp.prob", "vars: x1\nobjective: x1^²\npoint: 0\n".encode()),
+    # a variable name is one identifier; each of these was read as a variable
+    ("analyze", "var_num.prob", b"vars: x1 2\nobjective: 2*x1^2\npoint: 0 0\n"),
+    ("analyze", "var_comma.prob", b"vars: x1 x1,y\nobjective: x1^2\npoint: 0 0\n"),
+    # a block header is 'block <kind> <ASCII digits>:'; each of these was read
+    # as a block of the rows that follow
+    ("analyze", "hd_colon.prob", b"vars: x1\nobjective: x1^2\n"
+                                 b"block orthant 1\n  row: -1\npoint: 0\n"),
+    ("analyze", "hd_colons.prob", b"vars: x1\nobjective: x1^2\n"
+                                  b"block orthant 1::\n  row: -1\npoint: 0\n"),
+    ("analyze", "hd_plus.prob", b"vars: x1\nobjective: x1^2\n"
+                                b"block orthant +1:\n  row: -1\npoint: 0\n"),
+    ("analyze", "hd_under.prob", b"vars: x1\nobjective: x1^2\nblock orthant 1_0:\n"
+                                 + b"  row: -1\n" * 10 + b"point: 0\n"),
+    ("analyze", "hd_digit.prob", "vars: x1\nobjective: x1^2\n"
+                                 "block orthant ١:\n  row: -1\npoint: 0\n".encode()),
 ]
 
 

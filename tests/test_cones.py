@@ -310,4 +310,4 @@ class TestNormalFace:
         # boundary-ray row of block 0 ahead of the active orthant row of block 1
         assert np.array_equal(cone.ineq, [[-1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
         assert len(cone.soc) == 1 and cone.soc[0][1] == 3
-        assert np.array_equal(cone.soc[0][0], pd.blocks[2].jacobian)
+        assert np.array_equal(cone.soc[0][0], pd.J[pd.problem.block_slices[2]])

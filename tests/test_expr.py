@@ -65,6 +65,13 @@ class TestParse:
         with pytest.raises(expr.ParseError):
             expr.parse("x1 + y", ["x1"])
 
+    def test_only_ascii_digits_make_numbers(self):
+        # str.isdigit accepts these, but float and int refuse "²" and read
+        # "٣" as 3
+        for text in ("x1 + ²", "x1^²", "x1*٣", "٣.5"):
+            with pytest.raises(expr.ParseError, match="unexpected character"):
+                expr.parse(text, ["x1"])
+
     def test_non_integer_exponent(self):
         with pytest.raises(expr.ParseError):
             expr.parse("x1^2.5", ["x1"])

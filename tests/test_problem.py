@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import corpus_path, full_values, problems
+from conftest import corpus_path, problems
 from strongmin import cones, expr, problem
 from strongmin._sampling import ball
 
@@ -48,6 +48,14 @@ block orthant 1:
         with pytest.raises(problem.ProblemFormatError):
             problem.loads("vars: x1\nobjective: x1\npoint: 0\npoint: 1\n")
 
+    def test_variable_names_checked_at_vars_line(self):
+        for names in ("x1 2", "x1 x1,y", "x1 sin"):
+            with pytest.raises(problem.ProblemFormatError) as err:
+                problem.loads(f"vars: {names}\nobjective: x1\n")
+            assert err.value.line == 1
+        p = problem.loads("vars: x1 _y αβ\nobjective: x1 + _y*αβ\n")
+        assert p.variables == ("x1", "_y", "αβ")
+
     def test_parse_error_carries_line(self):
         with pytest.raises(problem.ProblemFormatError) as err:
             problem.loads("vars: x1\nobjective: x1 +\npoint: 0\n")
@@ -74,8 +82,7 @@ class TestRoundTrip:
                 a = problem.evaluate(p, x)
                 b = problem.evaluate(p2, x)
                 assert abs(a.g.value - b.g.value) <= 1e-12 * max(1, abs(a.g.value))
-                for ba, bb in zip(a.blocks, b.blocks):
-                    assert np.allclose(ba.value, bb.value, rtol=1e-12, atol=1e-12)
+                assert np.allclose(a.q, b.q, rtol=1e-12, atol=1e-12)
 
     def test_digest_stable(self, ex44):
         assert ex44.digest() == problem.loads(problem.save_text(ex44)).digest()
@@ -97,18 +104,17 @@ class TestRoundTrip:
 class TestEvaluate:
     def test_soc_vertex_jacobian(self, ex44):
         pd = problem.evaluate(ex44, [0.0, 0.0, 0.0])
-        assert np.allclose(full_values(pd), 0.0)
+        assert np.allclose(pd.q, 0.0)
         expected = np.array([[0, 0, 0], [0, 0, -1], [0, 0, 1]], dtype=float)
-        assert np.allclose(pd.full_jacobian(), expected)
+        assert np.allclose(pd.J, expected)
         assert [(sl.start, sl.stop) for sl in pd.face.socs] == [(0, 3)]
         assert not pd.face.rays and not pd.face.nonneg.size and not pd.face.fixed.size
 
     def test_orthant_activity(self, ex46):
         pd = problem.evaluate(ex46, [0.0, 0.0, 0.0])
-        bd = pd.blocks[0]
         assert pd.face.nonneg.tolist() == [0, 1]
         assert pd.face.fixed.tolist() == []
-        assert np.allclose(bd.jacobian, [[1, 0, 0], [1, 0, 0]])
+        assert np.allclose(pd.J[ex46.block_slices[0]], [[1, 0, 0], [1, 0, 0]])
 
     def test_infeasible_point_records_residual(self, ex47):
         pd = problem.evaluate(ex47, [1.0, 0.0, 0.0])
@@ -119,7 +125,7 @@ class TestEvaluate:
         a = problem.evaluate(ex44, [0.01, 0.02, 0.0])
         b = problem.evaluate(ex44, [0.01, 0.02, 0.0])
         assert a.g.value == b.g.value
-        assert np.array_equal(a.full_jacobian(), b.full_jacobian())
+        assert np.array_equal(a.J, b.J)
 
     def test_soc_boundary_activity(self, socb):
         pd = problem.evaluate(socb, socb.point)

@@ -18,13 +18,16 @@ def test_unbounded_with_ray():
 
 
 def test_infeasible_eq():
-    res = solve_lp([0.0], A_eq=[[1.0], [1.0]], b_eq=[0.0, 1.0], nonneg=True)
+    res = solve_lp([0.0], A_ub=[[-1.0]], b_ub=[0.0], A_eq=[[1.0], [1.0]],
+                   b_eq=[0.0, 1.0])
     assert res.status == "infeasible"
 
 
 def test_nonneg_feasibility_system():
-    # lam >= 0, sum lam = 1, lam1 - lam2 = 0 is feasible at (1/2, 1/2)
-    res = solve_lp([0.0, 0.0], A_eq=[[1, 1], [1, -1]], b_eq=[1.0, 0.0], nonneg=True)
+    # lam >= 0 (rows -lam <= 0), sum lam = 1, lam1 - lam2 = 0 is feasible
+    # at (1/2, 1/2)
+    res = solve_lp([0.0, 0.0], A_ub=-np.eye(2), b_ub=np.zeros(2),
+                   A_eq=[[1, 1], [1, -1]], b_eq=[1.0, 0.0])
     assert res.status == "optimal"
     assert np.allclose(res.x, [0.5, 0.5])
 
@@ -73,8 +76,8 @@ def random_lp(rng):
     """A random LP with at most 5 variables and 8 rows: inequality rows, and
     equality rows whose last one is the sum of the others, so that phase 1
     leaves an artificial basic on a redundant row.  Returns the objective,
-    the rows and nonneg; one draw in five makes the redundant row
-    inconsistent, and so the LP infeasible."""
+    the rows and whether the variables are nonnegative; one draw in five
+    makes the redundant row inconsistent, and so the LP infeasible."""
     n = int(rng.integers(1, 6))
     n_eq = int(rng.integers(0, 4))
     n_ub = int(rng.integers(0, 9 - n_eq))
@@ -97,7 +100,12 @@ def test_agrees_with_highs():
     seen = set()
     for _ in range(300):
         f, A_ub, b_ub, A_eq, b_eq, nonneg = random_lp(rng)
-        res = solve_lp(f, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, nonneg=nonneg)
+        # solve_lp's variables are free: x >= 0 is the rows -x <= 0, while
+        # HiGHS takes it as bounds
+        sign = -np.eye(len(f))[:len(f) if nonneg else 0]
+        res = solve_lp(f, A_ub=np.vstack([A_ub, sign]),
+                       b_ub=np.concatenate([b_ub, np.zeros(len(sign))]),
+                       A_eq=A_eq, b_eq=b_eq)
         ref = optimize.linprog(-f, A_ub=A_ub if len(b_ub) else None,
                                b_ub=b_ub if len(b_ub) else None,
                                A_eq=A_eq if len(b_eq) else None,

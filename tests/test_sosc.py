@@ -323,7 +323,7 @@ class TestPresolve:
                 continue
             rep = sosc.analyze(pd, ms, samples=6000, seed=0)
             assert rep.certification == "Exact"
-            Q = sosc._fixed_multiplier_matrix(pd, ms.lam0)
+            Q = sosc._SigmaEvaluator(pd, ms).form(ms.lam0)
             expected = face_enumeration_minimum(raw, Q)
             if math.isinf(expected):
                 assert rep.empty_cone
@@ -580,7 +580,7 @@ class TestAnalyze:
             rep = sosc.analyze(pd, ms, samples=1000, seed=0, force="sampled")
             raw = sosc.build_critical_cone(pd)
             expected = face_enumeration_minimum(
-                raw, sosc._fixed_multiplier_matrix(pd, ms.lam0))
+                raw, sosc._SigmaEvaluator(pd, ms).form(ms.lam0))
             if rep.empty_cone:
                 assert math.isinf(expected)
                 continue
