@@ -36,6 +36,7 @@ bounds the repeated multiplication that evaluates a power.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -54,6 +55,7 @@ __all__ = [
     "EvalDomainError",
     "NonFiniteError",
     "parse",
+    "parse_number",
     "check_variables",
     "eval_bundle",
     "eval_value",
@@ -136,9 +138,19 @@ class EvalBundle:
 # ----------------------------------------------------------------------
 
 _OPS = set("+-*/^()")
-# only ASCII digits start or continue a number: str.isdigit also accepts
-# digits such as "²" and "٣", which float and int refuse or misread
-_DIGITS = set("0123456789")
+# a number literal: ASCII digits with at most one point (a leading point
+# needs a digit after it), then an optional exponent.  [0-9], not \d or
+# str.isdigit, which also accept digits such as "²" and "٣" that float
+# and int refuse or misread
+_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def parse_number(text: str) -> float:
+    """A number field outside expressions: an optional sign, then one
+    literal of the tokenizer's rule, so "1_0", "٣" and "nan" are refused."""
+    if not _NUMBER.fullmatch(text[1:] if text[:1] in ("+", "-") else text):
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
 
 
 def _tokenize(text: str):
@@ -154,25 +166,10 @@ def _tokenize(text: str):
             tokens.append(("op", c, i))
             i += 1
             continue
-        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i
-            seen_dot = seen_exp = False
-            while j < n:
-                d = text[j]
-                if d in _DIGITS:
-                    j += 1
-                elif d == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif d in "eE" and not seen_exp and j + 1 < n and (
-                    text[j + 1] in _DIGITS or (text[j + 1] in "+-" and j + 2 < n and text[j + 2] in _DIGITS)
-                ):
-                    seen_exp = True
-                    j += 2 if text[j + 1] in "+-" else 1
-                else:
-                    break
-            tokens.append(("num", text[i:j], i))
-            i = j
+        num = _NUMBER.match(text, i)
+        if num:
+            tokens.append(("num", num[0], i))
+            i = num.end()
             continue
         if c.isalpha() or c == "_":
             j = i

@@ -11,8 +11,9 @@ parameters, ``VertexMaximizer`` reads many such maxima at once off the
 vertices and rays of that first LP's polyhedron, and leaves the LP loop
 only the objectives this geometry does not settle.
 
-The stationarity check's accelerated projected-gradient loop exits at an
-exact fixed point, where every later iterate would repeat the last.
+``face_least_squares``, the stationarity check that ``cq`` also calls,
+exits its accelerated projected-gradient loop at an exact fixed point,
+where every later iterate would repeat the last.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "StationarityResult",
     "EmptyMultiplierSet",
     "stationarity_check",
+    "face_least_squares",
     "build_multiplier_set",
     "maximize_linear",
     "enumerate_polyhedron",
@@ -95,25 +97,27 @@ class LinMaxResult:
 
 def stationarity_check(pd: PointData,
                        tol: float = STATIONARITY_TOL) -> StationarityResult:
-    """Distance from -∇g(x̄) to ∇q(x̄)^T applied to the normal cone.
+    """Distance from -∇g(x̄) to ∇q(x̄)^T applied to the normal cone, by
+    ``face_least_squares``; stationary iff it is at most ``tol``."""
+    lam, res = face_least_squares(pd.g.gradient, pd.J, pd.face)
+    ok = res <= tol
+    return StationarityResult(ok, res, lam if ok else None)
 
-    Solves min ||∇g + J^T lam|| over lam in N_Θ(q(x̄)) by an accelerated
-    projected-gradient loop (Beck & Teboulle 2009) followed by an
+
+def face_least_squares(grad: np.ndarray, J: np.ndarray,
+                       face: cones.NormalFace):
+    """(lam, ||grad + J^T lam||) for lam in the face nearly minimizing it.
+
+    Accelerated projected gradient (Beck & Teboulle 2009) followed by an
     active-face least-squares polish.  The loop runs _STATIONARITY_ITERS
     iterations, or stops after one that leaves both its iterate and its
     extrapolated point bitwise unchanged: from there on every iterate is
-    the same, so the result has the bits of the full budget.  Stationary
-    iff the residual is at most ``tol``.
+    the same, so the result has the bits of the full budget.
     """
-    grad_g = pd.g.gradient
-    J = pd.J
     m = J.shape[0]
     if m == 0:
-        res = float(np.linalg.norm(grad_g))
-        ok = res <= tol
-        return StationarityResult(ok, res, np.zeros(0) if ok else None)
+        return np.zeros(0), float(np.linalg.norm(grad))
 
-    face = pd.face
     JT = J.T
     nrm = float(np.linalg.norm(J, 2))
     step = 1.0 / max(nrm * nrm, 1e-12)  # 0.0 when nrm * nrm overflows
@@ -122,8 +126,8 @@ def stationarity_check(pd: PointData,
     y = lam.copy()
     t_acc = 1.0
     for _ in range(_STATIONARITY_ITERS):
-        grad = J @ (grad_g + JT @ y)
-        nxt = face.project(y - step * grad)
+        g = J @ (grad + JT @ y)
+        nxt = face.project(y - step * g)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
         y_next = nxt + ((t_acc - 1.0) / t_next) * (nxt - lam)
         # nxt == lam makes the momentum term +0.0, and y_next == y makes the
@@ -133,41 +137,29 @@ def stationarity_check(pd: PointData,
         if fixed:
             break
 
-    lam = _active_face_polish(face, lam, grad_g, JT)
-    res = float(np.linalg.norm(grad_g + JT @ lam))
-    ok = res <= tol
-    return StationarityResult(ok, res, lam if ok else None)
+    lam = _active_face_polish(face, lam, grad, JT)
+    return lam, float(np.linalg.norm(grad + JT @ lam))
 
 
 def _active_face_polish(face, lam, grad_g, JT):
     """Least squares on the face of the normal cone identified by lam."""
     m = lam.shape[0]
-    cols = []
-    for i in face.nonneg:
-        if lam[i] > 1e-10:
-            e = np.zeros(m)
-            e[i] = 1.0
-            cols.append(e)
-    for sl, d in face.rays:
-        if float(lam[sl] @ d) / float(d @ d) > 1e-10:
-            e = np.zeros(m)
-            e[sl] = d
-            cols.append(e)
+    eye = np.eye(m)
+
+    def on(sl, d):  # d in block sl of an m-vector
+        return np.concatenate([np.zeros(sl.start), d, np.zeros(m - sl.stop)])
+
+    cols = [eye[i] for i in face.nonneg if lam[i] > 1e-10]
+    cols += [on(sl, d) for sl, d in face.rays if float(lam[sl] @ d) / float(d @ d) > 1e-10]
     for sl in face.socs:
         v = lam[sl]
         nv = np.linalg.norm(v)
         if nv <= 1e-10:
             continue
-        margin = -v[0] - np.linalg.norm(v[1:])
-        if margin > 1e-10 * max(1.0, nv):  # interior of -soc: whole block free
-            for j in range(sl.start, sl.stop):
-                e = np.zeros(m)
-                e[j] = 1.0
-                cols.append(e)
+        if -v[0] - np.linalg.norm(v[1:]) > 1e-10 * max(1.0, nv):
+            cols.extend(eye[sl])  # interior of -soc: whole block free
         else:  # boundary of -soc: free along the ray through lam
-            e = np.zeros(m)
-            e[sl] = v / nv
-            cols.append(e)
+            cols.append(on(sl, v / nv))
     if not cols:
         return lam
     F = np.stack(cols, axis=1)

@@ -232,7 +232,7 @@ def loads(text: str) -> Problem:
                 raise ProblemFormatError(
                     f"point needs {len(names)} coordinates, got {len(values)}", lineno)
             try:
-                point = np.array([float(v) for v in values])
+                point = np.array([expr.parse_number(v) for v in values])
             except ValueError as err:
                 raise ProblemFormatError(f"bad point coordinate: {err}", lineno) from err
             if not np.all(np.isfinite(point)):

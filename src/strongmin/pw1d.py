@@ -16,12 +16,14 @@ evaluation never cancels catastrophically.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .expr import parse_number
 from .oracle import QgcEstimate, qgc_verdict
 
 __all__ = [
@@ -294,7 +296,7 @@ def _mirror(pieces: List[Piece]) -> List[Piece]:
 def _floats(values: List[str], what: str, lineno: int) -> List[float]:
     """The finite numbers of one line, or a Pw1dFormatError naming it."""
     try:
-        out = [float(v) for v in values]
+        out = [parse_number(v) for v in values]
     except ValueError as err:
         raise Pw1dFormatError(f"bad {what}: {err}", lineno) from err
     if not all(math.isfinite(v) for v in out):
@@ -342,11 +344,10 @@ def loads(text: str) -> Piecewise1D:
             bps = _floats(ln[len("breakpoints:"):].split(), "breakpoint", lineno)
         elif ln.startswith("piece "):
             head, _, rest = ln.partition(":")
-            try:
-                idx = int(head.split()[1])
-            except (IndexError, ValueError) as err:
-                raise Pw1dFormatError("piece index must be an integer",
-                                      lineno) from err
+            index = re.fullmatch(r"piece\s+([0-9]+)", head)
+            if index is None:
+                raise Pw1dFormatError("piece index must be an integer", lineno)
+            idx = int(index[1])
             if idx != len(coeffs):
                 raise Pw1dFormatError(f"expected piece {len(coeffs)}", lineno)
             vals = _floats(rest.split(), "coefficient", lineno)

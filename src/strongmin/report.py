@@ -268,18 +268,17 @@ def _stationarity_dict(st: kkt.StationarityResult) -> dict:
 def _cq_dict(cqr: cq.CqReport) -> dict:
     return {
         "mfcq": _verdict(
-            cqr.mfcq,
+            cqr.mfcq.holds,
             "strict descent direction for all active inequalities",
-            "Exact (LP)" if cqr.mfcq is not None else "NotApplicable"),
+            cqr.mfcq.certification),
         "crcq": _verdict(
-            cqr.crcq,
+            cqr.crcq.holds,
             "constant rank of every active-gradient subset near the point",
-            "Sampled (ball)" if cqr.crcq is not None else "NotApplicable"),
+            cqr.crcq.certification),
         "rcq": _verdict(
-            cqr.rcq,
+            cqr.rcq.holds,
             "normal cone meets the Jacobian kernel only at zero",
-            "Exact (LP)" if cqr.mfcq is not None
-            else "Sampled (kernel sphere grid)"),
+            cqr.rcq.certification),
         "mscq_probe": {
             "verdict": cqr.mscq.verdict,
             "condition": "metric subregularity assumed by the analysis; "

@@ -78,6 +78,10 @@ _SOC_EMPTY_TOL = 1e-9
 # both at most _ADMM_TOL, and every column stops after _ADMM_MAX_ITERS
 _ADMM_TOL = 1e-12
 _ADMM_MAX_ITERS = 1200
+# ADMM scales a row of norm s to unit norm unless eps <= s^2 <= 1/eps, where
+# the identity in I + M^T M neither vanishes beside s^2 nor swamps it.  Unit
+# rows everywhere would be slower on longer rows (test_sosc's planted cones).
+_ADMM_ROW_RANGE = (math.sqrt(np.finfo(float).eps), 1.0 / math.sqrt(np.finfo(float).eps))
 # sampled path: coordinate-descent rounds, their first step and the step
 # below which a candidate stops
 _POLISH_ROUNDS = 60
@@ -110,11 +114,14 @@ class CriticalCone:
         self._eq_sl, self._ineq_sl = slice(0, ends[0]), slice(ends[0], ends[1])
         self._soc_sl = [(slice(a, b), m) for a, b, (_, m)
                         in zip(ends[1:], ends[2:], self.soc)]
-        # ADMM x-update operator, formed once per cone (Boyd et al. 2011,
-        # section 4.2): I + M^T M has eigenvalues >= 1, so its inverse is
-        # well conditioned and one matrix product replaces two solves.
-        self._K = np.linalg.inv(np.eye(self.n) + self._M.T @ self._M)
-        self._KMt = self._K @ self._M.T
+        # ADMM runs on the rows of ``_admm_rows``, the same cone, with the
+        # x-update operator formed once per cone (Boyd et al. 2011, section
+        # 4.2): I + A^T A has eigenvalues >= 1, so its inverse is well
+        # conditioned and one matrix product replaces two solves.
+        self._A = np.vstack([_admm_rows(self.eq), _admm_rows(self.ineq)]
+                            + [_admm_rows(B, per_row=False) for B, _ in self.soc])
+        self._K = np.linalg.inv(np.eye(self.n) + self._A.T @ self._A)
+        self._KMt = self._K @ self._A.T
 
     @property
     def is_subspace(self) -> bool:
@@ -185,7 +192,7 @@ class CriticalCone:
 
     def _admm(self, W2: np.ndarray) -> np.ndarray:
         X = W2.copy()
-        M = self._M
+        M = self._A
         live = np.arange(W2.shape[1])  # columns that have not stopped
         KW = self._K @ W2
         Z = self._proj_D(M @ W2)
@@ -205,6 +212,18 @@ class CriticalCone:
             if not live.size:
                 break
         return X
+
+
+def _admm_rows(R: np.ndarray, per_row: bool = True) -> np.ndarray:
+    """R with each row whose norm lies outside _ADMM_ROW_RANGE scaled to unit
+    norm; without ``per_row``, all rows by their largest norm, one positive
+    scalar that keeps a soc block's cone.  hypot does not overflow."""
+    norm = np.hypot.reduce(R, axis=1, keepdims=True)
+    if not per_row:
+        norm = np.max(norm, initial=0.0, keepdims=True)
+    lo, hi = _ADMM_ROW_RANGE
+    far = (norm > 0.0) & ((norm < lo) | (norm > hi))
+    return np.where(far, R / np.where(far, norm, 1.0), R)
 
 
 def _null_basis(E: np.ndarray, n: int) -> np.ndarray:

@@ -85,6 +85,49 @@ SOC_SLICE_ZERO_CONE = ("vars: x1 x2\nobjective: 0.8*x1 - x2 + x1^2 + x2^2\n"
                        "point: 0 0\n")
 
 
+# a soc(2) block on its boundary beside an active orthant row: lam = (-1, 1,
+# 0.25), the ray (-1, 1) with 0.25 on the row, lies in the normal cone and
+# in ker J^T, so Robinson's condition fails
+RAY_AND_ORTHANT = ("vars: x1\nobjective: x1^2\nblock soc 2:\n  row: 1\n"
+                   "  row: 0.25*x1 + 1\nblock orthant 1:\n  row: -x1\npoint: 0\n")
+
+
+# one active orthant row of gradient 2.95e244: d = -1 is a strict descent
+# direction, so MFCQ holds; the critical cone is the half-line w <= 0
+HUGE_ROW = ("vars: x1\nobjective: 0\nblock orthant 1:\n"
+            "  row: x1 / 3.3886258853730173e-245\npoint: 0\n")
+
+
+# thirteen active rows x1 - c x2^2, c = 0.01 ... 0.13: more than cq's CRCQ
+# subset enumeration takes; the modulus is 1 - 2 * 0.01
+THIRTEEN_ROWS = ("vars: x1 x2\nobjective: -x1 + 0.5*x2^2\nblock orthant 13:\n"
+                 + "".join(f"  row: x1 - {c / 100:g}*x2^2\n" for c in range(1, 14))
+                 + "point: 0 0\n")
+
+
+def mfcq_primal(pd):
+    """Reference for cq.check_mfcq on orthant-only problems: the largest s
+    with grad.d + s <= 0 on every active row over the box |d_i| <= 1 is
+    positive.  Its LP reads absolute tolerances, so a huge row fails it."""
+    from strongmin._simplex import solve_lp
+    assert all(b.cone.kind == "orthant" for b in pd.problem.blocks)
+    active = pd.face.nonneg
+    if not active.size:
+        return True
+    n = pd.n
+    grads = pd.J[active]
+    k = grads.shape[0]
+    A = np.vstack([
+        np.hstack([grads, np.ones((k, 1))]),
+        np.hstack([np.eye(n), np.zeros((n, 1))]),
+        np.hstack([-np.eye(n), np.zeros((n, 1))]),
+        np.hstack([np.zeros((1, n)), -np.ones((1, 1))]),
+    ])
+    b = np.concatenate([np.zeros(k), np.ones(2 * n), np.zeros(1)])
+    res = solve_lp(np.concatenate([np.zeros(n), [1.0]]), A_ub=A, b_ub=b)
+    return bool(res.status == "optimal" and res.value > 1e-9)
+
+
 def mfcq_dual(pd):
     """Reference for cq.check_mfcq on orthant-only problems, by Gordan's
     alternative: no convex combination of active gradients vanishes."""

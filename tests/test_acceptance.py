@@ -6,7 +6,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import (corpus_path, mfcq_dual, project_normal, quadratic_expr,
+from conftest import (corpus_path, mfcq_dual, mfcq_primal, project_normal, quadratic_expr,
                       random_licq_instance, rescaled_rays, with_shifted_objective)
 from strongmin import cones, cq, expr, kkt, oracle, problem, pw1d, report, sosc
 
@@ -207,7 +207,7 @@ def _check_mfcq_primal_dual():
     for name in ("ex46", "ex47", "licq"):
         p = problem.load(corpus_path(name, "problem.prob"))
         pd = problem.evaluate(p, p.point)
-        assert cq.check_mfcq(pd) == mfcq_dual(pd)
+        assert mfcq_primal(pd) == cq.check_mfcq(pd).holds == mfcq_dual(pd)
     rng = np.random.default_rng(0)
     for _ in range(25):
         n = int(rng.integers(2, 4))
@@ -219,7 +219,7 @@ def _check_mfcq_primal_dual():
                             (problem.Block(rows, cones.orthant(k)),),
                             np.zeros(n))
         pd = problem.evaluate(p, p.point)
-        assert cq.check_mfcq(pd) == mfcq_dual(pd)
+        assert mfcq_primal(pd) == cq.check_mfcq(pd).holds == mfcq_dual(pd)
 
 
 def _check_exact_vs_sampled():

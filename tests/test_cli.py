@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from conftest import MIXED_SOC_AND_ORTHANT, REPO, SOC_SLICE_ZERO_CONE, corpus_path
+from conftest import (HUGE_ROW, MIXED_SOC_AND_ORTHANT, REPO, SOC_SLICE_ZERO_CONE,
+                      THIRTEEN_ROWS, corpus_path)
 from strongmin import cli, problem, report, sosc
 
 
@@ -59,6 +60,16 @@ MALFORMED = [
                                  + b"  row: -1\n" * 10 + b"point: 0\n"),
     ("analyze", "hd_digit.prob", "vars: x1\nobjective: x1^2\n"
                                  "block orthant ١:\n  row: -1\npoint: 0\n".encode()),
+    # so is a number field outside expressions; each of these was read as
+    # 10, 3 or 0
+    ("analyze", "pt_under.prob", b"vars: x1\nobjective: x1^2\npoint: 1_0\n"),
+    ("analyze", "pt_digit.prob", "vars: x1\nobjective: x1^2\npoint: ٣\n".encode()),
+    ("pw1d", "bp_under.pw", b"pw1d\nbreakpoints: 1_0\npiece 0: 0 0 1\npiece 1: 0 0 1\n"),
+    ("pw1d", "coef_digit.pw", "pw1d\nbreakpoints: 0\npiece 0: 0 0 ٣\n"
+                              "piece 1: 0 0 1\n".encode()),
+    ("pw1d", "index_digit.pw", "pw1d\nbreakpoints: 0\npiece ٠: 0 0 1\n"
+                               "piece 1: 0 0 1\n".encode()),
+    ("pw1d", "gen_under.pw", b"pw1d\ngenerator: binary-staircase 2_0 2\n"),
 ]
 
 
@@ -149,6 +160,29 @@ class TestExitCodes:
         assert rep["sosc"]["empty_cone"] is True
         assert rep["sosc"]["certification"] == "Exact"
         assert rep["sosc"]["sonc"]["holds"] and rep["sosc"]["sosc"]["holds"]
+
+
+    def test_too_many_active_rows_complete(self, tmp_path, capsys):
+        # CRCQ is not applicable past its subset cap; sosc and oracle still run
+        p = tmp_path / "rows13.prob"
+        p.write_text(THIRTEEN_ROWS)
+        code = run_cli(["analyze", str(p), "--samples", "500"])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 0 and rep["failed_stage"] is None
+        assert rep["cq"]["crcq"]["holds"] is None
+        assert "capped at 12" in rep["cq"]["crcq"]["certification"]
+        assert abs(rep["sosc"]["predicted_modulus"] - 0.98) <= 1e-9
+        assert rep["oracle"]["verdict"] == "Holds"
+
+    def test_huge_row_completes(self, tmp_path, capsys):
+        # the ADMM operator is built from unit rows, so it does not overflow
+        p = tmp_path / "huge_row.prob"
+        p.write_text(HUGE_ROW)
+        code = run_cli(["analyze", str(p), "--samples", "500"])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 0 and rep["failed_stage"] is None
+        assert rep["cq"]["mfcq"]["holds"] is True
+        assert rep["sosc"]["sonc"]["holds"] is True
 
 
 class TestReports:

@@ -1,39 +1,46 @@
 import numpy as np
 import pytest
 
-from conftest import mfcq_dual
-from strongmin import cq, problem
+from conftest import (HUGE_ROW, RAY_AND_ORTHANT, mfcq_dual, mfcq_primal,
+                      quadratic_expr, random_licq_instance)
+from strongmin import cones, cq, expr, problem
 
 
 class TestMfcq:
     def test_holds_with_descent_direction(self, ex46):
         pd = problem.evaluate(ex46, ex46.point)
-        assert cq.check_mfcq(pd) is True
+        assert cq.check_mfcq(pd) == cq.Verdict(True, "Exact (LP)")
 
     def test_fails_with_opposed_gradients(self, ex47):
         pd = problem.evaluate(ex47, ex47.point)
-        assert cq.check_mfcq(pd) is False
+        assert cq.check_mfcq(pd) == cq.Verdict(False, "Exact (LP)")
 
     def test_single_active_constraint(self):
         p = problem.loads("vars: x1 x2\nobjective: x1\n"
                           "block orthant 1:\n  row: x1\npoint: 0 0\n")
         pd = problem.evaluate(p, p.point)
-        assert cq.check_mfcq(pd) is True
+        assert cq.check_mfcq(pd).holds is True
+
+    def test_huge_row_has_a_descent_direction(self):
+        # the box LP's absolute tolerances read this row's s as 0
+        p = problem.loads(HUGE_ROW)
+        pd = problem.evaluate(p, p.point)
+        assert cq.check_mfcq(pd) == cq.Verdict(True, "Exact (LP)")
+        assert mfcq_primal(pd) is False
 
     def test_not_applicable_for_soc(self, ex44):
         pd = problem.evaluate(ex44, ex44.point)
-        assert cq.check_mfcq(pd) is None
+        assert cq.check_mfcq(pd) == cq.Verdict(None, "NotApplicable")
 
     def test_primal_dual_agreement(self, ex46, ex47, licq):
         for p in (ex46, ex47, licq):
             pd = problem.evaluate(p, p.point)
-            assert cq.check_mfcq(pd) == mfcq_dual(pd)
-            assert cq.check_rcq_dual(pd) == mfcq_dual(pd)
+            assert mfcq_primal(pd) == mfcq_dual(pd)
+            assert cq.check_mfcq(pd).holds == mfcq_dual(pd)
+            assert cq.check_rcq_dual(pd).holds == mfcq_dual(pd)
 
     def test_primal_dual_agreement_random(self):
         rng = np.random.default_rng(0)
-        from conftest import quadratic_expr
-        from strongmin import cones, expr as ex
         for _ in range(25):
             n = int(rng.integers(2, 4))
             k = int(rng.integers(1, 4))
@@ -46,52 +53,75 @@ class TestMfcq:
             p = problem.Problem(names, quadratic_expr(np.zeros(n), np.eye(n)),
                                 blocks, np.zeros(n))
             pd = problem.evaluate(p, p.point)
-            assert cq.check_mfcq(pd) == mfcq_dual(pd)
-            assert cq.check_rcq_dual(pd) == mfcq_dual(pd)
+            assert mfcq_primal(pd) == mfcq_dual(pd)
+            assert cq.check_mfcq(pd).holds == mfcq_dual(pd)
+            assert cq.check_rcq_dual(pd).holds == mfcq_dual(pd)
+
+    def test_agrees_with_gordan_on_criterion_7_draws(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            p = random_licq_instance(rng)
+            pd = problem.evaluate(p, p.point)
+            assert cq.check_rcq_dual(pd).holds == mfcq_dual(pd)
 
 
 class TestCrcq:
     def test_rank_jump_detected(self, ex47):
         pd = problem.evaluate(ex47, ex47.point)
-        assert cq.check_crcq(pd) is False
+        assert cq.check_crcq(pd) == cq.Verdict(False, "Sampled (ball)")
 
     def test_rank_jump_detected_quartic(self, ex46):
         pd = problem.evaluate(ex46, ex46.point)
-        assert cq.check_crcq(pd) is False
+        assert cq.check_crcq(pd).holds is False
 
     def test_affine_constraints_constant_rank(self, licq, monkeypatch):
         monkeypatch.setattr(cq, "_CRCQ_RADIUS", 0.5)
         pd = problem.evaluate(licq, licq.point)
-        assert cq.check_crcq(pd) is True
+        assert cq.check_crcq(pd).holds is True
 
     def test_too_many_active(self):
+        # the 2^13 subsets are not enumerated: not applicable, and the
+        # certification names the cap
         rows = "\n".join(f"  row: x1 - x{1}^2" for _ in range(13))
         p = problem.loads(f"vars: x1\nobjective: x1\n"
                           f"block orthant 13:\n{rows}\npoint: 0\n")
         pd = problem.evaluate(p, p.point)
-        with pytest.raises(cq.TooManyActiveConstraints):
-            cq.check_crcq(pd)
+        assert cq.check_crcq(pd) == cq.Verdict(
+            None, "NotApplicable (13 active rows; subset enumeration capped at 12)")
 
     def test_not_applicable_for_soc(self, ex44):
         pd = problem.evaluate(ex44, ex44.point)
-        assert cq.check_crcq(pd) is None
+        assert cq.check_crcq(pd) == cq.Verdict(None, "NotApplicable")
 
 
 class TestRcq:
     def test_fails_on_degenerate_soc(self, ex44):
         pd = problem.evaluate(ex44, ex44.point)
-        assert cq.check_rcq_dual(pd) is False
+        assert cq.check_rcq_dual(pd) == cq.Verdict(
+            False, "Exact (projected least squares)")
+
+    def test_holds_on_boundary_block(self, socb):
+        pd = problem.evaluate(socb, socb.point)
+        assert cq.check_rcq_dual(pd) == cq.Verdict(True, "Exact (LP)")
 
     def test_matches_mfcq_on_orthant_instances(self, ex46, ex47, licq):
         for p in (ex46, ex47, licq):
             pd = problem.evaluate(p, p.point)
             assert cq.check_rcq_dual(pd) == cq.check_mfcq(pd)
 
+    def test_ray_beside_orthant_row(self):
+        p = problem.loads(RAY_AND_ORTHANT)
+        pd = problem.evaluate(p, p.point)
+        lam = np.array([-1.0, 1.0, 0.25])
+        assert pd.face.contains(lam[:, None])[0]
+        assert np.all(pd.J.T @ lam == 0.0)
+        assert cq.check_rcq_dual(pd) == cq.Verdict(False, "Exact (LP)")
+
     def test_surjective_jacobian(self):
         p = problem.loads("vars: x1 x2\nobjective: x1^2 + x2^2\n"
                           "block orthant 2:\n  row: x1\n  row: x2\npoint: 0 0\n")
         pd = problem.evaluate(p, p.point)
-        assert cq.check_rcq_dual(pd) is True
+        assert cq.check_rcq_dual(pd).holds is True
 
     def test_soc_boundary_ray_in_kernel_detected(self):
         # q(x) = (1, 1, 0) constant on the first two coords: the normal ray
@@ -100,7 +130,72 @@ class TestRcq:
                           "block soc 3:\n  row: 0*x1 + 1\n  row: 0*x1 + 1\n"
                           "  row: x1\npoint: 0\n")
         pd = problem.evaluate(p, p.point)
-        assert cq.check_rcq_dual(pd) is False
+        assert cq.check_rcq_dual(pd).holds is False
+
+    @pytest.mark.parametrize("kind, count", [("orthant", 40), ("ray", 40),
+                                             ("vertex", 12)])
+    def test_planted_truth(self, kind, count):
+        rng = np.random.default_rng(["orthant", "ray", "vertex"].index(kind))
+        for i in range(count):
+            holds = bool(i % 2)
+            p = planted_rcq(rng, kind, holds)
+            pd = problem.evaluate(p, p.point)
+            assert cq.check_rcq_dual(pd) == cq.Verdict(holds, (
+                "Exact (projected least squares)" if kind == "vertex"
+                else "Exact (LP)")), (kind, i)
+
+
+def planted_rcq(rng, kind, holds):
+    """A problem of affine rows q + J x, at the point x = 0, whose Robinson
+    condition is planted.
+
+    kind "orthant": 1-3 active orthant rows; "ray": a soc block of size 2-4
+    on its boundary; "vertex": a soc block of size 2-4 at its vertex.  Each
+    soc kind adds 0-2 active orthant rows, and every kind one inactive
+    row.  Fails: a nonzero lam* in the normal cone, with J projected so
+    that J^T lam* = 0.  Holds: J made to map a d* into the interior of the
+    tangent cone, so that J R^n + T = R^m.
+    """
+    n = int(rng.integers(1, 4))
+    blocks = []  # (cone, value at x = 0)
+    if kind != "orthant":
+        m = int(rng.integers(2, 5))
+        q = np.zeros(m)
+        if kind == "ray":
+            u = rng.standard_normal(m - 1)
+            q = rng.uniform(0.5, 2.0) * np.concatenate([[1.0], u / np.linalg.norm(u)])
+        blocks.append((cones.soc(m), q))
+    active = int(rng.integers(1, 4) if kind == "orthant" else rng.integers(0, 3))
+    blocks.append((cones.orthant(active + 1), np.concatenate([np.zeros(active), [-1.0]])))
+    q = np.concatenate([y for _, y in blocks])
+    face = cones.normal_face(blocks, 1e-9)
+    J = rng.standard_normal((q.size, n))
+    if holds:
+        v = rng.standard_normal(q.size)
+        v[face.nonneg] = -rng.uniform(0.1, 1.0, face.nonneg.size)
+        for sl, d in face.rays:  # d.v < 0
+            v[sl] -= (d @ v[sl] + rng.uniform(0.1, 1.0)) * d / (d @ d)
+        for sl in face.socs:  # v_0 > ||vbar||
+            v[sl.start] = np.linalg.norm(v[sl.start + 1:sl.stop]) + rng.uniform(0.1, 1.0)
+        d_star = rng.standard_normal(n)
+        J += np.outer(v - J @ d_star, d_star) / (d_star @ d_star)
+    else:
+        lam = np.zeros(q.size)
+        lam[face.nonneg] = rng.uniform(0.0, 1.0, face.nonneg.size)
+        for sl, d in face.rays:
+            lam[sl] = rng.uniform(0.5, 2.0) * d
+        for sl in face.socs:  # interior or boundary of -soc
+            v = rng.standard_normal(sl.stop - sl.start - 1)
+            v *= rng.choice([0.5, 1.0]) / np.linalg.norm(v)
+            lam[sl] = -rng.uniform(0.5, 2.0) * np.concatenate([[1.0], v])
+        J -= np.outer(lam, lam @ J) / (lam @ lam)
+    rows = [expr.Binary("add", expr.Const(float(q[i])), quadratic_expr(J[i], np.zeros((n, n))))
+            for i in range(q.size)]
+    ends = np.cumsum([k.m for k, _ in blocks])
+    return problem.Problem(tuple(f"x{i + 1}" for i in range(n)),
+                           quadratic_expr(np.zeros(n), np.eye(n)),
+                           tuple(problem.Block(tuple(rows[e - k.m:e]), k)
+                                 for (k, _), e in zip(blocks, ends)), np.zeros(n))
 
 
 class TestMscqProbe:
@@ -148,6 +243,7 @@ class TestMscqProbe:
 def test_run_cq_notes(ex47):
     pd = problem.evaluate(ex47, ex47.point)
     rep = cq.run_cq(pd, seed=0)
-    assert rep.mfcq is False and rep.crcq is False and rep.rcq is False
+    assert rep.mfcq.holds is False and rep.crcq.holds is False
+    assert rep.rcq == rep.mfcq == cq.Verdict(False, "Exact (LP)")
     assert rep.mscq.verdict == "Supported"
     assert any("assumed" in n for n in rep.notes)

@@ -42,11 +42,12 @@ def presolves_to_zero(cone):
 
 
 def admm_two_solves(cone, W2):
-    """Reference ADMM: the x-update solves with the Cholesky factor of
-    I + M^T M twice per iteration.  Every column iterates until all have
-    stopped; a column's x is frozen from the first iteration where its
-    primal and dual residuals are both at most sosc._ADMM_TOL."""
-    M = cone._M
+    """Reference ADMM on the cone's ADMM rows M: the x-update solves with
+    the Cholesky factor of I + M^T M twice per iteration.  Every column
+    iterates until all have stopped; a column's x is frozen from the first
+    iteration where its primal and dual residuals are both at most
+    sosc._ADMM_TOL."""
+    M = cone._A
     chol = np.linalg.cholesky(np.eye(cone.n) + M.T @ M)
     Z = cone._proj_D(M @ W2)
     U = np.zeros_like(Z)
@@ -82,6 +83,21 @@ class TestCriticalCone:
         assert cone.contains([0.0, 1.0, -2.0])
         assert not cone.contains([0.1, 0.0, 0.0])
         assert not cone.contains([-0.1, 0.0, 0.0])
+
+    def test_rows_far_from_unit_size_project_as_unit_rows(self):
+        # the ADMM operator of a row of norm 2.95e244 overflowed, and one of
+        # norm 1e-200 vanished beside the identity, so w = 2 stayed put
+        # unit rows: scaling them back to unit size gives the same ADMM
+        W = 2.0 * sphere(3, 200, seed=1)
+        F = np.array([[0.6, -0.8, 0.0]])
+        B = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.8, 0.0, 0.6]])
+        for s in (1.0 / 3.3886258853730173e-245, 1e-200):
+            np.testing.assert_allclose(
+                sosc.CriticalCone(1, np.zeros((0, 1)), np.array([[s]]), []).project(
+                    np.array([[2.0, -3.0]])), [[0.0, -3.0]], rtol=0.0, atol=1e-11)
+            ref = sosc.CriticalCone(3, np.zeros((0, 3)), F, [(B, 3)]).project(W)
+            scaled = sosc.CriticalCone(3, np.zeros((0, 3)), s * F, [(s * B, 3)])
+            assert np.max(np.abs(scaled.project(W) - ref)) <= 1e-9
 
     def test_unconstrained_cases(self):
         p = problem.loads("vars: x1 x2\nobjective: x1^2 + x2^2\npoint: 0 0\n")
