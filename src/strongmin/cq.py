@@ -6,8 +6,8 @@ the dual characterization of the Robinson condition (normal cone meets
 the Jacobian kernel only at zero), and an empirical metric-subregularity
 probe.  The probe is evidence, never proof: reports say so explicitly.
 Each ``Verdict`` carries its own certification.  The Robinson condition
-is decided exactly, by one LP, or by projected least squares where a soc
-vertex block makes the normal cone curved.
+is decided exactly, by LP, or by projected least squares where a soc
+vertex block's curved cone leaves the LP's relaxation open.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ._descent import _KEEP_TOL, feasibility_residuals, push_to_feasible
 # sphere has no caller here; bench/test_bench.py rebinds cq.sphere
 from ._sampling import ball, sphere  # noqa: F401
 from ._simplex import solve_lp
-from .cones import column_sum
+from .cones import column_sum, project, soc, soc_relaxation
 from .kkt import STATIONARITY_TOL, face_least_squares
 from .problem import PointData, Problem, batch_constraint_grads
 
@@ -43,6 +43,10 @@ __all__ = [
 _CRCQ_RADIUS = 1e-2
 _CRCQ_SAMPLES = 64
 _MAX_ACTIVE = 12
+# a generator image below this fraction of J's largest row is 0 (rounded
+# zeros on 1200 planted instances: <= 2.7e-15)
+_ZERO_IMAGE = 1e-12
+_CUT_ROUNDS = 24  # cutting-plane rounds on the RCQ LP's soc relaxation
 _LP, _LSQ, _BALL = "Exact (LP)", "Exact (projected least squares)", "Sampled (ball)"
 
 
@@ -114,37 +118,81 @@ def check_crcq(pd: PointData, seed: int = 0) -> Verdict:
 def check_rcq_dual(pd: PointData) -> Verdict:
     """Robinson condition via its dual: N_Θ(q(x̄)) ∩ ker ∇q(x̄)^T = {0}.
 
-    J is scaled to unit largest entry (same kernel, relative tolerances).
-    Without a soc vertex block one LP asks whether a convex combination of
-    the images under J^T of the cone's generators (e_i on active orthant
-    rows, each boundary ray) vanishes.  A vertex block's cone is curved:
-    the condition fails iff the least ||(J^T lam, c.lam - 1)|| over the
-    face, c its positive functional, is at most STATIONARITY_TOL, as for
-    any relative stationarity residual (on 800 planted instances it was
-    <= 1.7e-9 where the condition fails, >= 0.034 where it holds).
+    An LP on the rows of ``_face_rows`` asks for lam in the face, generated
+    by e_i on active orthant rows and each boundary ray, with c.lam = 1 (c
+    the face's positive functional) and J^T lam = 0; a soc vertex block
+    ranges over the relaxation -lam_0 >= |lam_i| of its cone.  Infeasible
+    means the condition holds; without a vertex block, feasible means it
+    fails.  With one it fails iff the least ||(J^T lam, c.lam - 1)|| over
+    the face is at most STATIONARITY_TOL (on 800 planted instances it was
+    <= 7.1e-9 where the condition fails, >= 0.034 where it holds).  The
+    LP's point projected onto the face bounds that least value; up to
+    _CUT_ROUNDS times, planes supporting -soc cut the point off and the LP
+    runs again, before ``face_least_squares`` computes the value.
     """
     face = pd.face
-    scale = float(np.max(np.abs(pd.J), initial=0.0))
-    J = pd.J / scale if scale > 0.0 else pd.J
-    if face.socs:  # c: 1 on active orthant rows, d / d.d on rays, -e_0 at vertices
-        c = np.zeros(pd.m)
-        c[face.nonneg] = 1.0
-        for sl, d in face.rays:
-            c[sl] = d / float(d @ d)
-        for sl in face.socs:
-            c[sl.start] = -1.0
-        grad = np.zeros(pd.n + 1)
-        grad[-1] = -1.0
-        res = face_least_squares(grad, np.column_stack([J, c]), face)[1]
-        return Verdict(res > STATIONARITY_TOL, _LSQ)
+    J = _face_rows(pd)
+    c = np.zeros(pd.m)  # 1 on active orthant rows, d / d.d on rays, -e_0 at vertices
+    c[face.nonneg] = 1.0
+    for sl, d in face.rays:
+        c[sl] = d / float(d @ d)
+    for sl in face.socs:
+        c[sl.start] = -1.0
     A = face.inequality_rows(J)  # one generator's image per row
-    k = A.shape[0]
-    if not k:
+    segs, at = [], A.shape[0]  # each vertex block's lam among the LP variables
+    for sl in face.socs:
+        segs.append(slice(at, at + sl.stop - sl.start))
+        at = segs[-1].stop
+    if not at:
         return Verdict(True, _LP)
-    lp = solve_lp(np.zeros(k), A_ub=-np.eye(k), b_ub=np.zeros(k),
-                  A_eq=np.vstack([np.ones((1, k)), A.T]),
-                  b_eq=np.concatenate([[1.0], np.zeros(pd.n)]))
-    return Verdict(lp.status == "infeasible", _LP)
+    V = [i for sl in face.socs for i in range(sl.start, sl.stop)]
+    E = np.eye(at)
+    A_ub = np.vstack([-E[:A.shape[0]]] + [soc_relaxation(-E[s]) for s in segs])
+    A_eq = np.vstack([np.concatenate([np.ones(A.shape[0]), c[V]]),
+                      np.hstack([A.T, J[V].T])])
+    b_eq = np.concatenate([[1.0], np.zeros(pd.n)])
+    for _ in range(_CUT_ROUNDS + 1):
+        lp = solve_lp(np.zeros(at), A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]),
+                      A_eq=A_eq, b_eq=b_eq)
+        if lp.status == "infeasible" or not segs:
+            return Verdict(lp.status == "infeasible", _LP)
+        x = np.maximum(lp.x, 0.0)  # the LP's point, projected onto the face
+        cuts = []
+        for s in segs:  # a.(-lam_B) <= 0 for a = y - P(y), y = -lam_B
+            y = -lp.x[s]
+            x[s] = -project(soc(y.size), y)
+            a = y + x[s]
+            na = np.hypot.reduce(a)
+            if na > STATIONARITY_TOL:
+                cuts.append(np.zeros(at))
+                cuts[-1][s] = -a / na
+        if np.hypot.reduce(A_eq @ x - b_eq) <= STATIONARITY_TOL:
+            return Verdict(False, _LSQ)
+        if not cuts:
+            break
+        A_ub = np.vstack([A_ub] + cuts)
+    grad = np.zeros(pd.n + 1)
+    grad[-1] = -1.0
+    res = face_least_squares(grad, np.column_stack([J, c]), face)[1]
+    return Verdict(res > STATIONARITY_TOL, _LSQ)
+
+
+def _face_rows(pd: PointData) -> np.ndarray:
+    """pd.J with rows scaled by positive factors, which keep N ∩ ker J^T:
+    each active orthant row and each ray's image d @ J_B to unit norm, each
+    vertex block by its largest row norm, since the LP's and the residual's
+    thresholds are absolute.  Fixed rows, and images below _ZERO_IMAGE of
+    J's largest row (rounding error, which unit norm would make a
+    generator), are 0.  hypot does not overflow."""
+    face = pd.face
+    scale = np.hypot.reduce(pd.J, axis=1)
+    tiny = _ZERO_IMAGE * np.max(scale, initial=0.0)
+    for sl, d in face.rays:
+        scale[sl] = np.hypot.reduce(d @ pd.J[sl])
+    for sl in face.socs:
+        scale[sl] = np.max(scale[sl])
+    scale[face.fixed] = np.inf
+    return pd.J / np.where(scale > tiny, scale, np.inf)[:, None]
 
 
 def probe_mscq(p: Problem, radius: float = 0.1, samples: int = 128,
@@ -188,9 +236,10 @@ def probe_mscq(p: Problem, radius: float = 0.1, samples: int = 128,
 
 def run_cq(pd: PointData, probe_radius: float = 0.1, probe_samples: int = 128,
            seed: int = 0) -> CqReport:
-    rcq = check_rcq_dual(pd)
-    mfcq = rcq if _orthant_only(pd) else _NOT_APPLICABLE
+    mfcq = check_mfcq(pd)
     crcq = check_crcq(pd, seed=seed)
+    # one LP decides both on orthant-only problems, where they coincide
+    rcq = mfcq if mfcq.holds is not None else check_rcq_dual(pd)
     mscq = probe_mscq(pd.problem.with_point(pd.x), radius=probe_radius,
                       samples=probe_samples, seed=seed)
     notes: List[str] = [

@@ -104,9 +104,9 @@ def stationarity_check(pd: PointData,
     return StationarityResult(ok, res, lam if ok else None)
 
 
-def face_least_squares(grad: np.ndarray, J: np.ndarray,
+def face_least_squares(grad_g: np.ndarray, J: np.ndarray,
                        face: cones.NormalFace):
-    """(lam, ||grad + J^T lam||) for lam in the face nearly minimizing it.
+    """(lam, ||grad_g + J^T lam||) for lam in the face nearly minimizing it.
 
     Accelerated projected gradient (Beck & Teboulle 2009) followed by an
     active-face least-squares polish.  The loop runs _STATIONARITY_ITERS
@@ -116,7 +116,7 @@ def face_least_squares(grad: np.ndarray, J: np.ndarray,
     """
     m = J.shape[0]
     if m == 0:
-        return np.zeros(0), float(np.linalg.norm(grad))
+        return np.zeros(0), float(np.linalg.norm(grad_g))
 
     JT = J.T
     nrm = float(np.linalg.norm(J, 2))
@@ -126,8 +126,8 @@ def face_least_squares(grad: np.ndarray, J: np.ndarray,
     y = lam.copy()
     t_acc = 1.0
     for _ in range(_STATIONARITY_ITERS):
-        g = J @ (grad + JT @ y)
-        nxt = face.project(y - step * g)
+        grad = J @ (grad_g + JT @ y)
+        nxt = face.project(y - step * grad)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
         y_next = nxt + ((t_acc - 1.0) / t_next) * (nxt - lam)
         # nxt == lam makes the momentum term +0.0, and y_next == y makes the
@@ -137,29 +137,39 @@ def face_least_squares(grad: np.ndarray, J: np.ndarray,
         if fixed:
             break
 
-    lam = _active_face_polish(face, lam, grad, JT)
-    return lam, float(np.linalg.norm(grad + JT @ lam))
+    lam = _active_face_polish(face, lam, grad_g, JT)
+    return lam, float(np.linalg.norm(grad_g + JT @ lam))
 
 
 def _active_face_polish(face, lam, grad_g, JT):
     """Least squares on the face of the normal cone identified by lam."""
     m = lam.shape[0]
-    eye = np.eye(m)
-
-    def on(sl, d):  # d in block sl of an m-vector
-        return np.concatenate([np.zeros(sl.start), d, np.zeros(m - sl.stop)])
-
-    cols = [eye[i] for i in face.nonneg if lam[i] > 1e-10]
-    cols += [on(sl, d) for sl, d in face.rays if float(lam[sl] @ d) / float(d @ d) > 1e-10]
+    cols = []
+    for i in face.nonneg:
+        if lam[i] > 1e-10:
+            e = np.zeros(m)
+            e[i] = 1.0
+            cols.append(e)
+    for sl, d in face.rays:
+        if float(lam[sl] @ d) / float(d @ d) > 1e-10:
+            e = np.zeros(m)
+            e[sl] = d
+            cols.append(e)
     for sl in face.socs:
         v = lam[sl]
         nv = np.linalg.norm(v)
         if nv <= 1e-10:
             continue
-        if -v[0] - np.linalg.norm(v[1:]) > 1e-10 * max(1.0, nv):
-            cols.extend(eye[sl])  # interior of -soc: whole block free
+        margin = -v[0] - np.linalg.norm(v[1:])
+        if margin > 1e-10 * max(1.0, nv):  # interior of -soc: whole block free
+            for j in range(sl.start, sl.stop):
+                e = np.zeros(m)
+                e[j] = 1.0
+                cols.append(e)
         else:  # boundary of -soc: free along the ray through lam
-            cols.append(on(sl, v / nv))
+            e = np.zeros(m)
+            e[sl] = v / nv
+            cols.append(e)
     if not cols:
         return lam
     F = np.stack(cols, axis=1)

@@ -28,6 +28,15 @@ class TestMfcq:
         assert cq.check_mfcq(pd) == cq.Verdict(True, "Exact (LP)")
         assert mfcq_primal(pd) is False
 
+    @pytest.mark.parametrize("rows", ["x1\n  row: 1e8*x1", "x1\n  row: 1e8*x1 - 1"])
+    def test_rows_of_mixed_size(self, rows):
+        # scaled by the largest row, the row x1 would read as 0
+        p = problem.loads(f"vars: x1\nobjective: x1^2\n"
+                          f"block orthant 2:\n  row: {rows}\npoint: 0\n")
+        pd = problem.evaluate(p, p.point)
+        assert cq.check_mfcq(pd) == cq.Verdict(True, "Exact (LP)")
+        assert mfcq_dual(pd) is True and mfcq_primal(pd) is True
+
     def test_not_applicable_for_soc(self, ex44):
         pd = problem.evaluate(ex44, ex44.point)
         assert cq.check_mfcq(pd) == cq.Verdict(None, "NotApplicable")
@@ -132,17 +141,43 @@ class TestRcq:
         pd = problem.evaluate(p, p.point)
         assert cq.check_rcq_dual(pd).holds is False
 
+    def test_vertex_block_beside_a_huge_row(self):
+        # scaled by the inactive row, the vertex block's rows would read as 0
+        p = problem.loads("vars: x1 x2 x3\nobjective: 0\nblock soc 3:\n"
+                          "  row: 1e-4*x1\n  row: 1e-4*x2\n  row: 1e-4*x3\n"
+                          "block orthant 1:\n  row: 1e4*x1 - 1\npoint: 0 0 0\n")
+        pd = problem.evaluate(p, p.point)
+        assert cq.check_rcq_dual(pd) == cq.Verdict(True, "Exact (LP)")
+
     @pytest.mark.parametrize("kind, count", [("orthant", 40), ("ray", 40),
-                                             ("vertex", 12)])
+                                             ("vertex", 40)])
     def test_planted_truth(self, kind, count):
+        # the cut LP settles every planted vertex instance where the
+        # condition holds; where it fails the residual does
         rng = np.random.default_rng(["orthant", "ray", "vertex"].index(kind))
         for i in range(count):
             holds = bool(i % 2)
             p = planted_rcq(rng, kind, holds)
             pd = problem.evaluate(p, p.point)
             assert cq.check_rcq_dual(pd) == cq.Verdict(holds, (
-                "Exact (projected least squares)" if kind == "vertex"
+                "Exact (projected least squares)" if kind == "vertex" and not holds
                 else "Exact (LP)")), (kind, i)
+
+    def test_planted_truth_by_least_squares(self, monkeypatch):
+        # without cuts the relaxation leaves some instances to the least
+        # squares, which must agree with the planted truth
+        monkeypatch.setattr(cq, "_CUT_ROUNDS", 0)
+        calls = []
+        solve = cq.face_least_squares
+        monkeypatch.setattr(cq, "face_least_squares",
+                            lambda *a: calls.append(1) or solve(*a))
+        rng = np.random.default_rng(2)
+        for i in range(12):
+            holds = bool(i % 2)
+            p = planted_rcq(rng, "vertex", holds)
+            pd = problem.evaluate(p, p.point)
+            assert cq.check_rcq_dual(pd).holds is holds, i
+        assert calls
 
 
 def planted_rcq(rng, kind, holds):
