@@ -18,7 +18,9 @@ solves (J J^T + D + 1e-12 I) mu = r and steps by -J^T mu, where
 - a soc block whose residual R_b is nonzero enters as the one row
   n_b^T J_b with n_b = R_b / ||R_b|| and right-hand side ||R_b||: a Newton
   step on dist(q_b; K_b);
-- a row that does not enter is 0 in J, 1 in D and 0 in r, so its mu is 0.
+- a row that does not enter is 0 in J, 1 in D and 0 in r, so its mu is 0;
+- a row whose norm lies outside `cones.UNIT_ROW_RANGE` enters scaled to
+  unit norm with its right-hand side, so JJ^T does not overflow.
 A satisfied row therefore holds nothing in place: parallel active
 gradients or a soc vertex leave a solvable system where the full one was
 singular.  A column takes no step once its residual is <= 1e-13, keeps a
@@ -37,6 +39,11 @@ not depend on the other columns of its batch, whatever the batch's width:
 columns that need work, and the tilt probe solves the midpoints its
 bisection may reach in one batch and takes each visited tilt's minimizer
 to be the one a call of its own gives.
+
+A residual or Gauss-Newton row norm whose sum of squares overflows is
+recomputed by `cones.column_norm` for that column alone.  The penalty
+dist^2 has no such repair: `push_to_feasible` leaves a column whose
+squared residual is not a float to the restoration.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cones
-from .cones import column_sum
+from .cones import column_norm, column_sum
 from .problem import (Problem, batch_constraint_grads, batch_constraint_values,
                       batch_objective_grads, batch_objective_values)
 
@@ -59,14 +66,9 @@ def _residual(p: Problem, Q: np.ndarray) -> np.ndarray:
     return R
 
 
-def _column_norm(A: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each column, its squares summed in row order."""
-    return np.sqrt(column_sum(A * A))
-
-
 def feasibility_residuals(p: Problem, Y: np.ndarray) -> np.ndarray:
     """Columnwise distance of q(y) to the cone product."""
-    return _column_norm(_residual(p, batch_constraint_values(p, Y)))
+    return column_norm(_residual(p, batch_constraint_values(p, Y)))
 
 
 def _dist_grad(p: Problem, Y: np.ndarray):
@@ -84,6 +86,16 @@ _TILT_ITERS, _TILT_RHO0, _TILT_RHO_DOUBLING = 300, 100.0, 20
 _RESTORE_ITERS = 20  # Gauss-Newton restoration steps after either descent
 _RESTORE_TOL = 1e-13  # residual at which a column takes no further GN step
 _KEEP_TOL = 1e-9  # largest residual of a pushed sample that counts as feasible
+_FMAX = np.finfo(float).max
+_SQRT_FMAX = np.sqrt(_FMAX)  # the largest residual whose square is a float
+
+
+def _improves(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """new < old, with ±inf in new read as ±_FMAX and NaN as no improvement:
+    the booleans of ``np.nan_to_num(new, nan=np.inf) < old`` for every
+    input (a NaN stays NaN through the clamp and compares False), at a
+    quarter to a half of its cost."""
+    return np.minimum(np.maximum(new, -_FMAX), _FMAX) < old
 
 
 def _select(kept: np.ndarray, new: np.ndarray, mask: np.ndarray) -> None:
@@ -121,12 +133,11 @@ def _descend(f, Y, steps, rho, iters, rho_doubling, clip=None):
         if it and it % rho_doubling == 0:
             rho *= 2.0
         grad = base_grad + rho * d2_grad
-        gn = _column_norm(grad)
+        gn = np.sqrt(column_sum(grad * grad))
         gn = np.where(gn > 1e-14, gn, 1.0)
         Z = y - steps * grad / gn
         fill(cand, Z if clip is None else clip(Z))
-        better = (np.nan_to_num(cand[n] + rho * cand[2 * n + 1], nan=np.inf)
-                  < base + rho * d2)
+        better = _improves(cand[n] + rho * cand[2 * n + 1], base + rho * d2)
         _select(state, cand, -better.astype(np.int64))
         steps *= _STEP_FACTORS.take(better.view(np.int8))
     return y
@@ -138,14 +149,20 @@ def push_to_feasible(p: Problem, X: np.ndarray):
     Returns (Y, residuals).  The distance ||Y - X|| is an upper estimate of
     the true distance to the feasible set; final feasibility residuals are
     driven to ~1e-12 by a Gauss-Newton restoration whenever possible.  A
-    column's initial step is 0.05 * max(1, max_i |x_i|).
+    column's initial step is 0.05 * max(1, max_i |x_i|).  A column whose
+    residual at X exceeds sqrt(max float) has no float penalty: the descent
+    leaves it at X, and only the restoration moves it.
     """
+    Y = X.copy()
+    cols = np.flatnonzero(~(feasibility_residuals(p, X) > _SQRT_FMAX))
+    X = X[:, cols]
+
     def f(Z):
         D = Z - X
         return (column_sum(D * D), 2.0 * D) + _dist_grad(p, Z)
 
     steps = 0.05 * np.maximum(1.0, np.max(np.abs(X), axis=0))
-    Y = _descend(f, X, steps, _PUSH_RHO0, _PUSH_ITERS, _PUSH_RHO_DOUBLING)
+    Y[:, cols] = _descend(f, X, steps, _PUSH_RHO0, _PUSH_ITERS, _PUSH_RHO_DOUBLING)
     return _restore(p, Y, _RESTORE_ITERS)
 
 
@@ -163,12 +180,23 @@ def _violated_rows(p: Problem, q: np.ndarray, jacs: np.ndarray):
             rhs[sl] = R[sl]
             idle[sl] = ~on
         else:
-            norm = _column_norm(R[sl])
+            norm = column_norm(R[sl])
             on = norm != 0.0
             nb = R[sl] / np.where(on, norm, 1.0)
             J[sl.start] = np.where(on, column_sum(nb[:, None] * jacs[sl]), 0.0)
             rhs[sl.start] = norm
             idle[sl.start] = ~on
+    # a row far from unit norm is scaled to it with its right-hand side, as
+    # sosc scales the ADMM rows: the minimum-norm step is the same, and JJ^T
+    # neither overflows nor loses the row to the 1e-12 regularization
+    lo, hi = cones.UNIT_ROW_RANGE
+    for row, r in zip(J, rhs):
+        norm = column_norm(row)
+        far = (norm > 0.0) & ((norm < lo) | (norm > hi))
+        if far.any():
+            scale = np.where(far, norm, 1.0)
+            row /= scale
+            r /= scale
     return J, rhs, idle
 
 
@@ -207,7 +235,7 @@ def _restore(p: Problem, Y: np.ndarray, iters: int):
             mu = np.linalg.solve(A, rhs)[:, :, 0]
         cand = Z - scale[cols] * np.nan_to_num(column_sum(J * mu.T[:, None, :]))
         res_c = feasibility_residuals(p, cand)
-        better = np.nan_to_num(res_c, nan=np.inf) < res[cols]
+        better = _improves(res_c, res[cols])
         Y[:, cols[better]] = cand[:, better]
         res[cols[better]] = res_c[better]
         scale[cols] = np.where(better, 1.0, 0.5 * scale[cols])
@@ -227,7 +255,7 @@ def minimize_tilted(p: Problem, V: np.ndarray, starts: np.ndarray,
 
     def clip(Z):
         diff = Z - center[:, None]
-        nrm = _column_norm(diff)
+        nrm = np.sqrt(column_sum(diff * diff))
         factor = np.where(nrm > ball_radius,
                           ball_radius / np.where(nrm > 0, nrm, 1.0), 1.0)
         return center[:, None] + diff * factor

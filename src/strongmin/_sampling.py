@@ -2,7 +2,10 @@
 
 Halton sequences drive every sampling stage; a seed only offsets the
 starting index, so results are reproducible and independent of worker
-count by construction.
+count by construction.  Each coordinate reads its lowest digits from a
+table of partial radical inverses sized by the point count, and a digit
+loop adds the rest: the points are bit for bit those of a plain loop over
+all digits.
 """
 
 from __future__ import annotations
@@ -21,16 +24,41 @@ def _primes(count: int) -> list:
     return out
 
 
+def _digit_table(base: int, digits: int):
+    """(table, denom): the radical-inverse partial sums of the lowest
+    ``digits`` digits of every lo < base**digits, and base**digits.  Each
+    sum is formed as the digit loop forms it: digit k of lo adds
+    (digit k) / base**(k+1) onto the sum of the lower digits, with
+    base**(k+1) by repeated multiplication."""
+    table = np.zeros(1)
+    denom = 1.0
+    for _ in range(digits):
+        denom *= base
+        # entry d * base**k + lo is the sum at lo plus d / denom
+        table = (table[None, :] + (np.arange(base) / denom)[:, None]).ravel()
+    return table, denom
+
+
 def halton(dim: int, count: int, seed: int = 0) -> np.ndarray:
     """Halton points in [0,1)^dim, shape (dim, count); coordinate d uses the
-    (d+1)-th prime as its base."""
+    (d+1)-th prime as its base.
+
+    The radical inverse of index i (Halton 1960) sums its base-b digits
+    d_k / b**(k+1), lowest first.  The lowest K digits come from a table of
+    base**K <= max(count, base) entries indexed by i % base**K, and a digit
+    loop adds the rest; both add in the same order, so every point has the
+    bits of the plain digit loop.  The table is sized by count, never by
+    the start index."""
     start = 20 + seed * 17
     idx = np.arange(start, start + count, dtype=np.int64)
     out = np.empty((dim, count))
     for d, base in enumerate(_primes(dim)):
-        x = np.zeros(count)
-        denom = 1.0
-        i = idx.copy()
+        digits, width = 1, base
+        while width * base <= count:
+            digits, width = digits + 1, width * base
+        table, denom = _digit_table(base, digits)
+        x = table[idx % width]
+        i = idx // width
         while np.any(i > 0):
             denom *= base
             x += (i % base) / denom

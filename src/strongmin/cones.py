@@ -12,6 +12,7 @@ coordinate on the axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
@@ -24,13 +25,20 @@ __all__ = [
     "NormalFace",
     "project",
     "column_sum",
+    "column_norm",
     "distance",
     "soc_relaxation",
     "normal_face",
     "MEMBERSHIP_TOL",
+    "UNIT_ROW_RANGE",
 ]
 
 MEMBERSHIP_TOL = 1e-9
+# A row of norm s keeps its scale in a regularized system (I + M^T M in
+# ADMM, J J^T + 1e-12 I in Gauss-Newton) when eps <= s^2 <= 1/eps, where the
+# identity neither vanishes beside s^2 nor swamps it; outside, it is scaled
+# to unit norm
+UNIT_ROW_RANGE = (math.sqrt(np.finfo(float).eps), 1.0 / math.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,20 @@ def column_sum(A: np.ndarray) -> np.ndarray:
     for row in A:
         s += row
     return s
+
+
+def column_norm(A: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each column, sqrt(column_sum(A * A)).
+
+    Where that sum of squares overflows, np.hypot.reduce, which scales and
+    does not overflow, recomputes the norm of those columns alone, so every
+    column whose plain norm is finite keeps its bits."""
+    with np.errstate(over="ignore"):  # the overflowed columns are recomputed
+        norm = np.sqrt(column_sum(A * A))
+    big = np.isinf(norm)
+    if big.any():
+        norm[big] = np.hypot.reduce(A[:, big], axis=0)
+    return norm
 
 
 def distance(k: Cone, y) -> float:

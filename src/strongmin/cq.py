@@ -201,27 +201,32 @@ def probe_mscq(p: Problem, radius: float = 0.1, samples: int = 128,
 
     Numerators are upper estimates from projected penalty descent, so the
     bound is conservative; only the samples with a residual above 1e-12
-    are pushed.  Supported requires finite bounds at the probe radius and
-    radius/4 within a factor of 4 of each other.
+    are pushed, those of both radii in one descent, which gives each
+    column the bits a descent of its own radius would.  Supported requires
+    finite bounds at the probe radius and radius/4 within a factor of 4 of
+    each other.
     """
     if p.point is None:
         raise ValueError("problem has no candidate point")
     if not p.blocks:
         return MscqProbe(0.0, (0.0, 0.0), samples, "Supported")
+    X = np.hstack([ball(p.point, r, samples, seed=seed + 7 * i)
+                   for i, r in enumerate((radius, radius / 4.0))])
+    denom = feasibility_residuals(p, X)
+    live = np.flatnonzero(denom > 1e-12)
+    X, denom = X[:, live], denom[live]
+    Y, res = push_to_feasible(p, X)
+    D = Y - X
+    numer = np.sqrt(column_sum(D * D))
+    kept = res <= _KEEP_TOL
     bounds = []
     usable = True
-    for i, r in enumerate((radius, radius / 4.0)):
-        X = ball(p.point, r, samples, seed=seed + 7 * i)
-        denom = feasibility_residuals(p, X)
-        live = denom > 1e-12
-        X, denom = X[:, live], denom[live]
-        Y, res = push_to_feasible(p, X)
-        kept = res <= _KEEP_TOL
-        if np.sum(res > _KEEP_TOL) > 0.5 * max(1, X.shape[1]):
+    for i in (0, 1):  # the probe radius, then radius/4
+        mine = live // samples == i
+        if np.count_nonzero(mine & (res > _KEEP_TOL)) > 0.5 * max(1, np.count_nonzero(mine)):
             usable = False
-        D = Y - X
-        numer = np.sqrt(column_sum(D * D))
-        bounds.append(float(np.max(numer[kept] / denom[kept])) if np.any(kept) else 0.0)
+        sel = mine & kept
+        bounds.append(float(np.max(numer[sel] / denom[sel])) if sel.any() else 0.0)
     hi, lo = max(bounds), min(bounds)
     if not usable:
         verdict = "Inconclusive"

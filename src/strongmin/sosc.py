@@ -78,10 +78,8 @@ _SOC_EMPTY_TOL = 1e-9
 # both at most _ADMM_TOL, and every column stops after _ADMM_MAX_ITERS
 _ADMM_TOL = 1e-12
 _ADMM_MAX_ITERS = 1200
-# ADMM scales a row of norm s to unit norm unless eps <= s^2 <= 1/eps, where
-# the identity in I + M^T M neither vanishes beside s^2 nor swamps it.  Unit
-# rows everywhere would be slower on longer rows (test_sosc's planted cones).
-_ADMM_ROW_RANGE = (math.sqrt(np.finfo(float).eps), 1.0 / math.sqrt(np.finfo(float).eps))
+# ADMM scales a row to unit norm outside cones.UNIT_ROW_RANGE.  Unit rows
+# everywhere would be slower on longer rows (test_sosc's planted cones).
 # sampled path: coordinate-descent rounds, their first step and the step
 # below which a candidate stops
 _POLISH_ROUNDS = 60
@@ -156,7 +154,7 @@ class CriticalCone:
         """Columnwise distance of M w to the target set D."""
         single = W.ndim == 1
         Z = self._M @ (W[:, None] if single else W)
-        out = np.linalg.norm(Z - self._proj_D(Z), axis=0)
+        out = cones.column_norm(Z - self._proj_D(Z))
         return float(out[0]) if single else out
 
     def contains(self, w, tol: float = _MEMBERSHIP_TOL) -> bool:
@@ -215,13 +213,13 @@ class CriticalCone:
 
 
 def _admm_rows(R: np.ndarray, per_row: bool = True) -> np.ndarray:
-    """R with each row whose norm lies outside _ADMM_ROW_RANGE scaled to unit
-    norm; without ``per_row``, all rows by their largest norm, one positive
-    scalar that keeps a soc block's cone.  hypot does not overflow."""
+    """R with each row whose norm lies outside cones.UNIT_ROW_RANGE scaled to
+    unit norm; without ``per_row``, all rows by their largest norm, one
+    positive scalar that keeps a soc block's cone.  hypot does not overflow."""
     norm = np.hypot.reduce(R, axis=1, keepdims=True)
     if not per_row:
         norm = np.max(norm, initial=0.0, keepdims=True)
-    lo, hi = _ADMM_ROW_RANGE
+    lo, hi = cones.UNIT_ROW_RANGE
     far = (norm > 0.0) & ((norm < lo) | (norm > hi))
     return np.where(far, R / np.where(far, norm, 1.0), R)
 
@@ -280,7 +278,7 @@ def presolve(cone: CriticalCone) -> CriticalCone:
     """
     C = np.vstack([-cone.ineq] + [B[:1] for B, _ in cone.soc])
     vanish = np.array([v is not None and v <= _PRESOLVE_TOL * s for v, s in
-                       zip(cone._box_maxima(C), np.linalg.norm(C, axis=1))],
+                       zip(cone._box_maxima(C), np.hypot.reduce(C, axis=1))],
                       dtype=bool)
     if vanish.any():
         implicit, vertex = np.split(vanish, [cone.ineq.shape[0]])

@@ -105,6 +105,41 @@ THIRTEEN_ROWS = ("vars: x1 x2\nobjective: -x1 + 0.5*x2^2\nblock orthant 13:\n"
                  + "point: 0 0\n")
 
 
+def probe_mscq_per_radius(p, radius=0.1, samples=128, seed=0):
+    """Reference for cq.probe_mscq: each radius's live samples pushed by a
+    descent of their own."""
+    from strongmin import cq
+    from strongmin._descent import _KEEP_TOL, feasibility_residuals, push_to_feasible
+    from strongmin._sampling import ball
+    from strongmin.cones import column_sum
+    if not p.blocks:
+        return cq.MscqProbe(0.0, (0.0, 0.0), samples, "Supported")
+    bounds = []
+    usable = True
+    for i, r in enumerate((radius, radius / 4.0)):
+        X = ball(p.point, r, samples, seed=seed + 7 * i)
+        denom = feasibility_residuals(p, X)
+        live = denom > 1e-12
+        X, denom = X[:, live], denom[live]
+        Y, res = push_to_feasible(p, X)
+        kept = res <= _KEEP_TOL
+        if np.sum(res > _KEEP_TOL) > 0.5 * max(1, X.shape[1]):
+            usable = False
+        D = Y - X
+        numer = np.sqrt(column_sum(D * D))
+        bounds.append(float(np.max(numer[kept] / denom[kept])) if np.any(kept) else 0.0)
+    hi, lo = max(bounds), min(bounds)
+    if not usable:
+        verdict = "Inconclusive"
+    elif hi == 0.0:
+        verdict = "Supported"
+    elif lo == 0.0:
+        verdict = "Inconclusive"
+    else:
+        verdict = "Supported" if hi / lo <= 4.0 else "Inconclusive"
+    return cq.MscqProbe(hi, tuple(bounds), samples, verdict)
+
+
 def mfcq_primal(pd):
     """Reference for cq.check_mfcq on orthant-only problems: the largest s
     with grad.d + s <= 0 on every active row over the box |d_i| <= 1 is

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (HUGE_ROW, RAY_AND_ORTHANT, mfcq_dual, mfcq_primal,
-                      quadratic_expr, random_licq_instance)
+                      probe_mscq_per_radius, quadratic_expr, random_licq_instance)
 from strongmin import cones, cq, expr, problem
 
 
@@ -249,7 +249,7 @@ class TestMscqProbe:
         assert probe.verdict == "Supported" and probe.ratio_bound == 0.0
 
     def test_inactive_block_ratio_zero(self, monkeypatch):
-        """Every sample is feasible, so each radius pushes an empty batch."""
+        """Every sample is feasible, so the one push of both radii is empty."""
         p = problem.loads("vars: x1\nobjective: x1^2\n"
                           "block orthant 1:\n  row: x1 - 10\npoint: 0\n")
         push, widths = cq.push_to_feasible, []
@@ -260,8 +260,19 @@ class TestMscqProbe:
 
         monkeypatch.setattr(cq, "push_to_feasible", spy)
         probe = cq.probe_mscq(p, radius=0.1)
-        assert widths == [0, 0]
+        assert widths == [0]
         assert probe.verdict == "Supported" and probe.ratio_bound == 0.0
+
+    @pytest.mark.parametrize("name", ["ex44", "ex46", "ex47", "licq", "socb"])
+    def test_one_push_equals_a_push_per_radius(self, name, request):
+        p = request.getfixturevalue(name)
+        assert cq.probe_mscq(p, seed=0) == probe_mscq_per_radius(p, seed=0)
+
+    def test_one_push_equals_a_push_per_radius_on_criterion_7_draws(self):
+        rng = np.random.default_rng(0)
+        for draw in range(20):
+            p = random_licq_instance(rng)
+            assert cq.probe_mscq(p, seed=0) == probe_mscq_per_radius(p, seed=0), draw
 
     def test_numerator_sane(self, ex44, ex47):
         from strongmin._descent import push_to_feasible

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from strongmin import problem
-from strongmin._descent import (_RESTORE_ITERS, _restore, feasibility_residuals,
+from conftest import HUGE_ROW
+from strongmin import cones, problem, report
+from strongmin._descent import (_RESTORE_ITERS, _improves, _restore, feasibility_residuals,
                                 minimize_tilted, push_to_feasible)
 from strongmin._sampling import ball
 
@@ -166,3 +169,64 @@ def test_rejected_restoration_step_is_halved():
     Y, res = _restore(p, X.copy(), _RESTORE_ITERS)
     assert res[0] <= 1e-13
     assert np.linalg.norm(Y - X) <= 3e-3
+
+
+def test_accept_test_matches_nan_to_num():
+    big = np.finfo(float).max
+    vals = np.array([np.inf, -np.inf, np.nan, big, -big, 0.0, -0.0, 1.0, -2.5,
+                     1e-300, np.nextafter(big, 0.0)])
+    new, old = (a.ravel() for a in np.meshgrid(vals, vals))
+    assert np.array_equal(_improves(new, old), np.nan_to_num(new, nan=np.inf) < old)
+
+
+def test_column_norm_repairs_only_overflowed_columns():
+    A = np.array([[3.0, 1e200, 1e300, np.inf, 1e-300, np.nan],
+                  [4.0, 1e200, 1.0, 1.0, 0.0, 1.0]])
+    norm = cones.column_norm(A)
+    plain = np.sqrt(cones.column_sum(A[:, [0, 4]] * A[:, [0, 4]]))
+    assert norm[[0, 4]].tobytes() == plain.tobytes()
+    assert norm[1] == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert norm[2] == 1e300 and norm[3] == np.inf and np.isnan(norm[5])
+
+
+class TestHugeRow:
+    """One orthant row x1 / 3.39e-245, of gradient 2.95e244: its squared
+    residual is not a float for any x1 above about 4.5e-91."""
+
+    def test_residual_is_finite(self):
+        p = problem.loads(HUGE_ROW)
+        res = feasibility_residuals(p, np.array([[0.1, -0.1]]))
+        assert res[0] == pytest.approx(0.1 / 3.3886258853730173e-245, rel=1e-12)
+        assert res[1] == 0.0
+
+    def test_restoration_step_is_scaled(self):
+        # the row and residual enter at unit scale: each step keeps about
+        # 1e-12 of the residual, the 1e-12 regularization's share
+        p = problem.loads(HUGE_ROW)
+        X = np.array([[0.1, 0.05]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Y, res = _restore(p, X.copy(), 2)
+        assert np.all(Y > 0.0) and np.all(Y <= 1e-23 * X)
+        assert res.tobytes() == feasibility_residuals(p, Y).tobytes()
+
+    def test_push_leaves_unsquarable_columns_to_restoration(self):
+        p = problem.loads(HUGE_ROW)
+        X = np.array([[0.1, -0.05]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Y, res = push_to_feasible(p, X)
+        assert Y.tobytes() == _restore(p, X.copy(), _RESTORE_ITERS)[0].tobytes()
+        assert Y[0, 1] == -0.05 and res[1] == 0.0
+
+    def test_analyze_raises_no_warning(self, tmp_path):
+        path = tmp_path / "huge_row.prob"
+        path.write_text(HUGE_ROW)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = report.analyze_report(str(path), samples=500)
+        assert rep["failed_stage"] is None
+        # restoration cannot bring x1 to the 3.4e-254 the absolute keep
+        # tolerance asks of this row: the infeasible half stays unplaced
+        assert rep["oracle"]["kept_counts"] == [250, 250, 250]
+        assert rep["cq"]["mscq_probe"]["verdict"] == "Inconclusive"
