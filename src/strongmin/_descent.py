@@ -48,12 +48,14 @@ squared residual is not a float to the restoration.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import cones
 from .cones import column_norm, column_sum
 from .problem import (Problem, batch_constraint_grads, batch_constraint_values,
-                      batch_objective_grads, batch_objective_values)
+                      batch_objective_values)
 
 __all__ = ["push_to_feasible", "feasibility_residuals", "minimize_tilted"]
 
@@ -71,10 +73,12 @@ def feasibility_residuals(p: Problem, Y: np.ndarray) -> np.ndarray:
     return column_norm(_residual(p, batch_constraint_values(p, Y)))
 
 
-def _dist_grad(p: Problem, Y: np.ndarray):
-    """dist^2(q(y); cones) and its gradient 2 J^T R, columnwise."""
-    R, G = p.row_stack.pullback(Y, lambda q: _residual(p, q))
-    return column_sum(R * R), 2.0 * G
+def _penalty(R: np.ndarray, out: np.ndarray) -> None:
+    """The penalty rows from the cone residual R (m, N): out[:-1], which
+    holds G = J^T R, becomes the gradient 2 G of dist^2(q(y); cones), and
+    out[-1] becomes dist^2 = ||R||^2, columnwise."""
+    out[:-1] *= 2.0
+    out[-1] = column_sum(R * R)
 
 
 # The step factors of a rejected and of an accepted candidate.
@@ -109,26 +113,23 @@ def _select(kept: np.ndarray, new: np.ndarray, mask: np.ndarray) -> None:
     k ^= diff
 
 
-def _descend(f, Y, steps, rho, iters, rho_doubling, clip=None):
+def _descend(fill, Y, steps, rho, iters, rho_doubling, clip=None):
     """Columnwise adaptive-step descent on base(y) + rho * d2(y).
 
-    f(Z) returns (base, base_grad, d2, d2_grad) at the columns of Z.  Each
-    column steps along its normalized gradient; an improving candidate is
+    fill(out, Z) writes base, base_grad (n rows), d2_grad (n rows) and d2
+    at the columns of Z into the rows of out, in that order.  Each column
+    steps along its normalized gradient; an improving candidate is
     accepted and grows the step by 1.2, otherwise the step halves.  rho
     doubles every `rho_doubling` iterations, and `clip`, if given, maps
-    each candidate back into the admissible set.  y, base, base_grad, d2
-    and d2_grad are row blocks of one state array: one select per step.
+    each candidate back into the admissible set.  y and fill's rows are
+    row blocks of one state array: one select per step.
     """
     n = Y.shape[0]
     state, cand = np.empty((2, 3 * n + 2, Y.shape[1]))
-
-    def fill(S, Z):
-        S[:n] = Z
-        S[n], S[n + 1:2 * n + 1], S[2 * n + 1], S[2 * n + 2:] = f(Z)
-
-    fill(state, Y)
+    state[:n] = Y
+    fill(state[n:], state[:n])
     y, base, base_grad = state[:n], state[n], state[n + 1:2 * n + 1]
-    d2, d2_grad = state[2 * n + 1], state[2 * n + 2:]
+    d2_grad, d2 = state[2 * n + 1:3 * n + 1], state[3 * n + 1]
     for it in range(iters):
         if it and it % rho_doubling == 0:
             rho *= 2.0
@@ -136,8 +137,9 @@ def _descend(f, Y, steps, rho, iters, rho_doubling, clip=None):
         gn = np.sqrt(column_sum(grad * grad))
         gn = np.where(gn > 1e-14, gn, 1.0)
         Z = y - steps * grad / gn
-        fill(cand, Z if clip is None else clip(Z))
-        better = _improves(cand[n] + rho * cand[2 * n + 1], base + rho * d2)
+        cand[:n] = Z if clip is None else clip(Z)
+        fill(cand[n:], cand[:n])
+        better = _improves(cand[n] + rho * cand[3 * n + 1], base + rho * d2)
         _select(state, cand, -better.astype(np.int64))
         steps *= _STEP_FACTORS.take(better.view(np.int8))
     return y
@@ -156,13 +158,18 @@ def push_to_feasible(p: Problem, X: np.ndarray):
     Y = X.copy()
     cols = np.flatnonzero(~(feasibility_residuals(p, X) > _SQRT_FMAX))
     X = X[:, cols]
+    n = X.shape[0]
+    residual = functools.partial(_residual, p)
 
-    def f(Z):
+    def fill(out, Z):
         D = Z - X
-        return (column_sum(D * D), 2.0 * D) + _dist_grad(p, Z)
+        out[0] = column_sum(D * D)
+        np.multiply(2.0, D, out=out[1:n + 1])
+        R = p.row_stack.pullback(Z, residual, out[n + 1:2 * n + 1])[0]
+        _penalty(R, out[n + 1:])
 
     steps = 0.05 * np.maximum(1.0, np.max(np.abs(X), axis=0))
-    Y[:, cols] = _descend(f, X, steps, _PUSH_RHO0, _PUSH_ITERS, _PUSH_RHO_DOUBLING)
+    Y[:, cols] = _descend(fill, X, steps, _PUSH_RHO0, _PUSH_ITERS, _PUSH_RHO_DOUBLING)
     return _restore(p, Y, _RESTORE_ITERS)
 
 
@@ -249,9 +256,16 @@ def minimize_tilted(p: Problem, V: np.ndarray, starts: np.ndarray,
     V (n, N) holds one tilt per column, starts (n, N) the initial points.
     Returns (Y, objective values, feasibility residuals).
     """
-    def f(Z):
-        g, g_grad = batch_objective_grads(p, Z)
-        return (g - column_sum(V * Z), g_grad - V) + _dist_grad(p, Z)
+    n = V.shape[0]
+    residual = functools.partial(_residual, p)
+
+    def fill(out, Z):
+        # the objective's value and gradient and the rows' pullback share
+        # one power table
+        R = p.row_stack.objective_pullback(Z, residual, out)
+        out[0] -= column_sum(V * Z)
+        out[1:n + 1] -= V
+        _penalty(R, out[n + 1:])
 
     def clip(Z):
         diff = Z - center[:, None]
@@ -261,7 +275,7 @@ def minimize_tilted(p: Problem, V: np.ndarray, starts: np.ndarray,
         return center[:, None] + diff * factor
 
     steps = np.full(starts.shape[1], 0.05 * max(ball_radius, 1e-6))
-    Y = _descend(f, clip(starts), steps, _TILT_RHO0, _TILT_ITERS,
+    Y = _descend(fill, clip(starts), steps, _TILT_RHO0, _TILT_ITERS,
                  _TILT_RHO_DOUBLING, clip)
     if p.blocks:
         Y = clip(_restore(p, Y, _RESTORE_ITERS)[0])

@@ -15,9 +15,11 @@ NaN, so that samplers can drop it.  At a single point (``eval_bundle``,
 inf/nan raises NonFiniteError.
 
 A polynomial tree (``+ - *``, unary minus, ``^k``, constants, variables)
-can also be compiled once into its monomials (``compile_polynomial``);
-``RowStack`` evaluates a stack of rows from that form and hands every
-other row to the walker.
+can also be compiled once into its monomials (``compile_polynomial``).
+``RowStack`` turns a stack of such rows, on the first call of each entry
+point, into one generated straight-line program that repeats, in the same
+order, the float operations of summing coefficient times monomial over a
+shared power table; every other row goes to the walker.
 
 Grammar::
 
@@ -36,6 +38,7 @@ bounds the repeated multiplication that evaluates a power.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -507,144 +510,255 @@ def compile_polynomial(e: Expression, n: int) -> Optional[Tuple[Monomial, ...]]:
                  for ex, c in terms.items())
 
 
-def _product(P, factors, d=None):
-    """prod x_i^k over ``factors`` from the power table P, in variable order;
-    with ``d``, the partial derivative in x_d: k x_d^(k-1) first, then the
-    other factors.  None stands for the constant 1."""
-    out = None
-    if d is not None:
-        k = dict(factors)[d]
-        out = k * P[d][k - 1] if k > 1 else None
-    for i, k in factors:
-        if i != d:
-            out = P[i][k] if out is None else out * P[i][k]
+class _Source:
+    """The source of one straight-line program over compiled rows, and the
+    names it binds.
+
+    Each power, product and partial product is a temporary emitted on first
+    use and named by what it holds, so it is formed once.  Coefficients,
+    folded constants and walked trees are bound as global names of the
+    program, never written into its text: inf, nan and -0.0 keep their
+    bits, and no input text reaches the source.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.indent = 1
+        self.env = {"_empty": np.empty, "_zeros": np.zeros, "_errstate": np.errstate,
+                    "_eval_values": eval_values, "_eval_grads": eval_grads}
+        self.memo = {}
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.indent + text)
+
+    def bind(self, value) -> str:
+        name = f"k{len(self.env)}"
+        self.env[name] = value
+        return name
+
+    def temp(self, key, rhs) -> str:
+        """The temporary holding ``key``; emits ``name = rhs()`` on first use."""
+        name = self.memo.get(key)
+        if name is None:
+            name = self.memo[key] = f"t{len(self.memo)}"
+            self.line(f"{name} = {rhs()}")
+        return name
+
+    def power(self, i: int, k: int) -> str:
+        """x_i^k for k >= 1: x_i^(k-1) * x_i, as ``_ipow`` forms it."""
+        if k == 1:
+            return self.temp(("x", i), lambda: f"X[{i}]")
+        return self.temp(("x", i, k),
+                         lambda: f"{self.power(i, k - 1)} * {self.power(i, 1)}")
+
+    def product(self, factors, d=None):
+        """prod x_i^k over ``factors`` in variable order; with ``d``, the
+        partial derivative in x_d: k x_d^(k-1) first, then the other factors.
+        None stands for the constant 1."""
+        ops = []
+        if d is not None:
+            k = int(dict(factors)[d])
+            if k > 1:
+                ops.append(self.temp(("d", d, k), lambda: f"{k} * {self.power(d, k - 1)}"))
+        ops += [self.power(i, k) for i, k in factors if i != d]
+        out = ops[0] if ops else None
+        for j in range(1, len(ops)):
+            left, right = out, ops[j]
+            out = self.temp(("*",) + tuple(ops[:j + 1]), lambda: f"{left} * {right}")
+        return out
+
+    def term(self, c, prod) -> str:
+        """c times a product: c alone for the constant 1, the product itself
+        for c == 1.0 (1.0 * p is p bit for bit)."""
+        if prod is None:
+            return self.bind(c)
+        return prod if c == 1.0 else f"{self.bind(c)} * {prod}"
+
+    def value(self, target: str, terms) -> None:
+        """target = the first term, then += each other term in order."""
+        for t, (c, factors) in enumerate(terms):
+            self.line(f"{target} {'+=' if t else '='} {self.term(c, self.product(factors))}")
+
+    def partial(self, terms, d: int) -> str:
+        """d/dx_d of a compiled row from the monomials that contain x_d,
+        summed from 0.0 in monomial order.  Leading constant terms are
+        summed here, with the same float additions."""
+        acc, parts = 0.0, []
+        for c, factors in terms:
+            prod = self.product(factors, d)
+            if prod is None and not parts:
+                acc = acc + c
+            else:
+                parts.append(self.term(c, prod))
+        if not parts:
+            return self.bind(acc)
+        return self.temp(("j", len(self.memo)), lambda: " + ".join([self.bind(acc)] + parts))
+
+    def ignoring_errors(self, body) -> None:
+        """Emit body() inside np.errstate(all="ignore")."""
+        self.line("with _errstate(all='ignore'):")
+        self.indent += 1
+        start = len(self.lines)
+        body()
+        if len(self.lines) == start:
+            self.line("pass")
+        self.indent -= 1
+
+    def function(self, signature: str):
+        text = f"def program({signature}):\n" + "\n".join(self.lines) + "\n"
+        exec(compile(text, "<RowStack program>", "exec"), self.env)
+        return self.env["program"]
+
+
+def _partials(terms):
+    """{d: the monomials that contain x_d, in order} for a compiled row, in
+    order of first appearance; the other partials are structurally zero."""
+    out = {}
+    for c, factors in terms:
+        for i, _ in factors:
+            out.setdefault(i, []).append((c, factors))
     return out
-
-
-def _scaled(c: float, prod):
-    """c times a product from ``_product``; 1.0 * prod is prod bit for bit."""
-    return c if prod is None else prod if c == 1.0 else c * prod
 
 
 class RowStack:
     """A stack of rows over n variables, evaluated together.
 
-    A polynomial row is compiled on construction into its monomials.  A
-    call forms one power table shared by every row, x_i^k by repeated
-    multiplication as ``_ipow`` forms it, and each distinct monomial and
-    partial derivative once.  A row's value and each gradient entry sum
-    coefficient times product over the monomials in order of first
-    appearance, so a row written as a sum of coefficient-times-monomial
-    terms gets the walker's bits.  Any other row goes through
-    ``eval_values``/``eval_grads``.  Every call returns fresh arrays.
+    A polynomial row is compiled on construction into its monomials; any
+    other row is walked, through ``eval_values``/``eval_grads``.  The first
+    call of each entry point (``values``, ``grads``, ``pullback``,
+    ``objective_pullback``) generates one straight-line program for it,
+    which every later call runs.  A program forms one power table shared
+    by every row, x_i^k by repeated multiplication as ``_ipow`` forms it,
+    and each distinct monomial and partial derivative once.  A row's value
+    is its first term, then += each other term in order of first
+    appearance; a gradient entry sums its terms from 0.0 in the same order,
+    with k x_d^(k-1) first and then the other factors in variable order.
+    So a row written as a sum of coefficient-times-monomial terms gets the
+    walker's bits.  Every call returns fresh arrays unless given ``out``.
     """
 
-    def __init__(self, rows, n: int):
+    def __init__(self, rows, n: int, objective: Optional[Expression] = None):
         self.rows = tuple(rows)
         self.n = n
+        self.objective = objective
         self.compiled = tuple(compile_polynomial(r, n) for r in self.rows)
-        self._top = [0] * n
-        # per compiled row, {d: the monomials that contain x_d, in order};
-        # the other entries of the row's gradient are structurally zero
-        self._partials = []
-        for terms in self.compiled:
-            partials = {}
-            for c, factors in terms or ():
-                for i, k in factors:
-                    self._top[i] = max(self._top[i], k)
-                    partials.setdefault(i, []).append((c, factors))
-            self._partials.append(partials)
 
-    def _powers(self, X):
-        """P[i][k] = x_i^k for 1 <= k <= the highest power of x_i used."""
-        P = []
-        for i, top in enumerate(self._top):
-            row = [None]
-            for _ in range(top):
-                row.append(X[i] if len(row) == 1 else row[-1] * X[i])
-            P.append(row)
-        return P
-
-    def _eval(self, X, order):
-        """Row values V (m, N), the walked rows' gradients {r: (n, N)} when
-        ``order`` is 1, and the memoized ``product(factors, d)``."""
-        V = np.empty((len(self.rows), X.shape[1]))
-        walked = {}
-        P = self._powers(X)
-        products = {}
-
-        def product(factors, d=None):
-            key = (factors, d)
-            if key not in products:
-                products[key] = _product(P, factors, d)
-            return products[key]
-
+    def _rows(self, src: _Source, order: int) -> None:
+        """Emit the row values V and, for ``order`` 1, bind each walked row's
+        gradients to a temporary ("w", r)."""
         for r, (row, terms) in enumerate(zip(self.rows, self.compiled)):
-            if terms is None:
-                if order:
-                    V[r], walked[r] = eval_grads(row, X)
-                else:
-                    V[r] = eval_values(row, X)
-                continue
-            for t, (c, factors) in enumerate(terms):
-                term = _scaled(c, product(factors))
-                if t:
-                    V[r] += term
-                else:
-                    V[r] = term
-        return V, walked, product
+            if terms is not None:
+                src.value(f"V[{r}]", terms)
+            elif order:
+                src.memo[("w", r)] = w = f"w{r}"
+                src.line(f"V[{r}], {w} = _eval_grads({src.bind(row)}, X)")
+            else:
+                src.line(f"V[{r}] = _eval_values({src.bind(row)}, X)")
 
-    def _partial(self, r, d, product):
-        """d row_r / d x_d of a compiled row, summed from 0.0 in term order."""
-        out = 0.0
-        for c, factors in self._partials[r][d]:
-            out = out + _scaled(c, product(factors, d))
-        return out
+    def _entries(self, src: _Source, r: int):
+        """(d, name of J[r, d]) of row r's structurally nonzero entries."""
+        terms = self.compiled[r]
+        if terms is None:
+            return [(d, f"{src.memo[('w', r)]}[{d}]") for d in range(self.n)]
+        return [(d, src.partial(ts, d)) for d, ts in _partials(terms).items()]
+
+    @functools.cached_property
+    def _values(self):
+        src = _Source()
+        src.line(f"V = _empty(({len(self.rows)}, X.shape[1]))")
+        src.ignoring_errors(lambda: self._rows(src, 0))
+        src.line("return V")
+        return src.function("X")
+
+    @functools.cached_property
+    def _grads(self):
+        src = _Source()
+        src.line(f"V = _empty(({len(self.rows)}, X.shape[1]))")
+        src.line(f"J = _zeros(({len(self.rows)}, {self.n}, X.shape[1]))")
+
+        def body():
+            self._rows(src, 1)
+            for r in range(len(self.rows)):
+                if self.compiled[r] is None:
+                    src.line(f"J[{r}] = {src.memo[('w', r)]}")
+                else:
+                    for d, j in self._entries(src, r):
+                        src.line(f"J[{r}, {d}] = {j}")
+
+        src.ignoring_errors(body)
+        src.line("return V, J")
+        return src.function("X")
+
+    def _pullback_program(self, objective: bool):
+        """out[off:off + n] = G (see ``pullback``), after the objective's
+        value and gradient in out[0:n + 1] when ``objective``."""
+        src = _Source()
+        n, off = self.n, self.n + 1 if objective else 0
+        src.line(f"V = _empty(({len(self.rows)}, X.shape[1]))")
+
+        def values():
+            terms = compile_polynomial(self.objective, n) if objective else None
+            if objective and terms is None:
+                src.line(f"out[0], out[1:{n + 1}] = _eval_grads({src.bind(self.objective)}, X)")
+            elif objective:
+                src.value("out[0]", terms)
+                partials = _partials(terms)
+                for d in range(n):
+                    j = src.partial(partials[d], d) if d in partials else "0.0"
+                    src.line(f"out[{1 + d}] = {j}")
+            self._rows(src, 1)
+
+        def pulled_back():
+            started = set()
+            for r in range(len(self.rows)):
+                for d, j in self._entries(src, r):
+                    src.line(f"out[{off + d}] {'+=' if d in started else '='} {j} * R[{r}]")
+                    started.add(d)
+            for d in range(n):
+                if d not in started:
+                    src.line(f"out[{off + d}] = 0.0")
+
+        src.ignoring_errors(values)
+        src.line("R = fn(V)")
+        src.ignoring_errors(pulled_back)
+        src.line("return R")
+        return src.function("X, fn, out")
+
+    @functools.cached_property
+    def _pullback(self):
+        return self._pullback_program(False)
+
+    @functools.cached_property
+    def _objective_pullback(self):
+        return self._pullback_program(True)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Row values (m, N) over the columns of X (n, N)."""
-        with np.errstate(all="ignore"):
-            return self._eval(X, 0)[0]
+        return self._values(X)
 
     def grads(self, X: np.ndarray):
         """Row values (m, N) and gradients (m, n, N); the values are the
         bits ``values`` gives."""
-        J = np.zeros((len(self.rows), self.n, X.shape[1]))
-        with np.errstate(all="ignore"):
-            V, walked, product = self._eval(X, 1)
-            for r, partials in enumerate(self._partials):
-                if r in walked:
-                    J[r] = walked[r]
-                for d in partials:
-                    J[r, d] = self._partial(r, d, product)
-        return V, J
+        return self._grads(X)
 
-    def pullback(self, X: np.ndarray, fn):
+    def pullback(self, X: np.ndarray, fn, out: Optional[np.ndarray] = None):
         """R = fn(V) for the row values V (m, N), and G (n, N) with
         G[d] = sum_r J[r, d] * R[r], J the Jacobian ``grads`` gives.
 
         G is summed in row order from the same J[r, d] bits without
-        forming J.  Structurally zero entries are skipped, which can only
-        change the sign of a zero sum or keep a 0 * inf = NaN out of it.
+        forming J, into ``out`` when given.  Structurally zero entries are
+        skipped, which can only change the sign of a zero sum or keep a
+        0 * inf = NaN out of it.
         """
-        G = np.zeros((self.n, X.shape[1]))
-        started = [False] * self.n
-        with np.errstate(all="ignore"):
-            V, walked, product = self._eval(X, 1)
-        R = fn(V)
-        with np.errstate(all="ignore"):
-            for r, partials in enumerate(self._partials):
-                if r in walked:
-                    entries = ((d, walked[r][d]) for d in range(self.n))
-                else:
-                    entries = ((d, self._partial(r, d, product)) for d in partials)
-                for d, jrd in entries:
-                    if started[d]:
-                        G[d] += jrd * R[r]
-                    else:
-                        G[d] = jrd * R[r]
-                        started[d] = True
-        return R, G
+        G = np.empty((self.n, X.shape[1])) if out is None else out
+        return self._pullback(X, fn, G), G
+
+    def objective_pullback(self, X: np.ndarray, fn, out: np.ndarray) -> np.ndarray:
+        """``pullback`` with the objective's value and gradient, from one
+        power table: out[0] is the objective's value, out[1:n+1] its
+        gradient (the bits of a one-row stack's ``grads``) and
+        out[n+1:2n+1] G.  Returns R."""
+        return self._objective_pullback(X, fn, out)
 
 
 # ----------------------------------------------------------------------

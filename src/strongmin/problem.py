@@ -85,8 +85,10 @@ class Problem:
     # Compiled on the first batched call, not by load.
     @functools.cached_property
     def row_stack(self) -> expr.RowStack:
-        """Every block's rows, stacked in block order."""
-        return expr.RowStack([r for b in self.blocks for r in b.rows], self.n)
+        """Every block's rows, stacked in block order, with the objective for
+        ``RowStack.objective_pullback``."""
+        return expr.RowStack([r for b in self.blocks for r in b.rows], self.n,
+                             self.objective)
 
     @functools.cached_property
     def block_slices(self) -> Tuple[slice, ...]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expression_trees
+from conftest import ReferenceRowStack, expression_trees
 from strongmin import expr
 
 
@@ -403,3 +403,64 @@ class TestCompiledRows:
             back = expr.parse(expr.to_text(e, []), [])
             v, w = expr.eval_value(e, np.zeros(0)), expr.eval_value(back, np.zeros(0))
             assert v == w and np.signbit(v) == np.signbit(w)
+
+
+def special_rows(rng, nvars):
+    """Rows whose coefficients are inf, -0.0 and 1.0: each one scales a
+    power, a random polynomial and a bare constant term."""
+    rows = []
+    for c in (math.inf, -0.0, 1.0):
+        x = expr.Var(int(rng.integers(nvars)))
+        scaled = expr.Binary("mul", expr.Const(c), random_polynomial(rng, nvars))
+        rows.append(expr.Binary("add", expr.Binary("mul", expr.Const(c), expr.Power(x, 2)),
+                                scaled))
+        rows.append(expr.Binary("add", expr.Const(c), expr.Binary("mul", expr.Const(c), x)))
+    return rows
+
+
+def _shifted(Q):
+    return Q - np.minimum(Q, 0.5)
+
+
+class TestRowPrograms:
+    """The generated programs give the reference interpreter's bytes."""
+
+    @pytest.mark.parametrize("width", [1, 7, 160])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_programs_repeat_the_reference(self, seed, width):
+        rng = np.random.default_rng(seed)
+        rows = ([random_polynomial(rng, 3) for _ in range(2)] + special_rows(rng, 3)
+                + [random_smooth(rng, 3), expr.parse("sqrt(x1^2 + 1) * x3", NAMES3)])
+        X = rng.uniform(-1.5, 1.5, size=(3, width))
+        objective = (random_polynomial if seed % 2 else random_smooth)(rng, 3)
+        stack, ref = expr.RowStack(rows, 3, objective), ReferenceRowStack(rows, 3)
+        # a walked row beside compiled ones
+        assert stack.compiled[-1] is None and stack.compiled[0] is not None
+        assert stack.values(X).tobytes() == ref.values(X).tobytes()
+        for got, want in zip(stack.grads(X), ref.grads(X)):
+            assert got.tobytes() == want.tobytes()
+        R, G = ref.pullback(X, _shifted)
+        for got, want in zip(stack.pullback(X, _shifted), (R, G)):
+            assert got.tobytes() == want.tobytes()
+        out = np.full((7, width), np.nan)
+        assert stack.objective_pullback(X, _shifted, out).tobytes() == R.tobytes()
+        v, J = ReferenceRowStack([objective], 3).grads(X)
+        assert out[0].tobytes() == v[0].tobytes()
+        assert out[1:4].tobytes() == J[0].tobytes()
+        assert out[4:].tobytes() == G.tobytes()
+
+    def test_programs_are_built_on_first_use(self):
+        stack = expr.RowStack([expr.parse("x1^2 - x2", ["x1", "x2"])], 2)
+        assert not {"_values", "_grads", "_pullback"} & set(vars(stack))
+        stack.values(np.zeros((2, 3)))
+        assert {"_values", "_grads", "_pullback"} & set(vars(stack)) == {"_values"}
+
+    def test_no_rows(self):
+        stack = expr.RowStack([], 2, expr.parse("x1 * x2", ["x1", "x2"]))
+        X = np.ones((2, 4))
+        assert stack.values(X).shape == (0, 4)
+        R, G = stack.pullback(X, lambda Q: Q)
+        assert R.shape == (0, 4) and np.array_equal(G, np.zeros((2, 4)))
+        out = np.full((5, 4), np.nan)
+        stack.objective_pullback(X, lambda Q: Q, out)
+        assert np.array_equal(out, [[1.0] * 4] * 3 + [[0.0] * 4] * 2)
