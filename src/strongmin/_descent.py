@@ -23,17 +23,22 @@ solves (J J^T + D + 1e-12 I) mu = r and steps by -J^T mu, where
   unit norm with its right-hand side, so JJ^T does not overflow.
 A satisfied row therefore holds nothing in place: parallel active
 gradients or a soc vertex leave a solvable system where the full one was
-singular.  A column takes no step once its residual is <= 1e-13, keeps a
-candidate only where it lowers the residual, and falls back from 1e-12 to
-1e-8 regularization when its own system is singular.  A rejected
+singular.  The m x m systems (m <= the number of rows) are built as one
+(m, m, N) array and solved by `_cholesky_solve`: a Cholesky factor, then
+forward and back substitution, elementwise over the columns with only
++ - * / and sqrt in a fixed order, so no LAPACK kernel, which would be
+picked per CPU, touches the restored points.  A column whose pivot is
+not > 0 is refactored with 1e-8 in place of the 1e-12 regularization.
+A column takes no step once its residual is <= 1e-13, and keeps a
+candidate only where it lowers the residual.  A rejected
 candidate halves that column's next step, and an accepted one restores
 the full step: a step that fixes one row may violate a nearly active one
 by more, and the same step again would be rejected again.
 
 Every reduction over rows -- the residual and step norms, D.D and V.Z,
 a soc block's norm and contraction, JJ^T and J^T mu, the ball clip -- is
-`cones.column_sum`, a sum in row order from +0.0; everything else is
-elementwise or solves one column's own system.  So a column's result does
+`cones.column_sum`, a sum in row order from +0.0; everything else,
+the Gauss-Newton solve included, is elementwise.  So a column's result does
 not depend on the other columns of its batch, whatever the batch's width:
 `_restore` steps only the columns still above 1e-13, callers pass only the
 columns that need work, and the tilt probe solves the midpoints its
@@ -207,6 +212,44 @@ def _violated_rows(p: Problem, q: np.ndarray, jacs: np.ndarray):
     return J, rhs, idle
 
 
+def _cholesky_solve(A: np.ndarray, b: np.ndarray):
+    """x with A x = b for each column of A (m, m, N) and b (m, N), A
+    symmetric: the Cholesky factor L of A = L L^T, then forward and back
+    substitution, elementwise over the columns with + - * / and sqrt in a
+    fixed order, so a column's x does not depend on its batch or on the
+    machine.  Returns (x, factored); a column whose pivot is not > 0 is
+    not factored and its x is NaN.  Non-finite inputs give non-finite x,
+    which the Gauss-Newton step reads as no step, as it read LAPACK's.
+    """
+    m = b.shape[0]
+    L = np.empty_like(A)
+    factored = np.ones(b.shape[1], dtype=bool)
+    x = np.empty_like(b)
+    with np.errstate(all="ignore"):
+        for j in range(m):
+            for i in range(j, m):
+                s = A[i, j]
+                for k in range(j):
+                    s = s - L[i, k] * L[j, k]
+                if i == j:
+                    pivot = s > 0.0
+                    factored &= pivot
+                    L[j, j] = np.sqrt(np.where(pivot, s, np.nan))
+                else:
+                    L[i, j] = s / L[j, j]
+        for i in range(m):
+            s = b[i]
+            for k in range(i):
+                s = s - L[i, k] * x[k]
+            x[i] = s / L[i, i]
+        for i in reversed(range(m)):
+            s = x[i]
+            for k in range(i + 1, m):
+                s = s - L[k, i] * x[k]
+            x[i] = s / L[i, i]
+    return x, factored
+
+
 def _restore(p: Problem, Y: np.ndarray, iters: int):
     """Damped minimum-norm Gauss-Newton on the violated part of the cone
     residual of q(y) (see the module docstring), in place on Y.
@@ -216,7 +259,6 @@ def _restore(p: Problem, Y: np.ndarray, iters: int):
     each rejected one.  Returns (Y, residuals), the residuals bit for bit
     those `feasibility_residuals` gives at Y.
     """
-    eye = np.eye(p.m) * 1e-12
     diag = np.arange(p.m)
     res = feasibility_residuals(p, Y)
     scale = np.ones(Y.shape[1])
@@ -228,19 +270,18 @@ def _restore(p: Problem, Y: np.ndarray, iters: int):
         q, jacs = batch_constraint_grads(p, Z)
         J, rhs, idle = _violated_rows(p, q, jacs)
         JT = J.transpose(1, 0, 2)
-        JJT = column_sum(JT[:, :, None] * JT[:, None]).transpose(2, 0, 1)
-        JJT[:, diag, diag] += idle.T
-        rhs = rhs.T[:, :, None]
-        try:
-            mu = np.linalg.solve(JJT + eye[None, :, :], rhs)[:, :, 0]
-        except np.linalg.LinAlgError:
-            # regularize more only the columns whose system is singular;
-            # each system is solved on its own, so the others keep their bits
-            A = JJT + eye[None, :, :]
-            singular = np.linalg.slogdet(A)[0] == 0.0
-            A[singular] = JJT[singular] + 1e-8 * np.eye(p.m)
-            mu = np.linalg.solve(A, rhs)[:, :, 0]
-        cand = Z - scale[cols] * np.nan_to_num(column_sum(J * mu.T[:, None, :]))
+        JJT = column_sum(JT[:, :, None] * JT[:, None])  # (m, m, N)
+        JJT[diag, diag] += idle
+        A = JJT.copy()
+        A[diag, diag] += 1e-12
+        mu, factored = _cholesky_solve(A, rhs)
+        if not factored.all():
+            # regularize more only the columns whose pivot is not > 0
+            bad = np.flatnonzero(~factored)
+            A = JJT[:, :, bad]
+            A[diag, diag] += 1e-8
+            mu[:, bad] = _cholesky_solve(A, rhs[:, bad])[0]
+        cand = Z - scale[cols] * np.nan_to_num(column_sum(J * mu[:, None, :]))
         res_c = feasibility_residuals(p, cand)
         better = _improves(res_c, res[cols])
         Y[:, cols[better]] = cand[:, better]

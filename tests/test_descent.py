@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import HUGE_ROW
+from conftest import HUGE_ROW, THIRTEEN_ROWS
 from strongmin import cones, problem, report
-from strongmin._descent import (_RESTORE_ITERS, _improves, _restore, feasibility_residuals,
-                                minimize_tilted, push_to_feasible)
+from strongmin._descent import (_RESTORE_ITERS, _cholesky_solve, _improves, _restore,
+                                feasibility_residuals, minimize_tilted, push_to_feasible)
 from strongmin._sampling import ball
 
 
@@ -155,6 +155,46 @@ def test_singular_restoration_system_stays_in_its_column():
     batch, _ = _restore(p, X.copy(), 1)
     assert alone.tobytes() == batch[:, :2].copy().tobytes()
     assert feasibility_residuals(p, batch[:, 2:])[0] < feasibility_residuals(p, X[:, 2:])[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 13])
+def test_cholesky_solve_agrees_with_lapack(m):
+    rng = np.random.default_rng(m)
+    N = 200
+    B = rng.standard_normal((N, m, m))
+    A = B @ B.transpose(0, 2, 1) + m * np.eye(m)  # eigenvalues >= m
+    b = rng.standard_normal((N, m))
+    x, factored = _cholesky_solve(A.transpose(1, 2, 0), b.T)
+    want = np.linalg.solve(A, b[:, :, None])[:, :, 0].T
+    assert factored.all()
+    assert np.all(np.abs(x - want) <= 1e-12 * np.abs(want).max(axis=0))
+
+
+def test_cholesky_solve_flags_nonpositive_pivots():
+    A = np.zeros((2, 2, 3))
+    A[0, 0] = [1.0, 0.0, 1.0]
+    A[1, 1] = [1.0, 1.0, 1.0]
+    A[0, 1] = A[1, 0] = [0.5, 0.0, 1.0]  # the third column is singular
+    x, factored = _cholesky_solve(A, np.ones((2, 3)))
+    assert factored.tolist() == [True, False, False]
+    assert np.allclose(x[:, 0], [2.0 / 3.0, 2.0 / 3.0]) and np.isnan(x[:, 1:]).all()
+
+
+@pytest.mark.parametrize("text", ["ex44", THIRTEEN_ROWS])
+def test_restoration_calls_no_lapack(text, ex44, monkeypatch):
+    """The Gauss-Newton systems are solved elementwise, so no LAPACK
+    kernel (chosen per CPU) touches the restored points."""
+    p = ex44 if text == "ex44" else problem.loads(text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    X = ball(p.point, 0.2, 300, seed=0)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "slogdet", refuse)
+    Y, res = _restore(p, X.copy(), _RESTORE_ITERS)
+    assert np.count_nonzero(res <= 1e-9) > 0.9 * X.shape[1]
+    assert np.count_nonzero(feasibility_residuals(p, X) > 1e-9) > 0.3 * X.shape[1]
 
 
 def test_rejected_restoration_step_is_halved():
