@@ -47,8 +47,10 @@ to be the one a call of its own gives.
 
 A residual or Gauss-Newton row norm whose sum of squares overflows is
 recomputed by `cones.column_norm` for that column alone.  The penalty
-dist^2 has no such repair: `push_to_feasible` leaves a column whose
-squared residual is not a float to the restoration.
+dist^2 has no such repair: both descents leave a start whose squared
+residual is not a float to the restoration, and a candidate that steps
+that far enters dist^2 with its residual entries capped at
+`_PENALTY_CAP`, so its penalty stays a float and it is rejected.
 """
 
 from __future__ import annotations
@@ -81,9 +83,20 @@ def feasibility_residuals(p: Problem, Y: np.ndarray) -> np.ndarray:
 def _penalty(R: np.ndarray, out: np.ndarray) -> None:
     """The penalty rows from the cone residual R (m, N): out[:-1], which
     holds G = J^T R, becomes the gradient 2 G of dist^2(q(y); cones), and
-    out[-1] becomes dist^2 = ||R||^2, columnwise."""
+    out[-1] becomes dist^2 = ||R||^2, columnwise, with each |R| capped at
+    `_PENALTY_CAP`."""
     out[:-1] *= 2.0
+    R = np.minimum(np.abs(R), _PENALTY_CAP)
     out[-1] = column_sum(R * R)
+
+
+def _filled(fill, Y: np.ndarray):
+    """The descent state at the columns of Y (y, then the rows fill writes
+    at y) and fill's cone residual R."""
+    n = Y.shape[0]
+    state = np.empty((3 * n + 2, Y.shape[1]))
+    state[:n] = Y
+    return state, fill(state[n:], state[:n])
 
 
 # The step factors of a rejected and of an accepted candidate.
@@ -97,6 +110,10 @@ _RESTORE_TOL = 1e-13  # residual at which a column takes no further GN step
 _KEEP_TOL = 1e-9  # largest residual of a pushed sample that counts as feasible
 _FMAX = np.finfo(float).max
 _SQRT_FMAX = np.sqrt(_FMAX)  # the largest residual whose square is a float
+# A residual entry above this enters dist^2 at this size: dist^2 and rho *
+# dist^2 stay floats for up to 2^40 rows and rho up to 2^40, and a
+# candidate that far out is rejected.  Entries below it keep their bits
+_PENALTY_CAP = _SQRT_FMAX / 2.0 ** 40
 
 
 def _improves(new: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -118,8 +135,9 @@ def _select(kept: np.ndarray, new: np.ndarray, mask: np.ndarray) -> None:
     k ^= diff
 
 
-def _descend(fill, Y, steps, rho, iters, rho_doubling, clip=None):
-    """Columnwise adaptive-step descent on base(y) + rho * d2(y).
+def _descend(fill, state, steps, rho, iters, rho_doubling, clip=None):
+    """Columnwise adaptive-step descent on base(y) + rho * d2(y) from the
+    state `_filled` gives; returns the final y.
 
     fill(out, Z) writes base, base_grad (n rows), d2_grad (n rows) and d2
     at the columns of Z into the rows of out, in that order.  Each column
@@ -129,10 +147,8 @@ def _descend(fill, Y, steps, rho, iters, rho_doubling, clip=None):
     each candidate back into the admissible set.  y and fill's rows are
     row blocks of one state array: one select per step.
     """
-    n = Y.shape[0]
-    state, cand = np.empty((2, 3 * n + 2, Y.shape[1]))
-    state[:n] = Y
-    fill(state[n:], state[:n])
+    n = (state.shape[0] - 2) // 3
+    cand = np.empty(state.shape)
     y, base, base_grad = state[:n], state[n], state[n + 1:2 * n + 1]
     d2_grad, d2 = state[2 * n + 1:3 * n + 1], state[3 * n + 1]
     for it in range(iters):
@@ -172,9 +188,11 @@ def push_to_feasible(p: Problem, X: np.ndarray):
         np.multiply(2.0, D, out=out[1:n + 1])
         R = p.row_stack.pullback(Z, residual, out[n + 1:2 * n + 1])[0]
         _penalty(R, out[n + 1:])
+        return R
 
     steps = 0.05 * np.maximum(1.0, np.max(np.abs(X), axis=0))
-    Y[:, cols] = _descend(fill, X, steps, _PUSH_RHO0, _PUSH_ITERS, _PUSH_RHO_DOUBLING)
+    Y[:, cols] = _descend(fill, _filled(fill, X)[0], steps, _PUSH_RHO0, _PUSH_ITERS,
+                          _PUSH_RHO_DOUBLING)
     return _restore(p, Y, _RESTORE_ITERS)
 
 
@@ -295,18 +313,22 @@ def minimize_tilted(p: Problem, V: np.ndarray, starts: np.ndarray,
     """Columnwise minimization of g(y) - v.y over the feasible set ∩ ball.
 
     V (n, N) holds one tilt per column, starts (n, N) the initial points.
-    Returns (Y, objective values, feasibility residuals).
+    Returns (Y, objective values, feasibility residuals).  A start whose
+    residual exceeds sqrt(max float) skips the descent for the restoration.
     """
     n = V.shape[0]
     residual = functools.partial(_residual, p)
 
-    def fill(out, Z):
-        # the objective's value and gradient and the rows' pullback share
-        # one power table
-        R = p.row_stack.objective_pullback(Z, residual, out)
-        out[0] -= column_sum(V * Z)
-        out[1:n + 1] -= V
-        _penalty(R, out[n + 1:])
+    def tilted(Vt):
+        def fill(out, Z):
+            # the objective's value and gradient and the rows' pullback
+            # share one power table
+            R = p.row_stack.objective_pullback(Z, residual, out)
+            out[0] -= column_sum(Vt * Z)
+            out[1:n + 1] -= Vt
+            _penalty(R, out[n + 1:])
+            return R
+        return fill
 
     def clip(Z):
         diff = Z - center[:, None]
@@ -315,9 +337,15 @@ def minimize_tilted(p: Problem, V: np.ndarray, starts: np.ndarray,
                           ball_radius / np.where(nrm > 0, nrm, 1.0), 1.0)
         return center[:, None] + diff * factor
 
-    steps = np.full(starts.shape[1], 0.05 * max(ball_radius, 1e-6))
-    Y = _descend(fill, clip(starts), steps, _TILT_RHO0, _TILT_ITERS,
-                 _TILT_RHO_DOUBLING, clip)
+    # a start whose residual exceeds sqrt(max float) is left to the
+    # restoration, as in push_to_feasible; its residual is read off the
+    # descent's first fill
+    Y = clip(starts)
+    state, R = _filled(tilted(V), Y)
+    cols = np.flatnonzero(~(column_norm(R) > _SQRT_FMAX))
+    steps = np.full(cols.size, 0.05 * max(ball_radius, 1e-6))
+    Y[:, cols] = _descend(tilted(V[:, cols]), state.take(cols, axis=1), steps,
+                          _TILT_RHO0, _TILT_ITERS, _TILT_RHO_DOUBLING, clip)
     if p.blocks:
         Y = clip(_restore(p, Y, _RESTORE_ITERS)[0])
     gfinal = batch_objective_values(p, Y) - column_sum(V * Y)

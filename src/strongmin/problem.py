@@ -274,12 +274,19 @@ def evaluate(p: Problem, x) -> PointData:
 
     Each block is classified at its value, or at the value's projection
     onto the cone when the residual exceeds FEASIBILITY_TOL; a residual
-    that is not finite raises expr.NonFiniteError.
+    that is not finite, or an objective gradient whose squared norm
+    overflows, raises expr.NonFiniteError.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError(f"point must have length {p.n}")
     g = expr.eval_bundle(p.objective, x)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum(g.gradient * g.gradient)):
+            # the multipliers are as large, and the second-order analysis
+            # squares them
+            raise expr.NonFiniteError("the objective's gradient is out of range: "
+                                      "its squared norm overflows")
     bundles, residuals, classified = [], [], []
     for b in p.blocks:
         rows = [expr.eval_bundle(row, x) for row in b.rows]

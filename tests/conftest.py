@@ -98,6 +98,12 @@ HUGE_ROW = ("vars: x1\nobjective: 0\nblock orthant 1:\n"
             "  row: x1 / 3.3886258853730173e-245\npoint: 0\n")
 
 
+# an objective gradient of 1.3e176 at a soc(2) vertex: the multipliers are
+# as large and their squares overflow, so evaluate refuses the point
+HUGE_GRADIENT = ("vars: x1\nobjective: x1 / 7.549894264661701e-177\n"
+                 "block soc 2:\n  row: 0\n  row: x1\npoint: 0\n")
+
+
 # thirteen active rows x1 - c x2^2, c = 0.01 ... 0.13: more than cq's CRCQ
 # subset enumeration takes; the modulus is 1 - 2 * 0.01
 THIRTEEN_ROWS = ("vars: x1 x2\nobjective: -x1 + 0.5*x2^2\nblock orthant 13:\n"

@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from conftest import (HUGE_ROW, MIXED_SOC_AND_ORTHANT, REPO, SOC_SLICE_ZERO_CONE,
+from conftest import (HUGE_GRADIENT, HUGE_ROW, MIXED_SOC_AND_ORTHANT, REPO, SOC_SLICE_ZERO_CONE,
                       THIRTEEN_ROWS, corpus_path)
 from strongmin import cli, problem, report, sosc
 
@@ -123,6 +124,22 @@ class TestExitCodes:
         assert run_cli([command, str(p)]) == 1
         out = capsys.readouterr()
         assert "cone residual is not finite" in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "cq", "qgc"])
+    def test_out_of_range_gradient_is_input_error(self, command, tmp_path, capsys):
+        """An objective gradient of 1.3e176 at a soc vertex: the multipliers'
+        squares overflow in the multiplier set and the second-order stages,
+        so the point is refused with one message and no warning."""
+        p = tmp_path / "grad.prob"
+        p.write_text(HUGE_GRADIENT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([command, str(p)]) == 1
+        out = capsys.readouterr()
+        assert out.err == (f"error: {p}: cannot evaluate at the candidate point: the "
+                           "objective's gradient is out of range: its squared norm "
+                           "overflows\n")
         assert out.out == ""
 
     @pytest.mark.parametrize("command, name, content", MALFORMED,

@@ -264,8 +264,8 @@ class TestHugeRow:
         path.write_text(HUGE_ROW)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = report.analyze_report(str(path), samples=500)
-        assert rep["failed_stage"] is None
+            rep = report.analyze_report(str(path), samples=500, tilt=True)
+        assert rep["failed_stage"] is None and "tilt" in rep
         # restoration cannot bring x1 to the 3.4e-254 the absolute keep
         # tolerance asks of this row: the infeasible half stays unplaced
         assert rep["oracle"]["kept_counts"] == [250, 250, 250]

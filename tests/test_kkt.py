@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
-from conftest import (CONIC_CORPUS, MIXED_SOC_AND_ORTHANT, SOC_SEGMENT,
+from conftest import (CONIC_CORPUS, HUGE_GRADIENT, MIXED_SOC_AND_ORTHANT, SOC_SEGMENT,
                       corpus_path, full_budget_stationarity, normal_cone_test,
                       pipeline, problems, random_licq_instance, sample_members)
 from strongmin import cones, expr, kkt, problem, sosc
@@ -84,6 +84,8 @@ class TestFixedPointExit:
     @example(p=problem.loads(HUGE_POINT))
     # ||J||^2 beyond the float range: the step is 0.0 and lam = 0 solves it
     @example(p=problem.loads(HUGE_JACOBIAN))
+    # multipliers whose squares overflow: evaluate refuses it
+    @example(p=problem.loads(HUGE_GRADIENT))
     def test_random_problems_equal_full_budget(self, p):
         with np.errstate(all="ignore"):
             try:
