@@ -268,6 +268,27 @@ def _cholesky_solve(A: np.ndarray, b: np.ndarray):
     return x, factored
 
 
+def _gauss_newton_step(p: Problem, Z: np.ndarray) -> np.ndarray:
+    """The minimum-norm Gauss-Newton step J^T mu at the columns of Z, mu
+    solving (J J^T + D + 1e-12 I) mu = r (see the module docstring), with
+    non-finite entries read as by np.nan_to_num."""
+    diag = np.arange(p.m)
+    J, rhs, idle = _violated_rows(p, *batch_constraint_grads(p, Z))
+    JT = J.transpose(1, 0, 2)
+    A = column_sum(JT[:, :, None] * JT[:, None])  # J J^T, (m, m, N)
+    A[diag, diag] += idle
+    ridged = A[diag, diag]  # the diagonal of J J^T + D, a copy
+    A[diag, diag] += 1e-12
+    mu, factored = _cholesky_solve(A, rhs)
+    if not factored.all():
+        # regularize more only the columns whose pivot is not > 0
+        bad = np.flatnonzero(~factored)
+        A = A[:, :, bad]
+        A[diag, diag] = ridged[:, bad] + 1e-8
+        mu[:, bad] = _cholesky_solve(A, rhs[:, bad])[0]
+    return np.nan_to_num(column_sum(J * mu[:, None, :]))
+
+
 def _restore(p: Problem, Y: np.ndarray, iters: int):
     """Damped minimum-norm Gauss-Newton on the violated part of the cone
     residual of q(y) (see the module docstring), in place on Y.
@@ -277,7 +298,6 @@ def _restore(p: Problem, Y: np.ndarray, iters: int):
     each rejected one.  Returns (Y, residuals), the residuals bit for bit
     those `feasibility_residuals` gives at Y.
     """
-    diag = np.arange(p.m)
     res = feasibility_residuals(p, Y)
     scale = np.ones(Y.shape[1])
     for _ in range(iters):
@@ -285,21 +305,7 @@ def _restore(p: Problem, Y: np.ndarray, iters: int):
         if not cols.size:
             break
         Z = Y[:, cols]
-        q, jacs = batch_constraint_grads(p, Z)
-        J, rhs, idle = _violated_rows(p, q, jacs)
-        JT = J.transpose(1, 0, 2)
-        JJT = column_sum(JT[:, :, None] * JT[:, None])  # (m, m, N)
-        JJT[diag, diag] += idle
-        A = JJT.copy()
-        A[diag, diag] += 1e-12
-        mu, factored = _cholesky_solve(A, rhs)
-        if not factored.all():
-            # regularize more only the columns whose pivot is not > 0
-            bad = np.flatnonzero(~factored)
-            A = JJT[:, :, bad]
-            A[diag, diag] += 1e-8
-            mu[:, bad] = _cholesky_solve(A, rhs[:, bad])[0]
-        cand = Z - scale[cols] * np.nan_to_num(column_sum(J * mu[:, None, :]))
+        cand = Z - scale[cols] * _gauss_newton_step(p, Z)
         res_c = feasibility_residuals(p, cand)
         better = _improves(res_c, res[cols])
         Y[:, cols[better]] = cand[:, better]

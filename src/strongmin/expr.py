@@ -581,8 +581,10 @@ class _Source:
 
     def partial(self, terms, d: int) -> str:
         """d/dx_d of a compiled row from the monomials that contain x_d,
-        summed from 0.0 in monomial order.  Leading constant terms are
-        summed here, with the same float additions."""
+        summed from 0.0 in monomial order: a bound constant when every term
+        is one, else a parenthesized sum that its use consumes, so no array
+        of it outlives the statement.  Leading constant terms are summed
+        here, with the same float additions."""
         acc, parts = 0.0, []
         for c, factors in terms:
             prod = self.product(factors, d)
@@ -592,7 +594,7 @@ class _Source:
                 parts.append(self.term(c, prod))
         if not parts:
             return self.bind(acc)
-        return self.temp(("j", len(self.memo)), lambda: " + ".join([self.bind(acc)] + parts))
+        return "(" + " + ".join([self.bind(acc)] + parts) + ")"
 
     def ignoring_errors(self, body) -> None:
         """Emit body() inside np.errstate(all="ignore")."""
@@ -655,6 +657,18 @@ class RowStack:
             else:
                 src.line(f"V[{r}] = _eval_values({src.bind(row)}, X)")
 
+    def _objective(self, src: _Source) -> None:
+        """Emit the objective's value into out[0] and its gradient into
+        out[1:n+1], the bits a one-row stack's ``grads`` gives."""
+        n, terms = self.n, compile_polynomial(self.objective, self.n)
+        if terms is None:
+            src.line(f"out[0], out[1:{n + 1}] = _eval_grads({src.bind(self.objective)}, X)")
+            return
+        src.value("out[0]", terms)
+        partials = _partials(terms)
+        for d in range(n):
+            src.line(f"out[{1 + d}] = {src.partial(partials[d], d) if d in partials else '0.0'}")
+
     def _entries(self, src: _Source, r: int):
         """(d, name of J[r, d]) of row r's structurally nonzero entries."""
         terms = self.compiled[r]
@@ -697,15 +711,8 @@ class RowStack:
         src.line(f"V = _empty(({len(self.rows)}, X.shape[1]))")
 
         def values():
-            terms = compile_polynomial(self.objective, n) if objective else None
-            if objective and terms is None:
-                src.line(f"out[0], out[1:{n + 1}] = _eval_grads({src.bind(self.objective)}, X)")
-            elif objective:
-                src.value("out[0]", terms)
-                partials = _partials(terms)
-                for d in range(n):
-                    j = src.partial(partials[d], d) if d in partials else "0.0"
-                    src.line(f"out[{1 + d}] = {j}")
+            if objective:
+                self._objective(src)
             self._rows(src, 1)
 
         def pulled_back():
