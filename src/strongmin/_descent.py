@@ -178,7 +178,7 @@ def push_to_feasible(p: Problem, X: np.ndarray):
     """
     Y = X.copy()
     cols = np.flatnonzero(~(feasibility_residuals(p, X) > _SQRT_FMAX))
-    X = X[:, cols]
+    X = X.take(cols, axis=1)
     n = X.shape[0]
     residual = functools.partial(_residual, p)
 
@@ -232,12 +232,13 @@ def _violated_rows(p: Problem, q: np.ndarray, jacs: np.ndarray):
 
 def _cholesky_solve(A: np.ndarray, b: np.ndarray):
     """x with A x = b for each column of A (m, m, N) and b (m, N), A
-    symmetric: the Cholesky factor L of A = L L^T, then forward and back
-    substitution, elementwise over the columns with + - * / and sqrt in a
-    fixed order, so a column's x does not depend on its batch or on the
-    machine.  Returns (x, factored); a column whose pivot is not > 0 is
-    not factored and its x is NaN.  Non-finite inputs give non-finite x,
-    which the Gauss-Newton step reads as no step, as it read LAPACK's.
+    symmetric and read from its lower triangle alone: the Cholesky factor
+    L of A = L L^T, then forward and back substitution, elementwise over
+    the columns with + - * / and sqrt in a fixed order, so a column's x
+    does not depend on its batch or on the machine.  Returns (x,
+    factored); a column whose pivot is not > 0 is not factored and its x
+    is NaN.  Non-finite inputs give non-finite x, which the Gauss-Newton
+    step reads as no step, as it read LAPACK's.
     """
     m = b.shape[0]
     L = np.empty_like(A)
@@ -274,8 +275,10 @@ def _gauss_newton_step(p: Problem, Z: np.ndarray) -> np.ndarray:
     non-finite entries read as by np.nan_to_num."""
     diag = np.arange(p.m)
     J, rhs, idle = _violated_rows(p, *batch_constraint_grads(p, Z))
-    JT = J.transpose(1, 0, 2)
-    A = column_sum(JT[:, :, None] * JT[:, None])  # J J^T, (m, m, N)
+    A = np.empty((p.m, p.m, Z.shape[1]))  # J J^T, its lower triangle
+    for i in range(p.m):
+        for j in range(i + 1):
+            A[i, j] = column_sum(J[i] * J[j])
     A[diag, diag] += idle
     ridged = A[diag, diag]  # the diagonal of J J^T + D, a copy
     A[diag, diag] += 1e-12
@@ -304,7 +307,7 @@ def _restore(p: Problem, Y: np.ndarray, iters: int):
         cols = np.flatnonzero(res > _RESTORE_TOL)
         if not cols.size:
             break
-        Z = Y[:, cols]
+        Z = Y.take(cols, axis=1)
         cand = Z - scale[cols] * _gauss_newton_step(p, Z)
         res_c = feasibility_residuals(p, cand)
         better = _improves(res_c, res[cols])
