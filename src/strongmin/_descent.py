@@ -331,7 +331,7 @@ def minimize_tilted(p: Problem, V: np.ndarray, starts: np.ndarray,
     def tilted(Vt):
         def fill(out, Z):
             # the objective's value and gradient and the rows' pullback
-            # share one power table
+            # come from one program
             R = p.row_stack.objective_pullback(Z, residual, out)
             out[0] -= column_sum(Vt * Z)
             out[1:n + 1] -= Vt

@@ -214,7 +214,7 @@ def probe_mscq(p: Problem, radius: float = 0.1, samples: int = 128,
                    for i, r in enumerate((radius, radius / 4.0))])
     denom = feasibility_residuals(p, X)
     live = np.flatnonzero(denom > 1e-12)
-    X, denom = X[:, live], denom[live]
+    X, denom = X.take(live, axis=1), denom[live]
     Y, res = push_to_feasible(p, X)
     D = Y - X
     numer = np.sqrt(column_sum(D * D))

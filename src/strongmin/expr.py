@@ -14,12 +14,11 @@ NaN, so that samplers can drop it.  At a single point (``eval_bundle``,
 ``eval_value``) the same columns raise EvalDomainError, and any other
 inf/nan raises NonFiniteError.
 
-A polynomial tree (``+ - *``, unary minus, ``^k``, constants, variables)
-can also be compiled once into its monomials (``compile_polynomial``).
-``RowStack`` turns a stack of such rows, on the first call of each entry
-point, into one generated straight-line program that repeats, in the same
-order, the float operations of summing coefficient times monomial over a
-shared power table; every other row goes to the walker.
+``RowStack`` compiles a stack of rows, on the first call of each entry
+point, into one generated straight-line program: the walker's float
+operations unrolled for every row, with each subtree shared within or
+across rows formed once and structurally zero gradient terms skipped.
+The walker stays the reference the programs are tested against.
 
 Grammar::
 
@@ -40,8 +39,9 @@ from __future__ import annotations
 
 import functools
 import re
+import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -65,10 +65,8 @@ __all__ = [
     "eval_values",
     "eval_grads",
     "to_text",
-    "compile_polynomial",
     "RowStack",
     "MAX_EXPONENT",
-    "MAX_MONOMIALS",
 ]
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
@@ -439,297 +437,264 @@ def eval_grads(e: Expression, X: np.ndarray):
 
 
 # ----------------------------------------------------------------------
-# compiled polynomial rows
+# row programs
 # ----------------------------------------------------------------------
 
-# Most monomials a tree may expand to (at any step of its expansion) and
-# still be compiled; a larger tree keeps the walker.
-MAX_MONOMIALS = 64
-
-# One monomial: (coefficient, ((variable, exponent >= 1), ...) by variable).
-Monomial = Tuple[float, Tuple[Tuple[int, int], ...]]
-
-
-def _times(a: dict, b: dict):
-    """Product of two {exponents: coefficient} expansions, or None above the
-    bounds."""
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(i + j for i, j in zip(ea, eb))
-            if max(key, default=0) > MAX_EXPONENT:
-                return None
-            out[key] = out[key] + ca * cb if key in out else ca * cb
-    return out if len(out) <= MAX_MONOMIALS else None
+# Longest text of an inline operation: a longer one becomes a temporary,
+# which keeps every statement far below the 200 nested parentheses that
+# Python's parser takes.
+_LONGEST = 400
+_SUMS = ("({} + {})", "({} - {})")
 
 
-def _expand(e: Expression, n: int):
-    """``e`` as an {exponents: coefficient} dict in order of first
-    appearance, or None when ``e`` is not a polynomial (sqrt exp log sin
-    cos, '/') or exceeds MAX_MONOMIALS or MAX_EXPONENT."""
-    if isinstance(e, Const):
-        return {(0,) * n: e.value}
-    if isinstance(e, Var):
-        return {tuple(int(i == e.index) for i in range(n)): 1.0}
-    if isinstance(e, Unary):
-        a = _expand(e.arg, n) if e.op == "neg" else None
-        return None if a is None else {k: -c for k, c in a.items()}
-    if isinstance(e, Power):
-        a = _expand(e.base, n)
-        if a is None:
-            return None
-        if e.exponent == 0:
-            return {(0,) * n: 1.0}
-        out = a
-        for _ in range(e.exponent - 1):
-            out = _times(out, a)
-            if out is None:
-                return None
-        return out
-    if isinstance(e, Binary) and e.op != "div":
-        a, b = _expand(e.left, n), _expand(e.right, n)
-        if a is None or b is None:
-            return None
-        if e.op == "mul":
-            return _times(a, b)
-        sign = 1.0 if e.op == "add" else -1.0
-        out = dict(a)
-        for k, c in b.items():
-            out[k] = out[k] + sign * c if k in out else sign * c
-        return out if len(out) <= MAX_MONOMIALS else None
-    return None
+class _Graph:
+    """The walker's float operations over a stack of rows, unrolled.
 
+    An operation is a (template, argument ids) pair, and equal pairs are one
+    operation, so a subtree that recurs within or across rows is formed
+    once; every argument's id precedes its user's.  The leaves are the rows
+    X[i] and constants, bound as global names of the program, never written
+    into its text: inf, nan and -0.0 keep their bits, and no input text
+    reaches the source.
 
-def compile_polynomial(e: Expression, n: int) -> Optional[Tuple[Monomial, ...]]:
-    """The monomials of ``e`` over n variables, or None if it has no
-    compiled form within MAX_MONOMIALS and MAX_EXPONENT."""
-    terms = _expand(e, n)
-    if terms is None:
-        return None
-    return tuple((c, tuple((i, k) for i, k in enumerate(ex) if k))
-                 for ex, c in terms.items())
-
-
-class _Source:
-    """The source of one straight-line program over compiled rows, and the
-    names it binds.
-
-    Each power, product and partial product is a temporary emitted on first
-    use and named by what it holds, so it is formed once.  Coefficients,
-    folded constants and walked trees are bound as global names of the
-    program, never written into its text: inf, nan and -0.0 keep their
-    bits, and no input text reaches the source.
+    ``node`` gives a tree's (value, gradient, finite, constant): the value's
+    operation; the gradient as {d: operation} over the structurally nonzero
+    entries, ``one`` standing for the walker's exact 1.0; whether the value
+    is finite wherever X is and nothing overflows; and whether the tree
+    reads no variable (such a tree is folded into the walker's constants).
+    An entry is left out when the walker forms it as a zero times finite
+    values; a zero times any other value (one fed by a division, sqrt, log
+    or non-finite constant) is formed, since it may be NaN.
     """
 
-    def __init__(self):
-        self.lines = []
-        self.indent = 1
+    def __init__(self, n: int):
+        self.n = n
+        self.ops, self.ids, self.memo = [], {}, {}
         self.env = {"_empty": np.empty, "_zeros": np.zeros, "_errstate": np.errstate,
-                    "_eval_values": eval_values, "_eval_grads": eval_grads}
-        self.memo = {}
+                    "_where": np.where, "_nan": np.nan, "_sqrt": np.sqrt,
+                    "_exp": np.exp, "_log": np.log, "_sin": np.sin, "_cos": np.cos}
+        self.zero, self.one = self.const(0.0), self.const(1.0)
 
-    def line(self, text: str) -> None:
-        self.lines.append("    " * self.indent + text)
+    def op(self, template: str, *args: int) -> int:
+        key = (template, args)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.ops)
+            self.ops.append(key)
+        return i
 
-    def bind(self, value) -> str:
-        name = f"k{len(self.env)}"
-        self.env[name] = value
-        return name
+    def const(self, c) -> int:
+        key = struct.pack("<d", c)  # by its bits: -0.0 and each NaN apart
+        if key not in self.ids:
+            name = f"k{len(self.ops)}"
+            self.env[name] = float(c)
+            self.ids[key] = self.op(name)
+        return self.ids[key]
 
-    def temp(self, key, rhs) -> str:
-        """The temporary holding ``key``; emits ``name = rhs()`` on first use."""
-        name = self.memo.get(key)
-        if name is None:
-            name = self.memo[key] = f"t{len(self.memo)}"
-            self.line(f"{name} = {rhs()}")
-        return name
-
-    def power(self, i: int, k: int) -> str:
-        """x_i^k for k >= 1: x_i^(k-1) * x_i, as ``_ipow`` forms it."""
-        if k == 1:
-            return self.temp(("x", i), lambda: f"X[{i}]")
-        return self.temp(("x", i, k),
-                         lambda: f"{self.power(i, k - 1)} * {self.power(i, 1)}")
-
-    def product(self, factors, d=None):
-        """prod x_i^k over ``factors`` in variable order; with ``d``, the
-        partial derivative in x_d: k x_d^(k-1) first, then the other factors.
-        None stands for the constant 1."""
-        ops = []
-        if d is not None:
-            k = int(dict(factors)[d])
-            if k > 1:
-                ops.append(self.temp(("d", d, k), lambda: f"{k} * {self.power(d, k - 1)}"))
-        ops += [self.power(i, k) for i, k in factors if i != d]
-        out = ops[0] if ops else None
-        for j in range(1, len(ops)):
-            left, right = out, ops[j]
-            out = self.temp(("*",) + tuple(ops[:j + 1]), lambda: f"{left} * {right}")
+    def node(self, e: Expression):
+        """(value, gradient, finite, constant) of ``e``, memoized by node
+        identity."""
+        out = self.memo.get(id(e))
+        if out is not None:
+            return out
+        if isinstance(e, Const):
+            out = self.const(e.value), {}, bool(np.isfinite(e.value)), True
+        elif isinstance(e, Var):
+            out = self.op(f"X[{e.index}]"), {e.index: self.one}, True, False
+        elif isinstance(e, Binary):
+            left, right = self.node(e.left), self.node(e.right)
+            out = self._folded(e) if left[3] and right[3] else self._binary(e.op, left, right)
+        elif isinstance(e, Power):
+            u = self.node(e.base)
+            out = self._folded(e) if u[3] or e.exponent == 0 else self._power(e.exponent, *u[:3])
+        else:
+            u = self.node(e.arg)
+            out = self._folded(e) if u[3] else self._unary(e.op, *u[:3])
+        self.memo[id(e)] = out
         return out
 
-    def term(self, c, prod) -> str:
-        """c times a product: c alone for the constant 1, the product itself
-        for c == 1.0 (1.0 * p is p bit for bit)."""
-        if prod is None:
-            return self.bind(c)
-        return prod if c == 1.0 else f"{self.bind(c)} * {prod}"
+    def _folded(self, e: Expression):
+        with np.errstate(all="ignore"):
+            v, g, _ = _walk(e, np.zeros((self.n, 1)), 1, np.zeros(1, dtype=bool))
+        return (self.const(v[0]), {d: self.const(g[d, 0]) for d in range(self.n)
+                                   if g[d, 0] != 0.0}, bool(np.isfinite(v[0])), True)
 
-    def value(self, target: str, terms) -> None:
-        """target = the first term, then += each other term in order."""
-        for t, (c, factors) in enumerate(terms):
-            self.line(f"{target} {'+=' if t else '='} {self.term(c, self.product(factors))}")
+    def _scaled(self, s: int, finite: bool, g: dict) -> dict:
+        """The walker's s * g, entry by entry (a product commutes exactly)."""
+        out = {d: s if x == self.one else self.op("({} * {})", s, x) for d, x in g.items()}
+        for d in () if finite else range(self.n):
+            if d not in out:
+                out[d] = self.op("({} * {})", s, self.zero)
+        return out
 
-    def partial(self, terms, d: int) -> str:
-        """d/dx_d of a compiled row from the monomials that contain x_d,
-        summed from 0.0 in monomial order: a bound constant when every term
-        is one, else a parenthesized sum that its use consumes, so no array
-        of it outlives the statement.  Leading constant terms are summed
-        here, with the same float additions."""
-        acc, parts = 0.0, []
-        for c, factors in terms:
-            prod = self.product(factors, d)
-            if prod is None and not parts:
-                acc = acc + c
-            else:
-                parts.append(self.term(c, prod))
-        if not parts:
-            return self.bind(acc)
-        return "(" + " + ".join([self.bind(acc)] + parts) + ")"
+    def _combined(self, sym: str, lg: dict, rg: dict) -> dict:
+        """The walker's lg + rg or lg - rg, a zero term left out."""
+        out = dict(lg)
+        for d, x in rg.items():
+            out[d] = (self.op(f"({{}} {sym} {{}})", lg[d], x) if d in lg
+                      else x if sym == "+" else self.op("(-{})", x))
+        return out
 
-    def ignoring_errors(self, body) -> None:
-        """Emit body() inside np.errstate(all="ignore")."""
-        self.line("with _errstate(all='ignore'):")
-        self.indent += 1
-        start = len(self.lines)
-        body()
-        if len(self.lines) == start:
-            self.line("pass")
-        self.indent -= 1
+    def _binary(self, op: str, left, right):
+        (lv, lg, lf, _), (rv, rg, rf, rc) = left, right
+        if op != "div":
+            sym = {"add": "+", "sub": "-", "mul": "*"}[op]
+            g = (self._combined(sym, lg, rg) if op != "mul" else
+                 self._combined("+", self._scaled(rv, rf, lg), self._scaled(lv, lf, rg)))
+            return self.op(f"({{}} {sym} {{}})", lv, rv), g, lf and rf, False
+        # a zero divisor is made NaN, as _domain does; lv / rv overflows for
+        # a tiny rv, so the quotient counts as not finite
+        if not (rc and self.env[self.ops[rv][0]] != 0.0):
+            rv = self.op("_where({} == 0, _nan, {})", rv, rv)
+        w = self.op("({} / {})", lv, rv)
+        num = self._combined("-", lg, self._scaled(w, False, rg))
+        return w, {d: self.op("({} / {})", x, rv) for d, x in num.items()}, False, False
 
-    def function(self, signature: str):
-        text = f"def program({signature}):\n" + "\n".join(self.lines) + "\n"
-        exec(compile(text, "<RowStack program>", "exec"), self.env)
-        return self.env["program"]
+    def _power(self, k: int, u: int, g: dict, finite: bool):
+        if k == 1:
+            return u, g, finite, False
+        powers = [u]  # u^j by repeated multiplication, as _ipow forms it
+        for _ in range(k - 1):
+            powers.append(self.op("({} * {})", powers[-1], u))
+        d1 = self.op("({} * {})", self.const(k), powers[-2])
+        return powers[-1], self._scaled(d1, finite, g), finite, False
 
+    def _unary(self, op: str, u: int, g: dict, finite: bool):
+        if op == "neg":
+            negated = {d: self.op("(-{})", x) for d, x in g.items()}
+            return self.op("(-{})", u), negated, finite, False
+        if op in ("sqrt", "log"):
+            u, finite = self.op("_where({} <= 0, _nan, {})", u, u), False
+        v = self.op(f"_{op}({{}})", u)
+        d1 = {"sqrt": lambda: self.op("({} / {})", self.const(0.5), v),
+              "exp": lambda: v,
+              "log": lambda: self.op("({} / {})", self.one, u),
+              "sin": lambda: self.op("_cos({})", u),
+              "cos": lambda: self.op("(-{})", self.op("_sin({})", u))}[op]()
+        return v, self._scaled(d1, finite, g), finite, False
 
-def _partials(terms):
-    """{d: the monomials that contain x_d, in order} for a compiled row, in
-    order of first appearance; the other partials are structurally zero."""
-    out = {}
-    for c, factors in terms:
-        for i, _ in factors:
-            out.setdefault(i, []).append((c, factors))
-    return out
+    def program(self, signature: str, blocks):
+        """``def program(signature)`` from blocks: a str is one line, and a
+        list of (format, operation) statements runs under np.errstate(all=
+        "ignore"), the operation written into the format's {} (with None,
+        the format is the statement).
+
+        A first pass counts each operation's references.  The second writes
+        the operations in id order: one referenced more than once (or
+        too long) as a temporary, defined before the first statement
+        that needs it, and every other one inline, so that no array
+        outlives its use.
+        """
+        roots = [op for b in blocks if not isinstance(b, str) for _, op in b if op is not None]
+        uses, first = [0] * len(self.ops), {}
+        for i, root in enumerate(roots):
+            stack = [root]
+            while stack:
+                op = stack.pop()
+                uses[op] += 1
+                if uses[op] == 1:
+                    first[op] = i
+                    stack.extend(self.ops[op][1])
+        text, temps = {}, {}
+        for op in sorted(first):
+            template, args = self.ops[op]
+            text[op] = template.format(*[text[a] for a in args]) if args else template
+            if args and (uses[op] > 1 or len(text[op]) > _LONGEST):
+                temps.setdefault(first[op], []).append(f"t{op} = {text[op]}")
+                text[op] = f"t{op}"
+        lines, i = [], 0
+        for b in blocks:
+            if isinstance(b, str):
+                lines.append(b)
+                continue
+            body = []
+            for fmt, op in b:
+                if op is None:
+                    body.append(fmt)
+                    continue
+                body += temps.get(i, [])
+                i += 1
+                if not fmt.endswith(" = {}"):
+                    body.append(fmt.format(text[op]))
+                    continue
+                # target = a + b - c as target = a; target += b; target -= c:
+                # the same float operations, in the target's memory (an
+                # inline operation's text is in one pair of parentheses)
+                target, terms = fmt[:-5], []
+                while self.ops[op][0] in _SUMS and text[op] != f"t{op}":
+                    template, (op, right) = self.ops[op]
+                    terms.append((f"{template[4]}=", text[right]))
+                body += [f"{target} {sign} {t[1:-1] if t[0] == '(' else t}"
+                         for sign, t in [("=", text[op])] + terms[::-1]]
+            lines += ["with _errstate(all='ignore'):"] + ["    " + s for s in body or ["pass"]]
+        source = f"def program({signature}):\n" + "".join(f"    {s}\n" for s in lines)
+        exec(compile(source, "<RowStack program>", "exec"), self.env)
+        return self.env.pop("program")
 
 
 class RowStack:
     """A stack of rows over n variables, evaluated together.
 
-    A polynomial row is compiled on construction into its monomials; any
-    other row is walked, through ``eval_values``/``eval_grads``.  The first
-    call of each entry point (``values``, ``grads``, ``pullback``,
+    The first call of each entry point (``values``, ``grads``, ``pullback``,
     ``objective_pullback``) generates one straight-line program for it,
-    which every later call runs.  A program forms one power table shared
-    by every row, x_i^k by repeated multiplication as ``_ipow`` forms it,
-    and each distinct monomial and partial derivative once.  A row's value
-    is its first term, then += each other term in order of first
-    appearance; a gradient entry sums its terms from 0.0 in the same order,
-    with k x_d^(k-1) first and then the other factors in variable order.
-    So a row written as a sum of coefficient-times-monomial terms gets the
-    walker's bits.  Every call returns fresh arrays unless given ``out``.
+    which every later call runs: the walker's float operations unrolled for
+    every row (see ``_Graph``).  So the values are the walker's bits, and
+    the gradients its floats up to the sign of a zero wherever no
+    intermediate overflows (there, a skipped 0 * inf can keep a NaN out).
+    Every call returns fresh arrays unless given ``out``.
     """
 
     def __init__(self, rows, n: int, objective: Optional[Expression] = None):
         self.rows = tuple(rows)
         self.n = n
         self.objective = objective
-        self.compiled = tuple(compile_polynomial(r, n) for r in self.rows)
 
-    def _rows(self, src: _Source, order: int) -> None:
-        """Emit the row values V and, for ``order`` 1, bind each walked row's
-        gradients to a temporary ("w", r)."""
-        for r, (row, terms) in enumerate(zip(self.rows, self.compiled)):
-            if terms is not None:
-                src.value(f"V[{r}]", terms)
-            elif order:
-                src.memo[("w", r)] = w = f"w{r}"
-                src.line(f"V[{r}], {w} = _eval_grads({src.bind(row)}, X)")
-            else:
-                src.line(f"V[{r}] = _eval_values({src.bind(row)}, X)")
+    @functools.cached_property
+    def _graph(self):
+        """The operations shared by every program, and each row's node."""
+        graph = _Graph(self.n)
+        return graph, [graph.node(r) for r in self.rows]
 
-    def _objective(self, src: _Source) -> None:
-        """Emit the objective's value into out[0] and its gradient into
-        out[1:n+1], the bits a one-row stack's ``grads`` gives."""
-        n, terms = self.n, compile_polynomial(self.objective, self.n)
-        if terms is None:
-            src.line(f"out[0], out[1:{n + 1}] = _eval_grads({src.bind(self.objective)}, X)")
-            return
-        src.value("out[0]", terms)
-        partials = _partials(terms)
-        for d in range(n):
-            src.line(f"out[{1 + d}] = {src.partial(partials[d], d) if d in partials else '0.0'}")
+    def _program(self, signature: str, *blocks):
+        """_Graph.program of ``blocks`` after V = _empty((m, N))."""
+        graph, nodes = self._graph
+        return graph.program(signature, [f"V = _empty(({len(nodes)}, X.shape[1]))",
+                                          *blocks])
 
-    def _entries(self, src: _Source, r: int):
-        """(d, name of J[r, d]) of row r's structurally nonzero entries."""
-        terms = self.compiled[r]
-        if terms is None:
-            return [(d, f"{src.memo[('w', r)]}[{d}]") for d in range(self.n)]
-        return [(d, src.partial(ts, d)) for d, ts in _partials(terms).items()]
+    def _values_block(self, head=()):
+        """``head`` then V[r] = row r's value, for every row."""
+        return list(head) + [(f"V[{r}] = {{}}", node[0])
+                             for r, node in enumerate(self._graph[1])]
 
     @functools.cached_property
     def _values(self):
-        src = _Source()
-        src.line(f"V = _empty(({len(self.rows)}, X.shape[1]))")
-        src.ignoring_errors(lambda: self._rows(src, 0))
-        src.line("return V")
-        return src.function("X")
+        return self._program("X", self._values_block(), "return V")
 
     @functools.cached_property
     def _grads(self):
-        src = _Source()
-        src.line(f"V = _empty(({len(self.rows)}, X.shape[1]))")
-        src.line(f"J = _zeros(({len(self.rows)}, {self.n}, X.shape[1]))")
-
-        def body():
-            self._rows(src, 1)
-            for r in range(len(self.rows)):
-                if self.compiled[r] is None:
-                    src.line(f"J[{r}] = {src.memo[('w', r)]}")
-                else:
-                    for d, j in self._entries(src, r):
-                        src.line(f"J[{r}, {d}] = {j}")
-
-        src.ignoring_errors(body)
-        src.line("return V, J")
-        return src.function("X")
+        nodes = self._graph[1]
+        jacobian = [(f"J[{r}, {d}] = {{}}", op) for r, node in enumerate(nodes)
+                    for d, op in sorted(node[1].items())]
+        return self._program("X", f"J = _zeros(({len(nodes)}, {self.n}, X.shape[1]))",
+                             self._values_block() + jacobian, "return V, J")
 
     def _pullback_program(self, objective: bool):
         """out[off:off + n] = G (see ``pullback``), after the objective's
         value and gradient in out[0:n + 1] when ``objective``."""
-        src = _Source()
-        n, off = self.n, self.n + 1 if objective else 0
-        src.line(f"V = _empty(({len(self.rows)}, X.shape[1]))")
-
-        def values():
-            if objective:
-                self._objective(src)
-            self._rows(src, 1)
-
-        def pulled_back():
-            started = set()
-            for r in range(len(self.rows)):
-                for d, j in self._entries(src, r):
-                    src.line(f"out[{off + d}] {'+=' if d in started else '='} {j} * R[{r}]")
-                    started.add(d)
-            for d in range(n):
-                if d not in started:
-                    src.line(f"out[{off + d}] = 0.0")
-
-        src.ignoring_errors(values)
-        src.line("R = fn(V)")
-        src.ignoring_errors(pulled_back)
-        src.line("return R")
-        return src.function("X, fn, out")
+        (graph, nodes), n = self._graph, self.n
+        off, head, pulled, started = n + 1 if objective else 0, [], [], set()
+        if objective:
+            v, g = graph.node(self.objective)[:2]
+            head = [("out[0] = {}", v)] + [(f"out[{1 + d}] = {{}}", g[d]) if d in g
+                                           else (f"out[{1 + d}] = 0.0", None) for d in range(n)]
+        for r, node in enumerate(nodes):
+            for d, op in sorted(node[1].items()):
+                sign = "+=" if d in started else "="
+                pulled.append((f"out[{off + d}] {sign} {{}} * R[{r}]", op))
+                started.add(d)
+        pulled += [(f"out[{off + d}] = 0.0", None) for d in range(n) if d not in started]
+        return self._program("X, fn, out", self._values_block(head), "R = fn(V)", pulled,
+                             "return R")
 
     @functools.cached_property
     def _pullback(self):
@@ -762,9 +727,9 @@ class RowStack:
 
     def objective_pullback(self, X: np.ndarray, fn, out: np.ndarray) -> np.ndarray:
         """``pullback`` with the objective's value and gradient, from one
-        power table: out[0] is the objective's value, out[1:n+1] its
-        gradient (the bits of a one-row stack's ``grads``) and
-        out[n+1:2n+1] G.  Returns R."""
+        program: out[0] is the objective's value, out[1:n+1] its gradient
+        (the bits of a one-row stack's ``grads``) and out[n+1:2n+1] G.
+        Returns R."""
         return self._objective_pullback(X, fn, out)
 
 

@@ -96,9 +96,9 @@ def sample_feasible(p: Problem, radius: float, count: int, seed: int = 0):
     keep = placed(Y, res)
     rest = np.flatnonzero(~keep)
     if rest.size:
-        Y[:, rest], res[rest] = push_to_feasible(p, X[:, rest])
-        keep[rest] = placed(Y[:, rest], res[rest])
-    return Y[:, keep], res[keep], keep.sum() >= 0.5 * count
+        Y[:, rest], res[rest] = push_to_feasible(p, X.take(rest, axis=1))
+        keep[rest] = placed(Y.take(rest, axis=1), res[rest])
+    return Y.compress(keep, axis=1), res[keep], keep.sum() >= 0.5 * count
 
 
 def qgc_verdict(per_radius, usable=True):
@@ -153,7 +153,7 @@ def estimate_qg_modulus(p: Problem, radii=DEFAULT_RADII, count: int = 20000,
         if not np.any(mask):
             per_radius.append(np.inf)
             continue
-        vals = batch_objective_values(p, Y[:, mask])
+        vals = batch_objective_values(p, Y.compress(mask, axis=1))
         ratios = 2.0 * (vals - g0) / d2[mask]
         per_radius.append(float(np.min(ratios)))
     verdict = qgc_verdict(per_radius, usable=usable)

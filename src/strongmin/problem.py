@@ -44,7 +44,6 @@ __all__ = [
     "batch_constraint_values",
     "batch_constraint_grads",
     "batch_objective_values",
-    "batch_objective_grads",
     "FEASIBILITY_TOL",
     "ACTIVITY_TOL",
 ]
@@ -320,8 +319,3 @@ def batch_objective_values(p: Problem, X: np.ndarray) -> np.ndarray:
     """g(x) over columns of X; shape (N,)."""
     return p.objective_stack.values(X)[0]
 
-
-def batch_objective_grads(p: Problem, X: np.ndarray):
-    """(g values (N,), gradients (n,N)) over columns of X."""
-    v, g = p.objective_stack.grads(X)
-    return v[0], g[0]

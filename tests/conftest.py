@@ -377,9 +377,8 @@ def full_budget_stationarity(pd, tol=1e-7):
 def expression_trees(nvars, levels, smooth=False):
     """Trees shaped like test_expr's random_polynomial, or random_smooth's
     operations with ``smooth``, with at most ``levels`` levels of
-    operations; three polynomial levels keep every expansion far below
-    MAX_MONOMIALS.  Smooth trees are for parsing and printing: their
-    arguments are not kept in any domain."""
+    operations.  The arguments of smooth trees are not kept in any domain,
+    so sqrt, log and '/' meet nonpositive arguments and zero divisors."""
     from strongmin import expr
     leaf = st.one_of(st.floats(-2, 2).map(expr.Const),
                      st.integers(0, nvars - 1).map(expr.Var))
@@ -496,132 +495,3 @@ def random_licq_instance(rng):
     names = tuple(f"x{i+1}" for i in range(n))
     blocks = (problem.Block(tuple(rows), cones.orthant(k)),)
     return problem.Problem(names, g, blocks, np.zeros(n))
-
-
-# ----------------------------------------------------------------------
-# reference row evaluator
-# ----------------------------------------------------------------------
-
-def _reference_product(P, factors, d=None):
-    """prod x_i^k over ``factors`` from the power table P, in variable order;
-    with ``d``, the partial derivative in x_d: k x_d^(k-1) first, then the
-    other factors.  None stands for the constant 1."""
-    out = None
-    if d is not None:
-        k = dict(factors)[d]
-        out = k * P[d][k - 1] if k > 1 else None
-    for i, k in factors:
-        if i != d:
-            out = P[i][k] if out is None else out * P[i][k]
-    return out
-
-
-def _reference_scaled(c, prod):
-    """c times a product; 1.0 * prod is prod bit for bit."""
-    return c if prod is None else prod if c == 1.0 else c * prod
-
-
-class ReferenceRowStack:
-    """The interpreter that expr.RowStack's generated programs repeat: the
-    same float operations in the same order, looked up per call.
-
-    A call forms one power table shared by every row, x_i^k by repeated
-    multiplication, and memoizes each monomial and partial product.  A
-    row's value is its first term, then += the others; a gradient entry
-    sums its terms from 0.0 in monomial order; G[d] = J[r, d] * R[r] for
-    the first row with a structurally nonzero entry, then += in row
-    order.  Walked rows go through eval_values/eval_grads.
-    """
-
-    def __init__(self, rows, n):
-        from strongmin import expr
-        self.rows = tuple(rows)
-        self.n = n
-        self.compiled = tuple(expr.compile_polynomial(r, n) for r in self.rows)
-        self._top = [0] * n
-        self._partials = []
-        for terms in self.compiled:
-            partials = {}
-            for c, factors in terms or ():
-                for i, k in factors:
-                    self._top[i] = max(self._top[i], k)
-                    partials.setdefault(i, []).append((c, factors))
-            self._partials.append(partials)
-
-    def _powers(self, X):
-        P = []
-        for i, top in enumerate(self._top):
-            row = [None]
-            for _ in range(top):
-                row.append(X[i] if len(row) == 1 else row[-1] * X[i])
-            P.append(row)
-        return P
-
-    def _eval(self, X, order):
-        from strongmin import expr
-        V = np.empty((len(self.rows), X.shape[1]))
-        walked = {}
-        P = self._powers(X)
-        products = {}
-
-        def product(factors, d=None):
-            key = (factors, d)
-            if key not in products:
-                products[key] = _reference_product(P, factors, d)
-            return products[key]
-
-        for r, (row, terms) in enumerate(zip(self.rows, self.compiled)):
-            if terms is None:
-                if order:
-                    V[r], walked[r] = expr.eval_grads(row, X)
-                else:
-                    V[r] = expr.eval_values(row, X)
-                continue
-            for t, (c, factors) in enumerate(terms):
-                term = _reference_scaled(c, product(factors))
-                if t:
-                    V[r] += term
-                else:
-                    V[r] = term
-        return V, walked, product
-
-    def _partial(self, r, d, product):
-        out = 0.0
-        for c, factors in self._partials[r][d]:
-            out = out + _reference_scaled(c, product(factors, d))
-        return out
-
-    def values(self, X):
-        with np.errstate(all="ignore"):
-            return self._eval(X, 0)[0]
-
-    def grads(self, X):
-        J = np.zeros((len(self.rows), self.n, X.shape[1]))
-        with np.errstate(all="ignore"):
-            V, walked, product = self._eval(X, 1)
-            for r, partials in enumerate(self._partials):
-                if r in walked:
-                    J[r] = walked[r]
-                for d in partials:
-                    J[r, d] = self._partial(r, d, product)
-        return V, J
-
-    def pullback(self, X, fn):
-        G = np.zeros((self.n, X.shape[1]))
-        started = [False] * self.n
-        with np.errstate(all="ignore"):
-            V, walked, product = self._eval(X, 1)
-        R = fn(V)
-        with np.errstate(all="ignore"):
-            for r, partials in enumerate(self._partials):
-                if r in walked:
-                    entries = ((d, walked[r][d]) for d in range(self.n))
-                else:
-                    entries = ((d, self._partial(r, d, product)) for d in partials)
-                for d, jrd in entries:
-                    if started[d]:
-                        G[d] += jrd * R[r]
-                    else:
-                        G[d] = jrd * R[r]
-                        started[d] = True
-        return R, G

@@ -169,22 +169,20 @@ class TestBatchedRows:
     @pytest.mark.parametrize("name", ["ex44", "ex46", "ex47", "licq", "quad3",
                                       "socb", "licq-sweep"])
     def test_compiled_rows_give_the_walkers_values(self, name):
-        """Rows written as sums of coefficient times monomial evaluate, once
-        compiled, to the walker's floats (np.array_equal: the sign of a zero
-        aside), and the values path gives the gradients path's bytes."""
+        """The row programs give the walker's floats (np.array_equal: the
+        sign of a zero aside), and the values path gives the gradients
+        path's bytes."""
         p = (_licq_sweep_instance() if name == "licq-sweep"
              else problem.load(corpus_path(name, "problem.prob")))
         X = ball(p.point, 1.0, 1000, seed=5)
         rows = [r for b in p.blocks for r in b.rows]
-        assert all(t is not None for t in p.row_stack.compiled)
-        assert p.objective_stack.compiled[0] is not None
         q, jacs = problem.batch_constraint_grads(p, X)
         assert q.shape == (len(rows), 1000) and jacs.shape == (len(rows), p.n, 1000)
         for i, row in enumerate(rows):
             v, g = expr.eval_grads(row, X)
             assert np.array_equal(q[i], v) and np.array_equal(jacs[i], g)
         assert problem.batch_constraint_values(p, X).tobytes() == q.tobytes()
-        gv, gg = problem.batch_objective_grads(p, X)
+        (gv,), (gg,) = p.objective_stack.grads(X)
         wv, wg = expr.eval_grads(p.objective, X)
         assert np.array_equal(gv, wv) and np.array_equal(gg, wg)
         assert problem.batch_objective_values(p, X).tobytes() == gv.tobytes()
