@@ -655,28 +655,26 @@ class RowStack:
         graph = _Graph(self.n)
         return graph, [graph.node(r) for r in self.rows]
 
-    def _program(self, signature: str, *blocks):
-        """_Graph.program of ``blocks`` after V = _empty((m, N))."""
+    def _program(self, signature: str, head: list, tail: list, *rest):
+        """_Graph.program of: V = _empty((m, N)); under np.errstate, the
+        statements ``head``, V[r] = row r's value for every row and
+        ``tail``; then ``rest``."""
         graph, nodes = self._graph
+        values = [(f"V[{r}] = {{}}", node[0]) for r, node in enumerate(nodes)]
         return graph.program(signature, [f"V = _empty(({len(nodes)}, X.shape[1]))",
-                                          *blocks])
-
-    def _values_block(self, head=()):
-        """``head`` then V[r] = row r's value, for every row."""
-        return list(head) + [(f"V[{r}] = {{}}", node[0])
-                             for r, node in enumerate(self._graph[1])]
+                                          head + values + tail, *rest])
 
     @functools.cached_property
     def _values(self):
-        return self._program("X", self._values_block(), "return V")
+        return self._program("X", [], [], "return V")
 
     @functools.cached_property
     def _grads(self):
         nodes = self._graph[1]
         jacobian = [(f"J[{r}, {d}] = {{}}", op) for r, node in enumerate(nodes)
                     for d, op in sorted(node[1].items())]
-        return self._program("X", f"J = _zeros(({len(nodes)}, {self.n}, X.shape[1]))",
-                             self._values_block() + jacobian, "return V, J")
+        zeros = (f"J = _zeros(({len(nodes)}, {self.n}, X.shape[1]))", None)
+        return self._program("X", [zeros], jacobian, "return V, J")
 
     def _pullback_program(self, objective: bool):
         """out[off:off + n] = G (see ``pullback``), after the objective's
@@ -693,8 +691,7 @@ class RowStack:
                 pulled.append((f"out[{off + d}] {sign} {{}} * R[{r}]", op))
                 started.add(d)
         pulled += [(f"out[{off + d}] = 0.0", None) for d in range(n) if d not in started]
-        return self._program("X, fn, out", self._values_block(head), "R = fn(V)", pulled,
-                             "return R")
+        return self._program("X, fn, out", head, [], "R = fn(V)", pulled, "return R")
 
     @functools.cached_property
     def _pullback(self):
