@@ -9,6 +9,15 @@ probe).  `_residual` forms R = q - Pi_K(q) for the stacked blocks; the
 descent, the Gauss-Newton restoration and `feasibility_residuals` (also
 the cq probe's denominator) all read it.
 
+A descent step is one pass of ufunc calls that write in place into
+arrays allocated once per call, under one np.errstate held around the
+loop: the normalized step, the ball clip, the rows' pullback program
+(whose residual callback forms an orthant block's residual inline and a
+soc block's into the preallocated R), the penalty, the base, the accept
+test and a branch-free select of the float bits.  At a few hundred
+columns a step costs numpy's per-call dispatch, not arithmetic, so the
+pass saves calls and temporaries and keeps every float operation.
+
 `_restore` is a damped minimum-norm Gauss-Newton (Ben-Israel 1966) on the
 violated part of R alone; both descents end with it, and the growth
 oracle runs it first, from the ball samples themselves.  Each column
@@ -55,8 +64,6 @@ that far enters dist^2 with its residual entries capped at
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import cones
@@ -67,36 +74,25 @@ from .problem import (Problem, batch_constraint_grads, batch_constraint_values,
 __all__ = ["push_to_feasible", "feasibility_residuals", "minimize_tilted"]
 
 
+def _cone_residual(cone: cones.Cone, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = q - Pi_K(q) for one block's values q; an orthant block's
+    projection min(q, 0) is formed in out itself."""
+    if cone.kind == "orthant":
+        return np.subtract(q, np.minimum(q, 0.0, out=out), out=out)
+    return np.subtract(q, cones.project(cone, q), out=out)
+
+
 def _residual(p: Problem, Q: np.ndarray) -> np.ndarray:
     """q - Pi_K(q) for the stacked block values Q (m, N), block by block."""
     R = np.empty_like(Q)
     for b, sl in zip(p.blocks, p.block_slices):
-        R[sl] = Q[sl] - cones.project(b.cone, Q[sl])
+        _cone_residual(b.cone, Q[sl], R[sl])
     return R
 
 
 def feasibility_residuals(p: Problem, Y: np.ndarray) -> np.ndarray:
     """Columnwise distance of q(y) to the cone product."""
     return column_norm(_residual(p, batch_constraint_values(p, Y)))
-
-
-def _penalty(R: np.ndarray, out: np.ndarray) -> None:
-    """The penalty rows from the cone residual R (m, N): out[:-1], which
-    holds G = J^T R, becomes the gradient 2 G of dist^2(q(y); cones), and
-    out[-1] becomes dist^2 = ||R||^2, columnwise, with each |R| capped at
-    `_PENALTY_CAP`."""
-    out[:-1] *= 2.0
-    R = np.minimum(np.abs(R), _PENALTY_CAP)
-    out[-1] = column_sum(R * R)
-
-
-def _filled(fill, Y: np.ndarray):
-    """The descent state at the columns of Y (y, then the rows fill writes
-    at y) and fill's cone residual R."""
-    n = Y.shape[0]
-    state = np.empty((3 * n + 2, Y.shape[1]))
-    state[:n] = Y
-    return state, fill(state[n:], state[:n])
 
 
 # The step factors of a rejected and of an accepted candidate.
@@ -124,45 +120,117 @@ def _improves(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(new, -_FMAX), _FMAX) < old
 
 
-def _select(kept: np.ndarray, new: np.ndarray, mask: np.ndarray) -> None:
-    """kept = new, in place, in the columns where the int64 ``mask`` is -1
-    (all bits set; 0 elsewhere): a branch-free select of the float bits.
-    A masked np.copyto or np.where branches per element and costs five to
-    seven times as much on the descent's mixed accept masks."""
-    k = kept.view(np.int64)
-    diff = np.bitwise_xor(k, new.view(np.int64))
-    diff &= mask
-    k ^= diff
+def _clip(Z: np.ndarray, center: np.ndarray, radius: float, D: np.ndarray,
+          nrm: np.ndarray, rows) -> np.ndarray:
+    """Each column of Z mapped into the ball, in place:
+    center + (Z - center) * min(radius / ||Z - center||, 1), where a NaN
+    quotient (0 / 0, or a NaN norm) reads as 1.  center is (n, 1) or
+    (n, N), D (n, N) and nrm (N,) are scratch, and rows lists Z's rows."""
+    np.subtract(Z, center, out=D)
+    np.multiply(D, D, out=Z)
+    np.sqrt(column_sum(rows, out=nrm), out=nrm)
+    np.fmin(np.divide(radius, nrm, out=nrm), 1.0, out=nrm)
+    return np.add(center, np.multiply(D, nrm, out=D), out=Z)
 
 
-def _descend(fill, state, steps, rho, iters, rho_doubling, clip=None):
+def _descend(p: Problem, Y: np.ndarray, steps: np.ndarray, rho: float, iters: int,
+             rho_doubling: int, anchor=None, tilts=None, ball=None) -> np.ndarray:
     """Columnwise adaptive-step descent on base(y) + rho * d2(y) from the
-    state `_filled` gives; returns the final y.
+    columns of Y (n, N); returns the final y.
 
-    fill(out, Z) writes base, base_grad (n rows), d2_grad (n rows) and d2
-    at the columns of Z into the rows of out, in that order.  Each column
-    steps along its normalized gradient; an improving candidate is
-    accepted and grows the step by 1.2, otherwise the step halves.  rho
-    doubles every `rho_doubling` iterations, and `clip`, if given, maps
-    each candidate back into the admissible set.  y and fill's rows are
-    row blocks of one state array: one select per step.
+    base is ||y - anchor||^2 (push_to_feasible) or, with ``tilts``,
+    g(y) - tilts.y (minimize_tilted), whose candidates are clipped into
+    ``ball`` = (center (n, 1), radius).  Each column steps along its
+    normalized gradient; an improving candidate is accepted and grows the
+    step by 1.2, otherwise the step halves.  rho doubles every
+    `rho_doubling` iterations.  The state and the candidate each hold y,
+    base, base_grad (n rows), d2_grad (n rows), d2 and the penalty
+    base + rho * d2 as row blocks of one array, so the accepted columns
+    are one select.
     """
-    n = (state.shape[0] - 2) // 3
-    cand = np.empty(state.shape)
-    y, base, base_grad = state[:n], state[n], state[n + 1:2 * n + 1]
-    d2_grad, d2 = state[2 * n + 1:3 * n + 1], state[3 * n + 1]
-    for it in range(iters):
-        if it and it % rho_doubling == 0:
-            rho *= 2.0
-        grad = base_grad + rho * d2_grad
-        gn = np.sqrt(column_sum(grad * grad))
-        gn = np.where(gn > 1e-14, gn, 1.0)
-        Z = y - steps * grad / gn
-        cand[:n] = Z if clip is None else clip(Z)
-        fill(cand[n:], cand[:n])
-        better = _improves(cand[n] + rho * cand[3 * n + 1], base + rho * d2)
-        _select(state, cand, -better.astype(np.int64))
-        steps *= _STEP_FACTORS.take(better.view(np.int8))
+    n, N = Y.shape
+    program = p.row_stack.pullback if tilts is None else p.row_stack.objective_pullback
+    state, cand = np.empty((2, 3 * n + 3, N))
+    flips = np.empty(state.shape, dtype=np.int64)
+    Q, R = np.empty((2, p.m, N))  # the row values and their cone residual
+    grad, W = np.empty((2, n, N))
+    col = np.empty(N)
+    better = np.empty(N, dtype=bool)
+    mask = np.empty(N, dtype=np.int64)
+    blocks = [(b.cone, Q[sl], R[sl]) for b, sl in zip(p.blocks, p.block_slices)]
+    W_rows, R_rows, cy_rows = list(W), list(R), list(cand[:n])  # column_sum's rows
+    if ball is not None:
+        center, radius = ball
+        center = np.repeat(center, N, axis=1)  # a broadcast operand costs 2.5 times as much
+
+    def residual(_):  # the program's fn: its values are Q
+        for cone, q, r in blocks:
+            _cone_residual(cone, q, r)
+        return R
+
+    def fill(T):
+        """base, base_grad, d2_grad = 2 J^T R and d2 = ||R||^2 at the
+        columns of y, into the rows T of the state or the candidate, with
+        each |R| capped at `_PENALTY_CAP`."""
+        y, base, base_grad, d2_grad, d2, pulled, _ = T
+        if tilts is None:
+            program(y, Q, residual, d2_grad)
+            np.subtract(y, anchor, out=W)
+            np.multiply(2.0, W, out=base_grad)
+            np.multiply(W, W, out=W)
+            column_sum(W_rows, out=base)
+        else:
+            # the objective's value and gradient and the rows' pullback
+            # come from one program
+            program(y, Q, residual, pulled)
+            np.multiply(tilts, y, out=W)
+            np.subtract(base, column_sum(W_rows, out=col), out=base)
+            np.subtract(base_grad, tilts, out=base_grad)
+        np.multiply(d2_grad, 2.0, out=d2_grad)
+        np.minimum(np.abs(R, out=R), _PENALTY_CAP, out=R)
+        np.multiply(R, R, out=R)
+        column_sum(R_rows, out=d2)
+
+    def rows(T):
+        """y, base, base_grad, d2_grad, d2, the rows of the objective
+        program and the penalty, as views of T."""
+        return (T[:n], T[n], T[n + 1:2 * n + 1], T[2 * n + 1:3 * n + 1], T[3 * n + 1],
+                T[n:3 * n + 1], T[3 * n + 2])
+
+    y, base, base_grad, d2_grad, d2, _, penalty = state_rows = rows(state)
+    cy, cbase, _, _, cd2, _, cand_penalty = cand_rows = rows(cand)
+    kept, new = state.view(np.int64), cand.view(np.int64)
+    y[...] = Y
+    with np.errstate(all="ignore"):
+        fill(state_rows)
+        for it in range(iters):
+            if it % rho_doubling == 0:
+                if it:
+                    rho *= 2.0
+                np.add(base, np.multiply(rho, d2, out=penalty), out=penalty)
+            # cy = y - steps * grad / ||grad||, with 1 for a norm <= 1e-14
+            np.add(base_grad, np.multiply(rho, d2_grad, out=grad), out=grad)
+            np.multiply(grad, grad, out=W)
+            np.sqrt(column_sum(W_rows, out=col), out=col)
+            np.greater(col, 1e-14, out=better)
+            np.multiply(steps, grad, out=cy)
+            np.divide(cy, col, out=cy, where=better)
+            np.subtract(y, cy, out=cy)
+            if ball is not None:
+                _clip(cy, center, radius, grad, col, cy_rows)
+            fill(cand_rows)
+            # accept where _improves(cand's penalty, state's)
+            np.add(cbase, np.multiply(rho, cd2, out=cand_penalty), out=cand_penalty)
+            np.minimum(np.maximum(cand_penalty, -_FMAX, out=col), _FMAX, out=col)
+            np.less(col, penalty, out=better)
+            np.copyto(mask, better)  # 1 where accepted
+            np.multiply(steps, _STEP_FACTORS.take(mask), out=steps)
+            # state = cand in the accepted columns, a branch-free select of
+            # the float bits: a masked copy branches per element and costs
+            # five to seven times as much on the descent's mixed masks
+            np.negative(mask, out=mask)
+            np.bitwise_and(np.bitwise_xor(kept, new, out=flips), mask, out=flips)
+            np.bitwise_xor(kept, flips, out=kept)
     return y
 
 
@@ -179,20 +247,9 @@ def push_to_feasible(p: Problem, X: np.ndarray):
     Y = X.copy()
     cols = np.flatnonzero(~(feasibility_residuals(p, X) > _SQRT_FMAX))
     X = X.take(cols, axis=1)
-    n = X.shape[0]
-    residual = functools.partial(_residual, p)
-
-    def fill(out, Z):
-        D = Z - X
-        out[0] = column_sum(D * D)
-        np.multiply(2.0, D, out=out[1:n + 1])
-        R = p.row_stack.pullback(Z, residual, out[n + 1:2 * n + 1])[0]
-        _penalty(R, out[n + 1:])
-        return R
-
     steps = 0.05 * np.maximum(1.0, np.max(np.abs(X), axis=0))
-    Y[:, cols] = _descend(fill, _filled(fill, X)[0], steps, _PUSH_RHO0, _PUSH_ITERS,
-                          _PUSH_RHO_DOUBLING)
+    Y[:, cols] = _descend(p, X, steps, _PUSH_RHO0, _PUSH_ITERS, _PUSH_RHO_DOUBLING,
+                          anchor=X)
     return _restore(p, Y, _RESTORE_ITERS)
 
 
@@ -321,40 +378,25 @@ def minimize_tilted(p: Problem, V: np.ndarray, starts: np.ndarray,
                     center: np.ndarray, ball_radius: float):
     """Columnwise minimization of g(y) - v.y over the feasible set ∩ ball.
 
-    V (n, N) holds one tilt per column, starts (n, N) the initial points.
-    Returns (Y, objective values, feasibility residuals).  A start whose
-    residual exceeds sqrt(max float) skips the descent for the restoration.
+    V (n, N) holds one tilt per column, starts (n, N) the initial points,
+    and ball_radius is positive.  Returns (Y, objective values,
+    feasibility residuals).  A start whose residual exceeds sqrt(max
+    float) skips the descent for the restoration.
     """
-    n = V.shape[0]
-    residual = functools.partial(_residual, p)
+    ball = center[:, None], ball_radius
+    scratch = np.empty(starts.shape), np.empty(starts.shape[1])
 
-    def tilted(Vt):
-        def fill(out, Z):
-            # the objective's value and gradient and the rows' pullback
-            # come from one program
-            R = p.row_stack.objective_pullback(Z, residual, out)
-            out[0] -= column_sum(Vt * Z)
-            out[1:n + 1] -= Vt
-            _penalty(R, out[n + 1:])
-            return R
-        return fill
+    def clip(Y):
+        with np.errstate(divide="ignore", invalid="ignore"):  # r / 0 and 0 / 0 read as 1
+            return _clip(Y, *ball, *scratch, list(Y))
 
-    def clip(Z):
-        diff = Z - center[:, None]
-        nrm = np.sqrt(column_sum(diff * diff))
-        factor = np.where(nrm > ball_radius,
-                          ball_radius / np.where(nrm > 0, nrm, 1.0), 1.0)
-        return center[:, None] + diff * factor
-
+    Y = clip(starts.copy())
     # a start whose residual exceeds sqrt(max float) is left to the
-    # restoration, as in push_to_feasible; its residual is read off the
-    # descent's first fill
-    Y = clip(starts)
-    state, R = _filled(tilted(V), Y)
-    cols = np.flatnonzero(~(column_norm(R) > _SQRT_FMAX))
+    # restoration, as in push_to_feasible
+    cols = np.flatnonzero(~(feasibility_residuals(p, Y) > _SQRT_FMAX))
     steps = np.full(cols.size, 0.05 * max(ball_radius, 1e-6))
-    Y[:, cols] = _descend(tilted(V[:, cols]), state.take(cols, axis=1), steps,
-                          _TILT_RHO0, _TILT_ITERS, _TILT_RHO_DOUBLING, clip)
+    Y[:, cols] = _descend(p, Y.take(cols, axis=1), steps, _TILT_RHO0, _TILT_ITERS,
+                          _TILT_RHO_DOUBLING, tilts=V.take(cols, axis=1), ball=ball)
     if p.blocks:
         Y = clip(_restore(p, Y, _RESTORE_ITERS)[0])
     gfinal = batch_objective_values(p, Y) - column_sum(V * Y)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -90,14 +90,18 @@ def project(k: Cone, Y) -> np.ndarray:
     return out
 
 
-def column_sum(A: np.ndarray) -> np.ndarray:
-    """A[0] + A[1] + ... from +0.0 in row order: the bits numpy's add.reduce
+def column_sum(A: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """A[0] + A[1] + ... from +0.0 in row order, into ``out`` when given
+    (then A may be any sequence of rows): the bits numpy's add.reduce
     gives a wide batch, also for a column alone (which numpy would sum
     pairwise from 8 rows on)."""
-    s = np.zeros(A.shape[1:])
+    if out is None:
+        out = np.zeros(A.shape[1:])
+    else:
+        out.fill(0.0)
     for row in A:
-        s += row
-    return s
+        out += row
+    return out
 
 
 def column_norm(A: np.ndarray) -> np.ndarray:

@@ -445,6 +445,10 @@ def eval_grads(e: Expression, X: np.ndarray):
 # Python's parser takes.
 _LONGEST = 400
 _SUMS = ("({} + {})", "({} - {})")
+# The ufunc that writes an operation's value into a target, by template
+_UFUNCS = {"({} + {})": "_add", "({} - {})": "_subtract", "({} * {})": "_multiply",
+           "({} / {})": "_divide", "(-{})": "_negative", "_sqrt({})": "_sqrt",
+           "_exp({})": "_exp", "_log({})": "_log", "_sin({})": "_sin", "_cos({})": "_cos"}
 
 
 class _Graph:
@@ -470,8 +474,9 @@ class _Graph:
     def __init__(self, n: int):
         self.n = n
         self.ops, self.ids, self.memo = [], {}, {}
-        self.env = {"_empty": np.empty, "_zeros": np.zeros, "_errstate": np.errstate,
-                    "_where": np.where, "_nan": np.nan, "_sqrt": np.sqrt,
+        self.env = {"_zeros": np.zeros, "_where": np.where, "_nan": np.nan,
+                    "_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply,
+                    "_divide": np.divide, "_negative": np.negative, "_sqrt": np.sqrt,
                     "_exp": np.exp, "_log": np.log, "_sin": np.sin, "_cos": np.cos}
         self.zero, self.one = self.const(0.0), self.const(1.0)
 
@@ -575,9 +580,9 @@ class _Graph:
 
     def program(self, signature: str, blocks):
         """``def program(signature)`` from blocks: a str is one line, and a
-        list of (format, operation) statements runs under np.errstate(all=
-        "ignore"), the operation written into the format's {} (with None,
-        the format is the statement).
+        list holds (format, operation) statements, the operation written
+        into the format's {} (with None, the format is the statement).  The
+        program sets no np.errstate: its caller holds one.
 
         A first pass counts each operation's references.  The second writes
         the operations in id order: one referenced more than once (or
@@ -607,27 +612,33 @@ class _Graph:
             if isinstance(b, str):
                 lines.append(b)
                 continue
-            body = []
             for fmt, op in b:
                 if op is None:
-                    body.append(fmt)
+                    lines.append(fmt)
                     continue
-                body += temps.get(i, [])
+                lines += temps.get(i, [])
                 i += 1
                 if not fmt.endswith(" = {}"):
-                    body.append(fmt.format(text[op]))
+                    lines.append(fmt.format(text[op]))
                     continue
-                # target = a + b - c as target = a; target += b; target -= c:
-                # the same float operations, in the target's memory (an
-                # inline operation's text is in one pair of parentheses)
+                # target = a + b - c as target = a; target += b; target -= c,
+                # and a's last operation as its ufunc with target as out: the
+                # same float operations, in the target's memory (an inline
+                # operation's text is in one pair of parentheses)
                 target, terms = fmt[:-5], []
                 while self.ops[op][0] in _SUMS and text[op] != f"t{op}":
                     template, (op, right) = self.ops[op]
                     terms.append((f"{template[4]}=", text[right]))
-                body += [f"{target} {sign} {t[1:-1] if t[0] == '(' else t}"
-                         for sign, t in [("=", text[op])] + terms[::-1]]
-            lines += ["with _errstate(all='ignore'):"] + ["    " + s for s in body or ["pass"]]
-        source = f"def program({signature}):\n" + "".join(f"    {s}\n" for s in lines)
+                template, args = self.ops[op]
+                if template in _UFUNCS and text[op] != f"t{op}":
+                    operands = ", ".join(text[a] for a in args)
+                    lines.append(f"{_UFUNCS[template]}({operands}, {target})")
+                else:
+                    terms.append(("=", text[op]))
+                lines += [f"{target} {sign} {t[1:-1] if t[0] == '(' else t}"
+                          for sign, t in terms[::-1]]
+        body = "".join(f"    {s}\n" for s in lines or ["pass"])  # a stack of no rows
+        source = f"def program({signature}):\n" + body
         exec(compile(source, "<RowStack program>", "exec"), self.env)
         return self.env.pop("program")
 
@@ -635,13 +646,15 @@ class _Graph:
 class RowStack:
     """A stack of rows over n variables, evaluated together.
 
-    The first call of each entry point (``values``, ``grads``, ``pullback``,
-    ``objective_pullback``) generates one straight-line program for it,
-    which every later call runs: the walker's float operations unrolled for
-    every row (see ``_Graph``).  So the values are the walker's bits, and
-    the gradients its floats up to the sign of a zero wherever no
-    intermediate overflows (there, a skipped 0 * inf can keep a NaN out).
-    Every call returns fresh arrays unless given ``out``.
+    The first use of each program (``values``, ``grads``, ``pullback``,
+    ``objective_pullback``) generates it, and every later call runs it:
+    the walker's float operations unrolled for every row (see ``_Graph``).
+    So the values are the walker's bits, and the gradients its floats up
+    to the sign of a zero wherever no intermediate overflows (there, a
+    skipped 0 * inf can keep a NaN out).  ``values`` and ``grads`` return
+    fresh arrays under their own np.errstate; the two pullback programs
+    write into the caller's arrays under the caller's np.errstate, so that
+    the penalty descent holds one around its whole loop.
     """
 
     def __init__(self, rows, n: int, objective: Optional[Expression] = None):
@@ -656,17 +669,15 @@ class RowStack:
         return graph, [graph.node(r) for r in self.rows]
 
     def _program(self, signature: str, head: list, tail: list, *rest):
-        """_Graph.program of: V = _empty((m, N)); under np.errstate, the
-        statements ``head``, V[r] = row r's value for every row and
-        ``tail``; then ``rest``."""
+        """_Graph.program of the statements ``head``, V[r] = row r's value
+        for every row and ``tail``; then ``rest``."""
         graph, nodes = self._graph
         values = [(f"V[{r}] = {{}}", node[0]) for r, node in enumerate(nodes)]
-        return graph.program(signature, [f"V = _empty(({len(nodes)}, X.shape[1]))",
-                                          head + values + tail, *rest])
+        return graph.program(signature, [head + values + tail, *rest])
 
     @functools.cached_property
     def _values(self):
-        return self._program("X", [], [], "return V")
+        return self._program("X, V", [], [])
 
     @functools.cached_property
     def _grads(self):
@@ -674,7 +685,7 @@ class RowStack:
         jacobian = [(f"J[{r}, {d}] = {{}}", op) for r, node in enumerate(nodes)
                     for d, op in sorted(node[1].items())]
         zeros = (f"J = _zeros(({len(nodes)}, {self.n}, X.shape[1]))", None)
-        return self._program("X", [zeros], jacobian, "return V, J")
+        return self._program("X, V", [zeros], jacobian, "return J")
 
     def _pullback_program(self, objective: bool):
         """out[off:off + n] = G (see ``pullback``), after the objective's
@@ -686,48 +697,47 @@ class RowStack:
             head = [("out[0] = {}", v)] + [(f"out[{1 + d}] = {{}}", g[d]) if d in g
                                            else (f"out[{1 + d}] = 0.0", None) for d in range(n)]
         for r, node in enumerate(nodes):
+            R = graph.op(f"R[{r}]")
             for d, op in sorted(node[1].items()):
                 sign = "+=" if d in started else "="
-                pulled.append((f"out[{off + d}] {sign} {{}} * R[{r}]", op))
+                pulled.append((f"out[{off + d}] {sign} {{}}", graph.op("({} * {})", op, R)))
                 started.add(d)
         pulled += [(f"out[{off + d}] = 0.0", None) for d in range(n) if d not in started]
-        return self._program("X, fn, out", head, [], "R = fn(V)", pulled, "return R")
-
-    @functools.cached_property
-    def _pullback(self):
-        return self._pullback_program(False)
-
-    @functools.cached_property
-    def _objective_pullback(self):
-        return self._pullback_program(True)
+        return self._program("X, V, fn, out", head, [], "R = fn(V)", pulled, "return R")
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Row values (m, N) over the columns of X (n, N)."""
-        return self._values(X)
+        V = np.empty((len(self.rows), X.shape[1]))
+        with np.errstate(all="ignore"):
+            self._values(X, V)
+        return V
 
     def grads(self, X: np.ndarray):
         """Row values (m, N) and gradients (m, n, N); the values are the
         bits ``values`` gives."""
-        return self._grads(X)
+        V = np.empty((len(self.rows), X.shape[1]))
+        with np.errstate(all="ignore"):
+            return V, self._grads(X, V)
 
-    def pullback(self, X: np.ndarray, fn, out: Optional[np.ndarray] = None):
-        """R = fn(V) for the row values V (m, N), and G (n, N) with
+    @functools.cached_property
+    def pullback(self):
+        """The program ``pullback(X, V, fn, out) -> R``: the row values
+        into V (m, N), R = fn(V), and G (n, N) into out, with
         G[d] = sum_r J[r, d] * R[r], J the Jacobian ``grads`` gives.
 
         G is summed in row order from the same J[r, d] bits without
-        forming J, into ``out`` when given.  Structurally zero entries are
-        skipped, which can only change the sign of a zero sum or keep a
-        0 * inf = NaN out of it.
+        forming J.  Structurally zero entries are skipped, which can only
+        change the sign of a zero sum or keep a 0 * inf = NaN out of it.
+        The program runs under the caller's np.errstate.
         """
-        G = np.empty((self.n, X.shape[1])) if out is None else out
-        return self._pullback(X, fn, G), G
+        return self._pullback_program(False)
 
-    def objective_pullback(self, X: np.ndarray, fn, out: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def objective_pullback(self):
         """``pullback`` with the objective's value and gradient, from one
         program: out[0] is the objective's value, out[1:n+1] its gradient
-        (the bits of a one-row stack's ``grads``) and out[n+1:2n+1] G.
-        Returns R."""
-        return self._objective_pullback(X, fn, out)
+        (the bits of a one-row stack's ``grads``) and out[n+1:2n+1] G."""
+        return self._pullback_program(True)
 
 
 # ----------------------------------------------------------------------

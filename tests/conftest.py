@@ -495,3 +495,150 @@ def random_licq_instance(rng):
     names = tuple(f"x{i+1}" for i in range(n))
     blocks = (problem.Block(tuple(rows), cones.orthant(k)),)
     return problem.Problem(names, g, blocks, np.zeros(n))
+
+
+# ----------------------------------------------------------------------
+# the penalty descent as it was written before its fused step: the
+# reference that push_to_feasible and minimize_tilted must repeat
+# ----------------------------------------------------------------------
+
+def _reference_residual(p, Q):
+    """q - Pi_K(q) for the stacked block values Q (m, N), block by block."""
+    from strongmin import cones
+    R = np.empty_like(Q)
+    for b, sl in zip(p.blocks, p.block_slices):
+        R[sl] = Q[sl] - cones.project(b.cone, Q[sl])
+    return R
+
+
+def _reference_pullback(stack, X, fn, out, objective=False):
+    """R from a row stack's pullback program into out, with its own value
+    array and np.errstate, as RowStack.pullback and objective_pullback
+    ran it then."""
+    V = np.empty((len(stack.rows), X.shape[1]))
+    with np.errstate(all="ignore"):
+        return (stack.objective_pullback if objective else stack.pullback)(X, V, fn, out)
+
+
+def _penalty(R, out):
+    """The penalty rows from the cone residual R (m, N): out[:-1], which
+    holds G = J^T R, becomes the gradient 2 G of dist^2(q(y); cones), and
+    out[-1] becomes dist^2 = ||R||^2, columnwise, with each |R| capped at
+    `_PENALTY_CAP`."""
+    from strongmin._descent import _PENALTY_CAP
+    from strongmin.cones import column_sum
+    out[:-1] *= 2.0
+    R = np.minimum(np.abs(R), _PENALTY_CAP)
+    out[-1] = column_sum(R * R)
+
+
+def _filled(fill, Y):
+    """The descent state at the columns of Y (y, then the rows fill writes
+    at y) and fill's cone residual R."""
+    n = Y.shape[0]
+    state = np.empty((3 * n + 2, Y.shape[1]))
+    state[:n] = Y
+    return state, fill(state[n:], state[:n])
+
+
+def _select(kept, new, mask):
+    """kept = new, in place, in the columns where the int64 ``mask`` is -1
+    (all bits set; 0 elsewhere): a branch-free select of the float bits."""
+    k = kept.view(np.int64)
+    diff = np.bitwise_xor(k, new.view(np.int64))
+    diff &= mask
+    k ^= diff
+
+
+def _descend(fill, state, steps, rho, iters, rho_doubling, clip=None):
+    """Columnwise adaptive-step descent on base(y) + rho * d2(y) from the
+    state `_filled` gives; returns the final y.
+
+    fill(out, Z) writes base, base_grad (n rows), d2_grad (n rows) and d2
+    at the columns of Z into the rows of out, in that order.  Each column
+    steps along its normalized gradient; an improving candidate is
+    accepted and grows the step by 1.2, otherwise the step halves.  rho
+    doubles every `rho_doubling` iterations, and `clip`, if given, maps
+    each candidate back into the admissible set.  y and fill's rows are
+    row blocks of one state array: one select per step.
+    """
+    from strongmin._descent import _STEP_FACTORS, _improves
+    from strongmin.cones import column_sum
+    n = (state.shape[0] - 2) // 3
+    cand = np.empty(state.shape)
+    y, base, base_grad = state[:n], state[n], state[n + 1:2 * n + 1]
+    d2_grad, d2 = state[2 * n + 1:3 * n + 1], state[3 * n + 1]
+    for it in range(iters):
+        if it and it % rho_doubling == 0:
+            rho *= 2.0
+        grad = base_grad + rho * d2_grad
+        gn = np.sqrt(column_sum(grad * grad))
+        gn = np.where(gn > 1e-14, gn, 1.0)
+        Z = y - steps * grad / gn
+        cand[:n] = Z if clip is None else clip(Z)
+        fill(cand[n:], cand[:n])
+        better = _improves(cand[n] + rho * cand[3 * n + 1], base + rho * d2)
+        _select(state, cand, -better.astype(np.int64))
+        steps *= _STEP_FACTORS.take(better.view(np.int8))
+    return y
+
+
+def reference_push_to_feasible(p, X):
+    """push_to_feasible through the reference loop."""
+    from strongmin import _descent
+    from strongmin.cones import column_sum
+    Y = X.copy()
+    cols = np.flatnonzero(~(_descent.feasibility_residuals(p, X) > _descent._SQRT_FMAX))
+    X = X.take(cols, axis=1)
+    n = X.shape[0]
+
+    def fill(out, Z):
+        D = Z - X
+        out[0] = column_sum(D * D)
+        np.multiply(2.0, D, out=out[1:n + 1])
+        R = _reference_pullback(p.row_stack, Z, lambda V: _reference_residual(p, V),
+                                out[n + 1:2 * n + 1])
+        _penalty(R, out[n + 1:])
+        return R
+
+    steps = 0.05 * np.maximum(1.0, np.max(np.abs(X), axis=0))
+    Y[:, cols] = _descend(fill, _filled(fill, X)[0], steps, _descent._PUSH_RHO0,
+                          _descent._PUSH_ITERS, _descent._PUSH_RHO_DOUBLING)
+    return _descent._restore(p, Y, _descent._RESTORE_ITERS)
+
+
+def reference_minimize_tilted(p, V, starts, center, ball_radius):
+    """minimize_tilted through the reference loop."""
+    from strongmin import _descent
+    from strongmin.cones import column_norm, column_sum
+    from strongmin.problem import batch_objective_values
+    n = V.shape[0]
+
+    def tilted(Vt):
+        def fill(out, Z):
+            R = _reference_pullback(p.row_stack, Z, lambda Q: _reference_residual(p, Q),
+                                    out, objective=True)
+            out[0] -= column_sum(Vt * Z)
+            out[1:n + 1] -= Vt
+            _penalty(R, out[n + 1:])
+            return R
+        return fill
+
+    def clip(Z):
+        diff = Z - center[:, None]
+        nrm = np.sqrt(column_sum(diff * diff))
+        factor = np.where(nrm > ball_radius,
+                          ball_radius / np.where(nrm > 0, nrm, 1.0), 1.0)
+        return center[:, None] + diff * factor
+
+    Y = clip(starts)
+    state, R = _filled(tilted(V), Y)
+    cols = np.flatnonzero(~(column_norm(R) > _descent._SQRT_FMAX))
+    steps = np.full(cols.size, 0.05 * max(ball_radius, 1e-6))
+    Y[:, cols] = _descend(tilted(V[:, cols]), state.take(cols, axis=1), steps,
+                          _descent._TILT_RHO0, _descent._TILT_ITERS,
+                          _descent._TILT_RHO_DOUBLING, clip)
+    if p.blocks:
+        Y = clip(_descent._restore(p, Y, _descent._RESTORE_ITERS)[0])
+    gfinal = batch_objective_values(p, Y) - column_sum(V * Y)
+    return Y, gfinal, _descent.feasibility_residuals(p, Y)

@@ -2,8 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import HUGE_ROW, THIRTEEN_ROWS
+from conftest import (CONIC_CORPUS, HUGE_ROW, THIRTEEN_ROWS, corpus_path, problems,
+                      reference_minimize_tilted, reference_push_to_feasible)
 from strongmin import cones, problem, report
 from strongmin._descent import (_RESTORE_ITERS, _cholesky_solve, _improves, _restore,
                                 feasibility_residuals, minimize_tilted, push_to_feasible)
@@ -103,6 +106,58 @@ def test_soc9_restore_and_tilted_descent_are_batch_invariant():
     starts = ball(p.point, 0.2, 8, seed=0)
     _assert_batch_invariant(lambda cols: minimize_tilted(
         p, V[:, cols], starts[:, cols], p.point, 0.25), 8)
+
+
+def _descent_inputs(p, seed):
+    """160 push starts, tilts and tilt starts around the point.  The first
+    columns are the edge cases: push starts at +-1e200 (a residual whose
+    square is not a float, left to the restoration), -0.0 coordinates in
+    every array, a tilt start on the clip sphere and a zero tilt."""
+    n = p.n
+    center = np.zeros(n) if p.point is None else p.point
+    X = ball(center, 0.3, 160, seed=seed)
+    X[:, 0], X[:, 1], X[:, 2], X[0, 3] = 1e200, -1e200, -0.0, -0.0
+    V = 0.1 * np.random.default_rng(seed).standard_normal((n, 160))
+    V[:, 0], V[:, 1], V[0, 2] = 0.0, -0.0, -0.0
+    starts = ball(center, 0.3, 160, seed=seed + 1)
+    direction = np.arange(1.0, n + 1.0)
+    starts[:, 0] = center + 0.25 * direction / np.linalg.norm(direction)
+    starts[:, 1], starts[0, 2] = -0.0, -0.0
+    return X, V, starts, center
+
+
+def _assert_reference_bits(p, width, seed=0):
+    """push_to_feasible and minimize_tilted give the bytes of the loop of
+    fills they replaced (conftest's reference), on the first ``width``
+    columns of `_descent_inputs`."""
+    X, V, starts, center = _descent_inputs(p, seed)
+    X, V, starts = X[:, :width], V[:, :width], starts[:, :width]
+    runs = [(push_to_feasible, reference_push_to_feasible, (p, X)),
+            (minimize_tilted, reference_minimize_tilted, (p, V, starts, center, 0.25))]
+    for run, reference, args in runs:
+        with np.errstate(all="ignore"):  # the 1e200 starts overflow q
+            got, want = run(*args), reference(*args)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("width", [1, 7, 160])
+@pytest.mark.parametrize("text", [*CONIC_CORPUS, "HUGE_ROW", "THIRTEEN_ROWS", "NINE_SOC"])
+def test_descents_repeat_the_reference(text, width):
+    texts = {"HUGE_ROW": HUGE_ROW, "THIRTEEN_ROWS": THIRTEEN_ROWS, "NINE_SOC": _NINE_SOC}
+    p = (problem.loads(texts[text]) if text in texts
+         else problem.load(corpus_path(text, "problem.prob")))
+    _assert_reference_bits(p, width)
+
+
+@pytest.mark.parametrize("width", [1, 7, 160])
+@settings(max_examples=10, deadline=None)
+@given(p=problems(), seed=st.integers(0, 2**16))
+def test_descents_repeat_the_reference_on_random_rows(width, p, seed):
+    # rows over every operation, whose arguments leave the domains of
+    # sqrt, log and '/', so NaNs meet the accept test and the select
+    _assert_reference_bits(p, width, seed)
 
 
 def test_no_blocks_returns_x_unchanged():

@@ -321,6 +321,18 @@ class TestProperties:
 NAMES3 = ["x1", "x2", "x3"]
 
 
+def pullback(stack, X, fn, out=None):
+    """(R, G) from ``stack.pullback`` or, given ``out`` (2n + 1 rows), R
+    from ``stack.objective_pullback``, under np.errstate as the descent
+    runs them."""
+    V = np.empty((len(stack.rows), X.shape[1]))
+    with np.errstate(all="ignore"):
+        if out is not None:
+            return stack.objective_pullback(X, V, fn, out)
+        G = np.empty((stack.n, X.shape[1]))
+        return stack.pullback(X, V, fn, G), G
+
+
 class TestCompiledRows:
     @settings(max_examples=300, deadline=None)
     @given(tree=expression_trees(3, 3), seed=st.integers(0, 2**32 - 1))
@@ -346,7 +358,7 @@ class TestCompiledRows:
         X = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(3, 16))
         stack = expr.RowStack(rows, 3)
         V, J = stack.grads(X)
-        R, G = stack.pullback(X, lambda Q: Q - np.minimum(Q, 0.5))
+        R, G = pullback(stack, X, lambda Q: Q - np.minimum(Q, 0.5))
         assert R.tobytes() == (V - np.minimum(V, 0.5)).tobytes()
         assert np.array_equal(G, (J * R[:, None, :]).sum(axis=0))
 
@@ -421,12 +433,12 @@ class TestRowPrograms:
             wv, wg = expr.eval_grads(row, X)
             assert _bits(V[r]) == _bits(wv) == _bits(expr.eval_values(row, X))
             assert np.array_equal(J[r], wg, equal_nan=True)
-        R, G = stack.pullback(X, _shifted)
+        R, G = pullback(stack, X, _shifted)
         assert R.tobytes() == _shifted(V).tobytes()
         with np.errstate(all="ignore"):
             assert np.array_equal(G, (J * R[:, None, :]).sum(axis=0), equal_nan=True)
         out = np.full((7, width), np.nan)
-        assert stack.objective_pullback(X, _shifted, out).tobytes() == R.tobytes()
+        assert pullback(stack, X, _shifted, out).tobytes() == R.tobytes()
         v, g = expr.eval_grads(objective, X)
         assert _bits(out[0]) == _bits(v) and np.array_equal(out[1:4], g, equal_nan=True)
         assert out[4:].tobytes() == G.tobytes()
@@ -442,16 +454,16 @@ class TestRowPrograms:
 
     def test_programs_are_built_on_first_use(self):
         stack = expr.RowStack([expr.parse("x1^2 - x2", ["x1", "x2"])], 2)
-        assert not {"_values", "_grads", "_pullback"} & set(vars(stack))
+        assert not {"_values", "_grads", "pullback"} & set(vars(stack))
         stack.values(np.zeros((2, 3)))
-        assert {"_values", "_grads", "_pullback"} & set(vars(stack)) == {"_values"}
+        assert {"_values", "_grads", "pullback"} & set(vars(stack)) == {"_values"}
 
     def test_no_rows(self):
         stack = expr.RowStack([], 2, expr.parse("x1 * x2", ["x1", "x2"]))
         X = np.ones((2, 4))
         assert stack.values(X).shape == (0, 4)
-        R, G = stack.pullback(X, lambda Q: Q)
+        R, G = pullback(stack, X, lambda Q: Q)
         assert R.shape == (0, 4) and np.array_equal(G, np.zeros((2, 4)))
         out = np.full((5, 4), np.nan)
-        stack.objective_pullback(X, lambda Q: Q, out)
+        pullback(stack, X, lambda Q: Q, out)
         assert np.array_equal(out, [[1.0] * 4] * 3 + [[0.0] * 4] * 2)
