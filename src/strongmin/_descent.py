@@ -9,14 +9,16 @@ probe).  `_residual` forms R = q - Pi_K(q) for the stacked blocks; the
 descent, the Gauss-Newton restoration and `feasibility_residuals` (also
 the cq probe's denominator) all read it.
 
-A descent step is one pass of ufunc calls that write in place into
-arrays allocated once per call, under one np.errstate held around the
-loop: the normalized step, the ball clip, the rows' pullback program
-(whose residual callback forms an orthant block's residual inline and a
-soc block's into the preallocated R), the penalty, the base, the accept
-test and a branch-free select of the float bits.  At a few hundred
-columns a step costs numpy's per-call dispatch, not arithmetic, so the
-pass saves calls and temporaries and keeps every float operation.
+A descent step is one pass of ufunc calls under one np.errstate held
+around the loop: the normalized step, the ball clip, the rows' pullback
+program (whose residual callback projects each block into the
+preallocated R), the penalty, the base, the accept test and a
+branch-free select of the float bits.  Its own arrays are allocated
+once per call and every one of its ufuncs writes into them; only the
+row program's shared subexpressions and a soc block's projection still
+allocate temporaries.  At a few hundred columns a step costs numpy's
+per-call dispatch, not arithmetic, so the pass saves calls and
+temporaries and keeps every float operation.
 
 `_restore` is a damped minimum-norm Gauss-Newton (Ben-Israel 1966) on the
 violated part of R alone; both descents end with it, and the growth
@@ -75,11 +77,9 @@ __all__ = ["push_to_feasible", "feasibility_residuals", "minimize_tilted"]
 
 
 def _cone_residual(cone: cones.Cone, q: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = q - Pi_K(q) for one block's values q; an orthant block's
-    projection min(q, 0) is formed in out itself."""
-    if cone.kind == "orthant":
-        return np.subtract(q, np.minimum(q, 0.0, out=out), out=out)
-    return np.subtract(q, cones.project(cone, q), out=out)
+    """out = q - Pi_K(q) for one block's values q, the projection formed in
+    out itself."""
+    return np.subtract(q, cones.project(cone, q, out=out), out=out)
 
 
 def _residual(p: Problem, Q: np.ndarray) -> np.ndarray:
@@ -134,22 +134,21 @@ def _clip(Z: np.ndarray, center: np.ndarray, radius: float, D: np.ndarray,
 
 
 def _descend(p: Problem, Y: np.ndarray, steps: np.ndarray, rho: float, iters: int,
-             rho_doubling: int, anchor=None, tilts=None, ball=None) -> np.ndarray:
+             rho_doubling: int, tilt=None) -> np.ndarray:
     """Columnwise adaptive-step descent on base(y) + rho * d2(y) from the
     columns of Y (n, N); returns the final y.
 
-    base is ||y - anchor||^2 (push_to_feasible) or, with ``tilts``,
-    g(y) - tilts.y (minimize_tilted), whose candidates are clipped into
-    ``ball`` = (center (n, 1), radius).  Each column steps along its
-    normalized gradient; an improving candidate is accepted and grows the
-    step by 1.2, otherwise the step halves.  rho doubles every
+    base is ||y - Y||^2 (push_to_feasible) or, with ``tilt`` = (V (n, N),
+    center (n, 1), radius), g(y) - V.y (minimize_tilted), whose candidates
+    are clipped into the ball of that center and radius.  Each column
+    steps along its normalized gradient; an improving candidate is
+    accepted and grows the step by 1.2, otherwise the step halves.  rho doubles every
     `rho_doubling` iterations.  The state and the candidate each hold y,
     base, base_grad (n rows), d2_grad (n rows), d2 and the penalty
     base + rho * d2 as row blocks of one array, so the accepted columns
     are one select.
     """
     n, N = Y.shape
-    program = p.row_stack.pullback if tilts is None else p.row_stack.objective_pullback
     state, cand = np.empty((2, 3 * n + 3, N))
     flips = np.empty(state.shape, dtype=np.int64)
     Q, R = np.empty((2, p.m, N))  # the row values and their cone residual
@@ -159,8 +158,11 @@ def _descend(p: Problem, Y: np.ndarray, steps: np.ndarray, rho: float, iters: in
     mask = np.empty(N, dtype=np.int64)
     blocks = [(b.cone, Q[sl], R[sl]) for b, sl in zip(p.blocks, p.block_slices)]
     W_rows, R_rows, cy_rows = list(W), list(R), list(cand[:n])  # column_sum's rows
-    if ball is not None:
-        center, radius = ball
+    if tilt is None:
+        program = p.row_stack.pullback
+    else:
+        program = p.row_stack.objective_pullback
+        tilts, center, radius = tilt
         center = np.repeat(center, N, axis=1)  # a broadcast operand costs 2.5 times as much
 
     def residual(_):  # the program's fn: its values are Q
@@ -173,9 +175,9 @@ def _descend(p: Problem, Y: np.ndarray, steps: np.ndarray, rho: float, iters: in
         columns of y, into the rows T of the state or the candidate, with
         each |R| capped at `_PENALTY_CAP`."""
         y, base, base_grad, d2_grad, d2, pulled, _ = T
-        if tilts is None:
+        if tilt is None:
             program(y, Q, residual, d2_grad)
-            np.subtract(y, anchor, out=W)
+            np.subtract(y, Y, out=W)
             np.multiply(2.0, W, out=base_grad)
             np.multiply(W, W, out=W)
             column_sum(W_rows, out=base)
@@ -216,7 +218,7 @@ def _descend(p: Problem, Y: np.ndarray, steps: np.ndarray, rho: float, iters: in
             np.multiply(steps, grad, out=cy)
             np.divide(cy, col, out=cy, where=better)
             np.subtract(y, cy, out=cy)
-            if ball is not None:
+            if tilt is not None:
                 _clip(cy, center, radius, grad, col, cy_rows)
             fill(cand_rows)
             # accept where _improves(cand's penalty, state's)
@@ -224,7 +226,8 @@ def _descend(p: Problem, Y: np.ndarray, steps: np.ndarray, rho: float, iters: in
             np.minimum(np.maximum(cand_penalty, -_FMAX, out=col), _FMAX, out=col)
             np.less(col, penalty, out=better)
             np.copyto(mask, better)  # 1 where accepted
-            np.multiply(steps, _STEP_FACTORS.take(mask), out=steps)
+            # (take's default mode copies through a buffer; mask is 0 or 1)
+            np.multiply(steps, _STEP_FACTORS.take(mask, out=col, mode="clip"), out=steps)
             # state = cand in the accepted columns, a branch-free select of
             # the float bits: a masked copy branches per element and costs
             # five to seven times as much on the descent's mixed masks
@@ -248,8 +251,7 @@ def push_to_feasible(p: Problem, X: np.ndarray):
     cols = np.flatnonzero(~(feasibility_residuals(p, X) > _SQRT_FMAX))
     X = X.take(cols, axis=1)
     steps = 0.05 * np.maximum(1.0, np.max(np.abs(X), axis=0))
-    Y[:, cols] = _descend(p, X, steps, _PUSH_RHO0, _PUSH_ITERS, _PUSH_RHO_DOUBLING,
-                          anchor=X)
+    Y[:, cols] = _descend(p, X, steps, _PUSH_RHO0, _PUSH_ITERS, _PUSH_RHO_DOUBLING)
     return _restore(p, Y, _RESTORE_ITERS)
 
 
@@ -396,7 +398,7 @@ def minimize_tilted(p: Problem, V: np.ndarray, starts: np.ndarray,
     cols = np.flatnonzero(~(feasibility_residuals(p, Y) > _SQRT_FMAX))
     steps = np.full(cols.size, 0.05 * max(ball_radius, 1e-6))
     Y[:, cols] = _descend(p, Y.take(cols, axis=1), steps, _TILT_RHO0, _TILT_ITERS,
-                          _TILT_RHO_DOUBLING, tilts=V.take(cols, axis=1), ball=ball)
+                          _TILT_RHO_DOUBLING, tilt=(V.take(cols, axis=1), *ball))
     if p.blocks:
         Y = clip(_restore(p, Y, _RESTORE_ITERS)[0])
     gfinal = batch_objective_values(p, Y) - column_sum(V * Y)

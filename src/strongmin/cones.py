@@ -63,9 +63,9 @@ def soc(m: int) -> Cone:
     return Cone("soc", m)
 
 
-def project(k: Cone, Y) -> np.ndarray:
+def project(k: Cone, Y, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Euclidean projection onto the cone of a vector (m,) or of the columns
-    of an (m, N) array (total on finite inputs).
+    of an (m, N) array (total on finite inputs), into ``out`` when given.
 
     A soc column (t, ybar) outside the cone and its polar maps to
     alpha (1, ybar / r) with r = ||ybar|| and alpha = (t + r) / 2; columns
@@ -77,13 +77,14 @@ def project(k: Cone, Y) -> np.ndarray:
     if Y.ndim not in (1, 2) or Y.shape[0] != k.m:
         raise ValueError(f"expected {k.m} rows, got shape {Y.shape}")
     if k.kind == "orthant":
-        return np.minimum(Y, 0.0)
+        return np.minimum(Y, 0.0, out=out)
     t = Y[0]
     r = np.sqrt(column_sum(Y[1:] * Y[1:]))
     inside = t >= r
     polar = t <= -r
     alpha = (t + r) / 2.0
-    out = np.empty_like(Y)
+    if out is None:
+        out = np.empty_like(Y)
     out[0] = np.where(inside, t, np.where(polar, 0.0, alpha))
     out[1:] = np.where(inside, Y[1:], np.where(
         polar, 0.0, alpha / np.where(r > 0, r, 1.0) * Y[1:]))

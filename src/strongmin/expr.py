@@ -445,10 +445,6 @@ def eval_grads(e: Expression, X: np.ndarray):
 # Python's parser takes.
 _LONGEST = 400
 _SUMS = ("({} + {})", "({} - {})")
-# The ufunc that writes an operation's value into a target, by template
-_UFUNCS = {"({} + {})": "_add", "({} - {})": "_subtract", "({} * {})": "_multiply",
-           "({} / {})": "_divide", "(-{})": "_negative", "_sqrt({})": "_sqrt",
-           "_exp({})": "_exp", "_log({})": "_log", "_sin({})": "_sin", "_cos({})": "_cos"}
 
 
 class _Graph:
@@ -474,9 +470,7 @@ class _Graph:
     def __init__(self, n: int):
         self.n = n
         self.ops, self.ids, self.memo = [], {}, {}
-        self.env = {"_zeros": np.zeros, "_where": np.where, "_nan": np.nan,
-                    "_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply,
-                    "_divide": np.divide, "_negative": np.negative, "_sqrt": np.sqrt,
+        self.env = {"_zeros": np.zeros, "_where": np.where, "_nan": np.nan, "_sqrt": np.sqrt,
                     "_exp": np.exp, "_log": np.log, "_sin": np.sin, "_cos": np.cos}
         self.zero, self.one = self.const(0.0), self.const(1.0)
 
@@ -621,22 +615,15 @@ class _Graph:
                 if not fmt.endswith(" = {}"):
                     lines.append(fmt.format(text[op]))
                     continue
-                # target = a + b - c as target = a; target += b; target -= c,
-                # and a's last operation as its ufunc with target as out: the
-                # same float operations, in the target's memory (an inline
-                # operation's text is in one pair of parentheses)
+                # target = a + b - c as target = a; target += b; target -= c:
+                # the same float operations, in the target's memory (an
+                # inline operation's text is in one pair of parentheses)
                 target, terms = fmt[:-5], []
                 while self.ops[op][0] in _SUMS and text[op] != f"t{op}":
                     template, (op, right) = self.ops[op]
                     terms.append((f"{template[4]}=", text[right]))
-                template, args = self.ops[op]
-                if template in _UFUNCS and text[op] != f"t{op}":
-                    operands = ", ".join(text[a] for a in args)
-                    lines.append(f"{_UFUNCS[template]}({operands}, {target})")
-                else:
-                    terms.append(("=", text[op]))
                 lines += [f"{target} {sign} {t[1:-1] if t[0] == '(' else t}"
-                          for sign, t in terms[::-1]]
+                          for sign, t in [("=", text[op])] + terms[::-1]]
         body = "".join(f"    {s}\n" for s in lines or ["pass"])  # a stack of no rows
         source = f"def program({signature}):\n" + body
         exec(compile(source, "<RowStack program>", "exec"), self.env)
@@ -697,10 +684,9 @@ class RowStack:
             head = [("out[0] = {}", v)] + [(f"out[{1 + d}] = {{}}", g[d]) if d in g
                                            else (f"out[{1 + d}] = 0.0", None) for d in range(n)]
         for r, node in enumerate(nodes):
-            R = graph.op(f"R[{r}]")
             for d, op in sorted(node[1].items()):
                 sign = "+=" if d in started else "="
-                pulled.append((f"out[{off + d}] {sign} {{}}", graph.op("({} * {})", op, R)))
+                pulled.append((f"out[{off + d}] {sign} {{}} * R[{r}]", op))
                 started.add(d)
         pulled += [(f"out[{off + d}] = 0.0", None) for d in range(n) if d not in started]
         return self._program("X, V, fn, out", head, [], "R = fn(V)", pulled, "return R")
