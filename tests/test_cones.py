@@ -64,6 +64,9 @@ class TestProject:
             P = cones.project(k, Y)
             for j in range(Y.shape[1]):
                 assert P[:, j].tobytes() == cones.project(k, Y[:, j]).tobytes()
+            out = np.full_like(Y, np.nan)  # and the same bits written into out
+            assert cones.project(k, Y, out=out) is out
+            assert out.tobytes() == P.tobytes()
 
     def test_vertex_is_copied_and_polar_columns_become_positive_zero(self):
         Y = np.array([[-0.0, -2.0, -1.0], [0.0, 1.0, 0.0], [-0.0, -1.0, 0.0]])
