@@ -168,6 +168,28 @@ class NormalFace:
             out[sl] = -project(soc(sl.stop - sl.start), -out[sl])
         return out
 
+    def soc_violation(self, lam: np.ndarray) -> float:
+        """The largest distance from -lam_B to soc over the vertex blocks B
+        (0.0 without one)."""
+        return max([0.0] + [distance(soc(sl.stop - sl.start), -lam[sl])
+                            for sl in self.socs])
+
+    def cuts(self, lam: np.ndarray, tol: float) -> list:
+        """One row a per vertex block B whose y = -lam_B lies more than tol
+        from soc: a = -(y - P(y)) / ||y - P(y)|| on B and 0 elsewhere.
+
+        y - P(y) lies in the polar cone -soc (Moreau), so a.mu <= 0 for
+        every mu in the face, while a.lam = ||y - P(y)|| > tol."""
+        rows = []
+        for sl in self.socs:
+            y = -lam[sl]
+            a = y - project(soc(y.size), y)
+            na = np.hypot.reduce(a)
+            if na > tol:
+                rows.append(np.zeros(lam.shape[0]))
+                rows[-1][sl] = -a / na
+        return rows
+
     def inequality_rows(self, X: np.ndarray) -> np.ndarray:
         """The face's sign rows of X (rows in stacked coordinates), in
         coordinate order: X[i] for each nonneg coordinate i and d @ X[sl]

@@ -22,7 +22,7 @@ from ._descent import _KEEP_TOL, feasibility_residuals, push_to_feasible
 # sphere has no caller here; bench/test_bench.py rebinds cq.sphere
 from ._sampling import ball, sphere  # noqa: F401
 from ._simplex import solve_lp
-from .cones import column_sum, project, soc, soc_relaxation
+from .cones import NormalFace, column_sum, soc_relaxation
 from .kkt import STATIONARITY_TOL, face_least_squares
 from .problem import PointData, Problem, batch_constraint_grads
 
@@ -126,9 +126,10 @@ def check_rcq_dual(pd: PointData) -> Verdict:
     fails.  With one it fails iff the least ||(J^T lam, c.lam - 1)|| over
     the face is at most STATIONARITY_TOL (on 800 planted instances it was
     <= 7.1e-9 where the condition fails, >= 0.034 where it holds).  The
-    LP's point projected onto the face bounds that least value; up to
-    _CUT_ROUNDS times, planes supporting -soc cut the point off and the LP
-    runs again, before ``face_least_squares`` computes the value.
+    LP's point projected onto the LP variables' own face bounds that least
+    value; up to _CUT_ROUNDS times, that face's ``NormalFace.cuts`` cut the
+    point off and the LP runs again, before ``face_least_squares`` computes
+    the value.
     """
     face = pd.face
     J = _face_rows(pd)
@@ -151,21 +152,17 @@ def check_rcq_dual(pd: PointData) -> Verdict:
     A_eq = np.vstack([np.concatenate([np.ones(A.shape[0]), c[V]]),
                       np.hstack([A.T, J[V].T])])
     b_eq = np.concatenate([[1.0], np.zeros(pd.n)])
+    # the LP's variables' face: generator weights >= 0, then each vertex
+    # block's lam in -soc
+    lp_face = NormalFace(np.arange(A.shape[0]), np.zeros(0, dtype=int), (),
+                         tuple(segs))
     for _ in range(_CUT_ROUNDS + 1):
         lp = solve_lp(np.zeros(at), A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]),
                       A_eq=A_eq, b_eq=b_eq)
         if lp.status == "infeasible" or not segs:
             return Verdict(lp.status == "infeasible", _LP)
-        x = np.maximum(lp.x, 0.0)  # the LP's point, projected onto the face
-        cuts = []
-        for s in segs:  # a.(-lam_B) <= 0 for a = y - P(y), y = -lam_B
-            y = -lp.x[s]
-            x[s] = -project(soc(y.size), y)
-            a = y + x[s]
-            na = np.hypot.reduce(a)
-            if na > STATIONARITY_TOL:
-                cuts.append(np.zeros(at))
-                cuts[-1][s] = -a / na
+        x = lp_face.project(lp.x)
+        cuts = lp_face.cuts(lp.x, STATIONARITY_TOL)
         if np.hypot.reduce(A_eq @ x - b_eq) <= STATIONARITY_TOL:
             return Verdict(False, _LSQ)
         if not cuts:
@@ -245,7 +242,7 @@ def run_cq(pd: PointData, probe_radius: float = 0.1, probe_samples: int = 128,
     crcq = check_crcq(pd, seed=seed)
     # one LP decides both on orthant-only problems, where they coincide
     rcq = mfcq if mfcq.holds is not None else check_rcq_dual(pd)
-    mscq = probe_mscq(pd.problem.with_point(pd.x), radius=probe_radius,
+    mscq = probe_mscq(pd.problem, radius=probe_radius,
                       samples=probe_samples, seed=seed)
     notes: List[str] = [
         "metric subregularity is assumed by the second-order analysis; "

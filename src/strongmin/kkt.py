@@ -5,7 +5,7 @@ stationarity equation) with the normal-cone face of the evaluated point
 (``PointData.face``).  It is stored as a particular solution plus a
 null-space basis, with the point's ``NormalFace`` attached.  A linear
 functional can be maximized exactly over it by one loop of dense simplex
-LPs: a polyhedral set needs one LP, and projection-based cutting planes
+LPs: a polyhedral set needs one LP, and the face's ``NormalFace.cuts``
 handle blocks constrained to the polar second-order cone.  With k <= 3
 parameters, ``VertexMaximizer`` reads many such maxima at once off the
 vertices and rays of that first LP's polyhedron, and leaves the LP loop
@@ -253,8 +253,10 @@ def maximize_linear(ms: MultiplierSet, c) -> LinMaxResult:
     LP holds the face's sign rows and the polyhedral relaxation of each
     block in the polar second-order cone.  A polyhedral set returns after
     it: its argmax is feasible, or its ray recedes.  Otherwise each round
-    separates an argmax that leaves a soc block with projection
-    hyperplanes, and the loop stops once the argmax is feasible or the
+    adds the face's ``NormalFace.cuts``: at an argmax that leaves a soc
+    block, or at the unit multiplier direction of a ray that does not
+    recede, which the homogeneous cut then removes from the relaxation's
+    recession cone.  The loop stops once the argmax is feasible or the
     primal bound gap drops below ``_GAP_TOL``.  k > 0 without soc blocks
     leaves a nonneg or ray coordinate, so the first LP has a row.
     """
@@ -277,20 +279,20 @@ def maximize_linear(ms: MultiplierSet, c) -> LinMaxResult:
             lam_dir = N @ res.ray
             if _soc_recession_ok(ms, lam_dir):
                 return LinMaxResult("unbounded", ray=lam_dir)
-            _cut_direction(ms, lam0, N, res.x, res.ray, add_row)
-            continue
-        lam_star = ms.member(res.x)
-        viol = _max_soc_violation(ms, lam_star)
-        ub = float(c @ lam_star)
-        if viol <= 1e-9:
-            return LinMaxResult("bounded", value=ub, argmax=lam_star)
-        lam_feas = _shrink_to_feasible(ms, lam0, lam_star)
-        lb = float(c @ lam_feas)
-        if lb > best_value:
-            best_value, best_feasible = lb, lam_feas
-        if ub - best_value <= _GAP_TOL * max(1.0, abs(ub)):
-            return LinMaxResult("bounded", value=best_value, argmax=best_feasible)
-        _add_projection_cuts(ms, lam_star, add_row)
+            cut_at = lam_dir / np.linalg.norm(lam_dir)
+        else:
+            cut_at = lam_star = ms.member(res.x)
+            ub = float(c @ lam_star)
+            if ms.face.soc_violation(lam_star) <= 1e-9:
+                return LinMaxResult("bounded", value=ub, argmax=lam_star)
+            lam_feas = _shrink_to_feasible(ms, lam0, lam_star)
+            lb = float(c @ lam_feas)
+            if lb > best_value:
+                best_value, best_feasible = lb, lam_feas
+            if ub - best_value <= _GAP_TOL * max(1.0, abs(ub)):
+                return LinMaxResult("bounded", value=best_value, argmax=best_feasible)
+        for a in ms.face.cuts(cut_at, 1e-12):
+            add_row(a)
     return LinMaxResult("bounded", value=best_value, argmax=best_feasible,
                         cuts_exceeded=True)
 
@@ -299,75 +301,40 @@ def _first_lp_rows(ms):
     """Rows a.t <= b of maximize_linear's first LP, valid for the whole
     set with t = 0 feasible: the face's sign rows, then the polyhedral
     relaxation of each polar soc block.  Returns the two row lists and
-    add_row(a_lam, b_val), which appends a row given in multiplier
-    coordinates."""
+    add_row(a_lam), which appends the row a_lam.lam <= 0, given in
+    multiplier coordinates."""
     N, lam0 = ms.basis, ms.lam0
     A_rows = list(-ms.face.inequality_rows(N))
     b_rows = list(ms.face.inequality_rows(lam0))
 
-    def add_row(a_lam: np.ndarray, b_val: float):
+    def add_row(a_lam: np.ndarray):
         A_rows.append(a_lam @ N)
-        b_rows.append(b_val - float(a_lam @ lam0))
+        b_rows.append(0.0 - float(a_lam @ lam0))  # +0.0 where a_lam.lam0 is 0
 
     for sl in ms.face.socs:
         # initial relaxation of lam_B in -soc, i.e. of -lam_B in soc
         for a in cones.soc_relaxation(-np.eye(ms.m)[sl]):
-            add_row(a, 0.0)
+            add_row(a)
     return A_rows, b_rows, add_row
-
-
-def _max_soc_violation(ms, lam) -> float:
-    worst = 0.0
-    for sl in ms.face.socs:
-        k = cones.soc(sl.stop - sl.start)
-        worst = max(worst, cones.distance(k, -lam[sl]))
-    return worst
 
 
 def _soc_recession_ok(ms, lam_dir) -> bool:
     scale = max(np.linalg.norm(lam_dir), 1e-30)
-    return _max_soc_violation(ms, lam_dir / scale) <= _RECESSION_TOL
+    return ms.face.soc_violation(lam_dir / scale) <= _RECESSION_TOL
 
 
 def _shrink_to_feasible(ms, lam0, lam_star):
     lo, hi = 0.0, 1.0
-    if _max_soc_violation(ms, lam_star) <= 1e-12:
+    if ms.face.soc_violation(lam_star) <= 1e-12:
         return lam_star
     for _ in range(70):
         mid = 0.5 * (lo + hi)
         cand = lam0 + mid * (lam_star - lam0)
-        if _max_soc_violation(ms, cand) <= 1e-12:
+        if ms.face.soc_violation(cand) <= 1e-12:
             lo = mid
         else:
             hi = mid
     return lam0 + lo * (lam_star - lam0)
-
-
-def _add_projection_cuts(ms, lam_star, add_row):
-    for sl in ms.face.socs:
-        k = cones.soc(sl.stop - sl.start)
-        z = lam_star[sl]
-        p = -cones.project(k, -z)
-        normal = z - p
-        if np.linalg.norm(normal) <= 1e-12:
-            continue
-        a = np.zeros(ms.m)
-        a[sl] = normal
-        add_row(a, float(normal @ p))
-
-
-def _cut_direction(ms, lam0, N, t0, t_ray, add_row):
-    """Separate an LP recession direction that leaves a soc block."""
-    base = lam0 + (N @ t0 if t0 is not None else 0.0)
-    step = 1.0
-    for _ in range(60):
-        cand = base + step * (N @ t_ray)
-        if _max_soc_violation(ms, cand) > 1e-8:
-            _add_projection_cuts(ms, cand, add_row)
-            return
-        step *= 2.0
-    # direction appears feasible after all; cut at the far point anyway
-    _add_projection_cuts(ms, base + step * (N @ t_ray), add_row)
 
 
 def enumerate_polyhedron(ms: MultiplierSet):
@@ -441,7 +408,7 @@ class VertexMaximizer:
 
     def __init__(self, ms: MultiplierSet, geom):
         self.vertices, self.rays = geom
-        self._vertex_in = np.array([_max_soc_violation(ms, v) <= 1e-9
+        self._vertex_in = np.array([ms.face.soc_violation(v) <= 1e-9
                                     for v in self.vertices.T], dtype=bool)
         self._ray_in = np.array([_soc_recession_ok(ms, r) for r in self.rays.T],
                                 dtype=bool)

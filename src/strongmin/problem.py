@@ -23,7 +23,7 @@ import functools
 import hashlib
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -98,10 +98,6 @@ class Problem:
     @functools.cached_property
     def objective_stack(self) -> expr.RowStack:
         return expr.RowStack([self.objective], self.n)
-
-    def with_point(self, x) -> "Problem":
-        return Problem(self.variables, self.objective, self.blocks,
-                       np.asarray(x, dtype=float))
 
     def digest(self) -> str:
         return hashlib.sha256(save_text(self).encode()).hexdigest()
@@ -271,6 +267,8 @@ def save_text(p: Problem) -> str:
 def evaluate(p: Problem, x) -> PointData:
     """All derivative data, per-block residuals and the normal face at x.
 
+    The PointData's problem carries x as its point: it is p itself when
+    p.point has x's bits, so a report compiles p's row programs once.
     Each block is classified at its value, or at the value's projection
     onto the cone when the residual exceeds FEASIBILITY_TOL; a residual
     that is not finite, or an objective gradient whose squared norm
@@ -279,6 +277,8 @@ def evaluate(p: Problem, x) -> PointData:
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError(f"point must have length {p.n}")
+    if p.point is None or p.point.tobytes() != x.tobytes():
+        p = replace(p, point=x)
     g = expr.eval_bundle(p.objective, x)
     with np.errstate(over="ignore"):
         if not np.isfinite(np.sum(g.gradient * g.gradient)):

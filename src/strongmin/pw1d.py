@@ -37,7 +37,6 @@ __all__ = [
     "binary_staircase",
     "loads",
     "load",
-    "tangent_direction_test",
     "check_conditions",
     "estimate_qgc_1d",
     "second_subderivative",
@@ -385,34 +384,6 @@ def load(path: str) -> Piecewise1D:
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
-
-def tangent_direction_test(f: Piecewise1D, xbar: float, vbar: float,
-                           w: float, z: float) -> bool:
-    """Is (w, z) tangent to the subgradient graph at (xbar, vbar)?
-
-    For every scale t of ``f.scales`` the normalized distance from
-    (xbar, vbar) + t (w, z) to the graph is measured against analytic
-    segments (no sampling).  Acceptance: the final normalized distance is
-    below _TANGENT_TOL, or the distances decay monotonically by a factor of
-    at least two down to 0.15 (the decay branch captures directions
-    approached along breakpoint subsequences, at the resolution of the
-    scale list).
-
-    Tangent cones are cones, so the direction is first normalized to unit
-    x-component (unit slope component when w = 0): acceptance is invariant
-    under positive rescaling of (w, z), and scale lists matched to the
-    function's breakpoints keep their meaning for every direction.
-    """
-    if w == 0.0 and z == 0.0:
-        return True
-    iv = f.prox_subdiff(xbar)
-    if iv is None or not (iv[0] - 1e-12 <= vbar <= iv[1] + 1e-12):
-        raise ValueError("vbar is not a proximal subgradient at xbar")
-    s = abs(w) if w != 0.0 else abs(z)
-    w, z = w / s, z / s
-    deltas = _delta_profile(f, xbar, vbar, w, np.array([z]))[:, 0]
-    return _accept_profile(deltas)
-
 
 def _delta_profile(f: Piecewise1D, xbar: float, vbar: float, w: float,
                    zs: np.ndarray) -> np.ndarray:

@@ -25,8 +25,7 @@ low-discrepancy sphere search with coordinate-descent polishing otherwise
 (Sampled).  With one multiplier, sigma is the quadratic form
 `_SigmaEvaluator.form` of that multiplier, whose Q already carries the
 boundary-curvature correction, so the Exact path covers boundary-active
-soc blocks too.  Every sigma value, `sigma` included, comes from one
-`_SigmaEvaluator`.
+soc blocks too.  Every sigma value comes from one `_SigmaEvaluator`.
 Sigma is scored only at unit directions that violate the cone by at most
 _MEMBERSHIP_TOL; `CriticalCone.project` may leave a column outside, and
 `analyze` raises NotInCriticalCone when no direction is left.
@@ -59,7 +58,6 @@ __all__ = [
     "NotInCriticalCone",
     "build_critical_cone",
     "presolve",
-    "sigma",
     "analyze",
     "VERDICT_TOL",
 ]
@@ -333,26 +331,6 @@ def _einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
 def _lambda_coefficients_batch(T: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Columnwise coefficient vectors C (m x N) of the inner maximization."""
     return _einsum("ijk,jN,kN->iN", T, W, W)
-
-
-def sigma(pd: PointData, ms: MultiplierSet, w,
-          cone: Optional[CriticalCone] = None) -> float:
-    """Curvature functional at a critical direction; +inf when the inner
-    maximization is unbounded.  Raises NotInCriticalCone outside the cone.
-
-    The value is the one `analyze` scores w with: `_SigmaEvaluator`'s
-    batch where it settles w, its ``inner_max`` where it does not."""
-    w = np.asarray(w, dtype=float)
-    if cone is None:
-        cone = build_critical_cone(pd)
-    if not cone.contains(w):
-        raise NotInCriticalCone(
-            f"direction violates the critical cone by {float(cone.violation(w)):.3e}")
-    evaluator = _SigmaEvaluator(pd, ms)
-    values, _, settled = evaluator(w[:, None])
-    if not settled[0]:
-        values, _ = evaluator.inner_max(w[:, None])
-    return float(values[0])
 
 
 # ----------------------------------------------------------------------

@@ -371,6 +371,59 @@ def full_budget_stationarity(pd, tol=1e-7):
 
 
 # ----------------------------------------------------------------------
+# references that left the library, which no report calls: sigma at one
+# direction, and the tangent test of one direction of a pw1d graph
+# ----------------------------------------------------------------------
+
+def sigma(pd, ms, w, cone=None):
+    """Curvature functional at a critical direction; +inf when the inner
+    maximization is unbounded.  Raises NotInCriticalCone outside the cone.
+
+    The value is the one `analyze` scores w with: `_SigmaEvaluator`'s
+    batch where it settles w, its ``inner_max`` where it does not."""
+    from strongmin import sosc
+    w = np.asarray(w, dtype=float)
+    if cone is None:
+        cone = sosc.build_critical_cone(pd)
+    if not cone.contains(w):
+        raise sosc.NotInCriticalCone(
+            f"direction violates the critical cone by {float(cone.violation(w)):.3e}")
+    evaluator = sosc._SigmaEvaluator(pd, ms)
+    values, _, settled = evaluator(w[:, None])
+    if not settled[0]:
+        values, _ = evaluator.inner_max(w[:, None])
+    return float(values[0])
+
+
+def tangent_direction_test(f, xbar, vbar, w, z):
+    """Is (w, z) tangent to the subgradient graph at (xbar, vbar)?
+
+    For every scale t of ``f.scales`` the normalized distance from
+    (xbar, vbar) + t (w, z) to the graph is measured against analytic
+    segments (no sampling).  Acceptance: the final normalized distance is
+    below pw1d._TANGENT_TOL, or the distances decay monotonically by a
+    factor of at least two down to 0.15 (the decay branch captures
+    directions approached along breakpoint subsequences, at the resolution
+    of the scale list).
+
+    Tangent cones are cones, so the direction is first normalized to unit
+    x-component (unit slope component when w = 0): acceptance is invariant
+    under positive rescaling of (w, z), and scale lists matched to the
+    function's breakpoints keep their meaning for every direction.
+    """
+    from strongmin import pw1d
+    if w == 0.0 and z == 0.0:
+        return True
+    iv = f.prox_subdiff(xbar)
+    if iv is None or not (iv[0] - 1e-12 <= vbar <= iv[1] + 1e-12):
+        raise ValueError("vbar is not a proximal subgradient at xbar")
+    s = abs(w) if w != 0.0 else abs(z)
+    w, z = w / s, z / s
+    deltas = pw1d._delta_profile(f, xbar, vbar, w, np.array([z]))[:, 0]
+    return pw1d._accept_profile(deltas)
+
+
+# ----------------------------------------------------------------------
 # hypothesis strategies
 # ----------------------------------------------------------------------
 

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 import numpy as np
 from conftest import (corpus_path, mfcq_dual, mfcq_primal, project_normal, quadratic_expr,
-                      random_licq_instance, rescaled_rays, with_shifted_objective)
+                      random_licq_instance, rescaled_rays, sigma, with_shifted_objective)
 from strongmin import cones, cq, expr, kkt, oracle, problem, pw1d, report, sosc
 
 
@@ -165,8 +165,8 @@ def _check_sigma_homogeneity_and_reduction_invariance():
             w = cone.project(rng.standard_normal(pd.n))
             if np.linalg.norm(w) < 1e-6:
                 continue
-            s1 = sosc.sigma(pd, ms, w, cone=cone)
-            s2 = sosc.sigma(pd, ms, 2.0 * w, cone=cone)
+            s1 = sigma(pd, ms, w, cone=cone)
+            s2 = sigma(pd, ms, 2.0 * w, cone=cone)
             if math.isinf(s1):
                 assert math.isinf(s2)
             else:
@@ -184,8 +184,8 @@ def _check_sigma_homogeneity_and_reduction_invariance():
         w = cone.project(rng.standard_normal(3))
         if np.linalg.norm(w) < 1e-6:
             continue
-        a = sosc.sigma(pd, ms, w, cone=cone)
-        b = sosc.sigma(pd2, ms, w, cone=cone)
+        a = sigma(pd, ms, w, cone=cone)
+        b = sigma(pd2, ms, w, cone=cone)
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 

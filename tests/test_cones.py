@@ -314,3 +314,66 @@ class TestNormalFace:
         assert np.array_equal(cone.ineq, [[-1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
         assert len(cone.soc) == 1 and cone.soc[0][1] == 3
         assert np.array_equal(cone.soc[0][0], pd.J[pd.problem.block_slices[2]])
+
+    @staticmethod
+    def _face_span(case):
+        """A face (MIXED4's, or one soc(m) vertex block's) and the
+        kkt.MultiplierSet lam = B t whose columns span it, for
+        conftest.sample_members."""
+        from strongmin import kkt
+        if case == "mixed4":
+            pd = problem.evaluate(problem.loads(MIXED4), np.zeros(3))
+            face, m = pd.face, pd.m
+        else:
+            m = case
+            face = cones.normal_face([(soc(m), np.zeros(m))], TOL)
+        cols = [np.eye(m)[i] for i in face.nonneg]
+        for sl, d in face.rays:
+            cols.append(np.zeros(m))
+            cols[-1][sl] = d / np.linalg.norm(d)
+        cols += [np.eye(m)[i] for sl in face.socs for i in range(sl.start, sl.stop)]
+        return face, kkt.MultiplierSet(np.zeros(m), np.stack(cols, axis=1), face)
+
+    @pytest.mark.parametrize("case", ["mixed4", 2, 3, 5])
+    def test_cuts_hold_on_the_face_and_separate_their_multiplier(self, case):
+        from conftest import sample_members
+        from strongmin.kkt import STATIONARITY_TOL
+        face, ms = self._face_span(case)
+        members = sample_members(ms, 60, seed=3)
+        assert len(members) == 60
+        rng = np.random.default_rng(9)
+        built = 0
+        for _ in range(200):
+            lam = 3.0 * rng.standard_normal(ms.m)
+            for tol in (1e-12, STATIONARITY_TOL):
+                rows = face.cuts(lam, tol)
+                assert len(rows) == sum(
+                    cones.distance(soc(sl.stop - sl.start), -lam[sl]) > tol
+                    for sl in face.socs)
+                for a in rows:
+                    assert a @ lam > tol
+                    assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
+                    for mu in members:
+                        assert a @ mu <= 1e-12 * np.linalg.norm(mu)
+                built += len(rows)
+        assert built > 100
+
+    def test_soc_violation_is_the_largest_block_distance(self):
+        blocks = [(soc(2), np.zeros(2)), (orthant(2), np.array([0.0, -1.0])),
+                  (soc(3), np.zeros(3)), (soc(5), np.zeros(5))]
+        face, slices = _face_and_slices(blocks)
+        assert len(face.socs) == 3
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            lam = rng.standard_normal(slices[-1].stop)
+            dist = [cones.distance(k, -lam[sl])
+                    for (k, _), sl in zip(blocks, slices) if k.kind == "soc"]
+            assert face.soc_violation(lam) == max(dist)
+        polar = np.zeros(slices[-1].stop)
+        for sl in face.socs:
+            polar[sl.start] = -1.0
+        assert face.soc_violation(polar) == 0.0
+        assert not face.cuts(polar, 0.0)
+        # a face without a vertex block
+        no_vertex = cones.normal_face(blocks[1:2], TOL)
+        assert no_vertex.soc_violation(rng.standard_normal(2)) == 0.0

@@ -299,7 +299,7 @@ class TestVertexMaximizer:
             lam = vmax.vertices[:, best[j]]
             assert np.linalg.norm(pd.g.gradient + J.T @ lam) <= 1e-8
             assert ms.face.contains(lam[:, None], tol=1e-8)[0]
-            assert kkt._max_soc_violation(ms, lam) <= 1e-9
+            assert ms.face.soc_violation(lam) <= 1e-9
         if name == "segment":
             assert not settled.any()
         else:

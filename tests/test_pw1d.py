@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import tangent_direction_test
 from strongmin import pw1d
 
 ALPHA = [1.0 / math.factorial(n + 1) for n in range(20)]
@@ -70,37 +71,37 @@ class TestProxSubdifferential:
 
 class TestTangentDirections:
     def test_flat_direction_accepted(self, f31):
-        assert pw1d.tangent_direction_test(f31, 0.0, 0.0, 1.0, 0.0)
+        assert tangent_direction_test(f31, 0.0, 0.0, 1.0, 0.0)
 
     def test_steep_direction_rejected(self, f31):
-        assert not pw1d.tangent_direction_test(f31, 0.0, 0.0, 1.0, 2.0)
+        assert not tangent_direction_test(f31, 0.0, 0.0, 1.0, 2.0)
 
     def test_cone_boundary_accepted(self, f31):
-        assert pw1d.tangent_direction_test(f31, 0.0, 0.0, 1.0, 1.0)
-        assert pw1d.tangent_direction_test(f31, 0.0, 0.0, -1.0, -1.0)
+        assert tangent_direction_test(f31, 0.0, 0.0, 1.0, 1.0)
+        assert tangent_direction_test(f31, 0.0, 0.0, -1.0, -1.0)
 
     def test_wrong_sign_rejected(self, f31):
-        assert not pw1d.tangent_direction_test(f31, 0.0, 0.0, 1.0, -1.0)
+        assert not tangent_direction_test(f31, 0.0, 0.0, 1.0, -1.0)
 
     def test_dyadic_flat_direction(self, f33):
-        assert pw1d.tangent_direction_test(f33, 0.0, 0.0, 1.0, 0.0)
+        assert tangent_direction_test(f33, 0.0, 0.0, 1.0, 0.0)
 
     def test_smooth_graph_slope(self, sq):
-        assert pw1d.tangent_direction_test(sq, 0.0, 0.0, 1.0, 2.0)
-        assert not pw1d.tangent_direction_test(sq, 0.0, 0.0, 1.0, 1.0)
+        assert tangent_direction_test(sq, 0.0, 0.0, 1.0, 2.0)
+        assert not tangent_direction_test(sq, 0.0, 0.0, 1.0, 1.0)
 
     def test_scale_consistency(self, sq, f31):
         for f, pairs in ((sq, [(1.0, 2.0), (1.0, 1.0)]),
                          (f31, [(1.0, 0.0), (1.0, 2.0), (1.0, 0.5)])):
             for w, z in pairs:
-                base = pw1d.tangent_direction_test(f, 0.0, 0.0, w, z)
+                base = tangent_direction_test(f, 0.0, 0.0, w, z)
                 for a in (0.5, 2.0):
-                    assert pw1d.tangent_direction_test(f, 0.0, 0.0,
-                                                       a * w, a * z) == base
+                    assert tangent_direction_test(f, 0.0, 0.0,
+                                                  a * w, a * z) == base
 
     def test_bad_base_subgradient_raises(self, sq):
         with pytest.raises(ValueError):
-            pw1d.tangent_direction_test(sq, 0.0, 1.0, 1.0, 0.0)
+            tangent_direction_test(sq, 0.0, 1.0, 1.0, 0.0)
 
 
 class TestConditions:

@@ -7,7 +7,7 @@ import pytest
 from conftest import (CONIC_CORPUS, MIXED_SOC_AND_ORTHANT, NO_VERTEX_GEOMETRY,
                       SOC_SLICE_ZERO_CONE, corpus_path, pipeline,
                       random_licq_instance, random_quadratic_problem,
-                      rescaled_rays, sample_members, with_shifted_objective)
+                      rescaled_rays, sample_members, sigma, with_shifted_objective)
 from strongmin import kkt, problem, report, sosc
 from strongmin._sampling import sphere
 
@@ -399,24 +399,24 @@ class TestSigma:
     def test_axis_direction(self, ex44):
         pd, st, ms = pipeline(ex44)
         cone = sosc.build_critical_cone(pd)
-        val = sosc.sigma(pd, ms, [1.0, 0.0, 0.0], cone=cone)
+        val = sigma(pd, ms, [1.0, 0.0, 0.0], cone=cone)
         assert abs(val - 1.0) <= 1e-9
 
     def test_diagonal_direction(self, ex47):
         pd, st, ms = pipeline(ex47)
         w = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
-        val = sosc.sigma(pd, ms, w)
+        val = sigma(pd, ms, w)
         assert abs(val - 0.5) <= 1e-9
 
     def test_zero_direction(self, ex44, ex47):
         for p in (ex44, ex47):
             pd, st, ms = pipeline(p)
-            assert sosc.sigma(pd, ms, np.zeros(3)) == 0.0
+            assert sigma(pd, ms, np.zeros(3)) == 0.0
 
     def test_outside_cone_raises(self, ex44):
         pd, st, ms = pipeline(ex44)
         with pytest.raises(sosc.NotInCriticalCone):
-            sosc.sigma(pd, ms, [0.0, 0.0, 1.0])
+            sigma(pd, ms, [0.0, 0.0, 1.0])
 
     def test_homogeneity_degree_two(self, ex44, ex46, ex47, socb):
         rng = np.random.default_rng(2)
@@ -427,8 +427,8 @@ class TestSigma:
                 w = cone.project(rng.standard_normal(pd.n))
                 if np.linalg.norm(w) < 1e-6:
                     continue
-                s1 = sosc.sigma(pd, ms, w, cone=cone)
-                s2 = sosc.sigma(pd, ms, 2.0 * w, cone=cone)
+                s1 = sigma(pd, ms, w, cone=cone)
+                s2 = sigma(pd, ms, 2.0 * w, cone=cone)
                 if math.isinf(s1):
                     assert math.isinf(s2)
                 else:
@@ -446,8 +446,8 @@ class TestSigma:
             w = cone.project(rng.standard_normal(3))
             if np.linalg.norm(w) < 1e-6:
                 continue
-            a = sosc.sigma(pd, ms, w, cone=cone)
-            b = sosc.sigma(pd2, ms, w, cone=cone)
+            a = sigma(pd, ms, w, cone=cone)
+            b = sigma(pd2, ms, w, cone=cone)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
@@ -564,7 +564,7 @@ class TestAnalyze:
         assert abs(rep.predicted_modulus - 0.8) <= 1e-9
         w = rep.worst_direction
         assert abs(w[0]) <= 1e-9 and abs(abs(w[1]) - 1.0) <= 1e-9
-        assert abs(sosc.sigma(pd, ms, w) - rep.predicted_modulus) <= 1e-12
+        assert abs(sigma(pd, ms, w) - rep.predicted_modulus) <= 1e-12
 
     def test_regularization_shifts_modulus_exactly(self, ex47, ex44):
         for p, rho in ((ex47, 0.35), (ex44, 0.8)):
@@ -584,7 +584,7 @@ class TestAnalyze:
             cone = sosc.build_critical_cone(pd)
             w = rep.worst_direction
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-8
-            val = sosc.sigma(pd, ms, w, cone=cone)
+            val = sigma(pd, ms, w, cone=cone)
             assert abs(val - rep.predicted_modulus) <= 1e-7
 
     def test_sampled_modulus_on_criterion_7_draws(self):
@@ -603,7 +603,7 @@ class TestAnalyze:
             w = rep.worst_direction
             assert rep.predicted_modulus >= expected - 1e-9
             assert sosc.presolve(raw).violation(w) <= sosc._MEMBERSHIP_TOL
-            assert abs(sosc.sigma(pd, ms, w) - rep.predicted_modulus) <= 1e-12
+            assert abs(sigma(pd, ms, w) - rep.predicted_modulus) <= 1e-12
 
     def test_projection_missing_the_cone_is_a_stage_failure(self, monkeypatch,
                                                              tmp_path):
@@ -688,10 +688,10 @@ class TestAnalyze:
         cone = sosc.build_critical_cone(pd)
         w3 = cone.project(np.array([0.0, 0.0, 1.0]))
         w3 /= np.linalg.norm(w3)
-        assert sosc.sigma(pd, ms, w3, cone=cone) == math.inf
+        assert sigma(pd, ms, w3, cone=cone) == math.inf
         diag = cone.project(np.array([1.0, 1.0, 0.0]))
         diag /= np.linalg.norm(diag)
-        assert abs(sosc.sigma(pd, ms, diag, cone=cone) - 2.0) <= 1e-9
+        assert abs(sigma(pd, ms, diag, cone=cone) - 2.0) <= 1e-9
         rep = sosc.analyze(pd, ms, samples=4000, seed=0)
         assert abs(rep.predicted_modulus - 2.0) <= 1e-6
 
