@@ -1,11 +1,15 @@
 """Scalar expression trees with exact first and second derivatives.
 
-Expressions are parsed over a fixed, ordered variable list.  One recursive
-walker evaluates a tree in forward mode over the columns of an (n, N)
-array, up to a requested derivative order: 0 gives values, 1 adds
-gradients, 2 adds Hessians; higher derivatives than requested are never
-formed.  Values, gradients and Hessians are exact up to floating point;
-finite differences never appear here (the test suite uses them as an
+Expressions are parsed over a fixed, ordered variable list.  One
+traversal, ``_fold``, carries every pass over a tree: the walker, the
+row-program builder and the text renderer are its per-node rules.  It
+keeps its own stack, so a sum's length is not capped; only the parser
+recurses, once per level of parentheses, to about 240 levels.  The walker
+evaluates a tree in forward mode over the columns of an (n, N) array, up
+to a requested derivative order: 0 gives values, 1 adds gradients, 2 adds
+Hessians; higher derivatives than requested are never formed.  Values,
+gradients and Hessians are exact up to floating point; finite
+differences never appear here (the test suite uses them as an
 independent cross-check only).
 
 The batched calls (``eval_values``, ``eval_grads``) turn a column that
@@ -139,6 +143,9 @@ class EvalBundle:
 # ----------------------------------------------------------------------
 
 _OPS = set("+-*/^()")
+# the binary operators by precedence, loosest first
+_LEVELS = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
+_SYMBOLS = {op: sym for level in _LEVELS for sym, op in level.items()}
 # a number literal: ASCII digits with at most one point (a leading point
 # needs a digit after it), then an optional exponent.  [0-9], not \d or
 # str.isdigit, which also accept digits such as "²" and "٣" that float
@@ -186,7 +193,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str, variables):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.var_index = {name: k for k, name in enumerate(variables)}
@@ -212,27 +218,18 @@ class _Parser:
             raise ParseError(f"unexpected token {val!r}", off)
         return e
 
-    def expr(self) -> Expression:
-        e = self.term()
+    def expr(self, level: int = 0) -> Expression:
+        """A left-associated chain of _LEVELS[level]'s operators, each operand
+        parsed by a direct call: a helper would add a frame per nesting."""
+        ops, e, op = _LEVELS[level], None, None
         while True:
+            rhs = self.expr(level + 1) if level + 1 < len(_LEVELS) else self.factor()
+            e = rhs if op is None else Binary(op, e, rhs)
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                e = Binary("add" if val == "+" else "sub", e, rhs)
-            else:
+            if kind != "op" or val not in ops:
                 return e
-
-    def term(self) -> Expression:
-        e = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.factor()
-                e = Binary("mul" if val == "*" else "div", e, rhs)
-            else:
-                return e
+            self.take()
+            op = ops[val]
 
     def factor(self) -> Expression:
         kind, val, _ = self.peek()
@@ -291,9 +288,15 @@ def check_variables(variables) -> None:
 
 
 def parse(text: str, variables) -> Expression:
-    """Parse ``text`` over the ordered variable name list ``variables``."""
+    """Parse ``text`` over the ordered variable name list ``variables``.
+    Parentheses and calls nested past the recursion limit (about 240
+    levels at the default) are a ParseError; a sum of any length is not."""
     check_variables(variables)
-    return _Parser(text, variables).parse()
+    parser = _Parser(text, variables)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
 
 
 # ----------------------------------------------------------------------
@@ -332,73 +335,107 @@ def _ipow(u, k):
     return v
 
 
-def _walk(e: Expression, X: np.ndarray, order: int, bad: np.ndarray):
+# each node type's children, left to right
+_CHILDREN = {Const: lambda e: (), Var: lambda e: (), Unary: lambda e: (e.arg,),
+             Power: lambda e: (e.base,), Binary: lambda e: (e.left, e.right)}
+
+
+def _fold(e: Expression, visit, done: Optional[dict] = None):
+    """The one tree traversal: ``visit(node, [each child's result])`` once
+    per node object of ``e``, children first and left to right, on a stack
+    of its own, so no tree is too deep; returns the root's result.  ``done``
+    maps id(node) to results already known and keeps every new one; without
+    it, a result is dropped once its last parent has read it."""
+    keep, done = done is not None, {} if done is None else done
+    order, uses, seen, todo = [], {}, set(), [(e, None)]
+    while todo:  # the nodes to visit, in post order, and their parent counts
+        node, kids = todo.pop()
+        if kids is not None:
+            order.append((node, kids))
+        elif id(node) not in done and id(node) not in seen:
+            seen.add(id(node))
+            kids = _CHILDREN[type(node)](node)
+            for k in kids:
+                uses[id(k)] = uses.get(id(k), 0) + 1
+            todo += [(node, kids)] + [(k, None) for k in reversed(kids)]
+    for node, kids in order:
+        done[id(node)] = visit(node, [done[id(k)] for k in kids])
+        for k in () if keep else kids:
+            uses[id(k)] -= 1
+            if not uses[id(k)]:
+                del done[id(k)]
+    return done[id(e)]
+
+
+def _walk(e: Expression, X: np.ndarray, order: int, bad: np.ndarray, done: Optional[dict] = None):
     """Values (N,), gradients (n, N) and Hessians (n, n, N) of ``e`` over the
     columns of ``X`` (n, N).  Derivatives above ``order`` are None and never
-    formed.  Columns that leave a domain (sqrt/log of u <= 0, division by
-    0) become NaN and are set in the bool mask ``bad``."""
+    formed.  Columns that leave a domain (sqrt/log of u <= 0, division by 0)
+    become NaN and are set in the bool mask ``bad``.  ``done`` is _fold's:
+    no rule writes into a child's arrays, so a recurring subtree shares them."""
     n, N = X.shape
-    if isinstance(e, (Const, Var)):
-        g = np.zeros((n, N)) if order >= 1 else None
-        h = np.zeros((n, n, N)) if order >= 2 else None
-        if isinstance(e, Const):
-            return np.full(N, e.value), g, h
-        if g is not None:
-            g[e.index] = 1.0
-        return X[e.index].copy(), g, h
-    if isinstance(e, Binary):
-        lv, lg, lh = _walk(e.left, X, order, bad)
-        rv, rg, rh = _walk(e.right, X, order, bad)
-        if e.op in ("add", "sub"):
-            op = np.add if e.op == "add" else np.subtract
-            return (op(lv, rv), None if lg is None else op(lg, rg),
-                    None if lh is None else op(lh, rh))
-        g = h = None
-        if e.op == "mul":
-            if order >= 1:
-                g = lg * rv + lv * rg
-            if order >= 2:
-                cross = _outer(lg, rg)
-                h = lh * rv + lv * rh + (cross + cross.transpose(1, 0, 2))
-            return lv * rv, g, h
-        if e.op == "div":
-            rv = _domain(rv, rv == 0, bad)
-            w = lv / rv
-            if order >= 1:
-                g = (lg - w * rg) / rv
-            if order >= 2:
-                cross = _outer(g, rg)
-                h = (lh - (cross + cross.transpose(1, 0, 2)) - w * rh) / rv
-            return w, g, h
-        raise ValueError(f"unknown binary op {e.op}")
-    if isinstance(e, Power):
-        u, g, h = _walk(e.base, X, order, bad)
-        k = e.exponent
-        if k == 0:
-            return (np.ones(N), None if g is None else np.zeros_like(g),
-                    None if h is None else np.zeros_like(h))
-        if k == 1:
-            return u, g, h
-        v = _ipow(u, k)
-        d1 = k * _ipow(u, k - 1) if order >= 1 else None
-        d2 = k * (k - 1) * _ipow(u, k - 2) if order >= 2 else None
-    elif isinstance(e, Unary):
-        u, g, h = _walk(e.arg, X, order, bad)
-        if e.op == "neg":
-            return -u, None if g is None else -g, None if h is None else -h
-        if e.op not in _UNARY:
-            raise ValueError(f"unknown unary op {e.op}")
-        if e.op in ("sqrt", "log"):
-            u = _domain(u, u <= 0, bad)
-        phi, dphi, ddphi = _UNARY[e.op]
-        v = phi(u)
-        d1 = dphi(u, v) if order >= 1 else None
-        d2 = ddphi(u, v) if order >= 2 else None
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    # chain rule: D phi(u) = phi' Du,  D^2 phi(u) = phi'' Du Du^T + phi' D^2 u
-    return (v, None if d1 is None else d1 * g,
-            None if d2 is None else d2 * _outer(g, g) + d1 * h)
+
+    def rule(e: Expression, kids: list):
+        if isinstance(e, (Const, Var)):
+            g = np.zeros((n, N)) if order >= 1 else None
+            h = np.zeros((n, n, N)) if order >= 2 else None
+            if isinstance(e, Const):
+                return np.full(N, e.value), g, h
+            if g is not None:
+                g[e.index] = 1.0
+            return X[e.index].copy(), g, h
+        if isinstance(e, Binary):
+            (lv, lg, lh), (rv, rg, rh) = kids
+            if e.op in ("add", "sub"):
+                op = np.add if e.op == "add" else np.subtract
+                return (op(lv, rv), None if lg is None else op(lg, rg),
+                        None if lh is None else op(lh, rh))
+            g = h = None
+            if e.op == "mul":
+                if order >= 1:
+                    g = lg * rv + lv * rg
+                if order >= 2:
+                    cross = _outer(lg, rg)
+                    h = lh * rv + lv * rh + (cross + cross.transpose(1, 0, 2))
+                return lv * rv, g, h
+            if e.op == "div":
+                rv = _domain(rv, rv == 0, bad)
+                w = lv / rv
+                if order >= 1:
+                    g = (lg - w * rg) / rv
+                if order >= 2:
+                    cross = _outer(g, rg)
+                    h = (lh - (cross + cross.transpose(1, 0, 2)) - w * rh) / rv
+                return w, g, h
+            raise ValueError(f"unknown binary op {e.op}")
+        ((u, g, h),) = kids
+        if isinstance(e, Power):
+            k = e.exponent
+            if k == 0:
+                return (np.ones(N), None if g is None else np.zeros_like(g),
+                        None if h is None else np.zeros_like(h))
+            if k == 1:
+                return u, g, h
+            v = _ipow(u, k)
+            d1 = k * _ipow(u, k - 1) if order >= 1 else None
+            d2 = k * (k - 1) * _ipow(u, k - 2) if order >= 2 else None
+        else:
+            if e.op == "neg":
+                return -u, None if g is None else -g, None if h is None else -h
+            if e.op not in _UNARY:
+                raise ValueError(f"unknown unary op {e.op}")
+            if e.op in ("sqrt", "log"):
+                u = _domain(u, u <= 0, bad)
+            phi, dphi, ddphi = _UNARY[e.op]
+            v = phi(u)
+            d1 = dphi(u, v) if order >= 1 else None
+            d2 = ddphi(u, v) if order >= 2 else None
+        # chain rule: D phi(u) = phi' Du,  D^2 phi(u) = phi'' Du Du^T + phi' D^2 u
+        return (v, None if d1 is None else d1 * g,
+                None if d2 is None else d2 * _outer(g, g) + d1 * h)
+
+    with np.errstate(all="ignore"):
+        return _fold(e, rule, done)
 
 
 def eval_bundle(e: Expression, x) -> EvalBundle:
@@ -409,8 +446,7 @@ def eval_bundle(e: Expression, x) -> EvalBundle:
     """
     x = np.asarray(x, dtype=float)
     bad = np.zeros(1, dtype=bool)
-    with np.errstate(all="ignore"):
-        v, g, h = _walk(e, x[:, None], 2, bad)
+    v, g, h = _walk(e, x[:, None], 2, bad)
     if bad[0]:
         raise EvalDomainError("sqrt/log of a nonpositive argument or division by zero")
     if not (np.isfinite(v[0]) and np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
@@ -424,16 +460,13 @@ def eval_value(e: Expression, x) -> float:
 
 def eval_values(e: Expression, X: np.ndarray) -> np.ndarray:
     """Batched values (N,); columns outside a domain are NaN."""
-    with np.errstate(all="ignore"):
-        return _walk(e, X, 0, np.zeros(X.shape[1], dtype=bool))[0]
+    return _walk(e, X, 0, np.zeros(X.shape[1], dtype=bool))[0]
 
 
 def eval_grads(e: Expression, X: np.ndarray):
     """Batched (values, gradients) with shapes (N,) and (n, N); columns
     outside a domain are NaN."""
-    with np.errstate(all="ignore"):
-        v, g, _ = _walk(e, X, 1, np.zeros(X.shape[1], dtype=bool))
-    return v, g
+    return _walk(e, X, 1, np.zeros(X.shape[1], dtype=bool))[:2]
 
 
 # ----------------------------------------------------------------------
@@ -469,7 +502,7 @@ class _Graph:
 
     def __init__(self, n: int):
         self.n = n
-        self.ops, self.ids, self.memo = [], {}, {}
+        self.ops, self.ids, self.memo, self.walked = [], {}, {}, {}
         self.env = {"_zeros": np.zeros, "_where": np.where, "_nan": np.nan, "_sqrt": np.sqrt,
                     "_exp": np.exp, "_log": np.log, "_sin": np.sin, "_cos": np.cos}
         self.zero, self.one = self.const(0.0), self.const(1.0)
@@ -491,30 +524,25 @@ class _Graph:
         return self.ids[key]
 
     def node(self, e: Expression):
-        """(value, gradient, finite, constant) of ``e``, memoized by node
-        identity."""
-        out = self.memo.get(id(e))
-        if out is not None:
-            return out
+        """(value, gradient, finite, constant) of ``e``, memoized by identity."""
+        return _fold(e, self._rule, self.memo)
+
+    def _rule(self, e: Expression, kids: list):
         if isinstance(e, Const):
-            out = self.const(e.value), {}, bool(np.isfinite(e.value)), True
-        elif isinstance(e, Var):
-            out = self.op(f"X[{e.index}]"), {e.index: self.one}, True, False
-        elif isinstance(e, Binary):
-            left, right = self.node(e.left), self.node(e.right)
-            out = self._folded(e) if left[3] and right[3] else self._binary(e.op, left, right)
-        elif isinstance(e, Power):
-            u = self.node(e.base)
-            out = self._folded(e) if u[3] or e.exponent == 0 else self._power(e.exponent, *u[:3])
-        else:
-            u = self.node(e.arg)
-            out = self._folded(e) if u[3] else self._unary(e.op, *u[:3])
-        self.memo[id(e)] = out
-        return out
+            return self.const(e.value), {}, bool(np.isfinite(e.value)), True
+        if isinstance(e, Var):
+            return self.op(f"X[{e.index}]"), {e.index: self.one}, True, False
+        if isinstance(e, Binary):
+            left, right = kids
+            return self._folded(e) if left[3] and right[3] else self._binary(e.op, left, right)
+        (u,) = kids
+        if isinstance(e, Power):
+            return self._folded(e) if u[3] or e.exponent == 0 else self._power(e.exponent, *u[:3])
+        return self._folded(e) if u[3] else self._unary(e.op, *u[:3])
 
     def _folded(self, e: Expression):
-        with np.errstate(all="ignore"):
-            v, g, _ = _walk(e, np.zeros((self.n, 1)), 1, np.zeros(1, dtype=bool))
+        # every call walks at X = 0, so one walker memo serves them all
+        v, g, _ = _walk(e, np.zeros((self.n, 1)), 1, np.zeros(1, dtype=bool), self.walked)
         return (self.const(v[0]), {d: self.const(g[d, 0]) for d in range(self.n)
                                    if g[d, 0] != 0.0}, bool(np.isfinite(v[0])), True)
 
@@ -537,7 +565,7 @@ class _Graph:
     def _binary(self, op: str, left, right):
         (lv, lg, lf, _), (rv, rg, rf, rc) = left, right
         if op != "div":
-            sym = {"add": "+", "sub": "-", "mul": "*"}[op]
+            sym = _SYMBOLS[op]
             g = (self._combined(sym, lg, rg) if op != "mul" else
                  self._combined("+", self._scaled(rv, rf, lg), self._scaled(lv, lf, rg)))
             return self.op(f"({{}} {sym} {{}})", lv, rv), g, lf and rf, False
@@ -732,18 +760,17 @@ class RowStack:
 
 def to_text(e: Expression, variables) -> str:
     """Render a tree to parseable text (fully parenthesized)."""
-    if isinstance(e, Const):
-        # -0.0 too: a bare "-0.0" after a unary minus would not parse
-        return repr(e.value) if not np.signbit(e.value) else f"({repr(e.value)})"
-    if isinstance(e, Var):
-        return variables[e.index]
-    if isinstance(e, Power):
-        return f"({to_text(e.base, variables)})^{e.exponent}"
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return f"(-{to_text(e.arg, variables)})"
-        return f"{e.op}({to_text(e.arg, variables)})"
-    if isinstance(e, Binary):
-        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
-        return f"({to_text(e.left, variables)} {sym} {to_text(e.right, variables)})"
-    raise TypeError(f"not an expression node: {e!r}")
+
+    def rule(e: Expression, kids: list) -> str:
+        if isinstance(e, Const):
+            # -0.0 too: a bare "-0.0" after a unary minus would not parse
+            return repr(e.value) if not np.signbit(e.value) else f"({repr(e.value)})"
+        if isinstance(e, Var):
+            return variables[e.index]
+        if isinstance(e, Binary):
+            return f"({kids[0]} {_SYMBOLS[e.op]} {kids[1]})"
+        if isinstance(e, Power):
+            return f"({kids[0]})^{e.exponent}"
+        return f"(-{kids[0]})" if e.op == "neg" else f"{e.op}({kids[0]})"
+
+    return _fold(e, rule)

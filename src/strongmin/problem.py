@@ -138,93 +138,67 @@ class PointData:
 # parsing / serialization
 # ----------------------------------------------------------------------
 
-def _strip(line: str) -> str:
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return line.rstrip("\n").rstrip()
+def _checked(key: str, lineno: int, parse, *args):
+    """parse(*args), with a ParseError raised as the ``key:`` line's error."""
+    try:
+        return parse(*args)
+    except expr.ParseError as err:
+        raise ProblemFormatError(f"{key}: {err}", lineno) from err
 
 
 def loads(text: str) -> Problem:
     lines = text.splitlines()
-    idx = 0
-    total = len(lines)
+    # the content lines as (line number, text), without comments and
+    # surrounding blanks; the end of input reads as "" on the last line
+    content = [(k, s) for k, s in enumerate((ln.split("#", 1)[0].strip() for ln in lines), 1)
+               if s] + [(len(lines), "")]
 
-    def next_content():
-        nonlocal idx
-        while idx < total:
-            stripped = _strip(lines[idx])
-            if stripped.strip():
-                return stripped, idx + 1
-            idx += 1
-        return None, total
-
-    # vars
-    line, lineno = next_content()
-    if line is None or not line.strip().startswith("vars:"):
+    lineno, line = content[0]
+    if not line.startswith("vars:"):
         raise ProblemFormatError("expected 'vars:' section", lineno)
-    names = line.strip()[len("vars:"):].split()
+    names = line[len("vars:"):].split()
     if not names:
         raise ProblemFormatError("no variables declared", lineno)
     if len(set(names)) != len(names):
         raise ProblemFormatError("duplicate variable name", lineno)
-    try:
-        expr.check_variables(names)
-    except expr.ParseError as err:
-        raise ProblemFormatError(f"vars: {err}", lineno) from err
-    idx += 1
+    _checked("vars", lineno, expr.check_variables, names)
 
-    # objective
-    line, lineno = next_content()
-    if line is None or not line.strip().startswith("objective:"):
+    lineno, line = content[1]
+    if not line.startswith("objective:"):
         raise ProblemFormatError("expected 'objective:' section", lineno)
-    try:
-        objective = expr.parse(line.strip()[len("objective:"):], names)
-    except expr.ParseError as err:
-        raise ProblemFormatError(f"objective: {err}", lineno) from err
-    idx += 1
+    objective = _checked("objective", lineno, expr.parse, line[len("objective:"):], names)
 
-    # blocks
     blocks: List[Block] = []
-    point = None
-    seen_point = False
-    while True:
-        line, lineno = next_content()
-        if line is None:
-            break
-        stripped = line.strip()
-        if stripped.startswith("block "):
-            if seen_point:
+    point, at = None, 2
+    while content[at][1]:
+        lineno, line = content[at]
+        at += 1
+        if line.startswith("block "):
+            if point is not None:
                 raise ProblemFormatError("block after point section", lineno)
-            head = re.fullmatch(r"block\s+(\S+)\s+([0-9]+):", stripped)
+            head = re.fullmatch(r"block\s+(\S+)\s+([0-9]+):", line)
             if head is None:
                 raise ProblemFormatError("expected 'block <orthant|soc> <m>:'", lineno)
             try:
                 cone = Cone(head[1], int(head[2]))
             except ValueError as err:
                 raise ProblemFormatError(str(err), lineno) from err
-            idx += 1
             rows: List[Expression] = []
-            while len(rows) < cone.m:
-                line, lineno = next_content()
-                if line is None or not line.strip().startswith("row:"):
+            while content[at][1].startswith("row:"):
+                lineno, line = content[at]
+                if len(rows) == cone.m:  # a stray extra row is a dimension mismatch
                     raise ProblemFormatError(
-                        f"block needs {cone.m} rows, found {len(rows)}", lineno)
-                try:
-                    rows.append(expr.parse(line.strip()[len("row:"):], names))
-                except expr.ParseError as err:
-                    raise ProblemFormatError(f"row: {err}", lineno) from err
-                idx += 1
-            # a stray extra row is a dimension mismatch
-            line, lineno = next_content()
-            if line is not None and line.strip().startswith("row:"):
+                        f"block declared {cone.m} rows but more follow", lineno)
+                rows.append(_checked("row", lineno, expr.parse, line[len("row:"):], names))
+                at += 1
+            if len(rows) < cone.m:
                 raise ProblemFormatError(
-                    f"block declared {cone.m} rows but more follow", lineno)
+                    f"block needs {cone.m} rows, found {len(rows)}", content[at][0])
             blocks.append(Block(tuple(rows), cone))
-        elif stripped.startswith("point:"):
-            if seen_point:
+        elif line.startswith("point:"):
+            if point is not None:
                 raise ProblemFormatError("duplicate point section", lineno)
-            values = stripped[len("point:"):].split()
+            values = line[len("point:"):].split()
             if len(values) != len(names):
                 raise ProblemFormatError(
                     f"point needs {len(names)} coordinates, got {len(values)}", lineno)
@@ -234,10 +208,8 @@ def loads(text: str) -> Problem:
                 raise ProblemFormatError(f"bad point coordinate: {err}", lineno) from err
             if not np.all(np.isfinite(point)):
                 raise ProblemFormatError("point coordinates must be finite", lineno)
-            seen_point = True
-            idx += 1
         else:
-            raise ProblemFormatError(f"unexpected line {stripped!r}", lineno)
+            raise ProblemFormatError(f"unexpected line {line!r}", lineno)
 
     return Problem(tuple(names), objective, tuple(blocks), point)
 

@@ -201,6 +201,27 @@ class TestExitCodes:
         assert rep["cq"]["mfcq"]["holds"] is True
         assert rep["sosc"]["sonc"]["holds"] is True
 
+    @pytest.mark.parametrize("argv", [["analyze", "--tilt"], ["cq"], ["qgc"]])
+    def test_long_sum_completes(self, argv, tmp_path, capsys):
+        # a 3000-term objective and row, each a sum 3000 levels deep: no
+        # stage recurses on a tree
+        terms = " + ".join(["x1^2", "x2^2"] * 1500)
+        p = tmp_path / "long.prob"
+        p.write_text(f"vars: x1 x2\nobjective: {terms}\n"
+                     f"block orthant 1:\n  row: -({terms})\npoint: 0 0\n")
+        assert run_cli(argv + [str(p), "--samples", "200"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["failed_stage"] is None and rep["feasibility"]["feasible"] is True
+
+    def test_over_nested_expression_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "nested.prob"
+        p.write_text("vars: x1\nobjective: " + "(" * 300 + "x1^2" + ")" * 300
+                     + "\npoint: 0\n")
+        assert run_cli(["analyze", str(p), "--samples", "500"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith(f"error: {p}: line 2: objective: expression nested too deeply")
+
 
 class TestReports:
     def test_report_to_file(self, tmp_path):

@@ -91,6 +91,15 @@ class TestParse:
         ref = math.sin(2) + math.cos(2) + math.exp(2) + math.log(2) + math.sqrt(2)
         assert abs(v - ref) < 1e-14
 
+    def test_nesting_depth(self):
+        # the parser recurses per level of parentheses; under pytest's own
+        # frames 200 levels still parse, and a depth past the recursion
+        # limit is a ParseError, not a RecursionError
+        assert expr.parse("(" * 200 + "x1" + ")" * 200, ["x1"]) == expr.Var(0)
+        assert expr.parse("-sin(" * 100 + "x1" + ")" * 100, ["x1"]) is not None
+        with pytest.raises(expr.ParseError, match="nested too deeply"):
+            expr.parse("(" * 2000 + "x1" + ")" * 2000, ["x1"])
+
 
 class TestEvalBundle:
     def test_quadratic_at_origin(self):
@@ -367,6 +376,51 @@ class TestCompiledRows:
         v, g = expr.RowStack([expr.parse("x1^4", ["x1"])], 1).grads(xs[None, :])
         assert np.array_equal(v[0], xs * xs * xs * xs)
         assert np.array_equal(g[0, 0], 4 * (xs * xs * xs))
+
+    def test_long_sum(self):
+        # a left-deep sum of 3000 terms, 3000 levels deep: the walker, the
+        # program builder and the renderer keep their own stacks
+        text = " + ".join(["x1^2", "2*x1*x2", "-x2"] * 1000)
+        e = expr.parse(text, ["x1", "x2"])
+        X = np.random.default_rng(3).uniform(-1.5, 1.5, size=(2, 16))
+        v, g = expr.eval_grads(e, X)
+        V, J = expr.RowStack([e], 2).grads(X)
+        assert V[0].tobytes() == v.tobytes() and J[0].tobytes() == g.tobytes()
+        assert expr.to_text(e, ["x1", "x2"]).count(" + ") == 2999
+        b = expr.eval_bundle(e, [0.5, -1.0])
+        assert np.array_equal(b.hessian, [[2000.0, 2000.0], [2000.0, 0.0]])
+
+    def test_long_constant_prefix_compiles(self):
+        # each constant subtree of 1 + 1 + ... is folded from its
+        # children's walk, so the prefix costs one walk, not one per node
+        e = expr.parse(" + ".join(["1"] * 3000) + " + x1^2", ["x1"])
+        V, J = expr.RowStack([e], 1).grads(np.array([[2.0]]))
+        assert V[0, 0] == 3004.0 and J[0, 0, 0] == 4.0
+
+    def test_shared_subtree(self):
+        # one subtree object used twice, within a row and across rows, gives
+        # the bytes of its unshared copy
+        def tree(s, t):
+            return expr.Binary("add", expr.Binary("mul", s, t), expr.Power(s, 2))
+
+        text = "sin(x1) * x2 - x3 / (1 + x1^2)"
+        s = expr.parse(text, NAMES3)
+        shared = [tree(s, s), tree(s, expr.Var(2))]
+        copies = [tree(expr.parse(text, NAMES3), expr.parse(text, NAMES3)),
+                  tree(expr.parse(text, NAMES3), expr.Var(2))]
+        X = np.random.default_rng(4).uniform(-1.5, 1.5, size=(3, 16))
+        for a, b in zip(shared, copies):
+            assert expr.to_text(a, NAMES3) == expr.to_text(b, NAMES3)
+            assert expr.eval_values(a, X).tobytes() == expr.eval_values(b, X).tobytes()
+            for x, y in zip(expr.eval_grads(a, X), expr.eval_grads(b, X)):
+                assert x.tobytes() == y.tobytes()
+            ba, bb = expr.eval_bundle(a, X[:, 0]), expr.eval_bundle(b, X[:, 0])
+            assert ba.value == bb.value and ba.gradient.tobytes() == bb.gradient.tobytes()
+            assert ba.hessian.tobytes() == bb.hessian.tobytes()
+        sa, sb = expr.RowStack(shared, 3), expr.RowStack(copies, 3)
+        assert sa.values(X).tobytes() == sb.values(X).tobytes()
+        for x, y in zip(sa.grads(X), sb.grads(X)):
+            assert x.tobytes() == y.tobytes()
 
     def test_negative_zero_round_trips(self):
         # "-0.0" used to render bare, and "(--0.0)" does not parse

@@ -72,6 +72,53 @@ point: 0
         assert p.n == 1
 
 
+# (file text, message fragment, line) for every way loads refuses a file;
+# at the end of input the line is the file's last line (0 when empty)
+MALFORMED = [
+    ("", "expected 'vars:' section", 0),
+    ("# only a comment\n\n", "expected 'vars:' section", 2),
+    ("objective: x1\nvars: x1\n", "expected 'vars:' section", 1),
+    ("vars:   # none\nobjective: 1\n", "no variables declared", 1),
+    ("\nvars: x1 x2 x1\nobjective: x1\n", "duplicate variable name", 2),
+    ("vars: x1 2\nobjective: x1\n", "vars: variable name '2' is not an identifier", 1),
+    ("vars: x1 cos\nobjective: x1\n", "collides with a function", 1),
+    ("vars: x1\n", "expected 'objective:' section", 1),
+    ("vars: x1\n\n# end\n", "expected 'objective:' section", 3),
+    ("vars: x1\npoint: 0\n", "expected 'objective:' section", 2),
+    ("vars: x1\nobjective: x1 +\n", "objective: unexpected end of input", 2),
+    ("vars: x1\nobjective: x1\npoint: 0\nblock orthant 1:\n  row: x1\n",
+     "block after point section", 4),
+    ("vars: x1\nobjective: x1\nblock orthant 1\n  row: x1\n",
+     "expected 'block <orthant|soc> <m>:'", 3),
+    ("vars: x1\nobjective: x1\nblock cone 1:\n  row: x1\n", "unknown cone kind 'cone'", 3),
+    ("vars: x1\nobjective: x1\nblock orthant 0:\n", "cone dimension must be positive", 3),
+    ("vars: x1\nobjective: x1\nblock soc 1:\n  row: x1\n",
+     "second-order cone needs dimension >= 2", 3),
+    ("vars: x1\nobjective: x1\nblock soc 2:\n  row: x1\npoint: 0\n",
+     "block needs 2 rows, found 1", 5),
+    ("vars: x1\nobjective: x1\nblock soc 2:\n  row: x1\n\n", "block needs 2 rows, found 1", 5),
+    ("vars: x1\nobjective: x1\nblock soc 2:", "block needs 2 rows, found 0", 3),
+    ("vars: x1\nobjective: x1\nblock orthant 1:\n  row: x1 * y\n",
+     "row: unknown identifier 'y'", 4),
+    ("vars: x1\nobjective: x1\nblock orthant 1:\n  row: x1\n  # c\n  row: x1\n",
+     "block declared 1 rows but more follow", 6),
+    ("vars: x1\nobjective: x1\npoint: 0\npoint: 1\n", "duplicate point section", 4),
+    ("vars: x1 x2\nobjective: x1\npoint: 1\n", "point needs 2 coordinates, got 1", 3),
+    ("vars: x1\nobjective: x1\npoint: nan\n", "bad point coordinate: not a number", 3),
+    ("vars: x1\nobjective: x1\npoint: 1e400\n", "point coordinates must be finite", 3),
+    ("vars: x1\nobjective: x1\n  row: x1\n", "unexpected line 'row: x1'", 3),
+    ("vars: x1\nobjective: x1\npoint: 0 # c\nend\n", "unexpected line 'end'", 4),
+]
+
+
+@pytest.mark.parametrize("text, fragment, line", MALFORMED)
+def test_malformed_file_names_its_line(text, fragment, line):
+    with pytest.raises(problem.ProblemFormatError) as err:
+        problem.loads(text)
+    assert fragment in str(err.value) and err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")
+
+
 class TestRoundTrip:
     def test_save_load_equivalent(self, ex44, ex46, ex47, socb, licq):
         rng = np.random.default_rng(0)
@@ -99,6 +146,15 @@ class TestRoundTrip:
             assert back.point is None
         else:
             assert back.point.tobytes() == p.point.tobytes()
+
+
+    @pytest.mark.xfail(strict=True, raises=problem.ProblemFormatError,
+                       reason="the saved text nests one parenthesis pair per term, "
+                              "deeper than the recursive parser reads")
+    def test_saved_long_sum_round_trips(self):
+        terms = " + ".join(["x1^2", "x2"] * 500)
+        p = problem.loads(f"vars: x1 x2\nobjective: {terms}\npoint: 0 0\n")
+        assert problem.loads(problem.save_text(p)).digest() == p.digest()
 
 
 class TestEvaluate:
