@@ -391,8 +391,8 @@ class TestCompiledRows:
         assert np.array_equal(b.hessian, [[2000.0, 2000.0], [2000.0, 0.0]])
 
     def test_long_constant_prefix_compiles(self):
-        # each constant subtree of 1 + 1 + ... is folded from its
-        # children's walk, so the prefix costs one walk, not one per node
+        # every constant subtree of 1 + 1 + ... is folded by the walker, whose
+        # results the builder keeps: the prefix costs one walk, not one per node
         e = expr.parse(" + ".join(["1"] * 3000) + " + x1^2", ["x1"])
         V, J = expr.RowStack([e], 1).grads(np.array([[2.0]]))
         assert V[0, 0] == 3004.0 and J[0, 0, 0] == 4.0
