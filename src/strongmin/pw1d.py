@@ -19,6 +19,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -171,48 +172,121 @@ class Piecewise1D:
             return None
         return (lo, hi)
 
-    # -- geometry of gph prox-subdifferential ----------------------------
+    @cached_property
+    def _graph(self) -> "_Graph":
+        """The pieces as arrays and gph of the proximal subdifferential as
+        segments, built on first use; ``pieces`` must not change after."""
+        return _Graph(self)
 
-    def graph_segments(self, lo: float, hi: float):
-        """Straight segments ((x0,v0),(x1,v1)) of the graph with x in [lo, hi]."""
-        segs = []
-        first = max(bisect_right(self._starts, lo) - 1, 0)
-        for p in self.pieces[first:bisect_left(self._starts, hi)]:
-            a, b_ = max(p.lo, lo), min(p.hi, hi)
-            if a < b_:  # lo/hi are finite, so the clipped ends are too
-                segs.append(((a, p.slope(a)), (b_, p.slope(b_))))
-        acc = self.accumulation
-        for x in self._starts[max(bisect_left(self._starts, lo), 1):
-                              bisect_right(self._starts, hi)]:
-            if acc is not None and x == acc[0]:
-                continue
-            iv = self.prox_subdiff(x)
+
+class _Graph:
+    """Straight segments of gph prox-subdifferential, and stored values.
+
+    A piece is the segment x -> (x, slope(x)) over its interval, clipped to
+    each window; a breakpoint with a nonempty subdifferential is the
+    vertical segment over its interval, capped at +-_VCAP; the
+    accumulation point is the one over its own interval.
+    """
+
+    def __init__(self, f: Piecewise1D):
+        self.starts = f._starts
+        self.lo = np.array(self.starts)
+        self.hi, self.a, self.b, self.c = np.array(
+            [(p.hi, p.a, p.b, p.c) for p in f.pieces]).T.copy()
+        self.c2 = 2.0 * self.c
+        bps = f.breakpoints
+        self.breakpoints = np.array(bps, dtype=float)
+        self.accumulation = f.accumulation
+        xs, v0, v1 = [], [], []
+        for x in bps:
+            iv = f.prox_subdiff(x)
             if iv is not None:
-                v0 = max(iv[0], -_VCAP)
-                v1 = min(iv[1], _VCAP)
-                segs.append(((x, v0), (x, v1)))
-        if acc is not None:
-            x0, iv = acc
-            if lo <= x0 <= hi:
-                segs.append(((x0, iv[0]), (x0, iv[1])))
-        return segs
+                xs.append(x)
+                v0.append(max(iv[0], -_VCAP))
+                v1.append(min(iv[1], _VCAP))
+        if self.accumulation is not None:
+            x, (lo, hi) = self.accumulation
+            k = bisect_left(xs, x)
+            xs.insert(k, x)
+            v0.insert(k, lo)
+            v1.insert(k, hi)
+        self.vert = xs  # the x of each vertical segment, for bisect
+        self.vert_x, self.vert_v0, self.vert_v1 = (np.array(u, dtype=float)
+                                                   for u in (xs, v0, v1))
 
-    def graph_distances(self, X: float, Vs: np.ndarray, window: float) -> np.ndarray:
-        """Distances from (X, v) to the graph for every v in Vs at once."""
-        segs = self.graph_segments(X - window, X + window)
-        if not segs:
-            return np.full(Vs.shape[0], math.inf)
-        arr = np.array([[a[0], a[1], b[0], b[1]] for a, b in segs])
-        x0, v0, x1, v1 = arr[:, 0:1], arr[:, 1:2], arr[:, 2:3], arr[:, 3:4]
-        dx, dv = x1 - x0, v1 - v0
+    @property
+    def size(self) -> int:
+        """The most segments a window can hold."""
+        return self.lo.shape[0] + self.vert_x.shape[0]
+
+    def distances(self, X: float, V: np.ndarray, window: float,
+                  work: np.ndarray) -> np.ndarray:
+        """Distances from (X, v) to the segments with x in [X - window,
+        X + window], for every v in V.
+
+        ``work`` holds two (size, len(V)) buffers.  The projection
+        parameter and both squared differences are computed in them, in the
+        rounding order of x0 + t dx with
+        t = clip(((X - x0) dx + (V - v0) dv) / |d|^2, 0, 1).
+        """
+        lo, hi = X - window, X + window
+        pieces = slice(max(bisect_right(self.starts, lo) - 1, 0),
+                       bisect_left(self.starts, hi))
+        a = np.maximum(self.lo[pieces], lo)
+        b = np.minimum(self.hi[pieces], hi)
+        slope, c2 = self.b[pieces], self.c2[pieces]
+        keep = a < b  # false only past a last piece that ends before lo
+        if not keep.all():
+            a, b, slope, c2 = a[keep], b[keep], slope[keep], c2[keep]
+        vert = slice(bisect_left(self.vert, lo), bisect_right(self.vert, hi))
+        xv = self.vert_x[vert]
+        x0 = np.concatenate((a, xv))[:, None]
+        v0 = np.concatenate((slope + c2 * a, self.vert_v0[vert]))[:, None]
+        dx = np.concatenate((b, xv))[:, None] - x0
+        dv = np.concatenate((slope + c2 * b, self.vert_v1[vert]))[:, None] - v0
+        S = x0.shape[0]
+        if S == 0:
+            return np.full(V.shape[0], math.inf)
         L2 = dx * dx + dv * dv
         L2 = np.where(L2 > 0, L2, 1.0)
-        V = Vs[None, :]
-        t = ((X - x0) * dx + (V - v0) * dv) / L2
-        t = np.clip(t, 0.0, 1.0)
-        px, pv = x0 + t * dx, v0 + t * dv
-        d = np.sqrt((X - px) ** 2 + (V - pv) ** 2)
-        return np.min(d, axis=0)
+        t, sq = work[0, :S], work[1, :S]
+        np.subtract(V, v0, out=t)
+        t *= dv
+        t += (X - x0) * dx
+        t /= L2
+        np.clip(t, 0.0, 1.0, out=t)
+        np.multiply(t, dx, out=sq)
+        sq += x0
+        np.subtract(X, sq, out=sq)
+        np.square(sq, out=sq)
+        t *= dv
+        t += v0
+        np.subtract(V, t, out=t)
+        np.square(t, out=t)
+        sq += t
+        # sqrt is monotone and correctly rounded: sqrt of the least square
+        # is the least distance
+        return np.sqrt(sq.min(axis=0))
+
+    def stored(self, xs: np.ndarray) -> np.ndarray:
+        """f - offset at every x of xs, by Piecewise1D._stored's rules."""
+        shape, xs = xs.shape, xs.ravel()
+        i = np.searchsorted(self.lo, xs, side="right") - 1
+        j = np.maximum(i, 0)
+        at = self.lo[j] == xs
+        acc = (np.zeros(xs.shape, dtype=bool) if self.accumulation is None
+               else xs == self.accumulation[0])
+        bad = ~acc & ((i < 0) | ~(at | (xs < self.hi[j])))
+        if bad.any():
+            raise ValueError(f"x={float(xs[bad][0])} outside the represented domain")
+        out = self.a[j] + self.b[j] * xs + self.c[j] * xs * xs
+        # at a breakpoint, the min of the two one-sided values, left first
+        k = np.flatnonzero(at & (i > 0))
+        x, left = xs[k], j[k] - 1
+        lv = self.a[left] + self.b[left] * x + self.c[left] * x * x
+        out[k] = np.where(out[k] < lv, out[k], lv)
+        out[acc] = 0.0
+        return out.reshape(shape)
 
 
 # ----------------------------------------------------------------------
@@ -388,13 +462,15 @@ def load(path: str) -> Piecewise1D:
 def _delta_profile(f: Piecewise1D, xbar: float, vbar: float, w: float,
                    zs: np.ndarray) -> np.ndarray:
     """Normalized graph distances, one row per scale, one column per z."""
+    graph = f._graph
     ts = sorted(f.scales, reverse=True)
     nrm = np.hypot(w, zs)
+    work = np.empty((2, graph.size, zs.shape[0]))
     out = np.empty((len(ts), zs.shape[0]))
     for i, t in enumerate(ts):
         X = xbar + t * w
         window = 6.0 * t * (abs(w) + 1.0)
-        d = f.graph_distances(X, vbar + t * zs, window)
+        d = graph.distances(X, vbar + t * zs, window, work)
         out[i] = d / (t * nrm)
     return out
 
@@ -466,38 +542,46 @@ def estimate_qgc_1d(f: Piecewise1D, xbar: float,
     The grid is geometric between radius*_QGC_FLOOR_REL and the radius on
     both sides, with every breakpoint in range included exactly; radii
     default to ``f.radii``, which generator functions match to their
-    pieces.
+    pieces.  The sample and kept counts are the distinct points evaluated.
     """
     if radii is None:
         radii = f.radii
+    graph = f._graph
+    base = f._stored(xbar)
+    gaps = np.abs(graph.breakpoints - xbar)
     per_radius: List[float] = []
+    counts: List[int] = []
     for r in radii:
         offs = np.geomspace(r * _QGC_FLOOR_REL, r, _QGC_GRID)
-        xs = set()
-        for o in offs:
-            xs.add(xbar + o)
-            xs.add(xbar - o)
-        for bp in f.breakpoints:
-            if abs(bp - xbar) <= r and abs(bp - xbar) >= r * _QGC_FLOOR_REL:
-                xs.add(bp)
-        best = math.inf
-        for x in xs:
-            d = x - xbar
-            val = 2.0 * f.diff(x, xbar) / (d * d)
-            if val < best:
-                best = val
-        per_radius.append(float(best))
+        near = graph.breakpoints[(gaps <= r) & (gaps >= r * _QGC_FLOOR_REL)]
+        xs = np.unique(np.concatenate((xbar + offs, xbar - offs, near)))
+        d = xs - xbar
+        vals = 2.0 * (graph.stored(xs) - base) / (d * d)
+        # a NaN quotient never wins
+        per_radius.append(float(np.fmin.reduce(vals, initial=math.inf)))
+        counts.append(xs.shape[0])
     verdict = qgc_verdict(per_radius)
     kappa = float(min(per_radius)) if per_radius else math.inf
     return QgcEstimate(tuple(float(r) for r in radii), tuple(per_radius),
-                       tuple([2 * _QGC_GRID] * len(radii)),
-                       tuple([2 * _QGC_GRID] * len(radii)), verdict, kappa, 0)
+                       tuple(counts), tuple(counts), verdict, kappa, 0)
 
 
 @dataclass(frozen=True)
 class D2Result:
     value: float
     trend: str                    # "stable" | "decreasing" | "increasing" | "diverging"
+
+
+def _quotient_minima(f: Piecewise1D, xbar: float, v: float,
+                     w: float) -> np.ndarray:
+    """Per scale of ``f.scales``, largest first, the least second-order
+    difference quotient over the directions around w."""
+    ts = np.array(sorted(f.scales, reverse=True))[:, None]
+    wp = np.array([w * (1.0 + rel) for rel in _WPRIME_REL])
+    diff = f._graph.stored(xbar + ts * wp) - f._stored(xbar)
+    q = 2.0 * (diff - ts * v * wp) / (ts * ts)
+    # a NaN quotient never wins
+    return np.fmin.reduce(q, axis=1, initial=math.inf)
 
 
 def second_subderivative(f: Piecewise1D, xbar: float, v: float,
@@ -509,14 +593,7 @@ def second_subderivative(f: Piecewise1D, xbar: float, v: float,
     and flagged, since the underlying limit inferior may sit below every
     finite-scale quotient.
     """
-    per_tau: List[float] = []
-    for t in sorted(f.scales, reverse=True):
-        best = math.inf
-        for rel in _WPRIME_REL:
-            wp = w * (1.0 + rel)
-            q = 2.0 * (f.diff(xbar + t * wp, xbar) - t * v * wp) / (t * t)
-            best = min(best, q)
-        per_tau.append(best)
+    per_tau = _quotient_minima(f, xbar, v, w).tolist()
     raw = min(per_tau)
     value = raw
     trend = "stable"

@@ -695,3 +695,103 @@ def reference_minimize_tilted(p, V, starts, center, ball_radius):
         Y = clip(_descent._restore(p, Y, _descent._RESTORE_ITERS)[0])
     gfinal = batch_objective_values(p, Y) - column_sum(V * Y)
     return Y, gfinal, _descent.feasibility_residuals(p, Y)
+
+
+# ----------------------------------------------------------------------
+# pw1d as it was written before its graph was built once per function:
+# the per-window segment loop, the distances over it, and the per-point
+# growth and second-order quotient loops that the array passes repeat
+# ----------------------------------------------------------------------
+
+def reference_graph_segments(f, lo, hi):
+    """Straight segments ((x0,v0),(x1,v1)) of the graph with x in [lo, hi]."""
+    from bisect import bisect_left, bisect_right
+    from strongmin import pw1d
+    segs = []
+    first = max(bisect_right(f._starts, lo) - 1, 0)
+    for p in f.pieces[first:bisect_left(f._starts, hi)]:
+        a, b_ = max(p.lo, lo), min(p.hi, hi)
+        if a < b_:
+            segs.append(((a, p.slope(a)), (b_, p.slope(b_))))
+    acc = f.accumulation
+    for x in f._starts[max(bisect_left(f._starts, lo), 1):
+                       bisect_right(f._starts, hi)]:
+        if acc is not None and x == acc[0]:
+            continue
+        iv = f.prox_subdiff(x)
+        if iv is not None:
+            segs.append(((x, max(iv[0], -pw1d._VCAP)), (x, min(iv[1], pw1d._VCAP))))
+    if acc is not None:
+        x0, iv = acc
+        if lo <= x0 <= hi:
+            segs.append(((x0, iv[0]), (x0, iv[1])))
+    return segs
+
+
+def reference_graph_distances(f, X, Vs, window):
+    """Distances from (X, v) to the graph for every v in Vs at once."""
+    segs = reference_graph_segments(f, X - window, X + window)
+    if not segs:
+        return np.full(Vs.shape[0], np.inf)
+    arr = np.array([[a[0], a[1], b[0], b[1]] for a, b in segs])
+    x0, v0, x1, v1 = arr[:, 0:1], arr[:, 1:2], arr[:, 2:3], arr[:, 3:4]
+    dx, dv = x1 - x0, v1 - v0
+    L2 = dx * dx + dv * dv
+    L2 = np.where(L2 > 0, L2, 1.0)
+    V = Vs[None, :]
+    t = ((X - x0) * dx + (V - v0) * dv) / L2
+    t = np.clip(t, 0.0, 1.0)
+    px, pv = x0 + t * dx, v0 + t * dv
+    d = np.sqrt((X - px) ** 2 + (V - pv) ** 2)
+    return np.min(d, axis=0)
+
+
+def reference_delta_profile(f, xbar, vbar, w, zs):
+    """pw1d._delta_profile over the reference distances."""
+    ts = sorted(f.scales, reverse=True)
+    nrm = np.hypot(w, zs)
+    out = np.empty((len(ts), zs.shape[0]))
+    for i, t in enumerate(ts):
+        d = reference_graph_distances(f, xbar + t * w, vbar + t * zs,
+                                      6.0 * t * (abs(w) + 1.0))
+        out[i] = d / (t * nrm)
+    return out
+
+
+def reference_qgc_per_radius(f, xbar, radii):
+    """(per_radius, distinct points per radius) of pw1d.estimate_qgc_1d,
+    one point at a time."""
+    from strongmin import pw1d
+    per_radius, counts = [], []
+    for r in radii:
+        offs = np.geomspace(r * pw1d._QGC_FLOOR_REL, r, pw1d._QGC_GRID)
+        xs = set()
+        for o in offs:
+            xs.add(xbar + o)
+            xs.add(xbar - o)
+        for bp in f.breakpoints:
+            if abs(bp - xbar) <= r and abs(bp - xbar) >= r * pw1d._QGC_FLOOR_REL:
+                xs.add(bp)
+        best = np.inf
+        for x in xs:
+            d = x - xbar
+            val = 2.0 * f.diff(x, xbar) / (d * d)
+            if val < best:
+                best = val
+        per_radius.append(float(best))
+        counts.append(len(xs))
+    return per_radius, counts
+
+
+def reference_second_subderivative_per_tau(f, xbar, v, w):
+    """The per-scale minima of pw1d.second_subderivative, one point at a time."""
+    from strongmin import pw1d
+    per_tau = []
+    for t in sorted(f.scales, reverse=True):
+        best = np.inf
+        for rel in pw1d._WPRIME_REL:
+            wp = w * (1.0 + rel)
+            q = 2.0 * (f.diff(xbar + t * wp, xbar) - t * v * wp) / (t * t)
+            best = min(best, q)
+        per_tau.append(best)
+    return per_tau

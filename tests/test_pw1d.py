@@ -1,10 +1,15 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import tangent_direction_test
+from conftest import (reference_delta_profile, reference_qgc_per_radius,
+                      reference_second_subderivative_per_tau,
+                      tangent_direction_test)
 from strongmin import pw1d
 
 ALPHA = [1.0 / math.factorial(n + 1) for n in range(20)]
@@ -288,3 +293,98 @@ class TestLookup:
             x = xbar + 10.0 ** -k
             want = exact(x) - exact(xbar)
             assert abs(Fraction(f31.diff(x, xbar)) - want) <= abs(want) / 10**6, k
+
+
+GRAPH_FUNCTIONS = {
+    "example31": pw1d.example31,
+    "example33": pw1d.example33,
+    "staircase(3,2)": lambda: pw1d.binary_staircase(3.0, 2.0),
+    "staircase(1.5,1.2)": lambda: pw1d.binary_staircase(1.5, 1.2),
+    "even": lambda: pw1d.loads(EVEN_PW),
+    "jump": lambda: pw1d.loads(JUMP_PW),
+    # stored value 0 at the accumulation point, where both pieces give 1
+    "accumulation": lambda: pw1d.Piecewise1D(
+        [pw1d.Piece(-math.inf, -1.0, 0.0, -2.0, 0.0),
+         pw1d.Piece(-1.0, 0.0, 1.0, -1.0, 0.5),
+         pw1d.Piece(0.0, 1.0, 1.0, 2.0, -0.25),
+         pw1d.Piece(1.0, math.inf, 2.5, 0.0, 0.25)],
+        accumulation=(0.0, (-1.0, 2.0))),
+}
+
+
+def _assert_repeats_the_reference(f, xbar, vbar=0.0, radii=None):
+    """Distance profiles, growth and quotient minima at xbar have the bytes
+    of the per-window and per-point loops."""
+    zs = np.array(sorted(set(pw1d._Z_GRID.tolist()) | {0.5, 2.0}))
+    for w in (1.0, -1.0):
+        got = pw1d._delta_profile(f, xbar, vbar, w, zs)
+        want = reference_delta_profile(f, xbar, vbar, w, zs)
+        assert got.tobytes() == want.tobytes(), (xbar, w)
+        got = pw1d._quotient_minima(f, xbar, vbar, w)
+        want = reference_second_subderivative_per_tau(f, xbar, vbar, w)
+        assert got.tobytes() == np.array(want).tobytes(), (xbar, w)
+    radii = f.radii if radii is None else radii
+    est = pw1d.estimate_qgc_1d(f, xbar, radii=radii)
+    per_radius, counts = reference_qgc_per_radius(f, xbar, radii)
+    assert np.array(est.per_radius).tobytes() == np.array(per_radius).tobytes(), xbar
+    assert est.sample_counts == est.kept_counts == tuple(counts), xbar
+
+
+class TestArrayPasses:
+    @pytest.mark.parametrize("name", list(GRAPH_FUNCTIONS))
+    def test_repeats_the_reference(self, name):
+        f = GRAPH_FUNCTIONS[name]()
+        bps = f.breakpoints
+        # 0.25 - 0.25 and 0.1 - 0.1 reach 0 from the growth and quotient grids
+        points = [0.0, 0.1, 0.25, 0.3, -0.7, bps[len(bps) // 3], bps[-1] + 0.25]
+        for xbar in points:
+            _assert_repeats_the_reference(f, xbar)
+        iv = f.prox_subdiff(0.3)
+        _assert_repeats_the_reference(f, 0.3, vbar=iv[0], radii=(0.5, 1e-3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_repeats_the_reference_with_jumps(self, data):
+        # quarter-integer coefficients: neighbouring pieces often disagree at
+        # their breakpoint, which makes some subdifferentials empty
+        quarters = st.integers(-8, 8).map(lambda k: k / 4.0)
+        bps = sorted(data.draw(st.sets(quarters, min_size=1, max_size=6)))
+        edges = [-math.inf] + bps + [math.inf]
+        pieces = [pw1d.Piece(lo, hi, data.draw(quarters), data.draw(quarters),
+                             data.draw(quarters))
+                  for lo, hi in zip(edges, edges[1:])]
+        f = pw1d.Piecewise1D(pieces)
+        xbar = data.draw(st.sampled_from(bps) | quarters
+                         | st.floats(-3.0, 3.0, allow_subnormal=False))
+        _assert_repeats_the_reference(f, xbar)
+
+    def test_profile_past_a_finite_end(self):
+        # windows that end before the pieces start or start after they end
+        # hold fewer segments, or none
+        f = pw1d.Piecewise1D([pw1d.Piece(-1.0, 0.0, 0.0, -1.0, 0.5),
+                              pw1d.Piece(0.0, 1.0, 0.25, 1.0, 0.0)])
+        for xbar in (-1.5, 1.05, 2.0, 30.0):
+            for w in (1.0, -1.0):
+                got = pw1d._delta_profile(f, xbar, 0.0, w, pw1d._Z_GRID)
+                want = reference_delta_profile(f, xbar, 0.0, w, pw1d._Z_GRID)
+                assert got.tobytes() == want.tobytes(), (xbar, w)
+        with pytest.raises(ValueError, match="outside the represented domain"):
+            pw1d.estimate_qgc_1d(f, 0.5)
+
+    def test_sample_counts_are_the_distinct_points(self):
+        # the geometric grid on both sides plus the breakpoints in range,
+        # not 2 * _QGC_GRID
+        assert pw1d.estimate_qgc_1d(pw1d.example33(), 0.0).sample_counts == (1116,) * 3
+        est = pw1d.estimate_qgc_1d(pw1d.loads("pw1d\nbreakpoints:\npiece 0: 0 0 1\n"), 0.0)
+        assert est.sample_counts == est.kept_counts == (2 * pw1d._QGC_GRID,) * 3
+
+    def test_graph_of_a_copy_is_its_own(self):
+        f33, f22 = pw1d.example33(), pw1d.binary_staircase(2.0, 2.0)
+        for key in ("lo", "hi", "a", "b", "c", "breakpoints",
+                    "vert_x", "vert_v0", "vert_v1"):
+            assert (getattr(f33._graph, key).tobytes()
+                    == getattr(f22._graph, key).tobytes()), key
+        other = pw1d.binary_staircase(3.0, 2.0)
+        g = replace(f22, pieces=other.pieces)
+        assert g._graph is not f22._graph
+        assert g._graph.lo.tobytes() == other._graph.lo.tobytes()
