@@ -38,6 +38,12 @@ def _radius_flags(sub):
     sub.add_argument("--radii", default=None, help="comma list, e.g. 0.2,0.05")
 
 
+def _timings_flag(sub):
+    """Add --timings for the subcommands that can report their stage clocks."""
+    sub.add_argument("--timings", action="store_true",
+                     help="include wall-clock timings (breaks byte-identical reports)")
+
+
 def _radii(args):
     """The radii to test: --radius, else --radii, else None for the default."""
     if args.radius is not None:
@@ -63,8 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     _radius_flags(a)
     a.add_argument("--tol", type=float, default=1e-7)
     a.add_argument("--tilt", action="store_true", help="run the tilt probe")
-    a.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings (breaks byte-identical reports)")
+    _timings_flag(a)
 
     c = sp.add_parser("cq", help="constraint-qualification diagnostics only")
     _common(c)
@@ -83,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--point", type=float, default=0.0)
     w.add_argument("--d2", action="store_true",
                    help="include second-order difference quotients")
+    _timings_flag(w)
     return ap
 
 
@@ -116,7 +122,7 @@ def main(argv=None) -> int:
         else:
             rep = _report.pw1d_report(args.file, point=args.point,
                                       radii=_radii(args), with_d2=args.d2,
-                                      seed=args.seed)
+                                      seed=args.seed, timings=args.timings)
     except _report.InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

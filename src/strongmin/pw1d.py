@@ -211,8 +211,22 @@ class _Graph:
             v0.insert(k, lo)
             v1.insert(k, hi)
         self.vert = xs  # the x of each vertical segment, for bisect
-        self.vert_x, self.vert_v0, self.vert_v1 = (np.array(u, dtype=float)
-                                                   for u in (xs, v0, v1))
+        self.vert_x = np.array(xs, dtype=float)
+        # a c = 0 piece (dv = 0) and a vertical segment (dx = 0) are
+        # separable rows: their squared distance is an x-part of the row
+        # plus a v-part of the row's (v0, v1), one group per pair
+        groups: dict = {}
+        self.piece_group = np.array(
+            [groups.setdefault((p.b, p.b), len(groups)) if p.c == 0 else -1
+             for p in f.pieces], dtype=np.intp)
+        self.vert_group = np.array(
+            [groups.setdefault(key, len(groups)) for key in zip(v0, v1)],
+            dtype=np.intp)
+        self.group_v0, self.group_v1 = np.array(
+            list(groups), dtype=float).reshape(-1, 2).T.copy()
+        self.group_dv = self.group_v1 - self.group_v0
+        L2 = self.group_dv * self.group_dv
+        self.group_L2 = np.where(L2 > 0, L2, 1.0)
 
     @property
     def size(self) -> int:
@@ -224,10 +238,16 @@ class _Graph:
         """Distances from (X, v) to the segments with x in [X - window,
         X + window], for every v in V.
 
-        ``work`` holds two (size, len(V)) buffers.  The projection
-        parameter and both squared differences are computed in them, in the
-        rounding order of x0 + t dx with
-        t = clip(((X - x0) dx + (V - v0) dv) / |d|^2, 0, 1).
+        A segment's squared distance is computed in the rounding order of
+        (X - (t dx + x0))^2 + (v - (t dv + v0))^2 with
+        t = clip(((X - x0) dx + (v - v0) dv) / |d|^2, 0, 1).  On a separable
+        row, where dv = 0 (a c = 0 piece) or dx = 0 (a vertical segment),
+        one term of t's numerator is a signed zero, so the x-part is
+        computed with t from the x term alone and the v-part with t from
+        the v term alone, which depends only on (v0, v1).  Rounded addition
+        is monotone, so the least square over a group's rows is the least
+        x-part plus the group's v-part, bit for bit.
+        ``work`` holds two (size, len(V)) buffers.
         """
         lo, hi = X - window, X + window
         pieces = slice(max(bisect_right(self.starts, lo) - 1, 0),
@@ -235,38 +255,54 @@ class _Graph:
         a = np.maximum(self.lo[pieces], lo)
         b = np.minimum(self.hi[pieces], hi)
         slope, c2 = self.b[pieces], self.c2[pieces]
+        group = self.piece_group[pieces]
         keep = a < b  # false only past a last piece that ends before lo
         if not keep.all():
-            a, b, slope, c2 = a[keep], b[keep], slope[keep], c2[keep]
+            a, b, slope, c2, group = (u[keep] for u in (a, b, slope, c2, group))
+        least = np.full(V.shape[0], math.inf)
+        quad = group < 0
+        if quad.any():
+            x0, x1 = a[quad, None], b[quad, None]
+            slope, c2 = slope[quad, None], c2[quad, None]
+            v0 = slope + c2 * x0
+            dx, dv = x1 - x0, (slope + c2 * x1) - v0
+            L2 = dx * dx + dv * dv
+            L2 = np.where(L2 > 0, L2, 1.0)
+            t, sq = work[0, :x0.shape[0]], work[1, :x0.shape[0]]
+            np.subtract(V, v0, out=t)
+            t *= dv
+            t += (X - x0) * dx
+            t /= L2
+            np.clip(t, 0.0, 1.0, out=t)
+            np.multiply(t, dx, out=sq)
+            sq += x0
+            np.subtract(X, sq, out=sq)
+            np.square(sq, out=sq)
+            t *= dv
+            t += v0
+            np.subtract(V, t, out=t)
+            np.square(t, out=t)
+            sq += t
+            least = sq.min(axis=0)
+            a, b, group = a[~quad], b[~quad], group[~quad]
         vert = slice(bisect_left(self.vert, lo), bisect_right(self.vert, hi))
-        xv = self.vert_x[vert]
-        x0 = np.concatenate((a, xv))[:, None]
-        v0 = np.concatenate((slope + c2 * a, self.vert_v0[vert]))[:, None]
-        dx = np.concatenate((b, xv))[:, None] - x0
-        dv = np.concatenate((slope + c2 * b, self.vert_v1[vert]))[:, None] - v0
-        S = x0.shape[0]
-        if S == 0:
-            return np.full(V.shape[0], math.inf)
-        L2 = dx * dx + dv * dv
-        L2 = np.where(L2 > 0, L2, 1.0)
-        t, sq = work[0, :S], work[1, :S]
-        np.subtract(V, v0, out=t)
-        t *= dv
-        t += (X - x0) * dx
-        t /= L2
-        np.clip(t, 0.0, 1.0, out=t)
-        np.multiply(t, dx, out=sq)
-        sq += x0
-        np.subtract(X, sq, out=sq)
-        np.square(sq, out=sq)
-        t *= dv
-        t += v0
-        np.subtract(V, t, out=t)
-        np.square(t, out=t)
-        sq += t
+        group = np.concatenate((group, self.vert_group[vert]))
+        if group.shape[0]:
+            x0 = np.concatenate((a, self.vert_x[vert]))
+            dx = np.concatenate((b, self.vert_x[vert])) - x0
+            L2 = dx * dx
+            xpart = _square_part(X, x0, dx, np.where(L2 > 0, L2, 1.0),
+                                 np.empty(x0.shape))
+            best = np.full(self.group_v0.shape[0], math.inf)
+            np.minimum.at(best, group, xpart)
+            g = np.unique(group)
+            rows = _square_part(V, self.group_v0[g, None], self.group_dv[g, None],
+                                self.group_L2[g, None], work[0, :g.shape[0]])
+            rows += best[g, None]
+            np.minimum(least, rows.min(axis=0), out=least)
         # sqrt is monotone and correctly rounded: sqrt of the least square
         # is the least distance
-        return np.sqrt(sq.min(axis=0))
+        return np.sqrt(least, out=least)
 
     def stored(self, xs: np.ndarray) -> np.ndarray:
         """f - offset at every x of xs, by Piecewise1D._stored's rules."""
@@ -287,6 +323,18 @@ class _Graph:
         out[k] = np.where(out[k] < lv, out[k], lv)
         out[acc] = 0.0
         return out.reshape(shape)
+
+
+def _square_part(P, p0, dp, L2, out: np.ndarray) -> np.ndarray:
+    """(P - (t dp + p0))^2 with t = clip((P - p0) dp / L2, 0, 1), into out."""
+    np.subtract(P, p0, out=out)
+    out *= dp
+    out /= L2
+    np.clip(out, 0.0, 1.0, out=out)
+    out *= dp
+    out += p0
+    np.subtract(P, out, out=out)
+    return np.square(out, out=out)
 
 
 # ----------------------------------------------------------------------
@@ -475,12 +523,16 @@ def _delta_profile(f: Piecewise1D, xbar: float, vbar: float, w: float,
     return out
 
 
-def _accept_profile(deltas: np.ndarray) -> bool:
-    if deltas[-1] <= _TANGENT_TOL:
-        return True
-    dmin = float(np.min(deltas))
-    ratios_ok = bool(np.all(deltas[1:] <= deltas[:-1] * 1.3))
-    return bool(dmin <= 0.15 and ratios_ok and deltas[0] >= 2.0 * deltas[-1])
+def _accept_profile(deltas: np.ndarray) -> np.ndarray:
+    """Which columns of a (scales, slopes) profile are tangent: the last
+    distance is within _TANGENT_TOL, or the distances reach 0.15, never grow
+    by more than 1.3 from one scale to the next and halve overall.  A
+    column holding a NaN is accepted only by its last distance."""
+    last = deltas[-1]
+    decays = ((deltas.min(axis=0) <= 0.15)
+              & (deltas[1:] <= deltas[:-1] * 1.3).all(axis=0)
+              & (deltas[0] >= 2.0 * last))
+    return (last <= _TANGENT_TOL) | decays
 
 
 @dataclass(frozen=True)
@@ -510,14 +562,10 @@ def check_conditions(f: Piecewise1D, xbar: float) -> ConditionsReport:
     for w in (1.0, -1.0):
         # w is +-1 here, so the direction is already normalized
         zs = np.array(sorted(set(float(z) for z in _Z_GRID) | {s * w for s in seeds}))
-        profile = _delta_profile(f, xbar, 0.0, w, zs)
-        best = None
-        for j, z in enumerate(zs):
-            if _accept_profile(profile[:, j]):
-                accepted.append((w, float(z)))
-                best = z * w if best is None else max(best, z * w)
-        if best is not None:
-            per_w_max[w] = best
+        tangent = zs[_accept_profile(_delta_profile(f, xbar, 0.0, w, zs))]
+        accepted.extend((w, float(z)) for z in tangent)
+        if tangent.shape[0]:
+            per_w_max[w] = float((tangent * w).max())
 
     if accepted:
         min_ratio = min(z * w / (w * w) for w, z in accepted)

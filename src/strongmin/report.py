@@ -352,11 +352,14 @@ def _tilt_dict(tr: oracle.TiltReport) -> dict:
 # ----------------------------------------------------------------------
 
 def pw1d_report(path: str, point: float = 0.0, radii=None,
-                with_d2: bool = False, seed: int = 0) -> dict:
+                with_d2: bool = False, seed: int = 0,
+                timings: bool = False) -> dict:
     if not math.isfinite(point):
         raise InputError(f"point must be finite, got {point!r}")
     _require_seed(seed)
-    f = _load(pw1d.load, pw1d.Pw1dFormatError, path)
+    clocks: dict = {}
+    with _stage(clocks, "load"):
+        f = _load(pw1d.load, pw1d.Pw1dFormatError, path)
     if radii is None or radii == "auto":
         radii_t = f.radii
     else:
@@ -426,7 +429,9 @@ def pw1d_report(path: str, point: float = 0.0, radii=None,
     stages = [("conditions", conditions), ("qgc", qgc)]
     if with_d2:
         stages.append(("second_subderivative", second_subderivative))
-    _run_stages(rep, {}, stages)
+    _run_stages(rep, clocks, stages)
+    if timings:
+        rep["timings_ms"] = clocks
     return rep
 
 

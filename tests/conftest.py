@@ -419,8 +419,8 @@ def tangent_direction_test(f, xbar, vbar, w, z):
         raise ValueError("vbar is not a proximal subgradient at xbar")
     s = abs(w) if w != 0.0 else abs(z)
     w, z = w / s, z / s
-    deltas = pw1d._delta_profile(f, xbar, vbar, w, np.array([z]))[:, 0]
-    return pw1d._accept_profile(deltas)
+    profile = pw1d._delta_profile(f, xbar, vbar, w, np.array([z]))
+    return bool(pw1d._accept_profile(profile)[0])
 
 
 # ----------------------------------------------------------------------

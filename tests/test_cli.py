@@ -309,6 +309,23 @@ class TestReports:
         run_cli(args)
         assert capsys.readouterr().out == report.dumps_report(rep)
 
+    @pytest.mark.parametrize("d2, stages", [
+        ([], ["load", "conditions", "qgc"]),
+        (["--d2"], ["load", "conditions", "qgc", "second_subderivative"]),
+    ])
+    def test_pw1d_timings_flag_adds_field(self, capsys, d2, stages):
+        path = corpus_path("ex33", "function.pw")
+        run_cli(["pw1d", path, "--timings"] + d2)
+        timings = json.loads(capsys.readouterr().out)["timings_ms"]
+        assert list(timings) == stages
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        # apart from the timings the report is the one written without them
+        # (compared before a JSON round trip, which reads -0 as 0)
+        rep = report.pw1d_report(path, with_d2=bool(d2), timings=True)
+        assert list(rep.pop("timings_ms")) == stages
+        run_cli(["pw1d", path] + d2)
+        assert capsys.readouterr().out == report.dumps_report(rep)
+
     def test_pw1d_d2_flag(self, capsys):
         run_cli(["pw1d", corpus_path("sq", "function.pw"), "--d2"])
         rep = json.loads(capsys.readouterr().out)
@@ -389,7 +406,8 @@ class TestFlags:
          "--samples", "10", "--radii", "0.1,0.05", "--radius", "0.1"],
         ["cq", "f.prob", "--samples", "10", "--radius", "0.2"],
         ["qgc", "f.prob", "--samples", "10", "--radii", "0.1,0.05"],
-        ["pw1d", "f.pw", "--point", "0.5", "--d2", "--radii", "0.1"],
+        ["pw1d", "f.pw", "--point", "0.5", "--d2", "--radii", "0.1",
+         "--timings"],
     ])
     def test_read_flags_are_accepted(self, argv):
         cli.build_parser().parse_args(argv + ["--seed", "1", "--report", "r.json"])

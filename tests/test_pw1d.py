@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (reference_delta_profile, reference_qgc_per_radius,
+from conftest import (reference_delta_profile, reference_graph_segments,
+                      reference_qgc_per_radius,
                       reference_second_subderivative_per_tau,
                       tangent_direction_test)
 from strongmin import pw1d
@@ -122,6 +123,26 @@ class TestConditions:
         assert not rep.pd_lower_bound
         assert not rep.pd_strict
         assert (1.0, 0.0) in rep.accepted
+
+    def test_accept_profile_decides_every_column_alone(self):
+        def accept_column(deltas):
+            # one column at a time, NaN minima failing the decay branch
+            if deltas[-1] <= pw1d._TANGENT_TOL:
+                return True
+            return bool(float(np.min(deltas)) <= 0.15
+                        and np.all(deltas[1:] <= deltas[:-1] * 1.3)
+                        and deltas[0] >= 2.0 * deltas[-1])
+
+        rng = np.random.default_rng(3)
+        profile = np.exp(rng.uniform(-9.0, 2.0, (6, 400)))
+        profile[:, ::3].sort(axis=0)
+        profile[::-1, 1::3].sort(axis=0)
+        profile[rng.random(profile.shape) < 0.02] = np.nan
+        profile[-1, ::7] = 1e-4
+        got = pw1d._accept_profile(profile)
+        want = [accept_column(profile[:, j]) for j in range(profile.shape[1])]
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
 
     def test_smooth_square(self, sq):
         rep = pw1d.check_conditions(sq, 0.0)
@@ -330,6 +351,19 @@ def _assert_repeats_the_reference(f, xbar, vbar=0.0, radii=None):
     assert est.sample_counts == est.kept_counts == tuple(counts), xbar
 
 
+def _assert_profile_repeats(f, xbar, vbar=0.0):
+    """Distance profiles at xbar have the bytes of the per-window loop."""
+    zs = np.array(sorted(set(pw1d._Z_GRID.tolist()) | {0.5, 2.0}))
+    for w in (1.0, -1.0):
+        got = pw1d._delta_profile(f, xbar, vbar, w, zs)
+        want = reference_delta_profile(f, xbar, vbar, w, zs)
+        assert got.tobytes() == want.tobytes(), (xbar, vbar, w)
+
+
+# scales whose windows hold whole pieces and many vertical segments
+WIDE_SCALES = (2.0, 1.0, 0.5, 0.25, 0.1, 0.01)
+
+
 class TestArrayPasses:
     @pytest.mark.parametrize("name", list(GRAPH_FUNCTIONS))
     def test_repeats_the_reference(self, name):
@@ -358,6 +392,132 @@ class TestArrayPasses:
                          | st.floats(-3.0, 3.0, allow_subnormal=False))
         _assert_repeats_the_reference(f, xbar)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_repeats_the_reference_with_flat_pieces(self, data):
+        # c = 0 on about half the pieces, and slopes from a few quarters with
+        # -0.0 among them, so that separable rows share their (v0, v1) groups
+        quarters = st.integers(-8, 8).map(lambda k: k / 4.0)
+        slopes = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]) | quarters
+        bps = sorted(data.draw(st.sets(quarters, min_size=1, max_size=8)))
+        edges = [-math.inf] + bps + [math.inf]
+        pieces = [pw1d.Piece(lo, hi, data.draw(quarters), data.draw(slopes),
+                             data.draw(quarters) if data.draw(st.booleans()) else 0.0)
+                  for lo, hi in zip(edges, edges[1:])]
+        f = pw1d.Piecewise1D(pieces, scales=WIDE_SCALES)
+        xbar = data.draw(st.sampled_from(bps) | quarters
+                         | st.floats(-3.0, 3.0, allow_subnormal=False))
+        _assert_profile_repeats(f, xbar, data.draw(st.sampled_from([0.0, -0.5, 1.0])))
+
+    def test_signed_zero_slopes_share_a_group(self):
+        f = pw1d.Piecewise1D([pw1d.Piece(-math.inf, -0.5, 0.5, -1.0, 0.0),
+                              pw1d.Piece(-0.5, -0.25, 0.0, -0.0, 0.0),
+                              pw1d.Piece(-0.25, 0.0, 0.0, 0.0, -0.0),
+                              pw1d.Piece(0.0, 0.25, 0.0, -0.0, -0.0),
+                              pw1d.Piece(0.25, math.inf, -0.25, 1.0, 0.0)],
+                             scales=WIDE_SCALES)
+        g = f._graph
+        # the flat pieces and the zero intervals at -0.25 and 0 (signed zeros
+        # of both kinds) are one group
+        zero = {int(k) for k in g.piece_group[1:4]} | {int(k) for k in g.vert_group[1:3]}
+        assert len(zero) == 1 and g.group_v1[g.vert_group[0]] == 0.0
+        for xbar in (-0.5, -0.3, -0.25, -0.1, 0.0, 0.1, 0.25, 0.4):
+            _assert_profile_repeats(f, xbar)
+
+    def test_capped_verticals_beside_uncapped_ones(self):
+        # jumps up at -1 and 2 (intervals (0, _VCAP)), a jump down at 1
+        # ((-_VCAP, 0)) and a convex kink at 0 ((0, 2))
+        f = pw1d.Piecewise1D([pw1d.Piece(-math.inf, -1.0, 0.0, 0.0, 0.0),
+                              pw1d.Piece(-1.0, 0.0, 1.0, 0.0, 0.0),
+                              pw1d.Piece(0.0, 1.0, 1.0, 2.0, 0.0),
+                              pw1d.Piece(1.0, 2.0, 0.0, 0.0, 0.0),
+                              pw1d.Piece(2.0, math.inf, 1.0, 0.0, 0.0)],
+                             scales=WIDE_SCALES)
+        g = f._graph
+        assert g.group_v0[g.vert_group].tolist() == [0.0, 0.0, -pw1d._VCAP, 0.0]
+        assert g.group_v1[g.vert_group].tolist() == [pw1d._VCAP, 2.0, 0.0, pw1d._VCAP]
+        assert g.vert_group[0] == g.vert_group[3]
+        assert len(set(g.vert_group.tolist())) == 3
+        for xbar in (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5):
+            for vbar in (0.0, 1.0, -3.0):
+                _assert_profile_repeats(f, xbar, vbar)
+
+    def test_accumulation_and_breakpoint_share_a_group(self):
+        # the accumulation interval at 0 is the interval of the convex kink
+        # at 2, and the breakpoint at 3 between two equal pieces has the
+        # interval (1, 1) of the affine pieces of slope 1
+        f = pw1d.Piecewise1D([pw1d.Piece(-math.inf, 0.0, 0.0, -1.0, 0.0),
+                              pw1d.Piece(0.0, 1.0, 0.0, 1.0, 0.0),
+                              pw1d.Piece(1.0, 2.0, 2.0, -1.0, 0.0),
+                              pw1d.Piece(2.0, 3.0, -2.0, 1.0, 0.0),
+                              pw1d.Piece(3.0, math.inf, -2.0, 1.0, 0.0)],
+                             accumulation=(0.0, (-1.0, 1.0)), scales=WIDE_SCALES)
+        g = f._graph
+        assert g.vert_x.tolist() == [0.0, 2.0, 3.0]
+        assert g.vert_group[0] == g.vert_group[1]
+        assert g.vert_group[2] == g.piece_group[1] == g.piece_group[3]
+        assert len(g.group_v0) == 3
+        for xbar in (0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 3.5):
+            _assert_profile_repeats(f, xbar)
+        _assert_repeats_the_reference(f, 0.0)
+
+    def test_distinct_slopes_give_one_row_per_group(self):
+        # a convex piecewise affine function with slopes -3, ..., 3
+        bps = [-1.25, -0.75, -0.25, 0.25, 0.75, 1.25]
+        edges = [-math.inf] + bps + [math.inf]
+        a = [0.0]
+        for i, x in enumerate(bps):
+            a.append(a[-1] + ((i - 3) - (i - 2)) * x)
+        f = pw1d.Piecewise1D([pw1d.Piece(lo, hi, a[i], float(i - 3), 0.0)
+                              for i, (lo, hi) in enumerate(zip(edges, edges[1:]))],
+                             scales=WIDE_SCALES)
+        g = f._graph
+        assert len(g.group_v0) == g.size == 13
+        for xbar in (-1.25, -0.5, 0.0, 0.25, 0.6, 1.25, 2.0):
+            for vbar in (0.0, 0.5):
+                _assert_profile_repeats(f, xbar, vbar)
+
+    def test_forty_pieces_share_two_slopes(self):
+        # a continuous sawtooth of slopes -1 and 1 on pieces of width 1/32:
+        # every valley is the vertical (-1, 1), every peak has no subgradient
+        bps = [(k - 19) / 32.0 for k in range(39)]
+        edges = [-math.inf] + bps + [math.inf]
+        pieces, a = [], 0.0
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            b = -1.0 if i % 2 == 0 else 1.0
+            if i:
+                a += -2.0 * b * lo  # continuous at lo, where the slope flips
+            pieces.append(pw1d.Piece(lo, hi, a, b, 0.0))
+        f = pw1d.Piecewise1D(pieces, scales=WIDE_SCALES)
+        g = f._graph
+        assert len(pieces) == 40 and len(g.vert_x) == 20
+        assert sorted(zip(g.group_v0.tolist(), g.group_v1.tolist())) == [
+            (-1.0, -1.0), (-1.0, 1.0), (1.0, 1.0)]
+        for xbar in (bps[0], bps[10], bps[11], 0.0, 0.01, bps[-1], 1.0):
+            _assert_profile_repeats(f, xbar)
+
+    def test_quadratic_and_affine_pieces_in_one_window(self):
+        f = pw1d.Piecewise1D([pw1d.Piece(-math.inf, -0.5, 0.0, -1.0, 0.0),
+                              pw1d.Piece(-0.5, 0.0, 0.0, 0.0, 1.0),
+                              pw1d.Piece(0.0, 0.25, 0.0, 0.0, 0.0),
+                              pw1d.Piece(0.25, 0.5, 0.0625, -0.5, 1.0),
+                              pw1d.Piece(0.5, math.inf, 0.25, 0.5, 0.0)],
+                             scales=WIDE_SCALES)
+        assert (f._graph.piece_group < 0).tolist() == [False, True, False, True, False]
+        for xbar in (-0.5, -0.25, 0.0, 0.125, 0.25, 0.4, 0.5):
+            for vbar in (0.0, 0.25):
+                _assert_profile_repeats(f, xbar, vbar)
+
+    def test_window_of_a_vertical_segment_only(self):
+        # at t = 1/16 and w = -1 the window is [1, 2.5]: the last piece ends
+        # at its left end, where the accumulation point stands
+        f = pw1d.Piecewise1D([pw1d.Piece(-1.0, 0.0, 0.0, -1.0, 0.0),
+                              pw1d.Piece(0.0, 1.0, 0.0, 1.0, 0.0)],
+                             accumulation=(1.0, (-1.0, 2.0)), scales=(0.0625,))
+        assert reference_graph_segments(f, 1.0, 2.5) == [((1.0, -1.0), (1.0, 2.0))]
+        for vbar in (0.0, 1.0, 5.0):
+            _assert_profile_repeats(f, 1.8125, vbar)
+
     def test_profile_past_a_finite_end(self):
         # windows that end before the pieces start or start after they end
         # hold fewer segments, or none
@@ -381,7 +541,7 @@ class TestArrayPasses:
     def test_graph_of_a_copy_is_its_own(self):
         f33, f22 = pw1d.example33(), pw1d.binary_staircase(2.0, 2.0)
         for key in ("lo", "hi", "a", "b", "c", "breakpoints",
-                    "vert_x", "vert_v0", "vert_v1"):
+                    "vert_x", "piece_group", "vert_group", "group_v0", "group_v1"):
             assert (getattr(f33._graph, key).tobytes()
                     == getattr(f22._graph, key).tobytes()), key
         other = pw1d.binary_staircase(3.0, 2.0)
