@@ -3,9 +3,10 @@
 Halton sequences drive every sampling stage; a seed only offsets the
 starting index, so results are reproducible and independent of worker
 count by construction.  Each coordinate reads its lowest digits from a
-table of partial radical inverses sized by the point count, and a digit
-loop adds the rest: the points are bit for bit those of a plain loop over
-all digits.
+table of partial radical inverses sized by the point count.  Consecutive
+indices that share their higher digits form a run: the run copies one
+slice of the table and adds each higher digit once, to the whole slice.
+The points are bit for bit those of a plain loop over all digits.
 """
 
 from __future__ import annotations
@@ -45,25 +46,32 @@ def halton(dim: int, count: int, seed: int = 0) -> np.ndarray:
 
     The radical inverse of index i (Halton 1960) sums its base-b digits
     d_k / b**(k+1), lowest first.  The lowest K digits come from a table of
-    base**K <= max(count, base) entries indexed by i % base**K, and a digit
-    loop adds the rest; both add in the same order, so every point has the
-    bits of the plain digit loop.  The table is sized by count, never by
-    the start index."""
+    base**K <= max(count, base) entries, sized by count and never by the
+    start index.  The indices of a run of equal i // base**K read a slice of
+    the table, and the digits of i // base**K are added to the slice in the
+    digit loop's order.  A digit the plain loop adds past an index's last
+    one is 0.0, which leaves a sum >= +0.0 unchanged, so every point has the
+    bits of the plain digit loop."""
     start = 20 + seed * 17
-    idx = np.arange(start, start + count, dtype=np.int64)
     out = np.empty((dim, count))
     for d, base in enumerate(_primes(dim)):
         digits, width = 1, base
         while width * base <= count:
             digits, width = digits + 1, width * base
         table, denom = _digit_table(base, digits)
-        x = table[idx % width]
-        i = idx // width
-        while np.any(i > 0):
-            denom *= base
-            x += (i % base) / denom
-            i //= base
-        out[d] = x
+        row = out[d]
+        i = start
+        while i < start + count:
+            high, low = divmod(i, width)
+            n = min(width - low, start + count - i)
+            run = row[i - start:i - start + n]
+            run[:] = table[low:low + n]
+            scale = denom
+            while high > 0:
+                high, digit = divmod(high, base)
+                scale *= base
+                run += digit / scale
+            i += n
     return out
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -189,29 +189,37 @@ class _Graph:
     """
 
     def __init__(self, f: Piecewise1D):
-        self.starts = f._starts
-        self.lo = np.array(self.starts)
+        self.lo = np.array(f._starts)
         self.hi, self.a, self.b, self.c = np.array(
             [(p.hi, p.a, p.b, p.c) for p in f.pieces]).T.copy()
         self.c2 = 2.0 * self.c
-        bps = f.breakpoints
-        self.breakpoints = np.array(bps, dtype=float)
         self.accumulation = f.accumulation
-        xs, v0, v1 = [], [], []
-        for x in bps:
-            iv = f.prox_subdiff(x)
-            if iv is not None:
-                xs.append(x)
-                v0.append(max(iv[0], -_VCAP))
-                v1.append(min(iv[1], _VCAP))
+        # Piecewise1D.prox_subdiff at every breakpoint, with its floats and
+        # its ties: the value is the min of the one-sided values, left
+        # first, and a side within 1e-14 max(1, |value|) of it bounds the
+        # interval by its slope; an interval with lo > hi is empty
+        x = self.lo[1:]
+        keep = (x != self.accumulation[0] if self.accumulation is not None
+                else np.ones(x.shape, dtype=bool))
+        x = self.breakpoints = x[keep]
+        left = np.flatnonzero(keep)
+        right = left + 1
+        lv = self.a[left] + self.b[left] * x + self.c[left] * x * x
+        rv = self.a[right] + self.b[right] * x + self.c[right] * x * x
+        v = np.where(rv < lv, rv, lv)
+        mag = np.abs(v)
+        tiny = 1e-14 * np.where(mag > 1.0, mag, 1.0)
+        v1 = np.where(rv <= v + tiny, self.b[right] + self.c2[right] * x, math.inf)
+        v0 = np.where(lv <= v + tiny, self.b[left] + self.c2[left] * x, -math.inf)
+        nonempty = ~(v0 > v1)
+        x, v0, v1 = x[nonempty], v0[nonempty], v1[nonempty]
+        v0, v1 = np.maximum(v0, -_VCAP), np.minimum(v1, _VCAP)
         if self.accumulation is not None:
-            x, (lo, hi) = self.accumulation
-            k = bisect_left(xs, x)
-            xs.insert(k, x)
-            v0.insert(k, lo)
-            v1.insert(k, hi)
-        self.vert = xs  # the x of each vertical segment, for bisect
-        self.vert_x = np.array(xs, dtype=float)
+            k = np.searchsorted(x, self.accumulation[0])
+            x = np.insert(x, k, self.accumulation[0])
+            v0 = np.insert(v0, k, self.accumulation[1][0])
+            v1 = np.insert(v1, k, self.accumulation[1][1])
+        self.vert_x = x
         # a c = 0 piece (dv = 0) and a vertical segment (dx = 0) are
         # separable rows: their squared distance is an x-part of the row
         # plus a v-part of the row's (v0, v1), one group per pair
@@ -220,23 +228,28 @@ class _Graph:
             [groups.setdefault((p.b, p.b), len(groups)) if p.c == 0 else -1
              for p in f.pieces], dtype=np.intp)
         self.vert_group = np.array(
-            [groups.setdefault(key, len(groups)) for key in zip(v0, v1)],
-            dtype=np.intp)
+            [groups.setdefault(key, len(groups))
+             for key in zip(v0.tolist(), v1.tolist())], dtype=np.intp)
         self.group_v0, self.group_v1 = np.array(
             list(groups), dtype=float).reshape(-1, 2).T.copy()
         self.group_dv = self.group_v1 - self.group_v0
         L2 = self.group_dv * self.group_dv
         self.group_L2 = np.where(L2 > 0, L2, 1.0)
+        # the graph's rows: the pieces, then the vertical segments
+        self.row_lo = np.concatenate((self.lo, x))
+        self.row_hi = np.concatenate((self.hi, x))
+        self.row_group = np.concatenate((self.piece_group, self.vert_group))
 
     @property
     def size(self) -> int:
         """The most segments a window can hold."""
         return self.lo.shape[0] + self.vert_x.shape[0]
 
-    def distances(self, X: float, V: np.ndarray, window: float,
-                  work: np.ndarray) -> np.ndarray:
-        """Distances from (X, v) to the segments with x in [X - window,
-        X + window], for every v in V.
+    def least_squares(self, X: np.ndarray, V: np.ndarray,
+                      window: np.ndarray) -> np.ndarray:
+        """Least squared distances from (X[s], v) to the segments with x in
+        [X[s] - window[s], X[s] + window[s]], for every v in row s of V; inf
+        where the window holds none.
 
         A segment's squared distance is computed in the rounding order of
         (X - (t dx + x0))^2 + (v - (t dv + v0))^2 with
@@ -247,62 +260,76 @@ class _Graph:
         the v term alone, which depends only on (v0, v1).  Rounded addition
         is monotone, so the least square over a group's rows is the least
         x-part plus the group's v-part, bit for bit.
-        ``work`` holds two (size, len(V)) buffers.
+
+        The rows of every window are laid out at once, tagged with their
+        scale (the row of X), so the x-parts and the least x-part per
+        (scale, group) key take one pass each.  The quadratic rows, then
+        one v-part row per key, run through the (rows, Z) passes in chunks
+        of consecutive scales, each at most max(size, S) rows: two (size, Z)
+        buffers are what one window may need, and the profile itself has S
+        rows.  Each scale takes the exact minimum of its rows; a scale
+        without rows stays inf.
         """
+        S, Z = V.shape
         lo, hi = X - window, X + window
-        pieces = slice(max(bisect_right(self.starts, lo) - 1, 0),
-                       bisect_left(self.starts, hi))
-        a = np.maximum(self.lo[pieces], lo)
-        b = np.minimum(self.hi[pieces], hi)
-        slope, c2 = self.b[pieces], self.c2[pieces]
-        group = self.piece_group[pieces]
-        keep = a < b  # false only past a last piece that ends before lo
-        if not keep.all():
-            a, b, slope, c2, group = (u[keep] for u in (a, b, slope, c2, group))
-        least = np.full(V.shape[0], math.inf)
+        # the pieces and then the vertical segments of every window, as
+        # ranges of the graph's rows; a window's first piece is no row when
+        # it ends at or before lo, past a last piece
+        first = np.maximum(np.searchsorted(self.lo, lo, side="right") - 1, 0)
+        first += self.hi[first] <= lo
+        n = self.lo.shape[0]
+        row, scale = _ranges(
+            np.concatenate((first, n + np.searchsorted(self.vert_x, lo))),
+            np.concatenate((np.searchsorted(self.lo, hi),
+                            n + np.searchsorted(self.vert_x, hi, side="right"))),
+            np.tile(np.arange(S), 2))
+        x0 = np.maximum(self.row_lo[row], lo[scale])
+        x1 = np.minimum(self.row_hi[row], hi[scale])
+        dx = x1 - x0
+        group = self.row_group[row]
+        out = np.full((S, Z), math.inf)
+        limit = max(self.size, S)
+        work = np.empty((2, limit, Z))
         quad = group < 0
         if quad.any():
-            x0, x1 = a[quad, None], b[quad, None]
-            slope, c2 = slope[quad, None], c2[quad, None]
-            v0 = slope + c2 * x0
-            dx, dv = x1 - x0, (slope + c2 * x1) - v0
-            L2 = dx * dx + dv * dv
-            L2 = np.where(L2 > 0, L2, 1.0)
-            t, sq = work[0, :x0.shape[0]], work[1, :x0.shape[0]]
-            np.subtract(V, v0, out=t)
-            t *= dv
-            t += (X - x0) * dx
-            t /= L2
-            np.clip(t, 0.0, 1.0, out=t)
-            np.multiply(t, dx, out=sq)
-            sq += x0
-            np.subtract(X, sq, out=sq)
-            np.square(sq, out=sq)
-            t *= dv
-            t += v0
-            np.subtract(V, t, out=t)
-            np.square(t, out=t)
-            sq += t
-            least = sq.min(axis=0)
-            a, b, group = a[~quad], b[~quad], group[~quad]
-        vert = slice(bisect_left(self.vert, lo), bisect_right(self.vert, hi))
-        group = np.concatenate((group, self.vert_group[vert]))
-        if group.shape[0]:
-            x0 = np.concatenate((a, self.vert_x[vert]))
-            dx = np.concatenate((b, self.vert_x[vert])) - x0
-            L2 = dx * dx
-            xpart = _square_part(X, x0, dx, np.where(L2 > 0, L2, 1.0),
-                                 np.empty(x0.shape))
-            best = np.full(self.group_v0.shape[0], math.inf)
-            np.minimum.at(best, group, xpart)
-            g = np.unique(group)
-            rows = _square_part(V, self.group_v0[g, None], self.group_dv[g, None],
-                                self.group_L2[g, None], work[0, :g.shape[0]])
-            rows += best[g, None]
-            np.minimum(least, rows.min(axis=0), out=least)
-        # sqrt is monotone and correctly rounded: sqrt of the least square
-        # is the least distance
-        return np.sqrt(least, out=least)
+            q = row[quad]
+            qscale, qx0, qdx = scale[quad], x0[quad], dx[quad]
+            qv0 = self.b[q] + self.c2[q] * qx0
+            qdv = (self.b[q] + self.c2[q] * x1[quad]) - qv0
+            qL2 = qdx * qdx + qdv * qdv
+            qL2 = np.where(qL2 > 0, qL2, 1.0)
+            qX = X[qscale]
+            qxdx = (qX - qx0) * qdx
+            for r in _chunks(q.shape[0], limit):
+                rows = _quad_squares(
+                    V, qscale[r], qX[r, None], qx0[r, None], qdx[r, None],
+                    qv0[r, None], qdv[r, None], qL2[r, None], qxdx[r, None],
+                    work[:, :r.stop - r.start])
+                _least_per_scale(out, rows, qscale[r])
+            sep = ~quad
+            scale, x0, dx, group = scale[sep], x0[sep], dx[sep], group[sep]
+        # separable rows: the least x-part per (scale, group) key, and one
+        # v-part row per key
+        L2 = dx * dx
+        xpart = _square_part(X[scale], x0, dx, np.where(L2 > 0, L2, 1.0),
+                             np.empty(x0.shape))
+        G = self.group_v0.shape[0]
+        keys = scale * G + group
+        best = np.full(S * G, math.inf)
+        np.minimum.at(best, keys, xpart)
+        present = np.zeros(S * G, dtype=bool)
+        present[keys] = True
+        keys = np.flatnonzero(present)
+        kscale, kgroup = np.divmod(keys, G)
+        kv0, kdv = self.group_v0[kgroup, None], self.group_dv[kgroup, None]
+        kL2, kbest = self.group_L2[kgroup, None], best[keys, None]
+        for r in _chunks(keys.shape[0], limit):
+            P, rows = work[:, :r.stop - r.start]
+            np.take(V, kscale[r], axis=0, out=P, mode="clip")
+            _square_part(P, kv0[r], kdv[r], kL2[r], rows)
+            rows += kbest[r]
+            _least_per_scale(out, rows, kscale[r])
+        return out
 
     def stored(self, xs: np.ndarray) -> np.ndarray:
         """f - offset at every x of xs, by Piecewise1D._stored's rules."""
@@ -335,6 +362,63 @@ def _square_part(P, p0, dp, L2, out: np.ndarray) -> np.ndarray:
     out += p0
     np.subtract(P, out, out=out)
     return np.square(out, out=out)
+
+
+def _quad_squares(V, scale, X, x0, dx, v0, dv, L2, xdx,
+                  work: np.ndarray) -> np.ndarray:
+    """(X - (t dx + x0))^2 + (v - (t dv + v0))^2 for every v in V[scale],
+    with t = clip(((v - v0) dv + xdx) / L2, 0, 1), into work[1]; ``scale``
+    is sorted."""
+    t, sq = work
+    np.take(V, scale, axis=0, out=t, mode="clip")
+    t -= v0
+    t *= dv
+    t += xdx
+    t /= L2
+    np.clip(t, 0.0, 1.0, out=t)
+    np.multiply(t, dx, out=sq)
+    sq += x0
+    np.subtract(X, sq, out=sq)
+    np.square(sq, out=sq)
+    t *= dv
+    t += v0
+    # v - (t dv + v0) with each scale's row of V broadcast over its rows:
+    # gathering V again would take a third buffer
+    for s, r in _runs(scale):
+        np.subtract(V[s], t[r], out=t[r])
+    np.square(t, out=t)
+    sq += t
+    return sq
+
+
+def _ranges(first: np.ndarray, end: np.ndarray, label: np.ndarray):
+    """(i, l): every i in range(first[k], end[k]), range by range, and the
+    label[k] of its range."""
+    count = np.maximum(end - first, 0)
+    i = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+    return i, np.repeat(label, count)
+
+
+def _chunks(n: int, size: int) -> List[slice]:
+    """range(n) in consecutive slices of at most size."""
+    return [slice(i, min(i + size, n)) for i in range(0, n, size)]
+
+
+def _runs(scale: np.ndarray):
+    """(s, rows) for each run of rows of equal scale s; ``scale`` is sorted."""
+    first = np.flatnonzero(np.diff(scale, prepend=-1)).tolist()
+    return zip(scale[first].tolist(),
+               map(slice, first, first[1:] + [scale.shape[0]]))
+
+
+def _least_per_scale(out: np.ndarray, rows: np.ndarray,
+                     scale: np.ndarray) -> None:
+    """out[s] = min(out[s], least row of scale s) for every s in ``scale``,
+    the sorted scale of each row.  One reduction per run of rows: faster
+    than np.minimum.reduceat, which loops over the columns of each run."""
+    for s, r in _runs(scale):
+        least = out[s]
+        np.minimum(least, np.minimum.reduce(rows[r], axis=0), out=least)
 
 
 # ----------------------------------------------------------------------
@@ -510,16 +594,13 @@ def load(path: str) -> Piecewise1D:
 def _delta_profile(f: Piecewise1D, xbar: float, vbar: float, w: float,
                    zs: np.ndarray) -> np.ndarray:
     """Normalized graph distances, one row per scale, one column per z."""
-    graph = f._graph
-    ts = sorted(f.scales, reverse=True)
-    nrm = np.hypot(w, zs)
-    work = np.empty((2, graph.size, zs.shape[0]))
-    out = np.empty((len(ts), zs.shape[0]))
-    for i, t in enumerate(ts):
-        X = xbar + t * w
-        window = 6.0 * t * (abs(w) + 1.0)
-        d = graph.distances(X, vbar + t * zs, window, work)
-        out[i] = d / (t * nrm)
+    ts = np.array(sorted(f.scales, reverse=True))
+    out = f._graph.least_squares(xbar + ts * w, vbar + ts[:, None] * zs,
+                                 6.0 * ts * (abs(w) + 1.0))
+    # sqrt is monotone and correctly rounded: sqrt of the least square is
+    # the least distance
+    np.sqrt(out, out=out)
+    out /= ts[:, None] * np.hypot(w, zs)
     return out
 
 

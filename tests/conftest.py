@@ -699,9 +699,49 @@ def reference_minimize_tilted(p, V, starts, center, ball_radius):
 
 # ----------------------------------------------------------------------
 # pw1d as it was written before its graph was built once per function:
-# the per-window segment loop, the distances over it, and the per-point
-# growth and second-order quotient loops that the array passes repeat
+# the per-breakpoint subdifferentials, the per-window segment loop, the
+# distances over it, and the per-point growth and second-order quotient
+# loops that the array passes repeat
 # ----------------------------------------------------------------------
+
+def reference_vertical_segments(f):
+    """(xs, v0s, v1s) of the graph's vertical segments: prox_subdiff at every
+    breakpoint, one at a time, capped at +-_VCAP, and the accumulation
+    point's interval inserted in order."""
+    from bisect import bisect_left
+    from strongmin import pw1d
+    xs, v0s, v1s = [], [], []
+    for x in f.breakpoints:
+        iv = f.prox_subdiff(x)
+        if iv is not None:
+            xs.append(x)
+            v0s.append(max(iv[0], -pw1d._VCAP))
+            v1s.append(min(iv[1], pw1d._VCAP))
+    if f.accumulation is not None:
+        x, (lo, hi) = f.accumulation
+        k = bisect_left(xs, x)
+        xs.insert(k, x)
+        v0s.insert(k, lo)
+        v1s.insert(k, hi)
+    return xs, v0s, v1s
+
+
+def reference_graph_groups(f):
+    """pw1d._Graph's vertical segments and (v0, v1) groups, as arrays, from
+    the per-breakpoint loop: one group per pair, affine pieces (b, b) first,
+    in order of first appearance."""
+    xs, v0s, v1s = reference_vertical_segments(f)
+    groups = {}
+    piece_group = [groups.setdefault((p.b, p.b), len(groups)) if p.c == 0 else -1
+                   for p in f.pieces]
+    vert_group = [groups.setdefault(key, len(groups)) for key in zip(v0s, v1s)]
+    v0, v1 = np.array(list(groups), dtype=float).reshape(-1, 2).T
+    return {"breakpoints": np.array(f.breakpoints, dtype=float),
+            "vert_x": np.array(xs, dtype=float),
+            "piece_group": np.array(piece_group, dtype=np.intp),
+            "vert_group": np.array(vert_group, dtype=np.intp),
+            "group_v0": v0.copy(), "group_v1": v1.copy()}
+
 
 def reference_graph_segments(f, lo, hi):
     """Straight segments ((x0,v0),(x1,v1)) of the graph with x in [lo, hi]."""

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (reference_delta_profile, reference_graph_segments,
-                      reference_qgc_per_radius,
+from conftest import (reference_delta_profile, reference_graph_groups,
+                      reference_graph_segments, reference_qgc_per_radius,
                       reference_second_subderivative_per_tau,
                       tangent_direction_test)
 from strongmin import pw1d
@@ -333,9 +333,17 @@ GRAPH_FUNCTIONS = {
 }
 
 
+def _assert_graph_repeats(f):
+    """The graph's vertical segments and groups have the bytes of the
+    per-breakpoint loop."""
+    for key, want in reference_graph_groups(f).items():
+        assert getattr(f._graph, key).tobytes() == want.tobytes(), key
+
+
 def _assert_repeats_the_reference(f, xbar, vbar=0.0, radii=None):
     """Distance profiles, growth and quotient minima at xbar have the bytes
     of the per-window and per-point loops."""
+    _assert_graph_repeats(f)
     zs = np.array(sorted(set(pw1d._Z_GRID.tolist()) | {0.5, 2.0}))
     for w in (1.0, -1.0):
         got = pw1d._delta_profile(f, xbar, vbar, w, zs)
@@ -351,9 +359,11 @@ def _assert_repeats_the_reference(f, xbar, vbar=0.0, radii=None):
     assert est.sample_counts == est.kept_counts == tuple(counts), xbar
 
 
-def _assert_profile_repeats(f, xbar, vbar=0.0):
+def _assert_profile_repeats(f, xbar, vbar=0.0, zs=None):
     """Distance profiles at xbar have the bytes of the per-window loop."""
-    zs = np.array(sorted(set(pw1d._Z_GRID.tolist()) | {0.5, 2.0}))
+    _assert_graph_repeats(f)
+    if zs is None:
+        zs = np.array(sorted(set(pw1d._Z_GRID.tolist()) | {0.5, 2.0}))
     for w in (1.0, -1.0):
         got = pw1d._delta_profile(f, xbar, vbar, w, zs)
         want = reference_delta_profile(f, xbar, vbar, w, zs)
@@ -530,6 +540,77 @@ class TestArrayPasses:
                 assert got.tobytes() == want.tobytes(), (xbar, w)
         with pytest.raises(ValueError, match="outside the represented domain"):
             pw1d.estimate_qgc_1d(f, 0.5)
+
+    def test_windows_past_a_finite_end_leave_their_scales_empty(self):
+        # pieces end at 1 and 2 on either side: past the end the small
+        # windows hold no segment, so their scales stay at inf, while the
+        # wide ones reach back onto the pieces
+        f = pw1d.Piecewise1D([pw1d.Piece(-1.0, 0.0, 0.0, -1.0, 0.5),
+                              pw1d.Piece(0.0, 1.0, 0.0, 1.0, 0.0),
+                              pw1d.Piece(1.0, 2.0, 1.0, 0.0, 0.25)],
+                             scales=WIDE_SCALES)
+        for xbar in (-1.25, 2.25, 2.5, 4.0):
+            for w in (1.0, -1.0):
+                got = pw1d._delta_profile(f, xbar, 0.0, w, pw1d._Z_GRID)
+                assert np.isinf(got[-1]).all() and np.isfinite(got[0]).all()
+        for xbar in (-1.25, 2.25, 2.5, 4.0):
+            for vbar in (0.0, 0.5):
+                _assert_profile_repeats(f, xbar, vbar)
+
+    def test_windows_of_vertical_segments_only(self):
+        # an accumulation point a quarter past the last piece: the three
+        # small windows around it hold its vertical segment alone, the wide
+        # ones the pieces too
+        f = pw1d.Piecewise1D([pw1d.Piece(-1.0, 0.0, 0.0, -1.0, 0.0),
+                              pw1d.Piece(0.0, 0.25, 0.0, 1.0, 1.0)],
+                             accumulation=(0.5, (-1.0, 2.0)),
+                             scales=(0.1, 0.05, 0.02, 0.01, 0.001))
+        assert reference_graph_segments(f, 0.25, 0.75) == [((0.5, -1.0), (0.5, 2.0))]
+        for vbar in (0.0, 1.0, 2.0, 5.0):
+            _assert_profile_repeats(f, 0.5, vbar)
+
+    def test_long_quadratic_file_runs_in_chunks(self):
+        # x^2 cut into 401 pieces by 400 breakpoints in (-0.1, 0.1): the
+        # windows of a profile hold 2859 segments against a graph of 801,
+        # so both the quadratic rows and the key rows run in several chunks
+        bps = [-0.1 + 0.2 * k / 401 for k in range(1, 401)]
+        f = pw1d.loads("pw1d\nbreakpoints: " + " ".join(map(repr, bps)) + "\n"
+                       + "".join(f"piece {i}: 0 0 1\n" for i in range(401)))
+        g = f._graph
+        assert g.size == 801 and not (g.piece_group >= 0).any()
+        rows = sum(len(reference_graph_segments(f, t - 12.0 * t, t + 12.0 * t))
+                   for t in f.scales)
+        assert rows == 2859
+        # off centre, vbar = f'(xbar), and a quarter-slope vbar beside it
+        for xbar, vbar in ((0.0, 0.0), (0.05, 0.1), (-0.0995, -0.199), (0.02, 0.25)):
+            _assert_profile_repeats(f, xbar, vbar)
+
+    def test_nan_and_infinite_slope_columns(self):
+        zs = np.array([-4.0, np.nan, -0.5, 0.0, np.inf, 1.0, -np.inf, 3.0])
+        fs = [GRAPH_FUNCTIONS[name]() for name in ("example31", "accumulation")]
+        fs.append(pw1d.loads("pw1d\nbreakpoints:\npiece 0: 0 0 1\n"))
+        for f in fs:
+            for xbar in (0.0, 0.3):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    _assert_profile_repeats(f, xbar, 0.0, zs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_repeats_the_reference_with_curved_pieces(self, data):
+        # c != 0 on about three pieces in four, so quadratic rows and
+        # separable rows share the windows
+        quarters = st.integers(-8, 8).map(lambda k: k / 4.0)
+        curved = st.integers(-8, 8).filter(bool).map(lambda k: k / 4.0)
+        bps = sorted(data.draw(st.sets(quarters, min_size=1, max_size=10)))
+        edges = [-math.inf] + bps + [math.inf]
+        pieces = [pw1d.Piece(lo, hi, data.draw(quarters), data.draw(quarters),
+                             data.draw(st.sampled_from([0.0]) | curved | curved | curved))
+                  for lo, hi in zip(edges, edges[1:])]
+        f = pw1d.Piecewise1D(pieces, scales=data.draw(st.sampled_from(
+            [WIDE_SCALES, pw1d._SCALES, (0.5, 0.25)])))
+        xbar = data.draw(st.sampled_from(bps) | quarters
+                         | st.floats(-3.0, 3.0, allow_subnormal=False))
+        _assert_profile_repeats(f, xbar, data.draw(st.sampled_from([0.0, -0.5, 1.0])))
 
     def test_sample_counts_are_the_distinct_points(self):
         # the geometric grid on both sides plus the breakpoints in range,
